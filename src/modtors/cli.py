@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
@@ -57,20 +58,33 @@ def parse_levels(arg):
 
 
 def checkpoint_path(cache_dir, command, key):
+    """Checkpoint file of one result; the key carries the tool version, so
+    a sweep never resumes from results of another version."""
     os.makedirs(cache_dir, exist_ok=True)
-    return os.path.join(cache_dir, f"{command}-{key}.json")
+    return os.path.join(cache_dir, f"{command}-{key}-{__version__}.json")
 
 
 def with_checkpoint(cache_dir, command, key, compute):
-    if cache_dir:
-        path = checkpoint_path(cache_dir, command, key)
-        if os.path.exists(path):
-            with open(path) as fh:
-                return json.load(fh)
+    """compute(), read back from or written to the cache directory.
+
+    The result is written to a temporary file in the same directory and
+    renamed into place, so an interrupted write leaves no checkpoint.
+    """
+    if not cache_dir:
+        return compute()
+    path = checkpoint_path(cache_dir, command, key)
+    if os.path.exists(path):
+        with open(path) as fh:
+            return json.load(fh)
     result = compute()
-    if cache_dir:
-        with open(path, "w") as fh:
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
             json.dump(result, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return result
 
 
@@ -153,7 +167,7 @@ def cmd_torsion(args):
     report["operators"] = [kill + " for each listed prime q", "star - 1"]
     tasks = [(args.kind, n, primes, args.normalization) for n in levels]
     # results of the automatic choice depend on its rule
-    prime_key = args.primes or f"auto-{AUXILIARY_PRIMES_RULE}-{__version__}"
+    prime_key = args.primes or f"auto-{AUXILIARY_PRIMES_RULE}"
     try:
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:

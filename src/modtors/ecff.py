@@ -1,15 +1,27 @@
 """Elliptic curves over small finite fields: group structures and moduli counts.
 
+Field elements are integer codes: c_0 + c_1 x + ... + c_{k-1} x^(k-1) in
+F_q = F_p[x]/(f), q = p^k, is coded as a = c_0 + c_1 p + ... + c_{k-1}
+p^(k-1), so 0 <= a < q, the codes 0 and 1 are zero and one, and F_p is
+0..p-1.  Each `FiniteField` builds exact tables once, from the log/antilog
+tables of a primitive element (Zech's approach, Lidl and Niederreiter,
+*Finite Fields*): q x q sum and product tables, and negation and inverse
+tables with inv[0] = 0.  Every operation on arrays of codes is then one
+array gather; the arithmetic stays exact integer arithmetic.
+
 Pairs (E, P) with P of exact order N >= 4 are enumerated through the Tate
 normal form y^2 + (1-c) xy - b y = x^3 - b x^2 with P = (0, 0): nonsingular
 parameter pairs (b, c) biject with such pairs, so counting F_q-points of
-X1(N) away from the cusps is a scan over (b, c) in F_q^2.  The scan is
-vectorized with numpy over coefficient arrays; all arithmetic is exact
-integer arithmetic mod p.
+X1(N) away from the cusps is a scan over (b, c) in F_q^2, vectorized with
+numpy over chunks of pairs.  The number of pairs of exact order N is found
+by double-and-add: N * P = O and (N / l) * P != O for every prime l | N.
+`tate_order_counts` keeps the sequential scan P, 2P, 3P, ... for the whole
+order distribution.
 """
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from itertools import product
+from math import isqrt
 
 import numpy as np
 from sympy import factorint, isprime, mobius
@@ -20,11 +32,31 @@ from .cusps import degree1_count_over_extension
 DEFAULT_Q_BOUND = 3**6
 
 
-class FiniteField:
-    """F_q with q = p^k; elements are coefficient tuples of length k.
+def _polymulmod(a, b, mod, p):
+    """Product of residues a, b (coefficient lists, low first) modulo the
+    monic x^k + mod over F_p."""
+    k = len(mod)
+    out = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    for i in range(2 * k - 2, k - 1, -1):
+        c = out[i]
+        if c:
+            out[i] = 0
+            for j, m in enumerate(mod):
+                out[i - k + j] = (out[i - k + j] - c * m) % p
+    return out[:k]
 
-    Vectorized operations act on int64 arrays of shape (..., k); the scalar
-    interface wraps one-element arrays.
+
+class FiniteField:
+    """F_q with q = p^k; elements are integer codes 0 <= a < q.
+
+    The vectorized operations take codes or integer arrays of codes and
+    broadcast like numpy; `scalar` and `coefficients` convert between
+    codes and coefficient tuples (constant term first) in the basis of
+    powers of a root of x^k + modulus.
     """
 
     def __init__(self, p, k=1, modulus=None):
@@ -43,30 +75,12 @@ class FiniteField:
                 raise ValueError("modulus must be irreducible of degree k")
         else:
             self.modulus = self._find_irreducible()
-        # reduction table: x^(k+j) = red[j] as a length-k vector
-        if self.k > 1:
-            red = []
-            cur = [(-c) % p for c in self.modulus]  # x^k
-            red.append(cur[:])
-            for _ in range(self.k - 2):
-                over = cur[-1]  # multiply by x: top coefficient overflows
-                cur = [0] + cur[:-1]
-                if over:
-                    cur = [(a + over * b) % p for a, b in zip(cur, red[0])]
-                red.append(cur[:])
-            self.red = np.array(red, dtype=np.int64)  # (k-1, k)
-        else:
-            self.red = None
+        self._build_tables()
 
     def _find_irreducible(self):
-        p, k = self.p, self.k
-        # try x^k + a x + b style polynomials first, then general
-        from itertools import product
-
-        for tail in product(range(p), repeat=k):
-            mod = tuple(tail)
-            if self._is_irreducible(mod):
-                return mod
+        for tail in product(range(self.p), repeat=self.k):
+            if self._is_irreducible(tail):
+                return tail
         raise AssertionError("no irreducible polynomial found")
 
     def _is_irreducible(self, mod):
@@ -74,20 +88,6 @@ class FiniteField:
         p, k = self.p, self.k
         if mod[0] == 0:
             return False
-
-        def polymulmod(a, b):
-            out = [0] * (2 * k - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] = (out[i + j] + x * y) % p
-            for i in range(2 * k - 2, k - 1, -1):
-                c = out[i]
-                if c:
-                    out[i] = 0
-                    for j, m in enumerate(mod):
-                        out[i - k + j] = (out[i - k + j] - c * m) % p
-            return out[:k]
 
         def frob(a, e):
             # a^(p^e) by repeated p-th powers
@@ -97,8 +97,8 @@ class FiniteField:
                 n = p
                 while n:
                     if n & 1:
-                        out = polymulmod(out, base)
-                    base = polymulmod(base, base)
+                        out = _polymulmod(out, base, mod, p)
+                    base = _polymulmod(base, base, mod, p)
                     n >>= 1
                 a = out
             return a
@@ -140,76 +140,82 @@ class FiniteField:
                 return False
         return True
 
-    # -- vectorized arithmetic on (..., k) int64 arrays --------------------
+    def _build_tables(self):
+        """Exact add/mul/neg/inv tables from a primitive element g.
 
-    def zeros(self, shape):
-        return np.zeros(tuple(shape) + (self.k,), dtype=np.int64)
+        antilog[i] is the code of g^i (0 <= i < q - 1) and log inverts it
+        on the nonzero codes; a * b = antilog[(log a + log b) mod (q - 1)].
+        """
+        p, k, q = self.p, self.k, self.q
+        place = [p**i for i in range(k)]
+        for g in range(1, q):
+            g_poly = self.coefficients(g)
+            powers, cur = [], [1] + [0] * (k - 1)
+            while True:
+                powers.append(sum(c * w for c, w in zip(cur, place)))
+                cur = _polymulmod(cur, g_poly, self.modulus, p)
+                if cur[0] == 1 and not any(cur[1:]):
+                    break
+            if len(powers) == q - 1:
+                break
+        self.antilog = np.array(powers, dtype=np.intp)
+        self.log = np.zeros(q, dtype=np.intp)
+        self.log[self.antilog] = np.arange(q - 1)
+        logs = self.log[1:]
+        self._mul = np.zeros((q, q), dtype=np.intp)
+        self._mul[1:, 1:] = self.antilog[(logs[:, None] + logs[None, :]) % (q - 1)]
+        self._inv = np.zeros(q, dtype=np.intp)
+        self._inv[1:] = self.antilog[-logs % (q - 1)]
+        codes = self.elements()
+        self._add = np.zeros((q, q), dtype=np.intp)
+        self._neg = np.zeros(q, dtype=np.intp)
+        for w in place:
+            digit = codes // w % p
+            self._add += (digit[:, None] + digit[None, :]) % p * w
+            self._neg += -digit % p * w
+
+    # -- conversions ---------------------------------------------------------
 
     def scalar(self, value):
-        out = np.zeros(self.k, dtype=np.int64)
+        """Code of an integer (taken mod p) or of a coefficient sequence
+        c_0, c_1, ... of length at most k (constant term first)."""
         if isinstance(value, (int, np.integer)):
-            out[0] = int(value) % self.p
-        else:
-            for i, v in enumerate(value):
-                out[i] = int(v) % self.p
-        return out
+            return int(value) % self.p
+        value = [int(v) % self.p for v in value]
+        if len(value) > self.k:
+            raise ValueError(f"more than {self.k} coefficients")
+        return sum(c * self.p**i for i, c in enumerate(value))
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        p, k = self.p, self.k
-        if k == 1:
-            return (a * b) % p
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        a = np.broadcast_to(a, shape)
-        b = np.broadcast_to(b, shape)
-        conv = np.zeros(shape[:-1] + (2 * k - 1,), dtype=np.int64)
-        for i in range(k):
-            ai = a[..., i]
-            for j in range(k):
-                conv[..., i + j] += ai * b[..., j]
-        conv %= p
-        low = conv[..., :k]
-        high = conv[..., k:]
-        return (low + high @ self.red) % p
-
-    def smul(self, c, a):
-        return (a * (c % self.p)) % self.p
-
-    def inv(self, a):
-        """Elementwise inverse; lanes equal to zero map to zero."""
-        out = self.pow(a, self.q - 2)
-        return out
-
-    def pow(self, a, n):
-        result = np.zeros_like(a)
-        result[..., 0] = 1
-        base = a % self.p
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
-
-    def is_zero(self, a):
-        return ~a.any(axis=-1)
-
-    def eq(self, a, b):
-        return ((a - b) % self.p == 0).all(axis=-1)
+    def coefficients(self, a):
+        """Coefficient tuple (c_0, ..., c_{k-1}) of the code a."""
+        a = int(a)
+        return tuple(a // self.p**i % self.p for i in range(self.k))
 
     def elements(self):
-        """All field elements as an (q, k) array."""
-        from itertools import product
+        """All field elements: the codes 0, ..., q - 1."""
+        return np.arange(self.q, dtype=np.intp)
 
-        return np.array(list(product(range(self.p), repeat=self.k)), dtype=np.int64)
+    # -- vectorized arithmetic on codes --------------------------------------
+
+    def add(self, a, b):
+        return self._add[a, b]
+
+    def sub(self, a, b):
+        return self._add[a, self._neg[b]]
+
+    def neg(self, a):
+        return self._neg[a]
+
+    def mul(self, a, b):
+        return self._mul[a, b]
+
+    def smul(self, c, a):
+        """The integer c times a."""
+        return self._mul[c % self.p, a]
+
+    def inv(self, a):
+        """Elementwise inverse; zero maps to zero."""
+        return self._inv[a]
 
     def __repr__(self):
         return f"FiniteField({self.p}^{self.k})"
@@ -224,20 +230,26 @@ def finite_field(q, modulus=None):
 
 
 # ---------------------------------------------------------------------------
-# vectorized Tate-normal-form scans
+# Weierstrass arithmetic, vectorized over codes
 
 
-def _tate_discriminant(f, b, c):
-    """Discriminant of y^2 + (1-c)xy - by = x^3 - bx^2 (vectorized)."""
-    one = np.zeros_like(b)
-    one[..., 0] = 1
-    a1 = f.sub(one, c)
-    a2 = f.neg(b)
-    a3 = f.neg(b)
+def discriminant(f, coeffs):
+    """Discriminant of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
+
+    coeffs = (a1, a2, a3, a4, a6) are codes or arrays of codes; the result
+    broadcasts over them.
+    """
+    a1, a2, a3, a4, a6 = coeffs
     b2 = f.add(f.mul(a1, a1), f.smul(4, a2))
-    b4 = f.mul(a1, a3)  # 2 a4 + a1 a3 with a4 = 0
-    b6 = f.mul(a3, a3)  # a3^2 + 4 a6 with a6 = 0
-    b8 = f.mul(a2, f.mul(a3, a3))  # a2 a3^2 (other terms vanish)
+    b4 = f.add(f.smul(2, a4), f.mul(a1, a3))
+    b6 = f.add(f.mul(a3, a3), f.smul(4, a6))
+    b8 = f.add(
+        f.sub(
+            f.add(f.mul(f.mul(a1, a1), a6), f.smul(4, f.mul(a2, a6))),
+            f.mul(a1, f.mul(a3, a4)),
+        ),
+        f.sub(f.mul(a2, f.mul(a3, a3)), f.mul(a4, a4)),
+    )
     d = f.neg(f.mul(f.mul(b2, b2), b8))
     d = f.sub(d, f.smul(8, f.mul(b4, f.mul(b4, b4))))
     d = f.sub(d, f.smul(27, f.mul(b6, b6)))
@@ -245,85 +257,113 @@ def _tate_discriminant(f, b, c):
     return d
 
 
-def _add_general(f, a1, a2, a3, x1, y1, i1, x2, y2, i2):
-    """Vectorized addition on y^2 + a1 xy + a3 y = x^3 + a2 x^2 (a4=a6=0)."""
+def _add_points(f, coeffs, x1, y1, i1, x2, y2, i2):
+    """P1 + P2, lane by lane, on the curve with coefficient codes coeffs.
+
+    Points are code arrays x, y with boolean infinity flags i; a point at
+    infinity has x = y = 0.  a6 does not enter the addition law.
+    """
+    a1, a2, a3, a4, _ = coeffs
     neg_y2 = f.sub(f.neg(y2), f.add(f.mul(a1, x2), a3))
-    xeq = f.eq(x1, x2)
-    is_inv = xeq & f.eq(y1, neg_y2) & ~i1 & ~i2
+    xeq = x1 == x2
+    is_inv = xeq & (y1 == neg_y2) & ~i1 & ~i2
     dbl = xeq & ~is_inv & ~i1 & ~i2
-    # slopes
-    three_x1sq = f.smul(3, f.mul(x1, x1))
+    # doubling slope: (3x^2 + 2 a2 x + a4 - a1 y) / (2y + a1 x + a3)
     num_dbl = f.sub(
-        f.add(three_x1sq, f.smul(2, f.mul(a2, x1))), f.mul(a1, y1)
+        f.add(f.smul(3, f.mul(x1, x1)), f.add(f.smul(2, f.mul(a2, x1)), a4)),
+        f.mul(a1, y1),
     )
     den_dbl = f.add(f.smul(2, y1), f.add(f.mul(a1, x1), a3))
-    num = np.where(dbl[..., None], num_dbl, f.sub(y2, y1))
-    den = np.where(dbl[..., None], den_dbl, f.sub(x2, x1))
-    bad = f.is_zero(den)
-    den_safe = den.copy()
-    den_safe[..., 0] = np.where(bad, 1, den_safe[..., 0])
-    lam = f.mul(num, f.inv(den_safe))
+    num = np.where(dbl, num_dbl, f.sub(y2, y1))
+    den = np.where(dbl, den_dbl, f.sub(x2, x1))
+    # den is zero only on lanes whose sum is replaced below; inv(0) = 0
+    lam = f.mul(num, f.inv(den))
     x3 = f.sub(f.add(f.mul(lam, lam), f.mul(a1, lam)), f.add(a2, f.add(x1, x2)))
-    y3 = f.sub(
-        f.mul(lam, f.sub(x1, x3)), f.add(y1, f.add(f.mul(a1, x3), a3))
-    )
+    y3 = f.sub(f.mul(lam, f.sub(x1, x3)), f.add(y1, f.add(f.mul(a1, x3), a3)))
     out_inf = (i1 & i2) | is_inv
-    ox = np.where(i1[..., None], x2, np.where(i2[..., None], x1, x3))
-    oy = np.where(i1[..., None], y2, np.where(i2[..., None], y1, y3))
-    ox = np.where(out_inf[..., None], 0, ox)
-    oy = np.where(out_inf[..., None], 0, oy)
-    return ox % f.p, oy % f.p, out_inf
+    ox = np.where(i1, x2, np.where(i2, x1, x3))
+    oy = np.where(i1, y2, np.where(i2, y1, y3))
+    return np.where(out_inf, 0, ox), np.where(out_inf, 0, oy), out_inf
+
+
+def _multiple(f, coeffs, x, y, inf, m):
+    """m * P for m >= 1, lane by lane, by double-and-add."""
+    acc = None
+    base = (x, y, inf)
+    while True:
+        if m & 1:
+            acc = base if acc is None else _add_points(f, coeffs, *acc, *base)
+        m >>= 1
+        if not m:
+            return acc
+        base = _add_points(f, coeffs, *base, *base)
+
+
+# ---------------------------------------------------------------------------
+# Tate-normal-form scans
+
+
+def _tate_curves(f, chunk):
+    """Coefficients (a1, a2, a3) of the nonsingular Tate curves
+    a1 = 1 - c, a2 = a3 = -b, one triple of code arrays per chunk of
+    (b, c) pairs."""
+    q = f.q
+    for start in range(0, q * q, chunk):
+        idx = np.arange(start, min(start + chunk, q * q), dtype=np.intp)
+        a1 = f.sub(1, idx % q)
+        a2 = f.neg(idx // q)
+        alive = discriminant(f, (a1, a2, a2, 0, 0)) != 0
+        yield a1[alive], a2[alive], a2[alive]
+
+
+def _origin(lanes):
+    zero = np.zeros(len(lanes[0]), dtype=np.intp)
+    return zero, zero, np.zeros(len(zero), dtype=bool)
 
 
 def tate_order_counts(q, max_order, modulus=None, chunk=200000):
     """Distribution of orders of (0,0) on nonsingular Tate curves over F_q.
 
     Returns an array counts[m] = number of (b, c) pairs where (0, 0) has
-    exact order m, for m <= max_order (orders beyond max_order are not
-    resolved and land in counts[0]).
+    exact order m, for 2 <= m <= max_order; pairs of larger order are
+    counted in counts[0].  Adds P to itself up to max_order - 1 times.
     """
     f = finite_field(q, modulus)
-    elems = f.elements()
-    nq = len(elems)
     counts = np.zeros(max_order + 1, dtype=np.int64)
-    for start in range(0, nq * nq, chunk):
-        stop = min(start + chunk, nq * nq)
-        idx = np.arange(start, stop)
-        b = elems[idx // nq]
-        c = elems[idx % nq]
-        disc = _tate_discriminant(f, b, c)
-        alive = ~f.is_zero(disc)
-        if not alive.any():
-            continue
-        b = b[alive]
-        c = c[alive]
-        m = len(b)
-        one = f.zeros((m,))
-        one[..., 0] = 1
-        a1 = f.sub(one, c)
-        a2 = f.neg(b)
-        a3 = f.neg(b)
-        px = f.zeros((m,))
-        py = f.zeros((m,))
-        pinf = np.zeros(m, dtype=bool)
-        qx, qy, qinf = px.copy(), py.copy(), pinf.copy()
-        undecided = np.ones(m, dtype=bool)
+    for lanes in _tate_curves(f, chunk):
+        coeffs = (*lanes, 0, 0)
+        point = _origin(lanes)
+        qx, qy, qinf = point
+        undecided = np.ones(len(qx), dtype=bool)
         for order in range(2, max_order + 1):
-            qx, qy, qinf = _add_general(f, a1, a2, a3, qx, qy, qinf, px, py, pinf)
+            if not undecided.any():
+                break
+            qx, qy, qinf = _add_points(f, coeffs, qx, qy, qinf, *point)
             newly = undecided & qinf
             counts[order] += int(newly.sum())
             undecided &= ~newly
-            if not undecided.any():
-                break
+        counts[0] += int(undecided.sum())
     return counts
 
 
-def count_points_of_exact_order(N, q, modulus=None):
-    """Number of non-cuspidal F_q-points of X1(N): Tate pairs of order N."""
+def count_points_of_exact_order(N, q, modulus=None, chunk=200000):
+    """Number of non-cuspidal F_q-points of X1(N): Tate pairs of order N.
+
+    A pair counts when N * P = O and (N / l) * P != O for each prime
+    l | N, with each multiple computed by double-and-add; a lane is
+    dropped at the first test it fails.
+    """
     if N < 4:
         raise ValueError("Tate normal form needs order >= 4")
-    counts = tate_order_counts(q, N, modulus)
-    return int(counts[N])
+    f = finite_field(q, modulus)
+    tests = [(N, True)] + [(N // int(ell), False) for ell in factorint(N)]
+    total = 0
+    for lanes in _tate_curves(f, chunk):
+        for m, killed in tests:
+            inf = _multiple(f, (*lanes, 0, 0), *_origin(lanes), m)[2]
+            lanes = tuple(a[inf == killed] for a in lanes)
+        total += len(lanes[0])
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -346,53 +386,32 @@ class CurveRecord:
         }
 
 
-def _curve_scalars(f, coeffs):
-    return [np.asarray(f.scalar(c))[None, :] for c in coeffs]
-
-
 def curve_points(f, coeffs):
-    """All affine points plus infinity count of a long Weierstrass curve."""
-    a1, a2, a3, a4, a6 = _curve_scalars(f, coeffs)
-    elems = f.elements()
-    nq = len(elems)
-    xs = np.repeat(elems, nq, axis=0)
-    ys = np.tile(elems, (nq, 1))
+    """All affine points (x, y) of a long Weierstrass curve, as code arrays.
+
+    coeffs are (a1, a2, a3, a4, a6), each an integer or coefficient tuple.
+    """
+    a1, a2, a3, a4, a6 = (f.scalar(c) for c in coeffs)
+    xs = np.repeat(f.elements(), f.q)
+    ys = np.tile(f.elements(), f.q)
     lhs = f.add(f.mul(ys, ys), f.add(f.mul(a1, f.mul(xs, ys)), f.mul(a3, ys)))
     rhs = f.add(
         f.mul(xs, f.mul(xs, xs)),
         f.add(f.mul(a2, f.mul(xs, xs)), f.add(f.mul(a4, xs), a6)),
     )
-    on = f.eq(lhs, rhs)
+    on = lhs == rhs
     return xs[on], ys[on]
 
 
-def discriminant(f, coeffs):
-    a1, a2, a3, a4, a6 = [f.scalar(c) for c in coeffs]
-    b2 = f.add(f.mul(a1, a1), f.smul(4, a2))
-    b4 = f.add(f.smul(2, a4), f.mul(a1, a3))
-    b6 = f.add(f.mul(a3, a3), f.smul(4, a6))
-    b8 = f.add(
-        f.sub(
-            f.add(f.mul(f.mul(a1, a1), a6), f.smul(4, f.mul(a2, a6))),
-            f.mul(a1, f.mul(a3, a4)),
-        ),
-        f.sub(f.mul(a2, f.mul(a3, a3)), f.mul(a4, a4)),
-    )
-    d = f.neg(f.mul(f.mul(b2, b2), b8))
-    d = f.sub(d, f.smul(8, f.mul(b4, f.mul(b4, b4))))
-    d = f.sub(d, f.smul(27, f.mul(b6, b6)))
-    d = f.add(d, f.smul(9, f.mul(b2, f.mul(b4, b6))))
-    return d
-
-
 def j_invariant(f, coeffs):
-    a1, a2, a3, a4, a6 = [f.scalar(c) for c in coeffs]
+    """j = c4^3 / discriminant as a coefficient tuple; coeffs as in
+    `curve_points`."""
+    a1, a2, a3, a4, a6 = coded = [f.scalar(c) for c in coeffs]
     b2 = f.add(f.mul(a1, a1), f.smul(4, a2))
     b4 = f.add(f.smul(2, a4), f.mul(a1, a3))
     c4 = f.sub(f.mul(b2, b2), f.smul(24, b4))
-    d = discriminant(f, coeffs)
-    dinv = f.inv(d[None, :])[0]
-    return tuple(int(v) for v in f.mul(f.mul(c4, f.mul(c4, c4))[None, :], dinv[None, :])[0])
+    j = f.mul(f.mul(c4, f.mul(c4, c4)), f.inv(discriminant(f, coded)))
+    return f.coefficients(j)
 
 
 def group_structure(q, coeffs, modulus=None):
@@ -403,14 +422,13 @@ def group_structure(q, coeffs, modulus=None):
     l-torsion counted for each prime l dividing the order.
     """
     f = finite_field(q, modulus)
-    d = discriminant(f, coeffs)
-    if not d.any():
+    coded = tuple(f.scalar(c) for c in coeffs)
+    if discriminant(f, coded) == 0:
         raise ValueError("singular curve")
     xs, ys = curve_points(f, coeffs)
     n = len(xs) + 1
     if not (q + 1 - isqrt(4 * q) <= n <= q + 1 + isqrt(4 * q)):
         raise AssertionError("point count outside Hasse interval")
-    coeff_arrays = [np.broadcast_to(f.scalar(c), xs.shape).copy() for c in coeffs]
     a_part, b_part = 1, 1
     for ell, v_n in factorint(n).items():
         ell = int(ell)
@@ -420,7 +438,7 @@ def group_structure(q, coeffs, modulus=None):
         # largest j with a full l^(2j) of l^j-torsion
         alpha = 0
         for j in range(1, v_n // 2 + 1):
-            cnt = _count_killed(f, coeff_arrays, xs, ys, ell**j) + 1
+            cnt = _count_killed(f, coded, xs, ys, ell**j) + 1
             if cnt == ell ** (2 * j):
                 alpha = j
             else:
@@ -432,65 +450,17 @@ def group_structure(q, coeffs, modulus=None):
     return FinAbGroup([x for x in (a_part, b_part) if x > 1])
 
 
-def _count_killed(f, coeff_arrays, xs, ys, m):
+def _count_killed(f, coeffs, xs, ys, m):
     """Number of affine points P with m * P = infinity."""
-    a1, a2, a3, _, _ = coeff_arrays
-    # scalar multiplication by repeated doubling on all points at once;
-    # a4, a6 enter only through the doubling slope, handled generally
-    rx, ry = xs.copy(), ys.copy()
-    rinf = np.zeros(len(xs), dtype=bool)
-    bx, by, binf = xs.copy(), ys.copy(), np.zeros(len(xs), dtype=bool)
-    first = True
-    n = m
-    while n:
-        if n & 1:
-            if first:
-                rx, ry, rinf = bx.copy(), by.copy(), binf.copy()
-                first = False
-            else:
-                rx, ry, rinf = _add_full(f, coeff_arrays, rx, ry, rinf, bx, by, binf)
-        n >>= 1
-        if n:
-            bx, by, binf = _add_full(f, coeff_arrays, bx, by, binf, bx, by, binf)
-    return int(rinf.sum())
-
-
-def _add_full(f, coeff_arrays, x1, y1, i1, x2, y2, i2):
-    """General vectorized addition with a4, a6 nonzero allowed."""
-    a1, a2, a3, a4, a6 = coeff_arrays
-    neg_y2 = f.sub(f.neg(y2), f.add(f.mul(a1, x2), a3))
-    xeq = f.eq(x1, x2)
-    is_inv = xeq & f.eq(y1, neg_y2) & ~i1 & ~i2
-    dbl = xeq & ~is_inv & ~i1 & ~i2
-    # doubling slope: (3x^2 + 2 a2 x + a4 - a1 y) / (2y + a1 x + a3)
-    num_dbl = f.sub(
-        f.add(f.smul(3, f.mul(x1, x1)), f.add(f.smul(2, f.mul(a2, x1)), a4)),
-        f.mul(a1, y1),
-    )
-    den_dbl = f.add(f.smul(2, y1), f.add(f.mul(a1, x1), a3))
-    num = np.where(dbl[..., None], num_dbl, f.sub(y2, y1))
-    den = np.where(dbl[..., None], den_dbl, f.sub(x2, x1))
-    bad = f.is_zero(den)
-    den_safe = den.copy()
-    den_safe[..., 0] = np.where(bad, 1, den_safe[..., 0])
-    lam = f.mul(num, f.inv(den_safe))
-    x3 = f.sub(
-        f.add(f.mul(lam, lam), f.mul(a1, lam)), f.add(a2, f.add(x1, x2))
-    )
-    y3 = f.sub(f.mul(lam, f.sub(x1, x3)), f.add(y1, f.add(f.mul(a1, x3), a3)))
-    out_inf = (i1 & i2) | is_inv
-    ox = np.where(i1[..., None], x2, np.where(i2[..., None], x1, x3))
-    oy = np.where(i1[..., None], y2, np.where(i2[..., None], y1, y3))
-    ox = np.where(out_inf[..., None], 0, ox)
-    oy = np.where(out_inf[..., None], 0, oy)
-    return ox % f.p, oy % f.p, out_inf
+    inf = np.zeros(len(xs), dtype=bool)
+    return int(_multiple(f, coeffs, xs, ys, inf, m)[2].sum())
 
 
 def curve_record(q, coeffs, modulus=None):
     f = finite_field(q, modulus)
     return CurveRecord(
         field=(f.p, f.k),
-        coefficients=tuple(tuple(f.scalar(c)) for c in coeffs),
+        coefficients=tuple(f.coefficients(f.scalar(c)) for c in coeffs),
         group=group_structure(q, coeffs, modulus),
         j_invariant=j_invariant(f, coeffs),
     )

@@ -1,6 +1,9 @@
 import json
+import os
 import subprocess
 import sys
+
+import pytest
 
 
 def run_cli(*args):
@@ -105,3 +108,32 @@ def test_text_format():
     proc = run_cli("places", "22", "3", "--format", "text")
     assert proc.returncode == 0
     assert "places_by_degree" in proc.stdout
+
+
+def test_rank_checkpoint_of_another_version_not_reused(tmp_path, monkeypatch, capsys):
+    from modtors import cli
+
+    def verdict():
+        assert cli.main(["rank", "gamma0", "11", "--cache-dir", str(tmp_path)]) == 0
+        return json.loads(capsys.readouterr().out)["results"][0]["verdict"]
+
+    monkeypatch.setattr(cli, "__version__", "0.0.0-old")
+    assert verdict() == "rank_zero"
+    (path,) = tmp_path.iterdir()
+    path.write_text(json.dumps({"level": 11, "verdict": "stale"}))
+    assert verdict() == "stale"  # same version: the checkpoint is read back
+    monkeypatch.undo()
+    assert verdict() == "rank_zero"
+
+
+def test_interrupted_checkpoint_write_leaves_no_file(tmp_path):
+    from modtors.cli import checkpoint_path, with_checkpoint
+
+    # json.dump writes "a" before failing on the unserializable "b"
+    with pytest.raises(TypeError):
+        with_checkpoint(str(tmp_path), "rank", "gamma0-11",
+                        lambda: {"a": 1, "b": object()})
+    assert not os.path.exists(checkpoint_path(str(tmp_path), "rank", "gamma0-11"))
+    assert list(tmp_path.iterdir()) == []
+    assert with_checkpoint(str(tmp_path), "rank", "gamma0-11", lambda: {"a": 1}) == {"a": 1}
+    assert with_checkpoint(str(tmp_path), "rank", "gamma0-11", lambda: {"a": 2}) == {"a": 1}

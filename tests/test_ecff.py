@@ -8,26 +8,94 @@ from modtors.ecff import (
     count_X1_points,
     count_points_of_exact_order,
     curve_record,
+    discriminant,
     exists_point_of_order,
     finite_field,
     group_structure,
     hasse_excludes,
     no_cubic_points_certificate,
     places_of_degree,
+    tate_order_counts,
 )
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49, 81, 121, 125, 243, 343, 729])
+FIELD_SIZES = [4, 8, 9, 16, 25, 27, 49, 81, 121, 125, 243, 343, 729]
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES)
 def test_field_arithmetic(q):
     f = finite_field(q)
     elems = f.elements()
     assert len(elems) == q
     nz = elems[1:]
-    prod = f.mul(nz, f.inv(nz))
-    assert (prod[:, 0] == 1).all() and (prod[:, 1:] == 0).all()
-    a, b, c = elems[2][None], elems[q // 2][None], elems[q - 1][None]
-    assert (f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))).all()
-    assert (f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))).all()
+    assert (f.mul(nz, f.inv(nz)) == 1).all()
+    assert f.inv(0) == 0
+    a, b, c = elems[2], elems[q // 2], elems[q - 1]
+    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+def _poly_reference(f):
+    """Sum and product of codes through coefficient lists, reducing the
+    product by x^k + f.modulus in pure Python."""
+    p, k, mod = f.p, f.k, f.modulus
+
+    def digits(a):
+        return [a // p**i % p for i in range(k)]
+
+    def code(coeffs):
+        return sum(c % p * p**i for i, c in enumerate(coeffs))
+
+    def add(a, b):
+        return code([x + y for x, y in zip(digits(a), digits(b))])
+
+    def mul(a, b):
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] += x * y
+        for i in range(2 * k - 2, k - 1, -1):
+            top, prod[i] = prod[i], 0
+            for j, m in enumerate(mod):
+                prod[i - k + j] -= top * m
+        return code(prod[:k])
+
+    return add, mul
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES)
+def test_field_tables_match_polynomial_arithmetic(q):
+    import random
+
+    f = finite_field(q)
+    add, mul = _poly_reference(f)
+    if q <= 81:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    a, b = (np.array(x) for x in zip(*pairs))
+    assert f.mul(a, b).tolist() == [mul(x, y) for x, y in pairs]
+    assert f.add(a, b).tolist() == [add(x, y) for x, y in pairs]
+    assert (f.add(a, f.neg(a)) == 0).all()
+    assert (f.add(f.sub(a, b), b) == a).all()
+    assert (f.smul(5, a) == f.add(f.add(f.add(a, a), f.add(a, a)), a)).all()
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES)
+def test_antilog_covers_nonzero_elements(q):
+    f = finite_field(q)
+    assert len(f.antilog) == q - 1
+    assert sorted(f.antilog.tolist()) == list(range(1, q))
+    assert (f.antilog[f.log[1:]] == np.arange(1, q)).all()
+
+
+def test_field_conversions():
+    f = finite_field(49)
+    assert f.scalar(-1) == 6 and f.scalar((3, 2)) == 3 + 2 * 7
+    assert f.coefficients(f.scalar((3, -1))) == (3, 6)
+    with pytest.raises(ValueError):
+        f.scalar((1, 2, 3))
 
 
 def test_group_structure_examples():
@@ -227,3 +295,22 @@ def test_exact_order_counts_match_brute_force():
             brute[o] = brute.get(o, 0) + 1
     for n in range(4, 14):
         assert count_points_of_exact_order(n, p) == brute.get(n, 0)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 16, 25, 27, 49])
+def test_exact_order_double_and_add_matches_sequential_scan(q):
+    # orders 4..40 include the prime powers 8, 9, 16, 25, 27 and 32
+    f = finite_field(q)
+    b, c = np.divmod(np.arange(q * q), q)
+    a1, a2 = f.sub(1, c), f.neg(b)
+    counts = tate_order_counts(q, 40)
+    assert counts.sum() == (discriminant(f, (a1, a2, a2, 0, 0)) != 0).sum()
+    for n in range(4, 41):
+        assert count_points_of_exact_order(n, q) == counts[n], n
+
+
+def test_exact_order_double_and_add_at_121_over_f125():
+    counts = tate_order_counts(125, 121)
+    assert count_points_of_exact_order(121, 125) == counts[121]
+    # small chunks give the same count
+    assert count_points_of_exact_order(121, 125, chunk=1000) == counts[121]
