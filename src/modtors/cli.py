@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
@@ -77,9 +76,11 @@ def with_checkpoint(cache_dir, command, key, compute):
         with open(path) as fh:
             return json.load(fh)
     result = compute()
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path), suffix=".tmp")
+    # created by open(), so the checkpoint gets the umask's default mode
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "w")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             json.dump(result, fh, sort_keys=True)
         os.replace(tmp, path)
     except BaseException:
@@ -209,10 +210,14 @@ def cmd_torsion(args):
 def cmd_places(args):
     from .ecff import places_of_degree
 
-    counts = [
-        places_of_degree(args.level, args.prime, d, q_bound=args.q_bound)
-        for d in range(1, args.maxdeg + 1)
-    ]
+    try:
+        counts = [
+            places_of_degree(args.level, args.prime, d, q_bound=args.q_bound)
+            for d in range(1, args.maxdeg + 1)
+        ]
+    except ResourceWarning as exc:
+        print(f"resource refusal: {exc}", file=sys.stderr)
+        return 2
     report = report_header(args, "places") | {
         "level": args.level,
         "prime": args.prime,

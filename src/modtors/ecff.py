@@ -7,7 +7,9 @@ p^(k-1), so 0 <= a < q, the codes 0 and 1 are zero and one, and F_p is
 tables of a primitive element (Zech's approach, Lidl and Niederreiter,
 *Finite Fields*): q x q sum and product tables, and negation and inverse
 tables with inv[0] = 0.  Every operation on arrays of codes is then one
-array gather; the arithmetic stays exact integer arithmetic.
+array gather; the arithmetic stays exact integer arithmetic.  Fields
+above MAX_TABLE_Q are refused with ResourceWarning before any table is
+built.
 
 Pairs (E, P) with P of exact order N >= 4 are enumerated through the Tate
 normal form y^2 + (1-c) xy - b y = x^3 - b x^2 with P = (0, 0): nonsingular
@@ -30,6 +32,11 @@ from .abgroup import FinAbGroup
 from .cusps import degree1_count_over_extension
 
 DEFAULT_Q_BOUND = 3**6
+# Largest field whose q x q tables are built: two 38 MB tables at 3^7.
+# Larger fields are refused with ResourceWarning before any allocation.
+MAX_TABLE_Q = 3**7
+# Tate pairs (b, c) per vectorized chunk of a scan; bounds its memory.
+_CHUNK = 200000
 
 
 def _polymulmod(a, b, mod, p):
@@ -67,6 +74,10 @@ class FiniteField:
         self.p = int(p)
         self.k = int(k)
         self.q = self.p**self.k
+        if self.q > MAX_TABLE_Q:
+            raise ResourceWarning(
+                f"field size {self.q} above the arithmetic-table limit {MAX_TABLE_Q}"
+            )
         if k == 1:
             self.modulus = (0,)
         elif modulus is not None:
@@ -145,6 +156,7 @@ class FiniteField:
 
         antilog[i] is the code of g^i (0 <= i < q - 1) and log inverts it
         on the nonzero codes; a * b = antilog[(log a + log b) mod (q - 1)].
+        Each q x q table is built with at most one q x q temporary.
         """
         p, k, q = self.p, self.k, self.q
         place = [p**i for i in range(k)]
@@ -161,18 +173,25 @@ class FiniteField:
         self.antilog = np.array(powers, dtype=np.intp)
         self.log = np.zeros(q, dtype=np.intp)
         self.log[self.antilog] = np.arange(q - 1)
-        logs = self.log[1:]
-        self._mul = np.zeros((q, q), dtype=np.intp)
-        self._mul[1:, 1:] = self.antilog[(logs[:, None] + logs[None, :]) % (q - 1)]
-        self._inv = np.zeros(q, dtype=np.intp)
-        self._inv[1:] = self.antilog[-logs % (q - 1)]
-        codes = self.elements()
-        self._add = np.zeros((q, q), dtype=np.intp)
-        self._neg = np.zeros(q, dtype=np.intp)
-        for w in place:
-            digit = codes // w % p
-            self._add += (digit[:, None] + digit[None, :]) % p * w
-            self._neg += -digit % p * w
+        # zero gets log 2(q - 1): a sum of two logs reaches the zero tail of
+        # the twice-repeated antilog exactly when a factor is zero
+        ext_log = self.log.copy()
+        ext_log[0] = 2 * (q - 1)
+        ext_antilog = np.zeros(4 * q - 3, dtype=np.intp)
+        ext_antilog[: 2 * (q - 1)] = np.tile(self.antilog, 2)
+        self._mul = ext_antilog[np.add.outer(ext_log, ext_log)]
+        self._inv = ext_antilog[q - 1 - self.log]
+        self._inv[0] = 0
+        # a code is its constant term plus p times the code of the rest, so
+        # the tables for p^(i+1) come from those for p^i digit by digit
+        digit = np.arange(p)
+        step = ((digit[:, None] + digit) % p)[None, :, None, :]
+        self._add = np.zeros((1, 1), dtype=np.intp)
+        self._neg = np.zeros(1, dtype=np.intp)
+        for _ in range(k):
+            n = len(self._neg)
+            self._add = (p * self._add[:, None, :, None] + step).reshape(n * p, n * p)
+            self._neg = (p * self._neg[:, None] + -digit % p).reshape(n * p)
 
     # -- conversions ---------------------------------------------------------
 
@@ -303,13 +322,13 @@ def _multiple(f, coeffs, x, y, inf, m):
 # Tate-normal-form scans
 
 
-def _tate_curves(f, chunk):
+def _tate_curves(f):
     """Coefficients (a1, a2, a3) of the nonsingular Tate curves
     a1 = 1 - c, a2 = a3 = -b, one triple of code arrays per chunk of
-    (b, c) pairs."""
+    _CHUNK (b, c) pairs."""
     q = f.q
-    for start in range(0, q * q, chunk):
-        idx = np.arange(start, min(start + chunk, q * q), dtype=np.intp)
+    for start in range(0, q * q, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, q * q), dtype=np.intp)
         a1 = f.sub(1, idx % q)
         a2 = f.neg(idx // q)
         alive = discriminant(f, (a1, a2, a2, 0, 0)) != 0
@@ -321,7 +340,7 @@ def _origin(lanes):
     return zero, zero, np.zeros(len(zero), dtype=bool)
 
 
-def tate_order_counts(q, max_order, modulus=None, chunk=200000):
+def tate_order_counts(q, max_order, modulus=None):
     """Distribution of orders of (0,0) on nonsingular Tate curves over F_q.
 
     Returns an array counts[m] = number of (b, c) pairs where (0, 0) has
@@ -330,7 +349,7 @@ def tate_order_counts(q, max_order, modulus=None, chunk=200000):
     """
     f = finite_field(q, modulus)
     counts = np.zeros(max_order + 1, dtype=np.int64)
-    for lanes in _tate_curves(f, chunk):
+    for lanes in _tate_curves(f):
         coeffs = (*lanes, 0, 0)
         point = _origin(lanes)
         qx, qy, qinf = point
@@ -346,7 +365,7 @@ def tate_order_counts(q, max_order, modulus=None, chunk=200000):
     return counts
 
 
-def count_points_of_exact_order(N, q, modulus=None, chunk=200000):
+def count_points_of_exact_order(N, q, modulus=None):
     """Number of non-cuspidal F_q-points of X1(N): Tate pairs of order N.
 
     A pair counts when N * P = O and (N / l) * P != O for each prime
@@ -358,7 +377,7 @@ def count_points_of_exact_order(N, q, modulus=None, chunk=200000):
     f = finite_field(q, modulus)
     tests = [(N, True)] + [(N // int(ell), False) for ell in factorint(N)]
     total = 0
-    for lanes in _tate_curves(f, chunk):
+    for lanes in _tate_curves(f):
         for m, killed in tests:
             inf = _multiple(f, (*lanes, 0, 0), *_origin(lanes), m)[2]
             lanes = tuple(a[inf == killed] for a in lanes)

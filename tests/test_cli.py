@@ -84,6 +84,11 @@ def test_places_command():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["places_by_degree"] == [10, 0, 0]
+    # resource refusals: F_9 above --q-bound, F_2401 above the table limit
+    proc = run_cli("places", "22", "3", "--q-bound", "8")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    proc = run_cli("places", "5", "7", "--maxdeg", "4", "--q-bound", "100000")
+    assert (proc.returncode, proc.stdout) == (2, "")
 
 
 def test_ecscan_command():
@@ -94,6 +99,11 @@ def test_ecscan_command():
     # resource refusal
     proc = run_cli("ecscan", "11", "2187")
     assert proc.returncode == 2
+    # a field above the arithmetic-table limit is refused whatever --q-bound
+    proc = run_cli("ecscan", "5", "6561,19683", "--q-bound", "100000")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "resource refusal" in proc.stderr
 
 
 def test_immersion_command():
@@ -137,3 +147,15 @@ def test_interrupted_checkpoint_write_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
     assert with_checkpoint(str(tmp_path), "rank", "gamma0-11", lambda: {"a": 1}) == {"a": 1}
     assert with_checkpoint(str(tmp_path), "rank", "gamma0-11", lambda: {"a": 2}) == {"a": 1}
+
+
+def test_checkpoint_file_mode_follows_umask(tmp_path):
+    from modtors.cli import checkpoint_path, with_checkpoint
+
+    umask = os.umask(0o022)
+    try:
+        with_checkpoint(str(tmp_path), "rank", "gamma0-11", lambda: {"a": 1})
+    finally:
+        os.umask(umask)
+    mode = os.stat(checkpoint_path(str(tmp_path), "rank", "gamma0-11")).st_mode
+    assert mode & 0o777 == 0o644

@@ -3,6 +3,7 @@ import pytest
 from sympy import isprime
 
 from conftest import curve11_ap
+from modtors import ecff
 from modtors.abgroup import FinAbGroup
 from modtors.ecff import (
     count_X1_points,
@@ -309,8 +310,22 @@ def test_exact_order_double_and_add_matches_sequential_scan(q):
         assert count_points_of_exact_order(n, q) == counts[n], n
 
 
-def test_exact_order_double_and_add_at_121_over_f125():
+def test_exact_order_double_and_add_at_121_over_f125(monkeypatch):
     counts = tate_order_counts(125, 121)
     assert count_points_of_exact_order(121, 125) == counts[121]
     # small chunks give the same count
-    assert count_points_of_exact_order(121, 125, chunk=1000) == counts[121]
+    monkeypatch.setattr(ecff, "_CHUNK", 1000)
+    assert count_points_of_exact_order(121, 125) == counts[121]
+
+
+def test_field_above_table_limit_is_refused(monkeypatch):
+    # refused before the modulus search and the tables
+    monkeypatch.setattr(ecff.FiniteField, "_build_tables", None)
+    monkeypatch.setattr(ecff.FiniteField, "_find_irreducible", None)
+    for q in (3**8, 3**9, 2**12, 2203):
+        with pytest.raises(ResourceWarning):
+            finite_field(q)
+    with pytest.raises(ResourceWarning):
+        exists_point_of_order(3**8, 5, q_bound=3**9)
+    with pytest.raises(ResourceWarning):
+        group_structure(3**8, (0, 0, 0, 1, 1))
