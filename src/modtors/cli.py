@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from . import __version__
 from .jacobian import (
@@ -63,19 +64,26 @@ def checkpoint_path(cache_dir, command, key):
     return os.path.join(cache_dir, f"{command}-{key}-{__version__}.json")
 
 
-def with_checkpoint(cache_dir, command, key, compute):
-    """compute(), read back from or written to the cache directory.
+def read_checkpoint(cache_dir, command, key):
+    """The checkpointed result under key, or None."""
+    if not cache_dir:
+        return None
+    path = checkpoint_path(cache_dir, command, key)
+    if not os.path.exists(path):
+        return None
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def write_checkpoint(cache_dir, command, key, result):
+    """Checkpoint result under key and return it.
 
     The result is written to a temporary file in the same directory and
     renamed into place, so an interrupted write leaves no checkpoint.
     """
     if not cache_dir:
-        return compute()
+        return result
     path = checkpoint_path(cache_dir, command, key)
-    if os.path.exists(path):
-        with open(path) as fh:
-            return json.load(fh)
-    result = compute()
     # created by open(), so the checkpoint gets the umask's default mode
     tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, "w")
@@ -87,6 +95,25 @@ def with_checkpoint(cache_dir, command, key, compute):
         os.unlink(tmp)
         raise
     return result
+
+
+def sweep(args, command, compute, tasks, keys):
+    """[compute(task) for task in tasks], checkpointed per task.
+
+    The checkpoints that exist are read first and only the missing tasks
+    are computed, each result checkpointed as it arrives; with `--jobs`
+    above 1 they are computed in a pool of processes.  Serial and parallel
+    sweeps thus write and resume the same checkpoints.
+    """
+    results = [read_checkpoint(args.cache_dir, command, key) for key in keys]
+    missing = [i for i, r in enumerate(results) if r is None]
+    workers = min(args.jobs, len(missing))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        mapper = pool.map if pool else map
+        computed = mapper(compute, [tasks[i] for i in missing])
+        for i, result in zip(missing, computed):
+            results[i] = write_checkpoint(args.cache_dir, command, keys[i], result)
+    return results
 
 
 def report_header(args, command):
@@ -108,23 +135,11 @@ def cmd_rank(args):
     levels = parse_levels(args.levels)
     report = report_header(args, "rank")
     tasks = [(args.kind, n, args.normalization) for n in levels]
-
-    def compute_all():
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                return list(pool.map(_rank_one, tasks))
-        return [
-            with_checkpoint(
-                args.cache_dir,
-                "rank",
-                f"{args.kind}-{n}",
-                lambda n=n: _rank_one((args.kind, n, args.normalization)),
-            )
-            for n in levels
-        ]
-
+    # "cert": the results carry their certificate fields, so results of a
+    # program that did not report them are not read back
+    keys = [f"{args.kind}-{n}-cert" for n in levels]
     try:
-        results = compute_all()
+        results = sweep(args, "rank", _rank_one, tasks, keys)
     except (ResourceWarning, MemoryError) as exc:
         print(f"resource refusal: {exc}", file=sys.stderr)
         return 2
@@ -169,20 +184,9 @@ def cmd_torsion(args):
     tasks = [(args.kind, n, primes, args.normalization) for n in levels]
     # results of the automatic choice depend on its rule
     prime_key = args.primes or f"auto-{AUXILIARY_PRIMES_RULE}"
+    keys = [f"{args.kind}-{n}-{prime_key}-{args.normalization}" for n in levels]
     try:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_torsion_one, tasks))
-        else:
-            results = [
-                with_checkpoint(
-                    args.cache_dir,
-                    "torsion",
-                    f"{args.kind}-{n}-{prime_key}-{args.normalization}",
-                    lambda t=t: _torsion_one(t),
-                )
-                for n, t in zip(levels, tasks)
-            ]
+        results = sweep(args, "torsion", _torsion_one, tasks, keys)
     except (ResourceWarning, MemoryError) as exc:
         print(f"resource refusal: {exc}", file=sys.stderr)
         return 2

@@ -372,17 +372,21 @@ def count_points_of_exact_order(N, q, modulus=None):
     l | N, with each multiple computed by double-and-add; a lane is
     dropped at the first test it fails.
     """
+    return sum(_exact_order_chunks(N, q, modulus))
+
+
+def _exact_order_chunks(N, q, modulus=None):
+    """Number of Tate pairs of exact order N in each chunk of the scan, one
+    chunk at a time, so that a caller may stop at the first hit."""
     if N < 4:
         raise ValueError("Tate normal form needs order >= 4")
     f = finite_field(q, modulus)
     tests = [(N, True)] + [(N // int(ell), False) for ell in factorint(N)]
-    total = 0
     for lanes in _tate_curves(f):
         for m, killed in tests:
             inf = _multiple(f, (*lanes, 0, 0), *_origin(lanes), m)[2]
             lanes = tuple(a[inf == killed] for a in lanes)
-        total += len(lanes[0])
-    return total
+        yield len(lanes[0])
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +506,9 @@ def hasse_excludes(q, N):
 def exists_point_of_order(q, N, q_bound=DEFAULT_Q_BOUND):
     """Whether some elliptic curve over F_q has a point of exact order N.
 
-    For N >= 4 this scans all Tate parameter pairs (covering every curve
-    with a point of order N up to isomorphism and twist).  For N <= 3 a
+    For N >= 4 this scans the Tate parameter pairs (covering every curve
+    with a point of order N up to isomorphism and twist) chunk by chunk,
+    up to the first chunk holding a pair of exact order N.  For N <= 3 a
     curve always exists: any curve for N = 1; every ordinary curve over
     F_{2^k} and any full-2-torsion model for odd q when N = 2; the Hasse
     interval contains a realizable multiple of 3 when N = 3.
@@ -516,7 +521,7 @@ def exists_point_of_order(q, N, q_bound=DEFAULT_Q_BOUND):
         return False
     if N <= 3:
         return True
-    return count_points_of_exact_order(N, q) > 0
+    return any(_exact_order_chunks(N, q))
 
 
 def count_X1_points(N, q, q_bound=DEFAULT_Q_BOUND):

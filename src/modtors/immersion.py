@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import gcd
 
-import numpy as np
 from sympy import Poly, Symbol, factor_list, isprime
 
 from .cusps import cusp_orbits_mod_p, x0_width
@@ -28,7 +27,7 @@ from .intlinalg import (
     transpose,
     vec_mat,
 )
-from .jacobian import _exact_vector, _hecke_image_counts, sturm_bound
+from .jacobian import sturm_bound, winding_span_mod_p
 from .lattice import Lattice
 from .modsym import (
     GroupSpec,
@@ -83,28 +82,7 @@ class RankZeroQuotient:
 
 def _winding_span_vectors(space):
     """Exact integer vectors spanning (Hecke span of {0,oo}) cap cuspidal."""
-    bound = sturm_bound(space.spec)
-    g = space.genus()
-    p = MODP
-    from .intlinalg import ModPEchelon
-
-    proj_np = np.array(space.proj, dtype=np.int64) % p
-    bnd_np = np.array(space.boundary, dtype=np.int64) % p
-    full_ech = ModPEchelon(space.dim, p)
-    bnd_ech = ModPEchelon(space.ncusps, p)
-    kept = []
-    for n in range(1, bound + 1):
-        items = _hecke_image_counts(space, n)
-        if not items:
-            continue
-        idx = np.fromiter((i for i, _ in items), dtype=np.int64, count=len(items))
-        cnt = np.fromiter((c for _, c in items), dtype=np.int64, count=len(items))
-        v = (proj_np[idx] * cnt[:, None]).sum(axis=0) % p
-        if full_ech.add(v):
-            kept.append(_exact_vector(space, items))
-            bnd_ech.add(v @ bnd_np % p)
-            if full_ech.rank - bnd_ech.rank >= g:
-                break
+    _, kept, _, _ = winding_span_mod_p(space, sturm_bound(space.spec), MODP)
     dv = [vec_mat(v, space.boundary) for v in kept]
     ker = kernel_basis(transpose(dv)) if kept else []
     return [vec_mat(x, kept) for x in ker]
@@ -289,7 +267,7 @@ def coefficient_rows(space, sublattice, count):
             func_rows.append([mats[n][i][j] for n in range(count)])
     lat = Lattice.from_rows(func_rows, ambient=count)
     sat = lat.saturation()
-    if not lat.basis:
+    if not sat.basis:
         raise ValueError("non-integral system: empty coefficient space")
     return sat.basis
 

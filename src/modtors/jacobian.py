@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
-from sympy import isprime, nextprime, primerange
+from sympy import divisors, isprime, nextprime
 
 from .abgroup import FinAbGroup
 from .intlinalg import (
@@ -43,7 +43,6 @@ from .modsym import (
     build_space,
     diamond_operator,
     hecke_operator,
-    merel_family,
     restrict_to_lattice,
     star_involution,
 )
@@ -75,6 +74,11 @@ def winding_element(space):
 
 @dataclass
 class RankCertificate:
+    """A rank verdict with how it was decided: `certificate` holds
+    `hecke_range_used`, the last n swept, for rank zero, and
+    `functional_support`, the number of nonzero coordinates of the
+    functional, for positive rank."""
+
     spec: object
     verdict: str  # "rank_zero" | "positive_rank"
     sturm_bound: int
@@ -93,33 +97,85 @@ class RankCertificate:
             "sturm_bound": self.sturm_bound,
             "span_dim": self.span_dim,
             "plus_dim": self.plus_dim,
+            **self.certificate,
         }
 
 
-def _hecke_image_counts(space, n):
-    """Multiplicity of each symbol in T_n {0, oo}, as (index, count) pairs."""
+def winding_sweep(space, bound):
+    """T_n {0, oo} for n = 1..bound, as (n, terms) pairs.
+
+    `terms` is an integer array of rows (symbol index, count) with
+    T_n {0, oo} = sum of count * symbol, read off the upper-triangular
+    coset representatives of T_n:
+
+        T_n {0, oo} = sum over d | n with gcd(n/d, N) = 1 of <n/d> S_d,
+        S_d = sum over 0 <= b < d of {b/d, oo},
+
+    where {b/d, oo} = -{oo, b/d} is the continued-fraction path of b/d
+    and <a> scales symbol pairs (c, d) to (a c, a d).  S_n is built when
+    the sweep reaches n, and stored for later n only if 2n <= bound.
+    """
     nlev = space.level
-    gd = space.group
-    counts = {}
-    for a, b, c, d in merel_family(n):
-        # bottom row of (0,1)-lift times the Merel matrix: (c, d)
-        c1 = c % nlev
-        d1 = d % nlev
-        if gcd(gcd(c1, d1), nlev) != 1:
-            continue
-        idx = gd.pair_orbit[(c1, d1)]
-        counts[idx] = counts.get(idx, 0) + 1
-    return list(counts.items())
+    nsym = space.group.nsym
+    symbols = np.array(space.group.symbols, dtype=np.int64).reshape(-1, 2)
+    scaled = {}  # unit a mod N -> index of <a> applied to each symbol
+    sums = {}  # d -> S_d as counts over the symbols
+    for n in range(1, bound + 1):
+        s_n = -np.bincount(space.path_symbols(range(n), n), minlength=nsym)
+        if 2 * n <= bound:
+            sums[n] = s_n
+        total = np.zeros(nsym, dtype=np.int64)
+        for d in divisors(n):
+            if gcd(n // d, nlev) != 1:
+                continue
+            a = n // d % nlev
+            s_d = s_n if d == n else sums[d]
+            if a not in scaled:
+                scaled[a] = space.symbol_indices(a * symbols[:, 0], a * symbols[:, 1])
+            total[scaled[a]] += s_d  # <a> permutes the symbols
+        idx = np.flatnonzero(total)
+        yield n, np.stack((idx, total[idx]), axis=1)
 
 
-def _exact_vector(space, count_items):
+def _exact_vector(space, terms):
     out = [0] * space.dim
-    for idx, cnt in count_items:
-        row = space.proj[idx]
-        for k, y in enumerate(row):
-            if y:
-                out[k] += cnt * y
+    for idx, cnt in terms.tolist():
+        for k, y in space.proj_support[idx]:
+            out[k] += cnt * y
     return out
+
+
+def winding_span_mod_p(space, bound, p):
+    """Sweep T_n {0, oo} for n up to bound, tracking its span and the
+    boundary image of the span mod p; stop once the cuspidal part of the
+    span has dimension genus.
+
+    Returns (swept, kept, s_dim, stopped_at): the terms of every swept
+    T_n {0, oo} (index n - 1), the exact vectors of the T_n {0, oo} that
+    increased the span, the dimension of its cuspidal part, and the last
+    n swept.
+    """
+    g = space.genus()
+    proj_np = np.array(space.proj, dtype=np.int64) % p
+    bnd_np = np.array(space.boundary, dtype=np.int64) % p
+    full_ech = ModPEchelon(space.dim, p)
+    bnd_ech = ModPEchelon(space.ncusps, p)
+    swept = []
+    kept = []
+    s_dim = 0
+    stopped_at = bound
+    for n, terms in winding_sweep(space, bound):
+        swept.append(terms)
+        idx, cnt = terms.T
+        v = (proj_np[idx] * cnt[:, None]).sum(axis=0) % p
+        if full_ech.add(v):
+            kept.append(_exact_vector(space, terms))
+            bnd_ech.add(v @ bnd_np % p)
+            s_dim = full_ech.rank - bnd_ech.rank
+            if s_dim >= g:
+                stopped_at = n
+                break
+    return swept, kept, s_dim, stopped_at
 
 
 def is_rank_zero(spec, p=MODP, _max_retries=3):
@@ -133,7 +189,9 @@ def is_rank_zero(spec, p=MODP, _max_retries=3):
     bound = sturm_bound(space.spec)
     g = space.genus()
     if g == 0:
-        return RankCertificate(space.spec, "rank_zero", bound, 0, 0)
+        return RankCertificate(
+            space.spec, "rank_zero", bound, 0, 0, {"hecke_range_used": 0}
+        )
 
     for attempt in range(_max_retries):
         cert = _try_rank_certificate(space, bound, p)
@@ -145,34 +203,7 @@ def is_rank_zero(spec, p=MODP, _max_retries=3):
 
 def _try_rank_certificate(space, bound, p):
     g = space.genus()
-    dim = space.dim
-    proj_np = np.array(space.proj, dtype=np.int64) % p
-    bnd_np = np.array(space.boundary, dtype=np.int64) % p
-    full_ech = ModPEchelon(dim, p)
-    bnd_ech = ModPEchelon(space.ncusps, p)
-    kept = []  # n values whose T_n e increased the mod-p span
-    counts_store = []
-    s_dim = 0
-    stopped_at = bound
-    for n in range(1, bound + 1):
-        items = _hecke_image_counts(space, n)
-        counts_store.append(items)
-        if items:
-            idx = np.fromiter((i for i, _ in items), dtype=np.int64, count=len(items))
-            cnt = np.fromiter((c for _, c in items), dtype=np.int64, count=len(items))
-            v = (proj_np[idx] * cnt[:, None]).sum(axis=0) % p
-        else:
-            v = np.zeros(dim, dtype=np.int64)
-        if full_ech.add(v):
-            kept.append(n)
-            bnd_ech.add(v @ bnd_np % p)
-            s_dim = full_ech.rank - bnd_ech.rank
-            if s_dim >= g:
-                stopped_at = n
-                break
-    kept_vecs = [
-        _exact_vector(space, counts_store[n - 1]) for n in kept
-    ]
+    swept, kept_vecs, s_dim, stopped_at = winding_span_mod_p(space, bound, p)
     if s_dim >= g:
         if _certify_rank_zero(space, kept_vecs, g, p):
             return RankCertificate(
@@ -184,7 +215,7 @@ def _try_rank_certificate(space, bound, p):
                 {"hecke_range_used": stopped_at},
             )
         return None
-    cert = _certify_positive(space, kept_vecs, counts_store, p)
+    cert = _certify_positive(space, kept_vecs, swept, p)
     if cert is None:
         return None
     return RankCertificate(
@@ -212,7 +243,7 @@ def _certify_rank_zero(space, kept_vecs, g, p):
     return rank_rational(w) >= g
 
 
-def _certify_positive(space, kept_vecs, counts_store, p):
+def _certify_positive(space, kept_vecs, swept, p):
     """Exact functional phi with phi(T_n e) = 0 for all n, phi|S+ != 0."""
     dim = space.dim
     v_np = np.array(kept_vecs, dtype=np.int64) % p
@@ -264,8 +295,8 @@ def _certify_positive(space, kept_vecs, counts_store, p):
             for row in space.proj
         ]
         ok = True
-        for items in counts_store:
-            if sum(cnt * phiproj[idx] for idx, cnt in items) != 0:
+        for terms in swept:
+            if sum(cnt * phiproj[idx] for idx, cnt in terms.tolist()) != 0:
                 ok = False
                 break
         if ok:

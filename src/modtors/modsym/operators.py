@@ -13,12 +13,18 @@ from ..intlinalg import mat_mul
 from .groups import sl2_lift
 
 
-@lru_cache(maxsize=None)
+# Most Merel families kept in memory: `hecke_operator` asks for small n
+# only (the winding sweep of the rank layer does not use them).
+MEREL_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=MEREL_CACHE_SIZE)
 def merel_family(n):
     """Merel's matrices of determinant n ((a, b, c, d) tuples).
 
     Right multiplication of Manin symbols by this family computes T_n in
-    weight 2 for any level; cached since sweeps reuse them heavily.
+    weight 2 for any level; cached since every space asks for the same
+    small n.
     """
     out = []
     for a in range(1, n + 1):

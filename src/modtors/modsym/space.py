@@ -7,9 +7,9 @@ space, the cuspidal sublattice S = ker(boundary), the integral homology
 matrices produced from it are integer matrices acting on row vectors.
 """
 
-import json
-import os
-from math import gcd
+from functools import cached_property
+
+import numpy as np
 
 from ..intlinalg import kernel_basis, transpose
 from ..lattice import Lattice
@@ -85,6 +85,27 @@ class ModSymSpace:
         n = self.level
         return self.proj[self.group.pair_orbit[(c % n, d % n)]]
 
+    @cached_property
+    def proj_support(self):
+        """The nonzero entries (k, y) of each symbol projection."""
+        return [[(k, y) for k, y in enumerate(row) if y] for row in self.proj]
+
+    @cached_property
+    def _pair_table(self):
+        """Symbol index of the unit pair (c, d) mod N at position c N + d
+        (-1 at pairs that are not units)."""
+        n = self.level
+        table = np.full(n * n, -1, dtype=np.int64)
+        for (c, d), idx in self.group.pair_orbit.items():
+            table[c * n + d] = idx
+        return table
+
+    def symbol_indices(self, c, d):
+        """Symbol indices of the unit pairs (c[i], d[i]) mod N (integer
+        arrays of any sign)."""
+        n = self.level
+        return self._pair_table[np.asarray(c) % n * n + np.asarray(d) % n]
+
     def winding_element(self):
         """The class of the path {0, oo}: the Manin symbol of the identity."""
         return list(self.symbol_vector(0, 1))
@@ -125,28 +146,36 @@ class ModSymSpace:
             return []
         if den < 0:
             num, den = -num, -den
-        # continued fraction convergents of num/den
-        terms = []
-        a, b = num, den
-        quots = []
-        while b:
-            q, r = divmod(a, b)
-            quots.append(q)
-            a, b = b, r
-        p_prev, q_prev = 1, 0
-        p_cur, q_cur = quots[0], 1
-        n = self.level
-        sgn = 1  # (-1)^(k-1) for k = 0 is -1? handled via explicit formula
-        # step k = 0: {oo, a0}: matrix [[-p0, 1], [-q0, 0]] bottom row (-q0, 0)
-        terms.append((self.symbol_vector(-q_cur, q_prev), 1))
-        for k in range(1, len(quots)):
-            p_nxt = quots[k] * p_cur + p_prev
-            q_nxt = quots[k] * q_cur + q_prev
-            p_prev, p_cur = p_cur, p_nxt
-            q_prev, q_cur = q_cur, q_nxt
-            s = -1 if (k % 2 == 0) else 1
-            terms.append((self.symbol_vector(s * q_cur, q_prev), 1))
-        return terms
+        symbols = self.path_symbols([num % den], den).tolist()
+        return [(self.proj[i], 1) for i in symbols]
+
+    def path_symbols(self, residues, den):
+        """Symbol indices on the paths {oo, b/den}, for each b in residues
+        (0 <= b < den), concatenated; every symbol has coefficient 1.
+
+        The path from oo to b/den runs through the convergents p_k/q_k of
+        its continued fraction; its Manin symbols are (-1 : 0) and
+        ((-1)^(k+1) q_k : q_(k-1)) for k >= 1.  They depend on the cusp
+        only through its denominator and its numerator mod den, so the
+        paths of all residues are walked together, one Euclid step per
+        round.
+        """
+        top = np.full(len(residues), den, dtype=np.int64)
+        rest = np.asarray(residues, dtype=np.int64)
+        q_prev = np.zeros(len(rest), dtype=np.int64)
+        q_cur = np.ones(len(rest), dtype=np.int64)
+        out = [self.symbol_indices(-q_cur, q_prev)]
+        sign = 1
+        while True:
+            live = rest != 0
+            if not live.any():
+                return np.concatenate(out)
+            top, rest, q_prev, q_cur = top[live], rest[live], q_prev[live], q_cur[live]
+            quot, rem = np.divmod(top, rest)
+            q_prev, q_cur = q_cur, quot * q_cur + q_prev
+            out.append(self.symbol_indices(sign * q_cur, q_prev))
+            sign = -sign
+            top, rest = rest, rem
 
     # -- lattices -----------------------------------------------------------
 
@@ -175,118 +204,25 @@ class ModSymSpace:
 
 _SPACE_CACHE = {}
 
-CACHE_FORMAT = 1
 
-
-def build_space(spec, cache=True, max_symbols=MAX_SYMBOLS, cache_dir=None):
-    """Build the space for spec, going through the in-process cache and the
-    optional on-disk cache (keyed by kind, level and H generators)."""
+def build_space(spec, cache=True, max_symbols=MAX_SYMBOLS):
+    """Build the space for spec, going through the in-process cache (keyed
+    by kind, level and H generators)."""
     key = (spec.kind, spec.level, spec.h_gens)
     if cache and key in _SPACE_CACHE:
         return _SPACE_CACHE[key]
-    space = None
-    path = _cache_path(cache_dir, spec) if cache_dir else None
-    if path and os.path.exists(path):
-        space = _load_space(path, spec, max_symbols)
-    if space is None:
-        space = ModSymSpace(spec, max_symbols=max_symbols)
-        # dimension identity: dim = 2 g + #cusps - 1
-        g = space.genus()
-        assert space.dim == 2 * g + space.ncusps - 1, (
-            spec.label(),
-            space.dim,
-            g,
-            space.ncusps,
-        )
-        assert space.cuspidal.rank == 2 * g
-        if path:
-            save_space(space, cache_dir)
+    space = ModSymSpace(spec, max_symbols=max_symbols)
+    # dimension identity: dim = 2 g + #cusps - 1
+    g = space.genus()
+    assert space.dim == 2 * g + space.ncusps - 1, (
+        spec.label(),
+        space.dim,
+        g,
+        space.ncusps,
+    )
+    assert space.cuspidal.rank == 2 * g
     if cache:
         _SPACE_CACHE[key] = space
-    return space
-
-
-def _cache_path(cache_dir, spec):
-    tag = f"space-{spec.kind}-{spec.level}"
-    if spec.h_gens:
-        tag += "-h" + "_".join(map(str, spec.h_gens))
-    return os.path.join(cache_dir, tag + ".json")
-
-
-def save_space(space, cache_dir):
-    """Serialize the built space (and computed operators) to cache_dir."""
-    os.makedirs(cache_dir, exist_ok=True)
-    ops = {
-        op.label: op.matrix for op in space._op_cache.values()
-    }
-    data = {
-        "format": CACHE_FORMAT,
-        "kind": space.spec.kind,
-        "level": space.spec.level,
-        "h_gens": list(space.spec.h_gens),
-        "dim": space.dim,
-        "proj": space.proj,
-        "free_symbols": space.free_symbols,
-        "pres_basis": space._pres_basis,
-        "pres_den": space._pres_den,
-        "boundary": space.boundary,
-        "operators": ops,
-    }
-    with open(_cache_path(cache_dir, space.spec), "w") as fh:
-        json.dump(data, fh)
-
-
-def _load_space(path, spec, max_symbols):
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("format") != CACHE_FORMAT:
-        return None
-    if (data["kind"], data["level"], data["h_gens"]) != (
-        spec.kind,
-        spec.level,
-        list(spec.h_gens),
-    ):
-        return None
-    space = ModSymSpace.__new__(ModSymSpace)
-    space.spec = spec
-    space.group = GroupData(spec)
-    space.dim = data["dim"]
-    space.proj = data["proj"]
-    space.free_symbols = data["free_symbols"]
-    space._pres_basis = data["pres_basis"]
-    space._pres_den = data["pres_den"]
-    gd = space.group
-    space.ncusps = gd.ncusps
-    space.cusp_classes = gd.cusp_classes
-    space.boundary = data["boundary"]
-    s_rows = kernel_basis(transpose(space.boundary))
-    space.cuspidal = (
-        Lattice.from_rows(s_rows, ambient=space.dim)
-        if s_rows
-        else Lattice(space.dim, [])
-    )
-    space.genus_from_dim = (
-        (space.dim - (gd.ncusps - 1)) // 2 if space.dim else 0
-    )
-    space.homology = space.cuspidal
-    space._star = None
-    space._plus = None
-    space._op_cache = {}
-    from .operators import OperatorMatrix
-
-    for label, mat in data.get("operators", {}).items():
-        if label.startswith("T_"):
-            key = ("T", int(label[2:]))
-        elif label.startswith("<"):
-            key = ("D", int(label[1:-1]))
-        elif label.startswith("W_"):
-            key = ("W", int(label[2:]))
-        elif label == "star":
-            space._star = mat
-            continue
-        else:
-            continue
-        space._op_cache[key] = OperatorMatrix(space, label, mat)
     return space
 
 

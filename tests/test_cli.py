@@ -137,25 +137,68 @@ def test_rank_checkpoint_of_another_version_not_reused(tmp_path, monkeypatch, ca
 
 
 def test_interrupted_checkpoint_write_leaves_no_file(tmp_path):
-    from modtors.cli import checkpoint_path, with_checkpoint
+    from modtors.cli import checkpoint_path, read_checkpoint, write_checkpoint
 
     # json.dump writes "a" before failing on the unserializable "b"
     with pytest.raises(TypeError):
-        with_checkpoint(str(tmp_path), "rank", "gamma0-11",
-                        lambda: {"a": 1, "b": object()})
+        write_checkpoint(str(tmp_path), "rank", "gamma0-11", {"a": 1, "b": object()})
     assert not os.path.exists(checkpoint_path(str(tmp_path), "rank", "gamma0-11"))
     assert list(tmp_path.iterdir()) == []
-    assert with_checkpoint(str(tmp_path), "rank", "gamma0-11", lambda: {"a": 1}) == {"a": 1}
-    assert with_checkpoint(str(tmp_path), "rank", "gamma0-11", lambda: {"a": 2}) == {"a": 1}
+    assert read_checkpoint(str(tmp_path), "rank", "gamma0-11") is None
+    assert write_checkpoint(str(tmp_path), "rank", "gamma0-11", {"a": 1}) == {"a": 1}
+    assert read_checkpoint(str(tmp_path), "rank", "gamma0-11") == {"a": 1}
 
 
 def test_checkpoint_file_mode_follows_umask(tmp_path):
-    from modtors.cli import checkpoint_path, with_checkpoint
+    from modtors.cli import checkpoint_path, write_checkpoint
 
     umask = os.umask(0o022)
     try:
-        with_checkpoint(str(tmp_path), "rank", "gamma0-11", lambda: {"a": 1})
+        write_checkpoint(str(tmp_path), "rank", "gamma0-11", {"a": 1})
     finally:
         os.umask(umask)
     mode = os.stat(checkpoint_path(str(tmp_path), "rank", "gamma0-11")).st_mode
     assert mode & 0o777 == 0o644
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rank", "gamma0", "11,14,37"),
+        ("torsion", "gamma1", "13,14,16", "--primes", "5,11"),
+    ],
+)
+def test_parallel_sweep_matches_serial_and_checkpoints(tmp_path, argv):
+    serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
+    serial = run_cli(*argv, "--cache-dir", str(serial_dir))
+    parallel = run_cli(*argv, "--jobs", "2", "--cache-dir", str(parallel_dir))
+    assert serial.returncode == parallel.returncode == 0, parallel.stderr
+    assert parallel.stdout == serial.stdout
+    names = sorted(p.name for p in serial_dir.iterdir())
+    assert len(names) == 3
+    assert sorted(p.name for p in parallel_dir.iterdir()) == names
+    for name in names:
+        assert (parallel_dir / name).read_bytes() == (serial_dir / name).read_bytes()
+    # a parallel rerun resumes from the checkpoints: a tampered one is read
+    # back, and only the level whose checkpoint is gone is computed again
+    tampered = json.loads((parallel_dir / names[0]).read_text()) | {"stale": True}
+    (parallel_dir / names[0]).write_text(json.dumps(tampered))
+    (parallel_dir / names[1]).unlink()
+    rerun = run_cli(*argv, "--jobs", "2", "--cache-dir", str(parallel_dir))
+    assert rerun.returncode == 0, rerun.stderr
+    stale = [r.get("stale", False) for r in json.loads(rerun.stdout)["results"]]
+    assert sorted(stale) == [False, False, True]
+    assert sorted(p.name for p in parallel_dir.iterdir()) == names
+
+
+def test_rank_report_says_how_it_decided():
+    proc = run_cli("rank", "gamma0", "1,11,37")
+    assert proc.returncode == 0, proc.stderr
+    results = {r["level"]: r for r in json.loads(proc.stdout)["results"]}
+    assert results[1]["hecke_range_used"] == 0  # genus 0: nothing swept
+    assert 1 <= results[11]["hecke_range_used"] <= results[11]["sturm_bound"]
+    assert "functional_support" not in results[11]
+    assert results[37]["functional_support"] > 0
+    assert "hecke_range_used" not in results[37]
+    for r in results.values():
+        assert {"group", "verdict", "sturm_bound", "span_dim", "plus_dim"} <= set(r)

@@ -318,6 +318,37 @@ def test_exact_order_double_and_add_at_121_over_f125(monkeypatch):
     assert count_points_of_exact_order(121, 125) == counts[121]
 
 
+@pytest.mark.parametrize("chunk", [200000, 40])
+def test_exists_point_of_order_agrees_with_count(monkeypatch, chunk):
+    monkeypatch.setattr(ecff, "_CHUNK", chunk)
+    zero = 0
+    for q in (5, 7, 8, 9, 11, 13, 16, 25, 27):
+        for n in range(4, 31):
+            count = count_points_of_exact_order(n, q)
+            zero += count == 0
+            assert exists_point_of_order(q, n) == (count > 0), (q, n)
+    assert zero > 50  # the grid holds many orders with no point
+
+
+def test_exists_point_of_order_stops_at_first_hit(monkeypatch):
+    monkeypatch.setattr(ecff, "_CHUNK", 1000)
+    scans = ecff._tate_curves
+    chunks = []
+
+    def counted(f):
+        for lanes in scans(f):
+            chunks.append(len(lanes[0]))
+            yield lanes
+
+    monkeypatch.setattr(ecff, "_tate_curves", counted)
+    assert count_points_of_exact_order(11, 121) > 0
+    total = len(chunks)
+    assert total == 15  # 121^2 pairs in chunks of 1000
+    chunks.clear()
+    assert exists_point_of_order(121, 11)
+    assert 1 <= len(chunks) < total
+
+
 def test_field_above_table_limit_is_refused(monkeypatch):
     # refused before the modulus search and the tables
     monkeypatch.setattr(ecff.FiniteField, "_build_tables", None)

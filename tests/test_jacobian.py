@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from sympy import divisors
 
 from modtors import jacobian
 from modtors.abgroup import FinAbGroup
@@ -19,9 +21,10 @@ from modtors.jacobian import (
     torsion_multiple,
     torsion_report,
     winding_element,
+    winding_sweep,
 )
 from modtors.lattice import Lattice, lattice_torsion_quotient
-from modtors.modsym import GroupSpec, build_space
+from modtors.modsym import GroupSpec, build_space, merel_family
 
 
 def test_sturm_bounds():
@@ -36,6 +39,76 @@ def test_winding_element_is_path():
     e = winding_element(sp)
     assert e == sp.path_vector((0, 1), (1, 0))
     assert any(e)
+
+
+def _add_symbol(space, out, c, d, sign=1):
+    for k, y in enumerate(space.symbol_vector(c, d)):
+        out[k] += sign * y
+
+
+def _merel_winding_vector(space, n):
+    """T_n {0, oo} through Merel's X_n: the symbols (0 : 1) M, M in X_n."""
+    out = [0] * space.dim
+    for _, _, c, d in merel_family(n):
+        if gcd(gcd(c, d), space.level) == 1:
+            _add_symbol(space, out, c, d)
+    return out
+
+
+def _divisor_sum_vector(space, n, inverse):
+    """T_n {0, oo} as the sum over d | n of <a> S_d, a = n / d, with <a>
+    scaling pairs by a, or by its inverse mod N when `inverse` is set."""
+    nlev = space.level
+    out = [0] * space.dim
+    for d in divisors(n):
+        a = n // d
+        if gcd(a, nlev) != 1:
+            continue
+        u = pow(a, -1, nlev) if inverse else a
+        # S_d = sum over b of {b/d, oo} = -sum over b of {oo, b/d}
+        for idx in space.path_symbols(range(d), d).tolist():
+            c, dd = space.group.symbols[idx]
+            _add_symbol(space, out, u * c, u * dd, -1)
+    return out
+
+
+ORACLE_SPECS = [
+    GroupSpec.gamma0(11),
+    GroupSpec.gamma0(37),
+    GroupSpec.gamma0(43),
+    GroupSpec.gamma1(13),
+    GroupSpec.gamma1(16),
+    GroupSpec.gamma1(21),
+    GroupSpec.gamma1(23),
+    GroupSpec.gamma1(29),
+    GroupSpec.x1_2_2n(5),
+    GroupSpec.x1_2_2n(9),
+    GroupSpec.x1_2_2n(10),
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
+def test_winding_sweep_matches_merel_oracle(spec):
+    space = build_space(spec)
+    bound = sturm_bound(spec)
+    swept = list(winding_sweep(space, bound))
+    assert [n for n, _ in swept] == list(range(1, bound + 1))
+    for n, terms in swept:
+        want = _merel_winding_vector(space, n)
+        assert jacobian._exact_vector(space, terms) == want, n
+
+
+def test_winding_sweep_diamond_orientation():
+    # <a> scales pairs by a; scaling by a^-1 gives other vectors, so the
+    # oracle above catches a flipped diamond
+    space = build_space(GroupSpec.gamma1(13))
+    bound = sturm_bound(space.spec)
+    flipped = 0
+    for n in range(1, bound + 1):
+        want = _merel_winding_vector(space, n)
+        assert _divisor_sum_vector(space, n, inverse=False) == want
+        flipped += _divisor_sum_vector(space, n, inverse=True) != want
+    assert flipped > 0
 
 
 @pytest.mark.parametrize(
