@@ -11,15 +11,13 @@ lattices, never floats.
 __version__ = "0.1.0"
 
 from .abgroup import FinAbGroup, abgroup_gcd, cokernel_invariants
-from .intlinalg import IntMatrix, RatMatrix, charpoly, smith_normal_form
+from .intlinalg import charpoly, smith_normal_form
 from .lattice import Lattice, lattice_torsion_quotient
 
 __all__ = [
     "FinAbGroup",
     "abgroup_gcd",
     "cokernel_invariants",
-    "IntMatrix",
-    "RatMatrix",
     "charpoly",
     "smith_normal_form",
     "Lattice",

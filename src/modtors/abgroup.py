@@ -53,14 +53,6 @@ class FinAbGroup:
     def trivial(cls):
         return cls([])
 
-    @classmethod
-    def from_matrix(cls, m, ambient_rank=None):
-        """Structure of Z^ambient / rowspan(m); requires finite quotient."""
-        invs, free = cokernel_invariants(m, ambient_rank)
-        if free:
-            raise ValueError("infinite cokernel")
-        return invs
-
     def order(self):
         return prod(self.invariants)
 

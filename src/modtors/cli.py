@@ -24,7 +24,7 @@ from .jacobian import (
     is_rank_zero,
     torsion_report,
 )
-from .modsym import GroupSpec, build_space
+from .modsym import GroupSpec
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -41,7 +41,7 @@ def make_spec(kind, level):
         return GroupSpec.gamma1(level)
     if kind == "x1-2-2n":
         if level % 2:
-            raise ValueError("X1(2,2N) takes the even number 2N")
+            raise ValueError(f"X1(2,2N) takes the even number 2N, not {level}")
         return GroupSpec.x1_2_2n(level // 2)
     raise ValueError(f"unknown group kind {kind!r}")
 
@@ -55,6 +55,18 @@ def parse_levels(arg):
         else:
             out.append(int(part))
     return out
+
+
+def level_specs(args):
+    """(levels, specs) of a sweep, every spec built before the sweep
+    starts; a bad level list is reported in one line on stderr and gives
+    None."""
+    try:
+        levels = parse_levels(args.levels)
+        return levels, [make_spec(args.kind, n) for n in levels]
+    except ValueError as exc:
+        print(f"invalid levels {args.levels!r}: {exc}", file=sys.stderr)
+        return None
 
 
 def checkpoint_path(cache_dir, command, key):
@@ -125,16 +137,17 @@ def report_header(args, command):
 
 
 def _rank_one(task):
-    kind, level, normalization = task
-    spec = make_spec(kind, level)
-    cert = is_rank_zero(spec)
-    return cert.to_json() | {"level": level}
+    spec, level = task
+    return is_rank_zero(spec).to_json() | {"level": level}
 
 
 def cmd_rank(args):
-    levels = parse_levels(args.levels)
+    sweep_levels = level_specs(args)
+    if sweep_levels is None:
+        return 2
+    levels, specs = sweep_levels
     report = report_header(args, "rank")
-    tasks = [(args.kind, n, args.normalization) for n in levels]
+    tasks = list(zip(specs, levels))
     # "cert": the results carry their certificate fields, so results of a
     # program that did not report them are not read back
     keys = [f"{args.kind}-{n}-cert" for n in levels]
@@ -164,14 +177,16 @@ def cmd_rank(args):
 
 
 def _torsion_one(task):
-    kind, level, primes, normalization = task
-    spec = make_spec(kind, level)
+    spec, level, primes, normalization = task
     rep = torsion_report(spec, primes=primes, normalization=normalization)
     return rep.to_json() | {"level": level}
 
 
 def cmd_torsion(args):
-    levels = parse_levels(args.levels)
+    sweep_levels = level_specs(args)
+    if sweep_levels is None:
+        return 2
+    levels, specs = sweep_levels
     primes = [int(p) for p in args.primes.split(",")] if args.primes else None
     report = report_header(args, "torsion")
     report["primes"] = primes or (
@@ -181,7 +196,7 @@ def cmd_torsion(args):
     )
     kill = "T_q - q<q> - 1" if args.normalization == "eq41" else "T_q - <q> - q"
     report["operators"] = [kill + " for each listed prime q", "star - 1"]
-    tasks = [(args.kind, n, primes, args.normalization) for n in levels]
+    tasks = [(spec, n, primes, args.normalization) for spec, n in zip(specs, levels)]
     # results of the automatic choice depend on its rule
     prime_key = args.primes or f"auto-{AUXILIARY_PRIMES_RULE}"
     keys = [f"{args.kind}-{n}-{prime_key}-{args.normalization}" for n in levels]

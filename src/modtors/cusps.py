@@ -285,7 +285,3 @@ def degree1_count_over_extension(N, kind, p, k):
         for o in cusp_orbits_mod_p(N, kind, p)
         if k % o.degree == 0
     )
-
-
-def orbits_to_json(orbits):
-    return [o.to_json() for o in orbits]

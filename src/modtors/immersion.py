@@ -8,13 +8,13 @@ transport expansions to other cusps through Atkin-Lehner involutions, and
 test the rank of the resulting matrices at degree-3 cuspidal divisors.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import gcd
 
 from sympy import Poly, Symbol, factor_list, isprime
 
-from .cusps import cusp_orbits_mod_p, x0_width
+from .cusps import cusp_orbits_mod_p
 from .ecff import exists_point_of_order, hasse_excludes
 from .intlinalg import (
     MODP,
@@ -27,7 +27,7 @@ from .intlinalg import (
     transpose,
     vec_mat,
 )
-from .jacobian import sturm_bound, winding_span_mod_p
+from .jacobian import cuspidal_span, sturm_bound, winding_span_mod_p
 from .lattice import Lattice
 from .modsym import (
     GroupSpec,
@@ -83,9 +83,7 @@ class RankZeroQuotient:
 def _winding_span_vectors(space):
     """Exact integer vectors spanning (Hecke span of {0,oo}) cap cuspidal."""
     _, kept, _, _ = winding_span_mod_p(space, sturm_bound(space.spec), MODP)
-    dv = [vec_mat(v, space.boundary) for v in kept]
-    ker = kernel_basis(transpose(dv)) if kept else []
-    return [vec_mat(x, kept) for x in ker]
+    return cuspidal_span(space, kept)
 
 
 def rank_zero_quotient(spec, split_primes=DEFAULT_SPLIT_PRIMES):

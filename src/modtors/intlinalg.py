@@ -7,7 +7,7 @@ with results reconstructed and/or verified exactly.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm
 
 import numpy as np
 from sympy import isprime, nextprime
@@ -58,10 +58,6 @@ def vec_mat(v, a):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
 
@@ -76,6 +72,13 @@ def is_zero_mat(a):
 
 def max_abs(a):
     return max((abs(x) for row in a for x in row), default=0)
+
+
+def integer_rows(rows):
+    """(int_rows, den): Fraction rows as integer rows over their least
+    common denominator."""
+    den = lcm(1, *(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 def vec_gcd(v):
@@ -663,17 +666,6 @@ def poly_eval_matrix(coeffs, a):
     return out
 
 
-def poly_eval_matvec(coeffs, a, v):
-    """Evaluate p(A) @ v by Horner without forming p(A)."""
-    out = [coeffs[-1] * x for x in v]
-    for c in reversed(coeffs[:-1]):
-        out = mat_vec(a, out)
-        if c:
-            for i, x in enumerate(v):
-                out[i] += c * x
-    return out
-
-
 def minpoly(a):
     """Minimal polynomial of an integer matrix (monic, exact).
 
@@ -862,10 +854,7 @@ def solve_dixon(a, b, p=MODP):
                 mult *= p
             cand = [rational_reconstruct(t, pk) for t in x_mod]
             if all(c is not None for c in cand):
-                den = 1
-                for c in cand:
-                    den = den * c.denominator // gcd(den, c.denominator)
-                xs = [int(c * den) for c in cand]
+                (xs,), den = integer_rows([cand])
                 if mat_vec(a, xs) == [den * t for t in b]:
                     return cand
             if k > 4 * n * 64 + 64:
@@ -922,136 +911,3 @@ def invert_rational(a):
                 row_c = m[c]
                 m[i] = [x - f * y for x, y in zip(m[i], row_c)]
     return [row[n:] for row in m]
-
-
-# ---------------------------------------------------------------------------
-# thin matrix wrapper types
-
-
-class IntMatrix:
-    """Immutable-by-convention exact integer matrix.
-
-    A dense list-of-rows is always kept; a sparse dict form is built lazily
-    for low-density matrices, and every operation produces identical results
-    through either representation (the sparse form is only an access path).
-    """
-
-    __slots__ = ("rows", "cols", "data", "_sparse")
-
-    def __init__(self, data, copy=True):
-        self.data = [list(map(int, row)) for row in data] if copy else data
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.rows else 0
-        if any(len(r) != self.cols for r in self.data):
-            raise ValueError("ragged rows")
-        self._sparse = None
-
-    @classmethod
-    def identity(cls, n):
-        return cls(identity(n), copy=False)
-
-    @classmethod
-    def zero(cls, r, c):
-        return cls(zeros(r, c), copy=False)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(ij)
-        return self.data[i][j]
-
-    def density(self):
-        total = self.rows * self.cols
-        if not total:
-            return 0.0
-        return sum(1 for r in self.data for x in r if x) / total
-
-    def sparse_rows(self):
-        if self._sparse is None:
-            self._sparse = [
-                {j: x for j, x in enumerate(row) if x} for row in self.data
-            ]
-        return self._sparse
-
-    def __mul__(self, other):
-        return IntMatrix(mat_mul(self.data, other.data), copy=False)
-
-    def __add__(self, other):
-        return IntMatrix(mat_add(self.data, other.data), copy=False)
-
-    def __sub__(self, other):
-        return IntMatrix(mat_sub(self.data, other.data), copy=False)
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.data == other.data
-
-    def __repr__(self):
-        return f"IntMatrix({self.rows}x{self.cols})"
-
-    def transpose(self):
-        return IntMatrix(transpose(self.data), copy=False)
-
-    def det(self):
-        if self.rows != self.cols:
-            raise ValueError("det of non-square matrix")
-        return det_bareiss(self.data)
-
-    def charpoly(self):
-        return charpoly(self.data)
-
-    def rank(self):
-        return rank_rational(self.data)
-
-    def rank_mod_p(self, p):
-        return rank_mod_p(self.data, p)
-
-    def smith_normal_form(self):
-        u, d, v = smith_normal_form(self.data)
-        return IntMatrix(u, copy=False), IntMatrix(d, copy=False), IntMatrix(v, copy=False)
-
-    def kernel_basis(self):
-        return IntMatrix(kernel_basis(self.data)) if self.rows else IntMatrix([])
-
-
-class RatMatrix:
-    """Exact rational matrix; entries normalized Fractions (canonical form)."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data):
-        self.data = [[Fraction(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.rows else 0
-
-    @classmethod
-    def from_int(cls, data, den=1):
-        return cls([[Fraction(x, den) for x in row] for row in data])
-
-    def __getitem__(self, ij):
-        return self.data[ij[0]][ij[1]]
-
-    def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self.data == other.data
-
-    def __mul__(self, other):
-        bt = list(zip(*other.data))
-        return RatMatrix(
-            [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in self.data]
-        )
-
-    def __repr__(self):
-        return f"RatMatrix({self.rows}x{self.cols})"
-
-    def denominator(self):
-        d = 1
-        for row in self.data:
-            for x in row:
-                d = d * x.denominator // gcd(d, x.denominator)
-        return d
-
-    def to_int_pair(self):
-        d = self.denominator()
-        return [[int(x * d) for x in row] for row in self.data], d
-
-    def is_integral(self):
-        return self.denominator() == 1

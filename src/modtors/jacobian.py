@@ -25,12 +25,11 @@ from .intlinalg import (
     MODP,
     ModPEchelon,
     det_bareiss,
+    echelon_mod_p,
     identity,
-    inverse_mod_p,
+    integer_rows,
     invert_rational,
     kernel_basis,
-    mat_mul,
-    mat_vec,
     minpoly,
     rank_mod_p,
     solve_dixon,
@@ -44,7 +43,6 @@ from .modsym import (
     diamond_operator,
     hecke_operator,
     restrict_to_lattice,
-    star_involution,
 )
 from .modsym.space import ModSymSpace
 
@@ -228,13 +226,19 @@ def _try_rank_certificate(space, bound, p):
     )
 
 
+def cuspidal_span(space, vecs):
+    """Integer vectors spanning the integer combinations of vecs that the
+    boundary map kills."""
+    dv = [vec_mat(v, space.boundary) for v in vecs]
+    ker = kernel_basis(transpose(dv)) if vecs else []  # {x : x @ dv = 0}
+    return [vec_mat(x, vecs) for x in ker]
+
+
 def _certify_rank_zero(space, kept_vecs, g, p):
     """Exact certificate: g independent integer vectors in span AND ker d."""
-    dv = [vec_mat(v, space.boundary) for v in kept_vecs]
-    ker = kernel_basis(transpose(dv))  # {x : x @ dv = 0}
-    if not ker:
+    w = cuspidal_span(space, kept_vecs)
+    if not w:
         return False
-    w = [vec_mat(x, kept_vecs) for x in ker]
     for q in (p, 2147483629, 999999937):
         if isprime(q) and rank_mod_p(w, q) >= g:
             return True
@@ -247,7 +251,7 @@ def _certify_positive(space, kept_vecs, swept, p):
     """Exact functional phi with phi(T_n e) = 0 for all n, phi|S+ != 0."""
     dim = space.dim
     v_np = np.array(kept_vecs, dtype=np.int64) % p
-    ech, piv = _column_echelon(v_np, p)
+    ech, piv = echelon_mod_p(v_np, p)
     splus = space.plus_cuspidal().basis
     k = len(kept_vecs)
     nonpiv = [j for j in range(dim) if j not in set(piv)]
@@ -279,12 +283,10 @@ def _certify_positive(space, kept_vecs, swept, p):
                 continue
         else:
             y = []
-        den = 1
-        for f in y:
-            den = den * f.denominator // gcd(den, f.denominator)
+        (num,), den = integer_rows([y])
         phi = [0] * dim
-        for col, f in zip(piv, y):
-            phi[col] = int(f * den)
+        for col, x in zip(piv, num):
+            phi[col] = x
         phi[j0] = den
         # exact kill of the kept span is automatic; check S+ non-vanishing
         if all(sum(a * b for a, b in zip(s, phi)) == 0 for s in splus):
@@ -302,14 +304,6 @@ def _certify_positive(space, kept_vecs, swept, p):
         if ok:
             return {"functional_support": int(sum(1 for x in phi if x))}
     return None
-
-
-def _column_echelon(mat_np, p):
-    """Pivot columns of a mod-p matrix (row space unchanged)."""
-    from .intlinalg import echelon_mod_p
-
-    r, piv = echelon_mod_p(mat_np % p, p)
-    return r, piv
 
 
 # ---------------------------------------------------------------------------
@@ -410,36 +404,40 @@ class AuxiliaryPrimes:
     capped: bool = False
 
 
-def auxiliary_primes(spec, normalization=DEFAULT_NORMALIZATION, cc=None):
+def auxiliary_primes(spec, normalization=DEFAULT_NORMALIZATION):
     """The default auxiliary primes of the Hecke bound M_H for one level.
 
     Starts from the two smallest good primes, good_primes(N, 2), and adds
     the next good prime while the sandwich M_H within Cl^cc is still open
     and that prime strictly shrinks M_H.  A prime that leaves M_H unchanged
     is not kept and ends the search; the search also ends at
-    MAX_AUXILIARY_PRIMES primes.  Each added prime only intersects M_H with one more kernel, so M_H stays an
-    upper bound for the rational torsion, and the kernels already computed
-    are not rebuilt.  `cc` is the level's cuspidal class group, computed
-    here when not given.
+    MAX_AUXILIARY_PRIMES primes.  Each added prime only intersects M_H with
+    one more kernel, so M_H stays an upper bound for the rational torsion,
+    and the kernels already computed are not rebuilt.  The choice is
+    memoised on the space, keyed by the normalization and the cap.
     """
     space = _space_of(spec)
-    primes = good_primes(space.level, 2)
-    lat, _ = hecke_kernel_lattice(space, primes, normalization)
-    if lat.ambient == 0:
-        return AuxiliaryPrimes(primes, lat)
-    if cc is None:
+    cap = MAX_AUXILIARY_PRIMES
+
+    def build():
+        primes = good_primes(space.level, 2)
+        lat, _ = hecke_kernel_lattice(space, primes, normalization)
+        if lat.ambient == 0:
+            return AuxiliaryPrimes(primes, lat)
         cc = cuspidal_class_group(space)
-    while not cc.lattice_cc.contains_lattice(lat):
-        if len(primes) == MAX_AUXILIARY_PRIMES:
-            return AuxiliaryPrimes(primes, lat, capped=True)
-        q = good_primes(space.level, 1, start=primes[-1] + 1)[0]
-        a = _restricted_kill_operator(space, q, normalization)
-        smaller = lat.preimage(a, Lattice.standard(lat.ambient))
-        if smaller == lat:
-            break
-        primes.append(q)
-        lat = smaller
-    return AuxiliaryPrimes(primes, lat)
+        while not cc.lattice_cc.contains_lattice(lat):
+            if len(primes) == cap:
+                return AuxiliaryPrimes(primes, lat, capped=True)
+            q = good_primes(space.level, 1, start=primes[-1] + 1)[0]
+            a = _restricted_kill_operator(space, q, normalization)
+            smaller = lat.preimage(a, Lattice.standard(lat.ambient))
+            if smaller == lat:
+                break
+            primes.append(q)
+            lat = smaller
+        return AuxiliaryPrimes(primes, lat)
+
+    return space.memo(("auxiliary primes", normalization, cap), build)
 
 
 def _restricted_kill_operator(space, q, normalization):
@@ -448,27 +446,31 @@ def _restricted_kill_operator(space, q, normalization):
     )
 
 
-def hecke_kernel_lattice(spec, primes=None, normalization=DEFAULT_NORMALIZATION,
-                         cc=None):
+def hecke_kernel_lattice(spec, primes=None, normalization=DEFAULT_NORMALIZATION):
     """The kernel bound M_H of Eq-4.1 type as a lattice over the cuspidal
     basis: elements of H1(Q)/H1(Z) killed by every T_q - q<q> - 1 and by
     star - 1.  Returns (L, space) with M_H = L / Z^(2g).
 
     An explicit `primes` list (at least two good primes) is used exactly as
-    given.  With primes=None the primes are chosen by `auxiliary_primes`,
-    which uses the cuspidal class group `cc` when given.
+    given.  With primes=None the primes are chosen by `auxiliary_primes`.
+    The lattice is memoised on the space, keyed by primes and normalization.
     """
     space = _space_of(spec)
     if primes is None:
-        return auxiliary_primes(space, normalization, cc).lattice, space
+        return auxiliary_primes(space, normalization).lattice, space
     if len(primes) < 2:
         raise ValueError("need at least two auxiliary primes")
     for q in primes:
         _check_good_prime(space, q)
+    key = ("kernel lattice", tuple(primes), normalization)
+    return space.memo(key, lambda: _kernel_lattice(space, primes, normalization)), space
+
+
+def _kernel_lattice(space, primes, normalization):
     s = space.cuspidal
     g2 = s.rank
     if g2 == 0:
-        return Lattice.standard(0), space
+        return Lattice.standard(0)
     lat = None
     singular = []
     for q in primes:
@@ -476,12 +478,7 @@ def hecke_kernel_lattice(spec, primes=None, normalization=DEFAULT_NORMALIZATION,
         if det_bareiss(a) == 0:
             singular.append(a)
             continue
-        inv = invert_rational(a)
-        den = 1
-        for row in inv:
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
-        rows = [[int(x * den) for x in row] for row in inv]
+        rows, den = integer_rows(invert_rational(a))
         pq = Lattice(g2, rows, den)
         lat = pq if lat is None else lat.intersect(pq)
     if lat is None:
@@ -491,12 +488,11 @@ def hecke_kernel_lattice(spec, primes=None, normalization=DEFAULT_NORMALIZATION,
     star = restrict_to_lattice(space.star_matrix(), s)
     for i in range(g2):
         star[i][i] -= 1
-    lat = lat.preimage(star, Lattice.standard(g2))
-    return lat, space
+    return lat.preimage(star, Lattice.standard(g2))
 
 
 def hecke_bound_group(spec, primes=None, normalization=DEFAULT_NORMALIZATION,
-                      sharp=True, cc=None, lattice=None):
+                      sharp=True):
     """The Hecke bound M_H as a FinAbGroup, with generators.
 
     The kernel bound is intersected with the Galois-invariant part of the
@@ -507,45 +503,23 @@ def hecke_bound_group(spec, primes=None, normalization=DEFAULT_NORMALIZATION,
     triples over the cuspidal basis.
 
     An explicit `primes` list is used exactly as given; primes=None takes
-    the default choice of `auxiliary_primes`.  A caller that already holds
-    the level's cuspidal class group `cc`, or the kernel `lattice` of
-    `hecke_kernel_lattice` for these primes, passes it in to reuse it.
+    the default choice of `auxiliary_primes`.
     """
     space = _space_of(spec)
-    if sharp and cc is None:
-        cc = cuspidal_class_group(space)
-    if lattice is None:
-        lattice, _ = hecke_kernel_lattice(space, primes, normalization, cc)
-    lat = lattice
+    lat, _ = hecke_kernel_lattice(space, primes, normalization)
     if lat.ambient == 0:
         return FinAbGroup([]), []
-    if sharp and cc.lattice_cc.contains_lattice(lat):
-        lat = lat.intersect(clcc_invariant_class_lattice(space, cc))
-    group, gens = quotient_with_generators(Lattice.standard(lat.ambient), lat)
-    return group, gens
+    if sharp and cuspidal_class_group(space).lattice_cc.contains_lattice(lat):
+        lat = lat.intersect(clcc_invariant_class_lattice(space))
+    return quotient_with_generators(Lattice.standard(lat.ambient), lat)
 
 
-def clcc_invariant_class_lattice(space, cc=None):
+def clcc_invariant_class_lattice(space):
     """(Cl^cc)^G as a lattice over the cuspidal basis."""
     space = _space_of(space)
-    if cc is None:
-        cc = cuspidal_class_group(space)
-    g2 = space.cuspidal.rank
-    proj = _md_projector(space)
-    inv_den = cc.lattice_inv.den
-    classes = []
-    for r in cc.lattice_inv.basis:
-        div = list(r) + [-sum(r)]
-        classes.append(proj.class_of_divisor(div))
-    scale = 1  # lcm of class denominators
-    for x in classes:
-        for xi in x:
-            scale = scale * xi.denominator // gcd(scale, xi.denominator)
-    den = inv_den * scale
-    rows = [[int(xi * scale) for xi in x] for x in classes]
-    rows += [[den if i == j else 0 for j in range(g2)] for i in range(g2)]
-    # each class row xi*scale over den represents xi / inv_den
-    return Lattice(g2, rows, den)
+    # lattice_inv is a sublattice of Z^(c-1) (denominator 1): its rows are
+    # integral divisors
+    return _class_lattice(space, cuspidal_class_group(space).lattice_inv.basis)
 
 
 def quotient_with_generators(sub, over):
@@ -641,7 +615,7 @@ class ManinDrinfeldProjector:
             ps_np = np.array(
                 [[x % p2 for x in row] for row in self.ps], dtype=np.int64
             )
-            _, piv = _column_echelon(ps_np, p2)
+            _, piv = echelon_mod_p(ps_np, p2)
             if len(piv) == len(self.ps):
                 break
         assert len(piv) == len(self.ps), "annihilator not invertible on S"
@@ -689,19 +663,50 @@ def manin_drinfeld_class(space, divisor):
     Returns Fraction coordinates over the cuspidal basis, reduced mod 1.
     """
     space = _space_of(space)
-    proj = _md_projector(space)
-    x = proj.class_of_divisor(divisor)
-    return [xi - int(xi // 1) if xi.denominator != 1 else Fraction(0) for xi in x]
+    if len(divisor) != space.ncusps or sum(divisor) != 0:
+        raise ValueError(f"need a degree-0 divisor on the {space.ncusps} cusps")
+    phi, den = _divisor_basis_classes(space)
+    return [Fraction(x % den, den) for x in vec_mat(divisor[:-1], phi)]
 
 
+def _divisor_basis_classes(space):
+    """(phi, den): the classes of the divisors d_i = e_i - e_{c-1} are the
+    rows of phi over den, over the cuspidal basis.
+
+    These c - 1 solves are the only Manin-Drinfeld projections of a level;
+    the projector is dropped once they are done.  The class of a degree-0
+    divisor is linear in it up to an integral vector (its lift through the
+    boundary map is unique up to an integral cuspidal vector), so the class
+    of sum D_i d_i is sum D_i phi_i / den modulo Z^(2g).
+    """
+
+    def build():
+        proj = ManinDrinfeldProjector(space)
+        c = space.ncusps
+        classes = []
+        for i in range(c - 1):
+            div = [0] * c
+            div[i] = 1
+            div[c - 1] -= 1
+            classes.append(proj.class_of_divisor(div))
+        return integer_rows(classes)
+
+    return space.memo("divisor basis classes", build)
+
+
+def _class_lattice(space, divisors):
+    """Z^(2g) plus the classes of the integral degree-0 divisors given as
+    rows over the d_i, as a lattice over the cuspidal basis."""
+    phi, den = _divisor_basis_classes(space)
+    g2 = space.cuspidal.rank
+    rows = [vec_mat(d, phi) for d in divisors]
+    rows += [[den if i == j else 0 for j in range(g2)] for i in range(g2)]
+    return Lattice(g2, rows, den)
+
+
+# Always empty: the benchmark's fresh-process guard (bench/child.py) reads
+# it.  Projections now live in the space memo, see _divisor_basis_classes.
 _MD_CACHE = {}
-
-
-def _md_projector(space):
-    key = id(space)
-    if key not in _MD_CACHE:
-        _MD_CACHE[key] = ManinDrinfeldProjector(space)
-    return _MD_CACHE[key]
 
 
 def unit_group_gens(n):
@@ -748,16 +753,6 @@ class CuspidalClassGroup:
         }
 
 
-def diamond_cusp_permutation(space, u):
-    """Permutation of cusp classes induced by the diamond scaling <u>."""
-    gd = space.group
-    idx = {key: i for i, key in enumerate(gd.cusp_classes)}
-    perm = []
-    for c, d in gd.cusp_classes:
-        perm.append(idx[gd.cusp_key(u * c, u * d)])
-    return perm
-
-
 # Which coordinate of a cusp class the cyclotomic Galois action moves.
 # A cusp class key (c, d0) with g = gcd(c, N) matches the scheme point with
 # polygon coordinate c/g and root-of-unity exponent d0 mod g; in the model
@@ -793,8 +788,15 @@ def cuspidal_class_group(spec, model=None):
     Works in two coordinate systems at once: divisor coordinates (to take
     Galois invariants, which are only group-linear on divisors) and
     cuspidal-basis coordinates (to compare against the Hecke bound M_H).
+    Every class comes from the classes of the divisor basis d_i, solved
+    once per space; the group is memoised on the space per Galois model.
     """
     space = _space_of(spec)
+    model = model or GALOIS_MODEL
+    return space.memo(("class group", model), lambda: _class_group(space, model))
+
+
+def _class_group(space, model):
     g2 = space.cuspidal.rank
     c = space.ncusps
     if g2 == 0:
@@ -802,35 +804,13 @@ def cuspidal_class_group(spec, model=None):
         return CuspidalClassGroup(
             space.spec, FinAbGroup([]), FinAbGroup([]), True, triv, triv, triv
         )
-    proj = _md_projector(space)
     std = Lattice.standard(g2)
-
-    def lattice_from_classes(class_rows):
-        den = 1
-        for row in class_rows:
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
-        rows = [[int(x * den) for x in row] for row in class_rows]
-        rows += [[den if i == j else 0 for j in range(g2)] for i in range(g2)]
-        return Lattice(g2, rows, den)
-
-    # classes of the degree-zero divisor basis d_i = e_i - e_{c-1}
-    classes = []
-    for i in range(c - 1):
-        div = [0] * c
-        div[i] = 1
-        div[c - 1] -= 1
-        classes.append(proj.class_of_divisor(div))
-    l_cc = lattice_from_classes(classes)
+    l_cc = _class_lattice(space, identity(c - 1))
     clcc = lattice_torsion_quotient(std, l_cc)
 
     # principal-divisor lattice in divisor coordinates: kernel of the class
     # map on Div^0
-    den = 1
-    for row in classes:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    phi = [[int(x * den) for x in row] for row in classes]  # (c-1) x 2g
+    phi, den = _divisor_basis_classes(space)  # (c-1) x 2g
     target = Lattice(g2, [[den if i == j else 0 for j in range(g2)] for i in range(g2)], 1)
     l_prin = Lattice.standard(c - 1).preimage(phi, target)
     # cross-check: Div^0 / principal must reproduce Cl^cc
@@ -846,17 +826,9 @@ def cuspidal_class_group(spec, model=None):
         orbit_sums[o][i] = 1
     degs = [sum(row) for row in orbit_sums]
     combos = kernel_basis([degs])  # {a : sum a_j deg_j = 0}
-    inv_divs = []  # degree-0 G-invariant divisors, divisor-basis coords
-    q_classes = []
-    for a in combos:
-        div = [0] * c
-        for j, aj in enumerate(a):
-            if aj:
-                for i in range(c):
-                    div[i] += aj * orbit_sums[j][i]
-        inv_divs.append(div[: c - 1])  # coords on d_i (tail entry implied)
-        q_classes.append(proj.class_of_divisor(div))
-    l_ccq = lattice_from_classes(q_classes) if q_classes else std
+    # degree-0 G-invariant divisors, divisor-basis coords (tail entry implied)
+    inv_divs = [vec_mat(a, orbit_sums)[: c - 1] for a in combos]
+    l_ccq = _class_lattice(space, inv_divs)
     clcc_q = lattice_torsion_quotient(std, l_ccq)
 
     # (Cl^cc)^G in divisor coordinates: (sigma - 1) D principal for all
@@ -949,8 +921,7 @@ class TorsionReport:
         }
 
 
-def torsion_is_cuspidal(spec, primes=None, normalization=DEFAULT_NORMALIZATION,
-                        cc=None, lattice=None):
+def torsion_is_cuspidal(spec, primes=None, normalization=DEFAULT_NORMALIZATION):
     """Three-stage equality test between M_H and the cuspidal classes.
 
     Returns (verdict, k, cc, stage): verdict is "equal" or
@@ -961,15 +932,11 @@ def torsion_is_cuspidal(spec, primes=None, normalization=DEFAULT_NORMALIZATION,
     "index" (stage (iii): the index [M_H + Cl^cc : Cl^cc]).
 
     An explicit `primes` list is used exactly as given; primes=None takes
-    the default choice of `auxiliary_primes`.  `cc` and the kernel
-    `lattice` may be passed in as in `hecke_bound_group`.
+    the default choice of `auxiliary_primes`.
     """
     space = _space_of(spec)
-    if cc is None:
-        cc = cuspidal_class_group(space)
-    if lattice is None:
-        lattice, _ = hecke_kernel_lattice(space, primes, normalization, cc)
-    lat = lattice
+    cc = cuspidal_class_group(space)
+    lat, _ = hecke_kernel_lattice(space, primes, normalization)
     if lat.ambient == 0:
         return "equal", 1, cc, "trivial"
     std = Lattice.standard(lat.ambient)
@@ -1007,15 +974,15 @@ def torsion_report(spec, primes=None, normalization=DEFAULT_NORMALIZATION,
     """Full per-level report: rank, local orders, bounds, class groups.
 
     An explicit `primes` list is used exactly as given; primes=None takes
-    the default choice of `auxiliary_primes`.  The primes are chosen once
-    and the local orders, the torsion multiple, the Hecke bound and the
-    pipeline all use them, sharing one kernel lattice and one cuspidal
-    class group.
+    the default choice of `auxiliary_primes`.  The local orders, the
+    torsion multiple, the Hecke bound and the pipeline all use the same
+    primes, and the kernel lattice and class group they share are built
+    once, in the space memo.
     """
     space = _space_of(spec)
     cc = cuspidal_class_group(space)
     if primes is None:
-        aux = auxiliary_primes(space, normalization, cc)
+        aux = auxiliary_primes(space, normalization)
     else:
         lat, _ = hecke_kernel_lattice(space, primes, normalization)
         aux = AuxiliaryPrimes(list(primes), lat)
@@ -1024,8 +991,8 @@ def torsion_report(spec, primes=None, normalization=DEFAULT_NORMALIZATION,
     tmult = 0
     for o in orders.values():
         tmult = gcd(tmult, o)
-    mh, _ = hecke_bound_group(space, cc=cc, lattice=aux.lattice)
-    verdict, k, _, _stage = torsion_is_cuspidal(space, cc=cc, lattice=aux.lattice)
+    mh, _ = hecke_bound_group(space, primes, normalization)
+    verdict, k, _, _stage = torsion_is_cuspidal(space, primes, normalization)
     return TorsionReport(
         spec=space.spec,
         rank=rank,

@@ -15,6 +15,7 @@ from .intlinalg import (
     kernel_basis,
     transpose,
     vec_gcd,
+    vec_mat,
 )
 
 
@@ -68,10 +69,6 @@ class Lattice:
     def __repr__(self):
         return f"Lattice(rank {self.rank} in Q^{self.ambient}, den {self.den})"
 
-    def scaled_rows(self):
-        """Basis rows as exact rational data: (integer rows, denominator)."""
-        return self.basis, self.den
-
     def contains(self, vec, den=1):
         """Membership of the rational vector vec/den."""
         # vec/den in L  <=>  vec * (self.den/den) in span_Z(basis)
@@ -93,7 +90,7 @@ class Lattice:
     def contains_lattice(self, other):
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        return all(other_contains_row(self, r, other.den) for r in other.basis)
+        return all(self.contains(r, other.den) for r in other.basis)
 
     def sum(self, other):
         """Lattice sum self + other."""
@@ -115,7 +112,7 @@ class Lattice:
         rows = []
         for k in ker:
             coeff = k[: len(a)]
-            rows.append(vec_mat_int(coeff, a))
+            rows.append(vec_mat(coeff, a))
         return Lattice(self.ambient, rows, d)
 
     def scale(self, num, den=1):
@@ -131,7 +128,7 @@ class Lattice:
         """
         if not self.basis:
             return self
-        imgs = [mat_vec_row(r, op) for r in self.basis]  # each length m
+        imgs = [vec_mat(r, op) for r in self.basis]  # each length m
         tb, td = target.basis, target.den
         # condition: sum x_i imgs_i / self.den  in  span(tb)/td
         # i.e. td * sum x_i imgs_i = self.den * (y @ tb): integer solve
@@ -139,12 +136,12 @@ class Lattice:
             # target trivial: need image zero
             stacked = transpose(imgs)
             ker = kernel_basis(stacked)
-            rows = [vec_mat_int(k, self.basis) for k in ker]
+            rows = [vec_mat(k, self.basis) for k in ker]
             return Lattice(self.ambient, rows, self.den)
         stacked = [[x * td for x in img] for img in imgs]
         stacked += [[-x * self.den for x in r] for r in tb]
         ker = kernel_basis(transpose(stacked))
-        rows = [vec_mat_int(k[: len(imgs)], self.basis) for k in ker]
+        rows = [vec_mat(k[: len(imgs)], self.basis) for k in ker]
         return Lattice(self.ambient, rows, self.den)
 
     def solve(self, vec, den=1):
@@ -210,33 +207,6 @@ class Lattice:
 
 def lcm(a, b):
     return a * b // gcd(a, b)
-
-
-def mat_vec_row(v, op):
-    """v @ op for a row vector v and matrix op (list of rows)."""
-    m = len(op[0]) if op else 0
-    out = [0] * m
-    for x, row in zip(v, op):
-        if x:
-            for j, y in enumerate(row):
-                if y:
-                    out[j] += x * y
-    return out
-
-
-def vec_mat_int(coeff, rows):
-    n = len(rows[0]) if rows else 0
-    out = [0] * n
-    for c, r in zip(coeff, rows):
-        if c:
-            for j, x in enumerate(r):
-                if x:
-                    out[j] += c * x
-    return out
-
-
-def other_contains_row(lat, row, den):
-    return lat.contains(row, den)
 
 
 def lattice_torsion_quotient(sub, over):

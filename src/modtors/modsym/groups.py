@@ -6,7 +6,7 @@ H+- = H union -H, and everything downstream (Manin symbols, cusp classes,
 widths, elliptic points, genus) is bookkeeping on those orbits.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from ..intlinalg import xgcd
@@ -84,10 +84,6 @@ class GroupSpec:
     def sl2_index(self):
         """[SL2(Z) : Gamma_H(N)] = #unit pairs / |H|."""
         return num_unit_pairs(self.level) // len(self.h_subgroup())
-
-    def contains_minus_one(self):
-        n = self.level
-        return (n - 1) % n in self.h_subgroup()
 
 
 def num_unit_pairs(n):

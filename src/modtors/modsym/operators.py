@@ -9,7 +9,7 @@ Manin symbols by right multiplication.
 from functools import lru_cache
 from math import gcd
 
-from ..intlinalg import mat_mul
+from ..intlinalg import mat_mul, vec_mat
 from .groups import sl2_lift
 
 
@@ -72,19 +72,10 @@ def _matrix_from_symbol_images(space, images):
     images[j] = image vector of free symbol j in integral coordinates; the
     integral-basis image is B @ images / den, which must be integral.
     """
-    den = 1  # images are already in integral coordinates
-    basis = space._pres_basis
     bden = space._pres_den
-    dim = space.dim
     rows = []
-    for brow in basis:
-        acc = [0] * dim
-        for j, x in enumerate(brow):
-            if x:
-                img = images[j]
-                for k, y in enumerate(img):
-                    if y:
-                        acc[k] += x * y
+    for brow in space._pres_basis:
+        acc = vec_mat(brow, images)
         assert all(v % bden == 0 for v in acc), "operator leaves the lattice"
         rows.append([v // bden for v in acc])
     return rows
@@ -113,17 +104,15 @@ def hecke_images_of_pair(space, c, d, n):
 
 def hecke_operator(space, n):
     """The Hecke operator T_n as an integer matrix on the space."""
-    key = ("T", n)
-    if key in space._op_cache:
-        return space._op_cache[key]
-    gd = space.group
-    images = [
-        hecke_images_of_pair(space, *gd.symbols[j], n) for j in space.free_symbols
-    ]
-    mat = _matrix_from_symbol_images(space, images)
-    op = OperatorMatrix(space, f"T_{n}", mat)
-    space._op_cache[key] = op
-    return op
+
+    def build():
+        gd = space.group
+        images = [
+            hecke_images_of_pair(space, *gd.symbols[j], n) for j in space.free_symbols
+        ]
+        return OperatorMatrix(space, f"T_{n}", _matrix_from_symbol_images(space, images))
+
+    return space.memo(("T", n), build)
 
 
 def diamond_operator(space, u):
@@ -131,18 +120,17 @@ def diamond_operator(space, u):
     nlev = space.level
     if gcd(u, nlev) != 1:
         raise ValueError(f"<{u}>: not a unit mod {nlev}")
-    key = ("D", u % nlev)
-    if key in space._op_cache:
-        return space._op_cache[key]
-    gd = space.group
-    images = []
-    for j in space.free_symbols:
-        c, d = gd.symbols[j]
-        images.append(list(space.symbol_vector(u * c, u * d)))
-    mat = _matrix_from_symbol_images(space, images)
-    op = OperatorMatrix(space, f"<{u % nlev}>", mat)
-    space._op_cache[key] = op
-    return op
+    u %= nlev
+
+    def build():
+        gd = space.group
+        images = []
+        for j in space.free_symbols:
+            c, d = gd.symbols[j]
+            images.append(list(space.symbol_vector(u * c, u * d)))
+        return OperatorMatrix(space, f"<{u}>", _matrix_from_symbol_images(space, images))
+
+    return space.memo(("D", u), build)
 
 
 def star_matrix(space):
@@ -178,15 +166,8 @@ def atkin_lehner(space, Q):
     """Atkin-Lehner involution W_Q on a Gamma0(N) space (Q || N)."""
     if space.spec.kind != "gamma0":
         raise ValueError("Atkin-Lehner implemented on Gamma0 spaces")
-    N = space.level
-    key = ("W", Q)
-    if key in space._op_cache:
-        return space._op_cache[key]
-    w = atkin_lehner_matrix_2x2(N, Q)
-    mat = gl2q_action(space, w)
-    op = OperatorMatrix(space, f"W_{Q}", mat)
-    space._op_cache[key] = op
-    return op
+    w = atkin_lehner_matrix_2x2(space.level, Q)
+    return space.memo(("W", Q), lambda: OperatorMatrix(space, f"W_{Q}", gl2q_action(space, w)))
 
 
 def gl2q_action(space, g2):
@@ -226,14 +207,7 @@ def restrict_to_lattice(op_matrix, lattice):
     """
     rows = []
     for v in lattice.basis:
-        img = [0] * len(op_matrix[0])
-        for j, x in enumerate(v):
-            if x:
-                row = op_matrix[j]
-                for k, y in enumerate(row):
-                    if y:
-                        img[k] += x * y
-        coords = lattice.solve(img, lattice.den)
+        coords = lattice.solve(vec_mat(v, op_matrix), lattice.den)
         if coords is None:
             raise ValueError("lattice is not invariant under the operator")
         rows.append(coords)

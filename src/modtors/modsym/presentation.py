@@ -13,7 +13,6 @@ from fractions import Fraction
 from math import gcd
 
 from ..intlinalg import vec_gcd
-from .groups import sl2_lift
 
 
 def sigma_pairing(gd):

@@ -11,9 +11,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ..intlinalg import kernel_basis, transpose
+from ..intlinalg import kernel_basis, transpose, vec_mat
 from ..lattice import Lattice
-from .groups import GroupData, GroupSpec, sl2_lift
+from .groups import GroupData, sl2_lift
 from .presentation import Presentation
 
 MAX_SYMBOLS = 60000  # resource guard: refuse absurdly large presentations
@@ -48,15 +48,9 @@ class ModSymSpace:
         # boundary of the working free symbols, then of the integral basis
         bnd_free = [self._symbol_boundary(i) for i in pres.free]
         den = pres.lattice_den
-        basis = pres.lattice_basis
         boundary = []
-        for row in basis:
-            acc = [0] * gd.ncusps
-            for j, x in enumerate(row):
-                if x:
-                    bj = bnd_free[j]
-                    for k, y in enumerate(bj):
-                        acc[k] += x * y
+        for row in pres.lattice_basis:
+            acc = vec_mat(row, bnd_free)
             assert all(v % den == 0 for v in acc), "non-integral boundary"
             boundary.append([v // den for v in acc])
         self.boundary = boundary  # dim x ncusps, integer
@@ -67,9 +61,7 @@ class ModSymSpace:
         # integral homology H1(X, Z) = cuspidal part of the symbol lattice
         self.homology = self.cuspidal
 
-        self._star = None
-        self._plus = None
-        self._op_cache = {}
+        self._memo = {}  # derived objects, see memo()
 
     # -- basic data ---------------------------------------------------------
 
@@ -177,26 +169,38 @@ class ModSymSpace:
             sign = -sign
             top, rest = rest, rem
 
-    # -- lattices -----------------------------------------------------------
+    # -- derived objects ----------------------------------------------------
+
+    def memo(self, key, build):
+        """The derived object under key, built by build() on first use.
+
+        Operators, class groups and kernel lattices of the level live here,
+        so they are computed once per space and freed with it.  The key
+        must name every input the object depends on; callers must not
+        mutate what they get back.
+        """
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def star_matrix(self):
-        if self._star is None:
-            from .operators import star_matrix
+        from .operators import star_matrix
 
-            self._star = star_matrix(self)
-        return self._star
+        return self.memo("star", lambda: star_matrix(self))
 
     def plus_cuspidal(self):
         """Saturated lattice S+ = cuspidal vectors fixed by the star map."""
-        if self._plus is None:
+
+        def build():
             star = self.star_matrix()
             stacked = [
                 row_b + [x - (1 if i == j else 0) for j, x in enumerate(row_s)]
                 for i, (row_b, row_s) in enumerate(zip(self.boundary, star))
             ]
             rows = kernel_basis(transpose(stacked))
-            self._plus = Lattice.from_rows(rows, ambient=self.dim) if rows else Lattice(self.dim, [])
-        return self._plus
+            return Lattice.from_rows(rows, ambient=self.dim) if rows else Lattice(self.dim, [])
+
+        return self.memo("plus", build)
 
     def __repr__(self):
         return f"ModSymSpace({self.spec.label()}, dim {self.dim})"
@@ -227,4 +231,6 @@ def build_space(spec, cache=True, max_symbols=MAX_SYMBOLS):
 
 
 def clear_space_cache():
+    """Drop the cached spaces; their operators, class groups and kernel
+    lattices go with them."""
     _SPACE_CACHE.clear()

@@ -39,6 +39,18 @@ def test_golden_mismatch_exit_code(tmp_path):
     assert proc.returncode != 0
 
 
+@pytest.mark.parametrize("command", ["rank", "torsion"])
+def test_invalid_level_is_refused_before_the_sweep(command, tmp_path):
+    # 3 is odd, so no X1(2,2N) has it; nothing may be computed or printed
+    proc = run_cli(command, "x1-2-2n", "2-4", "--cache-dir", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "not 3" in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
 def test_torsion_command_golden(tmp_path):
     proc = run_cli(
         "torsion", "gamma1", "13,21",

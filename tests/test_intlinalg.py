@@ -5,7 +5,6 @@ import pytest
 from sympy import Matrix as SymMatrix
 
 from modtors.intlinalg import (
-    IntMatrix,
     charpoly,
     det_bareiss,
     hnf,
@@ -172,15 +171,3 @@ def test_rational_reconstruct_roundtrip():
         a = num * pow(den, -1, m) % m
         f = rational_reconstruct(a, m)
         assert f == Fraction(num, den)
-
-
-def test_intmatrix_wrapper():
-    m = IntMatrix([[2, 0], [0, 4]])
-    assert m.det() == 8
-    assert m.rank() == 2
-    assert (m * IntMatrix.identity(2)).data == m.data
-    assert m[0, 0] == 2
-    u, d, v = m.smith_normal_form()
-    assert d.data == [[2, 0], [0, 4]]
-    assert m.density() == 0.5
-    assert m.sparse_rows() == [{0: 2}, {1: 4}]

@@ -254,10 +254,10 @@ def test_manin_drinfeld_classes():
 
 def test_manin_drinfeld_lift_independent():
     from modtors.intlinalg import vec_mat
-    from modtors.jacobian import _md_projector
+    from modtors.jacobian import ManinDrinfeldProjector
 
     sp = build_space(GroupSpec.gamma1(13))
-    proj = _md_projector(sp)
+    proj = ManinDrinfeldProjector(sp)
     div = [0] * sp.ncusps
     div[0] = 1
     div[-1] = -1
@@ -269,6 +269,135 @@ def test_manin_drinfeld_lift_independent():
     x1 = proj.project(gamma)
     x2 = proj.project(shifted)
     assert all((a - b).denominator == 1 for a, b in zip(x1, x2))
+
+
+def _one_solve_per_divisor(sp, cc):
+    """Cl^cc, Cl^cc_Q and (Cl^cc)^G lattices with every class solved on its
+    own through the Manin-Drinfeld projector (the reference route)."""
+    from modtors.intlinalg import kernel_basis
+    from modtors.jacobian import (
+        ManinDrinfeldProjector,
+        galois_cusp_permutation,
+        unit_group_gens,
+    )
+
+    proj = ManinDrinfeldProjector(sp)
+    c, g2 = sp.ncusps, sp.cuspidal.rank
+
+    def lattice_of(divisors):
+        classes = [proj.class_of_divisor(d) for d in divisors]
+        den = 1
+        for row in classes:
+            for x in row:
+                den = den * x.denominator // gcd(den, x.denominator)
+        rows = [[int(x * den) for x in row] for row in classes]
+        rows += [[den if i == j else 0 for j in range(g2)] for i in range(g2)]
+        return Lattice(g2, rows, den)
+
+    basis = [[1 if j == i else -1 if j == c - 1 else 0 for j in range(c)]
+             for i in range(c - 1)]
+    perms = [galois_cusp_permutation(sp, s) for s in unit_group_gens(sp.level)]
+    orbits, seen = [], set()
+    for start in range(c):
+        if start in seen:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            x = frontier.pop()
+            for perm in perms:
+                if perm[x] not in orbit:
+                    orbit.add(perm[x])
+                    frontier.append(perm[x])
+        seen |= orbit
+        orbits.append([1 if i in orbit else 0 for i in range(c)])
+    invariant = []
+    for a in kernel_basis([[sum(o) for o in orbits]]):
+        invariant.append([sum(aj * o[i] for aj, o in zip(a, orbits)) for i in range(c)])
+    inv_rows = [list(r) + [-sum(r)] for r in cc.lattice_inv.basis]
+    return lattice_of(basis), lattice_of(invariant), lattice_of(inv_rows), proj, invariant
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec.gamma1(13),
+        GroupSpec.gamma1(21),
+        GroupSpec.gamma1(24),
+        GroupSpec.gamma1(28),
+        GroupSpec.x1_2_2n(9),
+        GroupSpec.gamma0(30),
+    ],
+    ids=lambda s: s.label(),
+)
+def test_class_lattices_match_one_solve_per_divisor(spec):
+    sp = build_space(spec)
+    cc = cuspidal_class_group(sp)
+    assert cc.lattice_inv.den == 1
+    l_cc, l_ccq, l_inv, proj, invariant = _one_solve_per_divisor(sp, cc)
+    assert cc.lattice_cc == l_cc
+    assert cc.lattice_ccq == l_ccq
+    assert clcc_invariant_class_lattice(sp) == l_inv
+    for div in invariant:
+        want = [x - (x.numerator // x.denominator) for x in proj.class_of_divisor(div)]
+        assert manin_drinfeld_class(sp, div) == want
+
+
+def test_torsion_report_solves_each_cusp_class_once(monkeypatch):
+    from modtors.jacobian import ManinDrinfeldProjector
+
+    calls = {"build": 0, "class_of_divisor": 0}
+    init, solve = ManinDrinfeldProjector.__init__, ManinDrinfeldProjector.class_of_divisor
+
+    def counted_init(self, space):
+        calls["build"] += 1
+        init(self, space)
+
+    def counted_solve(self, divisor):
+        calls["class_of_divisor"] += 1
+        return solve(self, divisor)
+
+    monkeypatch.setattr(ManinDrinfeldProjector, "__init__", counted_init)
+    monkeypatch.setattr(ManinDrinfeldProjector, "class_of_divisor", counted_solve)
+    sp = build_space(GroupSpec.gamma1(21), cache=False)
+    rep = torsion_report(sp)
+    assert rep.clcc_q == FinAbGroup([364])
+    assert calls == {"build": 1, "class_of_divisor": sp.ncusps - 1}
+    # the memo serves every later request of the level
+    hecke_bound_group(sp)
+    manin_drinfeld_class(sp, [1] + [0] * (sp.ncusps - 2) + [-1])
+    assert calls == {"build": 1, "class_of_divisor": sp.ncusps - 1}
+
+
+def test_dropped_space_is_freed():
+    import gc
+    import weakref
+
+    sp = build_space(GroupSpec.gamma1(21), cache=False)
+    torsion_report(sp)
+    ref = weakref.ref(sp)
+    del sp
+    gc.collect()
+    assert ref() is None
+
+
+def test_memo_keys_follow_inputs(monkeypatch):
+    sp = build_space(GroupSpec.gamma1(24))
+    cc = cuspidal_class_group(sp)
+    assert cuspidal_class_group(sp, "x1") is cc
+    assert cuspidal_class_group(sp, "xmu") is not cc
+    default = auxiliary_primes(sp)
+    assert auxiliary_primes(sp) is default and not default.capped
+    assert auxiliary_primes(sp, "diamondless") is not default
+    monkeypatch.setattr(jacobian, "MAX_AUXILIARY_PRIMES", 2)
+    capped = auxiliary_primes(sp)
+    assert capped.primes == [5, 7] and capped.capped
+    monkeypatch.undo()
+    assert auxiliary_primes(sp) is default
+    lat, _ = hecke_kernel_lattice(sp, [5, 7])
+    assert hecke_kernel_lattice(sp, (5, 7))[0] is lat
+    for bad in ([5], [5, 3], [5, 4]):
+        with pytest.raises(ValueError):
+            hecke_kernel_lattice(sp, bad)
 
 
 @pytest.mark.parametrize(

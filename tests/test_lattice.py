@@ -110,7 +110,7 @@ def test_solve_coordinates():
     l = Lattice.from_rows([[2, 1], [0, 5]])
     x = l.solve([4, 12])
     assert x is not None
-    rows, den = l.scaled_rows()
+    rows, den = l.basis, l.den
     got = [sum(xi * r[j] for xi, r in zip(x, rows)) for j in range(2)]
     assert got == [4, 12]
     assert l.solve([1, 0]) is None
