@@ -27,7 +27,7 @@ from .intlinalg import (
     transpose,
     vec_mat,
 )
-from .jacobian import cuspidal_span, sturm_bound, winding_span_mod_p
+from .jacobian import sturm_bound, winding_span_mod_p
 from .lattice import Lattice
 from .modsym import (
     GroupSpec,
@@ -78,6 +78,14 @@ class RankZeroQuotient:
             ],
             "rank_zero_dim": self.rank_zero_dim,
         }
+
+
+def cuspidal_span(space, vecs):
+    """Integer vectors spanning the integer combinations of vecs that the
+    boundary map kills."""
+    dv = [vec_mat(v, space.boundary) for v in vecs]
+    ker = kernel_basis(transpose(dv)) if vecs else []  # {x : x @ dv = 0}
+    return [vec_mat(x, vecs) for x in ker]
 
 
 def _winding_span_vectors(space):

@@ -861,29 +861,15 @@ def solve_dixon(a, b, p=MODP):
                 raise ArithmeticError("dixon lifting failed to converge")
 
 
-def solve_fraction_gauss(a, b):
-    """Reference exact solver (Gauss over Fraction); for oracles and tests."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        pv = m[c][c]
-        m[c] = [x / pv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return [m[i][n] for i in range(n)]
-
-
 def invert_rational(a):
     """Exact inverse of a nonsingular integer/rational matrix as Fractions.
 
     One Gauss-Jordan pass on [a | I] with partial pivoting by fraction
-    simplicity (smallest combined numerator/denominator size first).
+    simplicity (smallest combined numerator/denominator size first).  This
+    is the reference rational route that the tests compare the integer
+    routes against; nothing in the package calls it.  The traced benchmark
+    (bench/spans.py) looks it up by name, so it goes at the next change to
+    the benchmark.
     """
     n = len(a)
     m = [

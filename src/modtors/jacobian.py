@@ -7,10 +7,10 @@ Manin-Drinfeld projections of cuspidal divisors, rational cuspidal class
 groups, and the three-stage equality pipeline comparing them.
 
 Mod-p linear algebra is used for speed, but every reported verdict is
-backed by an exact integer certificate: rank-zero claims exhibit enough
-independent integral cuspidal vectors in the winding span, positive-rank
-claims exhibit an exact functional that kills every T_n e up to the Sturm
-bound while not vanishing on the cuspidal plus part.
+backed by an exact integer certificate: rank-zero claims bound the
+cuspidal dimension of the winding span by the exact rank of its boundary
+image, positive-rank claims exhibit an exact functional that kills every
+T_n e up to the Sturm bound while not vanishing on the cuspidal plus part.
 """
 
 from dataclasses import dataclass, field
@@ -26,12 +26,13 @@ from .intlinalg import (
     ModPEchelon,
     det_bareiss,
     echelon_mod_p,
+    hnf,
     identity,
     integer_rows,
-    invert_rational,
     kernel_basis,
     minpoly,
-    rank_mod_p,
+    rank_rational,
+    smith_normal_form,
     solve_dixon,
     solve_integer,
     transpose,
@@ -203,7 +204,7 @@ def _try_rank_certificate(space, bound, p):
     g = space.genus()
     swept, kept_vecs, s_dim, stopped_at = winding_span_mod_p(space, bound, p)
     if s_dim >= g:
-        if _certify_rank_zero(space, kept_vecs, g, p):
+        if _certify_rank_zero(space, kept_vecs, g):
             return RankCertificate(
                 space.spec,
                 "rank_zero",
@@ -226,25 +227,18 @@ def _try_rank_certificate(space, bound, p):
     )
 
 
-def cuspidal_span(space, vecs):
-    """Integer vectors spanning the integer combinations of vecs that the
-    boundary map kills."""
-    dv = [vec_mat(v, space.boundary) for v in vecs]
-    ker = kernel_basis(transpose(dv)) if vecs else []  # {x : x @ dv = 0}
-    return [vec_mat(x, vecs) for x in ker]
+def _certify_rank_zero(space, kept_vecs, g):
+    """Exact certificate that span V cap ker d has dimension at least g,
+    V the k kept winding vectors and d the boundary map.
 
-
-def _certify_rank_zero(space, kept_vecs, g, p):
-    """Exact certificate: g independent integer vectors in span AND ker d."""
-    w = cuspidal_span(space, kept_vecs)
-    if not w:
-        return False
-    for q in (p, 2147483629, 999999937):
-        if isprime(q) and rank_mod_p(w, q) >= g:
-            return True
-    from .intlinalg import rank_rational
-
-    return rank_rational(w) >= g
+    Each kept vector raised the rank mod p, so V is independent mod p and
+    hence over Q: a rational dependence, scaled to coprime integers, would
+    stay a nonzero dependence mod p.  So x |-> x V is injective on Q^k, and
+    it maps the kernel of x |-> x V d, of dimension k - rank_Q(V d), onto
+    span V cap ker d.  V d is a small k x c integer matrix.
+    """
+    dv = [vec_mat(v, space.boundary) for v in kept_vecs]
+    return len(kept_vecs) - rank_rational(dv) >= g
 
 
 def _certify_positive(space, kept_vecs, swept, p):
@@ -467,28 +461,29 @@ def hecke_kernel_lattice(spec, primes=None, normalization=DEFAULT_NORMALIZATION)
 
 
 def _kernel_lattice(space, primes, normalization):
+    """{x : x A_q integral for every q, x (star - 1) integral}.
+
+    If x A_q is integral and A_q is nonsingular, then x = (x A_q) adj(A_q)
+    / det A_q lies in (1/|det A_q|) Z^(2g).  So M_H lies in (1/m) Z^(2g),
+    m the gcd of the determinants, and M_H is that lattice's preimage of
+    Z^(2g) under every A_q (singular ones included) and under star - 1.
+    """
     s = space.cuspidal
     g2 = s.rank
     if g2 == 0:
         return Lattice.standard(0)
-    lat = None
-    singular = []
-    for q in primes:
-        a = _restricted_kill_operator(space, q, normalization)
-        if det_bareiss(a) == 0:
-            singular.append(a)
-            continue
-        rows, den = integer_rows(invert_rational(a))
-        pq = Lattice(g2, rows, den)
-        lat = pq if lat is None else lat.intersect(pq)
-    if lat is None:
+    ops = [_restricted_kill_operator(space, q, normalization) for q in primes]
+    m = gcd(*map(det_bareiss, ops))
+    if m == 0:
         raise ArithmeticError("all Hecke kill operators singular; add primes")
-    for a in singular:
-        lat = lat.preimage(a, Lattice.standard(g2))
     star = restrict_to_lattice(space.star_matrix(), s)
     for i in range(g2):
         star[i][i] -= 1
-    return lat.preimage(star, Lattice.standard(g2))
+    std = Lattice.standard(g2)
+    lat = std.scale(1, m)
+    for a in ops + [star]:
+        lat = lat.preimage(a, std)
+    return lat
 
 
 def hecke_bound_group(spec, primes=None, normalization=DEFAULT_NORMALIZATION,
@@ -528,8 +523,6 @@ def quotient_with_generators(sub, over):
     Generators are returned as (order, vector numerators, denominator) with
     vectors in the ambient coordinates.
     """
-    from .intlinalg import smith_normal_form
-
     coords = []
     for r in sub.basis:
         x = over.solve(r, sub.den)
@@ -538,11 +531,11 @@ def quotient_with_generators(sub, over):
         coords.append(x)
     if not coords:
         return FinAbGroup([]), []
-    u, d, v = smith_normal_form(coords)
+    _, d, v = smith_normal_form(coords)
     # new basis of `over` is V^-1 @ basis; quotient generated by its rows
-    # with orders given by the diagonal of D
-    vinv = invert_rational(v)
-    vinv_int = [[int(x) for x in row] for row in vinv]
+    # with orders given by the diagonal of D.  V is unimodular, so its
+    # Hermite form is I and the transform U with U V = I is V^-1.
+    _, vinv = hnf(v, transform=True)
     k = len(over.basis)
     gens = []
     invs = []
@@ -550,7 +543,7 @@ def quotient_with_generators(sub, over):
         di = d[i][i] if i < len(d) and i < len(d[0]) else 0
         if di in (0, 1):
             continue
-        row = vec_mat(vinv_int[i], over.basis)
+        row = vec_mat(vinv[i], over.basis)
         gens.append((di, row, over.den))
         invs.append(di)
     return FinAbGroup(invs), gens
@@ -575,13 +568,9 @@ def eisenstein_annihilator(space):
         q = int(nextprime(q))
     t = hecke_operator(space, q).matrix
     bnd = space.boundary
-    from .intlinalg import hnf
-
-    h = hnf(bnd)
+    h, u = hnf(bnd, transform=True)
     r = []
-    for row in h:
-        v = solve_integer(bnd, row)
-        assert v is not None, "boundary image basis not realized"
+    for v in u[: len(h)]:  # u[i] @ bnd = h[i]
         w = vec_mat(vec_mat(v, t), bnd)
         coords = solve_integer(h, w)
         assert coords is not None, "boundary image not Hecke stable"
@@ -640,11 +629,9 @@ class ManinDrinfeldProjector:
         rhs = [pe[j] for j in self.cols]
         x = solve_dixon(self.sub_t, rhs)
         # exact verification on all coordinates
-        check = [
-            sum(xi * self.ps[i][j] for i, xi in enumerate(x))
-            for j in range(self.space.dim)
-        ]
-        assert check == [Fraction(v) for v in pe], "projector solve mismatch"
+        (num,), den = integer_rows([x])
+        check = vec_mat(num, self.ps)
+        assert check == [den * v for v in pe], "projector solve mismatch"
         return x
 
     def class_of_divisor(self, divisor):

@@ -20,7 +20,6 @@ from modtors.intlinalg import (
     rational_reconstruct,
     smith_normal_form,
     solve_dixon,
-    solve_fraction_gauss,
     solve_integer,
     transpose,
 )
@@ -28,6 +27,25 @@ from modtors.intlinalg import (
 
 def random_matrix(rng, r, c, lo=-10, hi=10):
     return [[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)]
+
+
+def solve_fraction_gauss(a, b):
+    """Reference exact solver (Gauss-Jordan over Fraction), the oracle of
+    the Dixon solver."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        m[c], m[piv] = m[piv], m[c]
+        pv = m[c][c]
+        m[c] = [x / pv for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return [m[i][n] for i in range(n)]
 
 
 def test_snf_spec_examples():

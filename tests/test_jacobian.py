@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -133,6 +134,53 @@ def test_rank_certificates(spec, verdict, span):
         assert cert.span_dim == cert.plus_dim
 
 
+def _cuspidal_span_rank_zero(sp, kept, g):
+    """The former rank-zero certificate (the reference route): an integer
+    basis of span V cap ker d, whose rank is checked mod three primes and
+    then over Q."""
+    from modtors.immersion import cuspidal_span
+    from modtors.intlinalg import MODP, rank_mod_p, rank_rational
+
+    w = cuspidal_span(sp, kept)
+    if not w:
+        return False
+    if any(rank_mod_p(w, q) >= g for q in (MODP, 2147483629, 999999937)):
+        return True
+    return rank_rational(w) >= g
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec.gamma0(11),
+        GroupSpec.gamma0(30),
+        GroupSpec.gamma1(13),
+        GroupSpec.x1_2_2n(13),
+        GroupSpec.x1_2_2n(14),
+        GroupSpec.gamma1(16),
+        GroupSpec.gamma1(21),
+        GroupSpec.gamma1(24),
+        GroupSpec.gamma1(28),
+    ],
+    ids=lambda s: s.label(),
+)
+def test_rank_zero_certificate_counts_boundary_rank(spec):
+    from modtors.immersion import cuspidal_span
+    from modtors.intlinalg import MODP, rank_rational
+
+    sp = build_space(spec)
+    g = sp.genus()
+    _, kept, s_dim, _ = jacobian.winding_span_mod_p(sp, sturm_bound(sp.spec), MODP)
+    assert s_dim == g > 0
+    assert jacobian._certify_rank_zero(sp, kept, g)
+    assert _cuspidal_span_rank_zero(sp, kept, g)
+    # the sweep stops at the vector that raised the cuspidal dimension to g
+    fewer = kept[:-1]
+    assert rank_rational(cuspidal_span(sp, fewer)) == g - 1
+    assert not jacobian._certify_rank_zero(sp, fewer, g)
+    assert not _cuspidal_span_rank_zero(sp, fewer, g)
+
+
 def test_jacobian_orders_level21():
     sp = build_space(GroupSpec.gamma1(21))
     assert jacobian_order_mod_p(sp, 5) == 2184
@@ -219,6 +267,107 @@ def test_auxiliary_primes_cap(monkeypatch):
     monkeypatch.setattr(jacobian, "MAX_AUXILIARY_PRIMES", 2)
     aux = auxiliary_primes(build_space(GroupSpec.gamma1(24)))
     assert aux.primes == [5, 7] and aux.capped
+
+
+def _kernel_lattice_rational_route(sp, primes, normalization="eq41"):
+    """M_H through rational inverses (the reference route): A_q^-1 Z^(2g)
+    for every nonsingular A_q, intersected, then the preimages of Z^(2g)
+    under the singular A_q and under star - 1."""
+    from modtors.intlinalg import det_bareiss, integer_rows, invert_rational
+    from modtors.modsym import restrict_to_lattice
+
+    g2 = sp.cuspidal.rank
+    std = Lattice.standard(g2)
+    lat, singular = None, []
+    for q in primes:
+        a = jacobian._restricted_kill_operator(sp, q, normalization)
+        if det_bareiss(a) == 0:
+            singular.append(a)
+            continue
+        rows, den = integer_rows(invert_rational(a))
+        inv = Lattice(g2, rows, den)
+        lat = inv if lat is None else lat.intersect(inv)
+    if lat is None:
+        raise ArithmeticError("all Hecke kill operators singular")
+    star = restrict_to_lattice(sp.star_matrix(), sp.cuspidal)
+    for i in range(g2):
+        star[i][i] -= 1
+    for a in singular + [star]:
+        lat = lat.preimage(a, std)
+    return lat
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec.gamma1(13),
+        GroupSpec.gamma1(16),
+        GroupSpec.gamma1(21),
+        GroupSpec.gamma1(24),
+        GroupSpec.gamma1(28),
+        GroupSpec.gamma1(29),
+        GroupSpec.gamma1(33),
+        GroupSpec.x1_2_2n(9),
+        GroupSpec.gamma0(30),
+    ],
+    ids=lambda s: s.label(),
+)
+def test_kernel_lattice_matches_rational_route(spec):
+    sp = build_space(spec)
+    aux = auxiliary_primes(sp)
+    assert hecke_kernel_lattice(sp)[0] == _kernel_lattice_rational_route(sp, aux.primes)
+    explicit = [5, 7] if sp.level % 5 and sp.level % 7 else good_primes(sp.level, 2)
+    lat, _ = hecke_kernel_lattice(sp, explicit)
+    assert lat == _kernel_lattice_rational_route(sp, explicit)
+
+
+def test_kernel_lattice_with_singular_operators(monkeypatch):
+    sp = build_space(GroupSpec.gamma1(24))
+    kill = jacobian._restricted_kill_operator
+
+    def singular_at(bad):
+        def patched(space, q, normalization):
+            a = kill(space, q, normalization)
+            if q in bad:  # drop one column: a weaker condition on x
+                for row in a:
+                    row[0] = 0
+            return a
+
+        return patched
+
+    primes = [5, 7, 11]
+    full = jacobian._kernel_lattice(sp, primes, "eq41")
+    monkeypatch.setattr(jacobian, "_restricted_kill_operator", singular_at({7}))
+    lat = jacobian._kernel_lattice(sp, primes, "eq41")
+    assert lat == _kernel_lattice_rational_route(sp, primes)
+    assert lat.contains_lattice(full)
+    monkeypatch.setattr(jacobian, "_restricted_kill_operator", singular_at(set(primes)))
+    with pytest.raises(ArithmeticError):
+        jacobian._kernel_lattice(sp, primes, "eq41")
+
+
+def test_torsion_layer_needs_no_rational_inverse(monkeypatch):
+    from modtors import intlinalg
+
+    original = intlinalg.invert_rational
+
+    def refuse(a):
+        raise AssertionError("rational inverse in the torsion layer")
+
+    for name, mod in list(sys.modules.items()):
+        if name == "modtors" or name.startswith("modtors."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, refuse)
+    rep = torsion_report(build_space(GroupSpec.gamma1(21), cache=False))
+    assert rep.hecke_bound == FinAbGroup([364]) and rep.verdict == "equal"
+    sp = build_space(GroupSpec.gamma1(24), cache=False)
+    mh, gens = hecke_bound_group(sp)
+    assert mh == FinAbGroup([2, 2, 2, 240])
+    lat, _ = hecke_kernel_lattice(sp)
+    for order, row, den in gens:
+        assert lat.contains(row, den)
+        assert all(order * x % den == 0 for x in row)
 
 
 def test_hecke_bound_contains_clccq():
