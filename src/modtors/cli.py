@@ -4,17 +4,20 @@ finite-field scans and formal-immersion certificates.
 Reports are deterministic JSON (or text) embedding the tool version, the
 chosen normalization and the operator lists, so every number is
 reproducible from the report alone.  Level sweeps checkpoint each level in
-the cache directory and resume on rerun; golden mode compares against the
-shipped reference sets and exits 0 on match, 1 on mismatch, 2 on a
-resource refusal.
+the cache directory and resume on rerun; a level that fails is reported
+as an error record, gets no checkpoint and makes the sweep exit 1.  Golden
+mode compares against the shipped reference sets and exits 0 on match, 1
+on mismatch, 2 on a resource refusal.
 """
 
 import argparse
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from functools import partial
 
 from . import __version__
 from .jacobian import (
@@ -109,22 +112,39 @@ def write_checkpoint(cache_dir, command, key, result):
     return result
 
 
+def _guarded(compute, task):
+    """compute(task), or {"level": ..., "error": "<Type>: <msg>"} if it
+    raises (the traceback goes to stderr); a resource refusal is raised
+    on."""
+    try:
+        return compute(task)
+    except (ResourceWarning, MemoryError):
+        raise
+    except Exception as exc:
+        traceback.print_exc()
+        return {"level": task[1], "error": f"{type(exc).__name__}: {exc}"}
+
+
 def sweep(args, command, compute, tasks, keys):
     """[compute(task) for task in tasks], checkpointed per task.
 
-    The checkpoints that exist are read first and only the missing tasks
-    are computed, each result checkpointed as it arrives; with `--jobs`
-    above 1 they are computed in a pool of processes.  Serial and parallel
-    sweeps thus write and resume the same checkpoints.
+    Each task is a tuple (spec, level, ...).  The checkpoints that exist are
+    read first and only the missing tasks are computed, each result
+    checkpointed as it arrives; with `--jobs` above 1 they are computed in a
+    pool of processes.  Serial and parallel sweeps thus write and resume the
+    same checkpoints.  A task that fails gives an error record and no
+    checkpoint, and the other tasks go on.
     """
     results = [read_checkpoint(args.cache_dir, command, key) for key in keys]
     missing = [i for i, r in enumerate(results) if r is None]
     workers = min(args.jobs, len(missing))
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         mapper = pool.map if pool else map
-        computed = mapper(compute, [tasks[i] for i in missing])
+        computed = mapper(partial(_guarded, compute), [tasks[i] for i in missing])
         for i, result in zip(missing, computed):
-            results[i] = write_checkpoint(args.cache_dir, command, keys[i], result)
+            if "error" not in result:
+                write_checkpoint(args.cache_dir, command, keys[i], result)
+            results[i] = result
     return results
 
 
@@ -168,12 +188,13 @@ def cmd_rank(args):
         bad = [
             r["level"]
             for r in results
-            if (r["verdict"] == "rank_zero") != (r["level"] in want_zero)
+            if "error" not in r
+            and (r["verdict"] == "rank_zero") != (r["level"] in want_zero)
         ]
         if bad:
             print(f"golden mismatch at levels {bad}", file=sys.stderr)
             return 1
-    return 0
+    return int(any("error" in r for r in results))
 
 
 def _torsion_one(task):
@@ -215,7 +236,7 @@ def cmd_torsion(args):
         for r in results:
             lv = r["level"]
             want = table.get(str(lv))
-            if want is None:
+            if want is None or "error" in r:
                 continue
             got = r["clcc_Q"]
             if got != [x for x in want if x > 1]:
@@ -223,7 +244,7 @@ def cmd_torsion(args):
         if bad:
             print(f"golden mismatch: {bad}", file=sys.stderr)
             return 1
-    return 0
+    return int(any("error" in r for r in results))
 
 
 def cmd_places(args):

@@ -37,10 +37,7 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    if not a:
-        return []
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [vec_mat(row, b) for row in a]
 
 
 def mat_vec(a, v):
@@ -302,6 +299,8 @@ def solve_integer(a, b):
     """One integer solution x of x @ a = b (row convention), or None.
 
     a is m x n, b length n; solves over Z exactly via HNF transform.
+    Nothing in the package calls it; the tests do, and the traced benchmark
+    (bench/spans.py) looks it up by name.
     """
     h, u = hnf(a, transform=True)
     x = [0] * len(a)
@@ -671,6 +670,10 @@ def minpoly(a):
 
     A candidate is computed mod p from Krylov sequences and then verified
     exactly by evaluating at the matrix; falls back to charpoly on failure.
+    Nothing in the package calls it: the tests' reference Manin-Drinfeld
+    route does, and the traced benchmark (bench/spans.py) looks it up by
+    name, so it and its mod-p helpers go at the next change to the
+    benchmark.
     """
     n = len(a)
     if n == 0:

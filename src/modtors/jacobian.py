@@ -15,7 +15,8 @@ T_n e up to the Sturm bound while not vanishing on the cuspidal plus part.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from itertools import count
+from math import gcd, isqrt
 
 import numpy as np
 from sympy import divisors, isprime, nextprime
@@ -24,18 +25,23 @@ from .abgroup import FinAbGroup
 from .intlinalg import (
     MODP,
     ModPEchelon,
+    _as_modp,
+    _charpoly_mod_p,
+    _crt_pair,
     det_bareiss,
     echelon_mod_p,
     hnf,
     identity,
     integer_rows,
+    inverse_mod_p,
     kernel_basis,
-    minpoly,
+    mat_mul,
+    mat_scale,
+    mat_sub,
     rank_rational,
+    rational_reconstruct,
     smith_normal_form,
     solve_dixon,
-    solve_integer,
-    transpose,
     vec_mat,
 )
 from .lattice import Lattice, lattice_torsion_quotient
@@ -553,95 +559,84 @@ def quotient_with_generators(sub, over):
 # Manin-Drinfeld projection and cuspidal class groups
 
 
-def eisenstein_annihilator(space):
-    """(q, f): a Hecke index q and integral f with f(T_q) killing the
-    Eisenstein complement while staying invertible on the cuspidal part.
-
-    q is the least prime >= 7 not dividing N: all Eisenstein eigenvalues of
-    T_q then exceed 2 sqrt(q) in absolute value in every embedding, so the
-    minimal polynomial of T_q on the boundary quotient is coprime to the
-    cuspidal characteristic polynomial.
-    """
-    n = space.level
-    q = 7
-    while n % q == 0 or not isprime(q):
-        q = int(nextprime(q))
-    t = hecke_operator(space, q).matrix
-    bnd = space.boundary
-    h, u = hnf(bnd, transform=True)
-    r = []
-    for v in u[: len(h)]:  # u[i] @ bnd = h[i]
-        w = vec_mat(vec_mat(v, t), bnd)
-        coords = solve_integer(h, w)
-        assert coords is not None, "boundary image not Hecke stable"
-        r.append(coords)
-    f = minpoly(r)
-    return q, f
-
-
 class ManinDrinfeldProjector:
-    """Hecke-equivariant projection of the symbol space onto its cuspidal
-    part, evaluated vector by vector.
+    """Classes in H1(Q)/H1(Z) of the degree-0 cuspidal divisors of a level,
+    all c - 1 basis classes from one exact Sylvester solve.
 
-    For gamma with integral boundary divisor D, project(gamma) returns the
-    coordinates (Fractions) over the cuspidal basis of the class of D; the
-    class of the divisor in H1(Q)/H1(Z) is that vector mod Z^(2g).
+    T = T_q for the least prime q >= 7 not dividing N; gamma_i are integral
+    lifts of d_i = e_i - e_{c-1} through the boundary map.  In the basis
+    [S-basis; Gamma], T is [[T_S, 0], [Z, R]], with R the matrix of T on the
+    d-basis and Z the cuspidal coordinates of Gamma T - R Gamma.  The
+    Eisenstein complement has the rows [-Y | I] with Y T_S - R Y = Z, and
+    row i of Y = phi / den is the class of d_i over the cuspidal basis
+    (modulo Z^(2g) it does not depend on the lifts).  The Eisenstein
+    eigenvalues of T_q exceed 2 sqrt(q) in absolute value and the cuspidal
+    ones do not, so Y is unique; `_solve_sylvester` certifies both this
+    and Y.
     """
 
     def __init__(self, space):
-        self.space = space
-        q, f = eisenstein_annihilator(space)
-        self.q = q
-        self.f = f
-        self.t = hecke_operator(space, q).matrix
-        s = space.cuspidal
-        self.s = s
-        self.ps = [self._row_poly(v) for v in s.basis]
-        # choose independent columns of PS once (mod p); entries are huge,
-        # reduce in python ints before handing to numpy
-        piv = []
-        for p2 in (MODP, 2147483629, 1000003):
-            ps_np = np.array(
-                [[x % p2 for x in row] for row in self.ps], dtype=np.int64
-            )
-            _, piv = echelon_mod_p(ps_np, p2)
-            if len(piv) == len(self.ps):
-                break
-        assert len(piv) == len(self.ps), "annihilator not invertible on S"
-        self.cols = piv
-        self.sub = [[row[j] for j in piv] for row in self.ps]
-        self.sub_t = transpose(self.sub)
-
-    def _row_poly(self, v):
-        """v @ f(T) by Horner on row vectors."""
-        f, t = self.f, self.t
-        out = [f[-1] * x for x in v]
-        for c in reversed(f[:-1]):
-            out = vec_mat(out, t)
-            if c:
-                for i, x in enumerate(v):
-                    out[i] += c * x
-        return out
-
-    def project(self, gamma):
-        """Coordinates over the cuspidal basis of the projection of gamma."""
-        pe = self._row_poly(gamma)
-        rhs = [pe[j] for j in self.cols]
-        x = solve_dixon(self.sub_t, rhs)
-        # exact verification on all coordinates
-        (num,), den = integer_rows([x])
-        check = vec_mat(num, self.ps)
-        assert check == [den * v for v in pe], "projector solve mismatch"
-        return x
+        c, s, bnd = space.ncusps, space.cuspidal, space.boundary
+        self.q = next(q for q in filter(isprime, count(7)) if space.level % q)
+        t = hecke_operator(space, self.q).matrix
+        h, u = hnf(bnd, transform=True)
+        image = Lattice(c, h, normalize=False)  # u[i] @ bnd = h[i]
+        lifts = [image.solve([1 if j == i else -1 if j == c - 1 else 0 for j in range(c)])
+                 for i in range(c - 1)]
+        if None in lifts:
+            raise ValueError("divisor not in the boundary image lattice")
+        gammas = [vec_mat(x, u) for x in lifts]
+        images = [vec_mat(gm, t) for gm in gammas]
+        r = [vec_mat(w, bnd)[: c - 1] for w in images]
+        z = [s.solve([a - b for a, b in zip(w, vec_mat(row, gammas))], s.den)
+             for w, row in zip(images, r)]
+        self.phi, self.den = _solve_sylvester(restrict_to_lattice(t, s), r, z)
 
     def class_of_divisor(self, divisor):
-        """Class coordinates of a degree-0 integral cuspidal divisor."""
-        if sum(divisor) != 0:
-            raise ValueError("divisor must have degree 0")
-        gamma = solve_integer(self.space.boundary, list(divisor))
-        if gamma is None:
-            raise ValueError("divisor not in the boundary image lattice")
-        return self.project(gamma)
+        """Class coordinates (Fractions over the cuspidal basis) of an
+        integral degree-0 cuspidal divisor; the class is this vector mod
+        Z^(2g)."""
+        if len(divisor) != len(self.phi) + 1 or sum(divisor) != 0:
+            raise ValueError(f"need a degree-0 divisor on the {len(self.phi) + 1} cusps")
+        return [Fraction(x, self.den) for x in vec_mat(divisor[:-1], self.phi)]
+
+
+def _solve_sylvester(ts, r, z):
+    """(Ynum, den): the unique rational Y = Ynum / den with Y ts - r Y = z.
+
+    For f the characteristic polynomial of r mod p, f([[ts, 0], [z, r]]) is
+    [[f(ts), 0], [G, 0]], so Y = G f(ts)^-1 mod p wherever f(ts) is
+    invertible mod p; then det f(ts) != 0, ts and r have disjoint spectra
+    and Y is unique.  The residues are combined by CRT and rebuilt by
+    rational reconstruction, and Y is returned once it satisfies the
+    equation in integers.
+    """
+    g2, k = len(ts), len(r)
+    if not g2 or not k:
+        return [[0] * g2 for _ in range(k)], 1
+    eye = np.eye(g2 + k, dtype=np.int64)
+    res = m = None
+    # primes downward from MODP, small enough that (g2 + k) p^2 fits int64
+    for p in filter(isprime, count(min(MODP, isqrt(2**62 // (g2 + k))), -1)):
+        block = np.block([[_as_modp(ts, p), np.zeros((g2, k), dtype=np.int64)],
+                          [_as_modp(z, p), _as_modp(r, p)]])
+        acc = eye  # Horner; f is monic
+        for coef in reversed(_charpoly_mod_p(block[g2:, g2:], p)[:-1]):
+            acc = (acc @ block + coef * eye) % p
+        inv = inverse_mod_p(acc[:g2, :g2], p)
+        if inv is None:
+            continue
+        yp = (acc[g2:, :g2] @ inv % p).astype(object)
+        res, m = (yp, p) if res is None else _crt_pair(res, m, yp, p)
+        cand = []
+        for row in res:
+            cand.append([rational_reconstruct(int(a), m) for a in row])
+            if None in cand[-1]:
+                break
+        else:
+            num, den = integer_rows(cand)
+            if mat_sub(mat_mul(num, ts), mat_mul(r, num)) == mat_scale(z, den):
+                return num, den
 
 
 def manin_drinfeld_class(space, divisor):
@@ -649,50 +644,28 @@ def manin_drinfeld_class(space, divisor):
 
     Returns Fraction coordinates over the cuspidal basis, reduced mod 1.
     """
-    space = _space_of(space)
-    if len(divisor) != space.ncusps or sum(divisor) != 0:
-        raise ValueError(f"need a degree-0 divisor on the {space.ncusps} cusps")
-    phi, den = _divisor_basis_classes(space)
-    return [Fraction(x % den, den) for x in vec_mat(divisor[:-1], phi)]
+    return [x % 1 for x in _projector(_space_of(space)).class_of_divisor(divisor)]
 
 
-def _divisor_basis_classes(space):
-    """(phi, den): the classes of the divisors d_i = e_i - e_{c-1} are the
-    rows of phi over den, over the cuspidal basis.
-
-    These c - 1 solves are the only Manin-Drinfeld projections of a level;
-    the projector is dropped once they are done.  The class of a degree-0
-    divisor is linear in it up to an integral vector (its lift through the
-    boundary map is unique up to an integral cuspidal vector), so the class
-    of sum D_i d_i is sum D_i phi_i / den modulo Z^(2g).
-    """
-
-    def build():
-        proj = ManinDrinfeldProjector(space)
-        c = space.ncusps
-        classes = []
-        for i in range(c - 1):
-            div = [0] * c
-            div[i] = 1
-            div[c - 1] -= 1
-            classes.append(proj.class_of_divisor(div))
-        return integer_rows(classes)
-
-    return space.memo("divisor basis classes", build)
+def _projector(space):
+    """The level's Manin-Drinfeld projector, built once per space.  The
+    class of sum D_i d_i is sum D_i phi_i / den modulo Z^(2g), since a
+    class is linear in the divisor up to an integral vector."""
+    return space.memo("manin-drinfeld projector", lambda: ManinDrinfeldProjector(space))
 
 
 def _class_lattice(space, divisors):
     """Z^(2g) plus the classes of the integral degree-0 divisors given as
     rows over the d_i, as a lattice over the cuspidal basis."""
-    phi, den = _divisor_basis_classes(space)
+    proj = _projector(space)
     g2 = space.cuspidal.rank
-    rows = [vec_mat(d, phi) for d in divisors]
-    rows += [[den if i == j else 0 for j in range(g2)] for i in range(g2)]
-    return Lattice(g2, rows, den)
+    rows = [vec_mat(d, proj.phi) for d in divisors]
+    rows += [[proj.den if i == j else 0 for j in range(g2)] for i in range(g2)]
+    return Lattice(g2, rows, proj.den)
 
 
 # Always empty: the benchmark's fresh-process guard (bench/child.py) reads
-# it.  Projections now live in the space memo, see _divisor_basis_classes.
+# it.  The projector lives in the space memo, see _projector.
 _MD_CACHE = {}
 
 
@@ -797,9 +770,9 @@ def _class_group(space, model):
 
     # principal-divisor lattice in divisor coordinates: kernel of the class
     # map on Div^0
-    phi, den = _divisor_basis_classes(space)  # (c-1) x 2g
-    target = Lattice(g2, [[den if i == j else 0 for j in range(g2)] for i in range(g2)], 1)
-    l_prin = Lattice.standard(c - 1).preimage(phi, target)
+    proj = _projector(space)  # phi: (c-1) x 2g
+    target = Lattice(g2, [[proj.den if i == j else 0 for j in range(g2)] for i in range(g2)], 1)
+    l_prin = Lattice.standard(c - 1).preimage(proj.phi, target)
     # cross-check: Div^0 / principal must reproduce Cl^cc
     assert lattice_torsion_quotient(l_prin, Lattice.standard(c - 1)) == clcc
 

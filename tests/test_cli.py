@@ -214,3 +214,33 @@ def test_rank_report_says_how_it_decided():
     assert "hecke_range_used" not in results[37]
     for r in results.values():
         assert {"group", "verdict", "sturm_bound", "span_dim", "plus_dim"} <= set(r)
+
+
+def test_failing_level_is_recorded_and_the_sweep_goes_on(tmp_path, monkeypatch, capsys):
+    from modtors import cli
+
+    rank = cli.is_rank_zero
+
+    def flaky(spec, refusal=False):
+        if spec.level == 14:
+            raise (ResourceWarning if refusal else ArithmeticError)("level 14 fails")
+        return rank(spec)
+
+    monkeypatch.setattr(cli, "is_rank_zero", flaky)
+    outs = []
+    for jobs in ("1", "2"):
+        cache = tmp_path / f"jobs{jobs}"
+        code = cli.main(["rank", "gamma0", "11,14,37", "--jobs", jobs, "--cache-dir", str(cache)])
+        outs.append(capsys.readouterr().out)
+        assert code == 1
+        names = sorted(p.name for p in cache.iterdir())
+        assert len(names) == 2 and not any("-14-" in name for name in names)
+    assert outs[0] == outs[1]
+    results = json.loads(outs[0])["results"]
+    assert results[1] == {"level": 14, "error": "ArithmeticError: level 14 fails"}
+    assert [results[0]["verdict"], results[2]["verdict"]] == ["rank_zero", "positive_rank"]
+    # a resource refusal still stops the sweep with code 2 and no output
+    monkeypatch.setattr(cli, "is_rank_zero", lambda spec: flaky(spec, refusal=True))
+    for jobs in ("1", "2"):
+        code = cli.main(["rank", "gamma0", "11,14,37", "--jobs", jobs])
+        assert (code, capsys.readouterr().out) == (2, "")

@@ -401,36 +401,140 @@ def test_manin_drinfeld_classes():
         manin_drinfeld_class(sp, [1, 0])  # degree not zero
 
 
+def _eisenstein_annihilator(space):
+    """(q, f): a Hecke index q and integral f with f(T_q) killing the
+    Eisenstein complement while staying invertible on the cuspidal part.
+
+    q is the least prime >= 7 not dividing N: all Eisenstein eigenvalues of
+    T_q then exceed 2 sqrt(q) in absolute value in every embedding, so the
+    minimal polynomial of T_q on the boundary quotient is coprime to the
+    cuspidal characteristic polynomial.
+    """
+    from sympy import isprime, nextprime
+
+    from modtors.intlinalg import hnf, minpoly, solve_integer, vec_mat
+    from modtors.modsym import hecke_operator
+
+    n = space.level
+    q = 7
+    while n % q == 0 or not isprime(q):
+        q = int(nextprime(q))
+    t = hecke_operator(space, q).matrix
+    bnd = space.boundary
+    h, u = hnf(bnd, transform=True)
+    r = []
+    for v in u[: len(h)]:  # u[i] @ bnd = h[i]
+        w = vec_mat(vec_mat(v, t), bnd)
+        coords = solve_integer(h, w)
+        assert coords is not None, "boundary image not Hecke stable"
+        r.append(coords)
+    f = minpoly(r)
+    return q, f
+
+
+class _HornerProjector:
+    """Hecke-equivariant projection of the symbol space onto its cuspidal
+    part, evaluated vector by vector (the reference route: f(T_q) applied by
+    Horner, one solve per divisor).
+
+    For gamma with integral boundary divisor D, project(gamma) returns the
+    coordinates (Fractions) over the cuspidal basis of the class of D; the
+    class of the divisor in H1(Q)/H1(Z) is that vector mod Z^(2g).
+    """
+
+    def __init__(self, space):
+        import numpy as np
+
+        from modtors.intlinalg import MODP, echelon_mod_p, transpose
+        from modtors.modsym import hecke_operator
+
+        self.space = space
+        q, f = _eisenstein_annihilator(space)
+        self.q = q
+        self.f = f
+        self.t = hecke_operator(space, q).matrix
+        s = space.cuspidal
+        self.s = s
+        self.ps = [self._row_poly(v) for v in s.basis]
+        # choose independent columns of PS once (mod p); entries are huge,
+        # reduce in python ints before handing to numpy
+        piv = []
+        for p2 in (MODP, 2147483629, 1000003):
+            ps_np = np.array(
+                [[x % p2 for x in row] for row in self.ps], dtype=np.int64
+            )
+            _, piv = echelon_mod_p(ps_np, p2)
+            if len(piv) == len(self.ps):
+                break
+        assert len(piv) == len(self.ps), "annihilator not invertible on S"
+        self.cols = piv
+        self.sub = [[row[j] for j in piv] for row in self.ps]
+        self.sub_t = transpose(self.sub)
+
+    def _row_poly(self, v):
+        """v @ f(T) by Horner on row vectors."""
+        from modtors.intlinalg import vec_mat
+
+        f, t = self.f, self.t
+        out = [f[-1] * x for x in v]
+        for c in reversed(f[:-1]):
+            out = vec_mat(out, t)
+            if c:
+                for i, x in enumerate(v):
+                    out[i] += c * x
+        return out
+
+    def project(self, gamma):
+        """Coordinates over the cuspidal basis of the projection of gamma."""
+        from modtors.intlinalg import integer_rows, solve_dixon, vec_mat
+
+        pe = self._row_poly(gamma)
+        rhs = [pe[j] for j in self.cols]
+        x = solve_dixon(self.sub_t, rhs)
+        # exact verification on all coordinates
+        (num,), den = integer_rows([x])
+        check = vec_mat(num, self.ps)
+        assert check == [den * v for v in pe], "projector solve mismatch"
+        return x
+
+    def class_of_divisor(self, divisor):
+        """Class coordinates of a degree-0 integral cuspidal divisor."""
+        from modtors.intlinalg import solve_integer
+
+        if sum(divisor) != 0:
+            raise ValueError("divisor must have degree 0")
+        gamma = solve_integer(self.space.boundary, list(divisor))
+        if gamma is None:
+            raise ValueError("divisor not in the boundary image lattice")
+        return self.project(gamma)
+
+
 def test_manin_drinfeld_lift_independent():
-    from modtors.intlinalg import vec_mat
-    from modtors.jacobian import ManinDrinfeldProjector
+    from modtors.intlinalg import solve_integer
 
     sp = build_space(GroupSpec.gamma1(13))
-    proj = ManinDrinfeldProjector(sp)
+    proj = _HornerProjector(sp)
     div = [0] * sp.ncusps
     div[0] = 1
     div[-1] = -1
-    from modtors.intlinalg import solve_integer
-
     gamma = solve_integer(sp.boundary, div)
     # shift the lift by an integral cuspidal vector: class must not change
     shifted = [a + b for a, b in zip(gamma, sp.cuspidal.basis[0])]
     x1 = proj.project(gamma)
     x2 = proj.project(shifted)
     assert all((a - b).denominator == 1 for a, b in zip(x1, x2))
+    # and the one-solve projector gives the same class
+    assert all((a - b).denominator == 1 for a, b in zip(
+        x1, jacobian.ManinDrinfeldProjector(sp).class_of_divisor(div)))
 
 
 def _one_solve_per_divisor(sp, cc):
     """Cl^cc, Cl^cc_Q and (Cl^cc)^G lattices with every class solved on its
-    own through the Manin-Drinfeld projector (the reference route)."""
+    own through the Horner projector (the reference route)."""
     from modtors.intlinalg import kernel_basis
-    from modtors.jacobian import (
-        ManinDrinfeldProjector,
-        galois_cusp_permutation,
-        unit_group_gens,
-    )
+    from modtors.jacobian import galois_cusp_permutation, unit_group_gens
 
-    proj = ManinDrinfeldProjector(sp)
+    proj = _HornerProjector(sp)
     c, g2 = sp.ncusps, sp.cuspidal.rank
 
     def lattice_of(divisors):
@@ -473,7 +577,10 @@ def _one_solve_per_divisor(sp, cc):
         GroupSpec.gamma1(21),
         GroupSpec.gamma1(24),
         GroupSpec.gamma1(28),
+        GroupSpec.gamma1(29),
+        GroupSpec.gamma1(30),
         GroupSpec.x1_2_2n(9),
+        GroupSpec.gamma0(11),
         GroupSpec.gamma0(30),
     ],
     ids=lambda s: s.label(),
@@ -510,11 +617,62 @@ def test_torsion_report_solves_each_cusp_class_once(monkeypatch):
     sp = build_space(GroupSpec.gamma1(21), cache=False)
     rep = torsion_report(sp)
     assert rep.clcc_q == FinAbGroup([364])
-    assert calls == {"build": 1, "class_of_divisor": sp.ncusps - 1}
+    # one solve gives all c - 1 basis classes; no divisor is solved alone
+    assert calls == {"build": 1, "class_of_divisor": 0}
     # the memo serves every later request of the level
     hecke_bound_group(sp)
     manin_drinfeld_class(sp, [1] + [0] * (sp.ncusps - 2) + [-1])
-    assert calls == {"build": 1, "class_of_divisor": sp.ncusps - 1}
+    assert calls == {"build": 1, "class_of_divisor": 1}
+
+
+def _sylvester_holds(num, den, ts, r, z):
+    from modtors.intlinalg import vec_mat
+
+    ry = [vec_mat(row, num) for row in r]
+    return all(
+        a - b == den * c
+        for y, yr, zr in zip(num, ry, z)
+        for a, b, c in zip(vec_mat(y, ts), yr, zr)
+    )
+
+
+def test_sylvester_solve_is_certified(monkeypatch):
+    sp = build_space(GroupSpec.gamma1(21), cache=False)
+    seen = []
+    solve = jacobian._solve_sylvester
+
+    def recorded(ts, r, z):
+        num, den = solve(ts, r, z)
+        seen.append((ts, r, z, num, den))
+        return num, den
+
+    monkeypatch.setattr(jacobian, "_solve_sylvester", recorded)
+    proj = jacobian.ManinDrinfeldProjector(sp)
+    ((ts, r, z, num, den),) = seen
+    assert (proj.phi, proj.den) == (num, den)
+    assert _sylvester_holds(num, den, ts, r, z)
+    for i, j in ((0, 0), (len(num) - 1, len(ts) - 1)):
+        bad = [row[:] for row in num]
+        bad[i][j] += 1
+        assert not _sylvester_holds(bad, den, ts, r, z)
+    monkeypatch.undo()
+    # small primes: many CRT steps, the same classes
+    monkeypatch.setattr(jacobian, "MODP", 1009)
+    assert jacobian._solve_sylvester(ts, r, z) == (num, den)
+    monkeypatch.undo()
+    # a wrong reconstructed candidate is refused and more primes are taken
+    integer_rows, tried = jacobian.integer_rows, []
+
+    def first_wrong(rows):
+        out, d = integer_rows(rows)
+        if not tried:
+            out[0][0] += 1
+        tried.append(d)
+        return out, d
+
+    monkeypatch.setattr(jacobian, "integer_rows", first_wrong)
+    assert jacobian._solve_sylvester(ts, r, z) == (num, den)
+    assert len(tried) >= 2
 
 
 def test_dropped_space_is_freed():
