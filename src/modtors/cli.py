@@ -53,8 +53,10 @@ def parse_levels(arg):
     out = []
     for part in arg.split(","):
         if "-" in part:
-            a, b = part.split("-")
-            out.extend(range(int(a), int(b) + 1))
+            a, b = map(int, part.split("-"))
+            if a > b:
+                raise ValueError(f"reversed range {part}")
+            out.extend(range(a, b + 1))
         else:
             out.append(int(part))
     return out
@@ -270,8 +272,13 @@ def cmd_places(args):
 def cmd_ecscan(args):
     from .ecff import exists_point_of_order, hasse_excludes
 
+    try:
+        fields = parse_levels(args.fields)
+    except ValueError as exc:
+        print(f"invalid fields {args.fields!r}: {exc}", file=sys.stderr)
+        return 2
     results = []
-    for q in parse_levels(args.fields):
+    for q in fields:
         row = {"q": q, "N": args.order, "hasse_excluded": hasse_excludes(q, args.order)}
         try:
             row["exists_point_of_order"] = exists_point_of_order(

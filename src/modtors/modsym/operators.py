@@ -1,9 +1,10 @@
 """Operators on modular symbol spaces: Hecke, diamond, star, Atkin-Lehner.
 
-All matrices act on row vectors (v -> v @ M) in the integral coordinates of
-the space, and are integer matrices there: every operator below preserves
-the symbol lattice.  Hecke operators use the Merel family X_n acting on
-Manin symbols by right multiplication.
+All matrices act on row vectors (v -> v @ M) in the coordinates of the
+space, whose basis is the free Manin symbols: row j of a matrix is the
+image of free symbol j, an integer vector, since every operator below
+preserves the symbol lattice.  Hecke operators use the Merel family X_n
+acting on Manin symbols by right multiplication.
 """
 
 from functools import lru_cache
@@ -66,21 +67,6 @@ class OperatorMatrix:
         return isinstance(other, OperatorMatrix) and self.matrix == other.matrix
 
 
-def _matrix_from_symbol_images(space, images):
-    """Matrix (row convention) from images of the working free symbols.
-
-    images[j] = image vector of free symbol j in integral coordinates; the
-    integral-basis image is B @ images / den, which must be integral.
-    """
-    bden = space._pres_den
-    rows = []
-    for brow in space._pres_basis:
-        acc = vec_mat(brow, images)
-        assert all(v % bden == 0 for v in acc), "operator leaves the lattice"
-        rows.append([v // bden for v in acc])
-    return rows
-
-
 def hecke_images_of_pair(space, c, d, n):
     """Sum of symbol projections of (c, d) . M over Merel's X_n."""
     nlev = space.level
@@ -107,10 +93,10 @@ def hecke_operator(space, n):
 
     def build():
         gd = space.group
-        images = [
+        rows = [
             hecke_images_of_pair(space, *gd.symbols[j], n) for j in space.free_symbols
         ]
-        return OperatorMatrix(space, f"T_{n}", _matrix_from_symbol_images(space, images))
+        return OperatorMatrix(space, f"T_{n}", rows)
 
     return space.memo(("T", n), build)
 
@@ -124,11 +110,11 @@ def diamond_operator(space, u):
 
     def build():
         gd = space.group
-        images = []
+        rows = []
         for j in space.free_symbols:
             c, d = gd.symbols[j]
-            images.append(list(space.symbol_vector(u * c, u * d)))
-        return OperatorMatrix(space, f"<{u}>", _matrix_from_symbol_images(space, images))
+            rows.append(list(space.symbol_vector(u * c, u * d)))
+        return OperatorMatrix(space, f"<{u}>", rows)
 
     return space.memo(("D", u), build)
 
@@ -136,11 +122,11 @@ def diamond_operator(space, u):
 def star_matrix(space):
     """Complex conjugation on symbols: (c, d) -> (-c, d)."""
     gd = space.group
-    images = []
+    rows = []
     for j in space.free_symbols:
         c, d = gd.symbols[j]
-        images.append(list(space.symbol_vector(-c, d)))
-    return _matrix_from_symbol_images(space, images)
+        rows.append(list(space.symbol_vector(-c, d)))
+    return rows
 
 
 def star_involution(space):
@@ -174,15 +160,15 @@ def gl2q_action(space, g2):
     """Action of an integer matrix g (det > 0) by pushforward of paths."""
     p, q, r, s = g2
     gd = space.group
-    images = []
+    rows = []
     for j in space.free_symbols:
         c, d = gd.symbols[j]
         a, b, c0, d0 = sl2_lift(c, d, space.level)
         # gamma 0 = b/d0, gamma oo = a/c0; push forward through g
         z0 = (p * b + q * d0, r * b + s * d0)
         z1 = (p * a + q * c0, r * a + s * c0)
-        images.append(space.path_vector(z0, z1))
-    return _matrix_from_symbol_images(space, images)
+        rows.append(space.path_vector(z0, z1))
+    return rows
 
 
 def atkin_lehner_cusp_action(space, Q):

@@ -1,20 +1,24 @@
-"""Built modular symbol spaces: integral coordinates, boundary, lattices.
+"""Built modular symbol spaces: coordinates, boundary, lattices.
 
-A ModSymSpace carries the solved presentation on an integral basis (the
-symbol lattice is exactly Z^dim), the boundary map to the cusp divisor
-space, the cuspidal sublattice S = ker(boundary), the integral homology
-(S itself, already saturated), and the star-plus sublattice.  All operator
-matrices produced from it are integer matrices acting on row vectors.
+A ModSymSpace carries the solved presentation: its free Manin symbols are
+a Z-basis of the symbol lattice (every elimination pivot is +-1, see
+presentation.py), so symbol projections are integer vectors and the
+lattice is exactly Z^dim.  On that basis it holds the boundary map to the
+cusp divisor space, whose rows are the boundaries of the free symbols, the
+cuspidal sublattice S = ker(boundary), which is the integral homology
+H1(X, Z), and the star-plus sublattice.  All operator matrices produced
+from it are integer matrices acting on row vectors: their rows are the
+images of the free symbols.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from ..intlinalg import kernel_basis, transpose, vec_mat
+from ..intlinalg import kernel_basis, transpose
 from ..lattice import Lattice
 from .groups import GroupData, sl2_lift
-from .presentation import Presentation
+from .presentation import solve_presentation
 
 MAX_SYMBOLS = 60000  # resource guard: refuse absurdly large presentations
 
@@ -27,39 +31,24 @@ class ModSymSpace:
             raise TypeError("pass a GroupSpec")
         from .groups import num_unit_pairs
 
-        est = num_unit_pairs(spec.level) // max(1, len(spec.hplus()) // 1)
+        est = num_unit_pairs(spec.level) // max(1, len(spec.hplus()))
         if est > max_symbols:
             raise ResourceWarning(
                 f"{spec.label()}: ~{est} Manin symbols exceeds bound {max_symbols}"
             )
         self.spec = spec
         self.group = GroupData(spec)
-        pres = Presentation(self.group)
-        self.dim = pres.dim
-        self.proj = pres.proj  # symbol index -> integer coordinate vector
-        self.free_symbols = pres.free
-        self._pres_basis = pres.lattice_basis
-        self._pres_den = pres.lattice_den
+        self.free_symbols, self.proj = solve_presentation(self.group)
+        self.dim = len(self.free_symbols)
 
         gd = self.group
         self.ncusps = gd.ncusps
         self.cusp_classes = gd.cusp_classes
 
-        # boundary of the working free symbols, then of the integral basis
-        bnd_free = [self._symbol_boundary(i) for i in pres.free]
-        den = pres.lattice_den
-        boundary = []
-        for row in pres.lattice_basis:
-            acc = vec_mat(row, bnd_free)
-            assert all(v % den == 0 for v in acc), "non-integral boundary"
-            boundary.append([v // den for v in acc])
-        self.boundary = boundary  # dim x ncusps, integer
-
-        s_rows = kernel_basis(transpose(boundary))  # {v : v @ boundary = 0}
+        # dim x ncusps, integer: the boundaries of the free symbols
+        self.boundary = [self._symbol_boundary(i) for i in self.free_symbols]
+        s_rows = kernel_basis(transpose(self.boundary))  # {v : v @ boundary = 0}
         self.cuspidal = Lattice.from_rows(s_rows, ambient=self.dim) if s_rows else Lattice(self.dim, [])
-        self.genus_from_dim = (self.dim - (gd.ncusps - 1)) // 2 if self.dim else 0
-        # integral homology H1(X, Z) = cuspidal part of the symbol lattice
-        self.homology = self.cuspidal
 
         self._memo = {}  # derived objects, see memo()
 

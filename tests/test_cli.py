@@ -41,14 +41,19 @@ def test_golden_mismatch_exit_code(tmp_path):
 
 @pytest.mark.parametrize("command", ["rank", "torsion"])
 def test_invalid_level_is_refused_before_the_sweep(command, tmp_path):
-    # 3 is odd, so no X1(2,2N) has it; nothing may be computed or printed
-    proc = run_cli(command, "x1-2-2n", "2-4", "--cache-dir", str(tmp_path))
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.strip().splitlines()) == 1
-    assert "not 3" in proc.stderr
-    assert not any(tmp_path.iterdir())
+    # 3 is odd, so no X1(2,2N) has it, and a reversed range names no level;
+    # nothing may be computed or printed
+    for kind, levels, reason in (
+        ("x1-2-2n", "2-4", "not 3"),
+        ("gamma1", "58-52", "reversed range 58-52"),
+    ):
+        proc = run_cli(command, kind, levels, "--cache-dir", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert reason in proc.stderr
+        assert not any(tmp_path.iterdir())
 
 
 def test_torsion_command_golden(tmp_path):
@@ -116,6 +121,10 @@ def test_ecscan_command():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "resource refusal" in proc.stderr
+    # a reversed range of field sizes is refused like a reversed level range
+    proc = run_cli("ecscan", "121", "25-5")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "reversed range 25-5" in proc.stderr
 
 
 def test_immersion_command():

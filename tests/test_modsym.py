@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,7 +13,9 @@ from modtors.intlinalg import (
     mat_scale,
     mat_sub,
     mat_vec,
+    vec_gcd,
     vec_mat,
+    xgcd,
 )
 from modtors.modsym import (
     GroupSpec,
@@ -23,6 +27,13 @@ from modtors.modsym import (
     merel_family,
     restrict_to_lattice,
     star_involution,
+)
+from modtors.modsym.groups import GroupData
+from modtors.modsym.presentation import (
+    eliminate,
+    sigma_pairing,
+    solve_presentation,
+    tau_relations,
 )
 
 
@@ -226,3 +237,221 @@ def test_level11_ap_oracle(p):
     tp = restrict_to_lattice(hecke_operator(sp, p).matrix, sp.cuspidal)
     assert tp[0][0] == curve11_ap(p)
     assert tp[0][1] == 0 and tp[1][0] == 0 and tp[1][1] == tp[0][0]
+
+
+# -- the rational presentation, kept as the oracle ---------------------------
+#
+# The route modtors took before the unit-pivot argument: fraction-free
+# elimination with Fraction back substitution, then an integral change of
+# coordinates onto the lattice spanned by all symbol projections.
+
+
+def _fraction_eliminate(rows, variables):
+    """Sparse fraction-free elimination.
+
+    rows: list of {var: int}; variables: iterable of all variable ids.
+    Returns (free_vars, expressions) where expressions maps each pivot var
+    to a {free_var: Fraction} expansion.
+    """
+    rows = [dict(r) for r in rows]
+    col_rows = {}
+    for ridx, row in enumerate(rows):
+        for v in row:
+            col_rows.setdefault(v, set()).add(ridx)
+    active = set(range(len(rows)))
+    elim_order = []  # (var, row dict at elimination time)
+    pivoted = set()
+
+    while active:
+        # pick the shortest active row; among its entries prefer unit
+        # coefficients and low column usage
+        ridx = min(active, key=lambda r: (len(rows[r]), r))
+        row = rows[ridx]
+        if not row:
+            active.discard(ridx)
+            continue
+        var = min(
+            row,
+            key=lambda v: (abs(row[v]) != 1, len(col_rows.get(v, ())), v),
+        )
+        a = row[var]
+        users = [r for r in col_rows.get(var, ()) if r != ridx and r in active]
+        for r in users:
+            other = rows[r]
+            b = other.pop(var)
+            col_rows[var].discard(r)
+            g = gcd(a, b)
+            ca, cb = a // g, b // g
+            # other := ca * other - cb * row
+            for v, c0 in row.items():
+                if v == var:
+                    continue
+                nv = ca * other.get(v, 0) - cb * c0
+                if nv:
+                    if v not in other:
+                        col_rows.setdefault(v, set()).add(r)
+                    other[v] = nv
+                elif v in other:
+                    del other[v]
+                    col_rows[v].discard(r)
+            if ca != 1:
+                for v in [w for w in other if w not in row]:
+                    other[v] *= ca
+            if other:
+                g2 = vec_gcd(list(other.values()))
+                if g2 > 1:
+                    for v in other:
+                        other[v] //= g2
+            else:
+                active.discard(r)
+        elim_order.append((var, row))
+        pivoted.add(var)
+        active.discard(ridx)
+        for v in row:
+            col_rows.get(v, set()).discard(ridx)
+
+    free = [v for v in variables if v not in pivoted]
+    free_pos = {v: k for k, v in enumerate(free)}
+
+    expressions = {}
+    for var, row in reversed(elim_order):
+        a = row[var]
+        expr = {}
+        for v, c0 in row.items():
+            if v == var:
+                continue
+            coef = Fraction(-c0, a)
+            if v in free_pos:
+                expr[v] = expr.get(v, Fraction(0)) + coef
+            else:
+                for w, c1 in expressions[v].items():
+                    expr[w] = expr.get(w, Fraction(0)) + coef * c1
+        expressions[var] = {v: c0 for v, c0 in expr.items() if c0}
+    return free, expressions
+
+
+def _rewrite_integral(dim, proj_q):
+    """Change coordinates so the symbol lattice is exactly Z^dim.
+
+    Returns (basis, den, proj): M_Z = span_Z(basis) / den in the free-symbol
+    coordinates, and every symbol's coordinates on that basis.
+    """
+    den = 1
+    for row in proj_q:
+        for c in row.values():
+            den = den * c.denominator // gcd(den, c.denominator)
+    # lattice spanned by all symbol projections (contains the unit
+    # vectors, since free symbols project to themselves)
+    basis = [[den if i == j else 0 for j in range(dim)] for i in range(dim)]
+
+    def reduce_vec(vec):
+        for i in range(dim):
+            x = vec[i]
+            if x % basis[i][i]:
+                return vec, i
+            q = x // basis[i][i]
+            if q:
+                for j in range(i, dim):
+                    vec[j] -= q * basis[i][j]
+        return vec, None
+
+    for row in proj_q:
+        if not row:
+            continue
+        vec = [0] * dim
+        for j, c in row.items():
+            vec[j] = int(c * den)
+        while True:
+            vec, stuck = reduce_vec(vec)
+            if stuck is None:
+                break
+            # extend the lattice at pivot `stuck` by gcd-combination
+            a = basis[stuck][stuck]
+            b = vec[stuck]
+            g, s, t = xgcd(a, b)
+            newrow = [s * basis[stuck][j] + t * vec[j] for j in range(dim)]
+            vec = [
+                (a // g) * vec[j] - (b // g) * basis[stuck][j] for j in range(dim)
+            ]
+            basis[stuck] = newrow
+    # normalize: reduce entries above pivots
+    for i in range(dim - 1, -1, -1):
+        for k in range(i + 1, dim):
+            q = basis[i][k] // basis[k][k]
+            if q:
+                for j in range(k, dim):
+                    basis[i][j] -= q * basis[k][j]
+
+    # coordinates of every symbol on the lattice basis (exact forward
+    # substitution; B is upper triangular with full pivot set)
+    diag = [basis[i][i] for i in range(dim)]
+    proj = []
+    for row in proj_q:
+        if not row:
+            proj.append([0] * dim)
+            continue
+        w = [0] * dim
+        for j, c in row.items():
+            w[j] = int(c * den)
+        x = [0] * dim
+        for i in range(dim):
+            if w[i] == 0:
+                continue
+            q, r = divmod(w[i], diag[i])
+            assert r == 0, "projection outside integral lattice"
+            if q:
+                x[i] = q
+                for j in range(i, dim):
+                    w[j] -= q * basis[i][j]
+        assert not any(w)
+        proj.append(x)
+    return basis, den, proj
+
+
+def _rational_presentation(gd):
+    """(free, basis, den, proj) by the rational route."""
+    rep, sign, zero = sigma_pairing(gd)
+    variables = [i for i in range(gd.nsym) if not zero[i] and rep[i] == i]
+    rows = tau_relations(gd, rep, sign, zero)
+    free, expressions = _fraction_eliminate(rows, variables)
+    free_pos = {v: k for k, v in enumerate(free)}
+    proj_q = []
+    for i in range(gd.nsym):
+        if zero[i]:
+            proj_q.append({})
+            continue
+        r, s = rep[i], sign[i]
+        if r in free_pos:
+            proj_q.append({free_pos[r]: Fraction(s)})
+        else:
+            proj_q.append({free_pos[v]: s * c for v, c in expressions[r].items()})
+    return (free, *_rewrite_integral(len(free), proj_q))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        *(GroupSpec.gamma0(n) for n in (5, 7, 13, 25, 49, 65)),
+        GroupSpec.gamma1(13),
+        GroupSpec.gamma1(29),
+        GroupSpec.x1_2_2n(9),
+        GroupSpec.gammaH(45, (1, 4, 16, 19, 31, 34)),
+    ],
+    ids=lambda spec: spec.label(),
+)
+def test_free_symbols_are_a_z_basis(spec):
+    # levels with sigma-fixed symbols (5, 13, 25, 65) and tau-fixed ones
+    # (7, 13, 49): the rational route finds the lattice spanned by all
+    # symbol projections to be Z^dim on the free symbols, and agrees with
+    # the unit-pivot elimination
+    gd = GroupData(spec)
+    free, basis, den, proj = _rational_presentation(gd)
+    assert den == 1
+    assert basis == identity(len(free))
+    assert (free, proj) == solve_presentation(gd)
+
+
+def test_eliminate_refuses_a_non_unit_pivot():
+    # x0 + x1 = 0 leaves x0 - x1 = 0 as -2 x1 = 0
+    with pytest.raises(ArithmeticError):
+        eliminate([{0: 1, 1: 1}, {0: 1, 1: -1}], [0, 1])
