@@ -83,7 +83,7 @@ class RankZeroQuotient:
 def cuspidal_span(space, vecs):
     """Integer vectors spanning the integer combinations of vecs that the
     boundary map kills."""
-    dv = [vec_mat(v, space.boundary) for v in vecs]
+    dv = [space.boundary_image(v) for v in vecs]
     ker = kernel_basis(transpose(dv)) if vecs else []  # {x : x @ dv = 0}
     return [vec_mat(x, vecs) for x in ker]
 

@@ -243,7 +243,7 @@ def _certify_rank_zero(space, kept_vecs, g):
     it maps the kernel of x |-> x V d, of dimension k - rank_Q(V d), onto
     span V cap ker d.  V d is a small k x c integer matrix.
     """
-    dv = [vec_mat(v, space.boundary) for v in kept_vecs]
+    dv = [space.boundary_image(v) for v in kept_vecs]
     return len(kept_vecs) - rank_rational(dv) >= g
 
 
@@ -587,7 +587,7 @@ class ManinDrinfeldProjector:
             raise ValueError("divisor not in the boundary image lattice")
         gammas = [vec_mat(x, u) for x in lifts]
         images = [vec_mat(gm, t) for gm in gammas]
-        r = [vec_mat(w, bnd)[: c - 1] for w in images]
+        r = [space.boundary_image(w)[: c - 1] for w in images]
         z = [s.solve([a - b for a, b in zip(w, vec_mat(row, gammas))], s.den)
              for w, row in zip(images, r)]
         self.phi, self.den = _solve_sylvester(restrict_to_lattice(t, s), r, z)
@@ -774,7 +774,8 @@ def _class_group(space, model):
     target = Lattice(g2, [[proj.den if i == j else 0 for j in range(g2)] for i in range(g2)], 1)
     l_prin = Lattice.standard(c - 1).preimage(proj.phi, target)
     # cross-check: Div^0 / principal must reproduce Cl^cc
-    assert lattice_torsion_quotient(l_prin, Lattice.standard(c - 1)) == clcc
+    if lattice_torsion_quotient(l_prin, Lattice.standard(c - 1)) != clcc:
+        raise ArithmeticError(f"{space.spec.label()}: Div^0 / principal does not reproduce Cl^cc")
 
     # Galois structure
     gens = unit_group_gens(space.level)

@@ -1,12 +1,13 @@
 """Lattices in Q^n: finitely generated subgroups of Q^n of full or partial rank.
 
 A Lattice is stored as an integer basis matrix over a positive denominator,
-normalized to row Hermite form, so equal lattices compare equal.  These are
+normalized to row Hermite form, so equal lattices compare equal.  The pivot
+column of each basis row is found once, when the lattice is built.  These are
 the workhorses behind torsion quotients, Hecke-kernel bounds and cuspidal
 class groups.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 from .abgroup import FinAbGroup
 from .intlinalg import (
@@ -22,7 +23,7 @@ from .intlinalg import (
 class Lattice:
     """Subgroup of Q^n spanned by basis rows / den, in Hermite normal form."""
 
-    __slots__ = ("ambient", "basis", "den")
+    __slots__ = ("ambient", "basis", "den", "pivots")
 
     def __init__(self, ambient, rows, den=1, normalize=True):
         if den <= 0:
@@ -41,6 +42,8 @@ class Lattice:
             h = rows
         self.basis = h
         self.den = den
+        # first nonzero column of each row (None for a zero row)
+        self.pivots = [next((k for k, x in enumerate(r) if x), None) for r in h]
 
     @classmethod
     def standard(cls, n):
@@ -71,21 +74,7 @@ class Lattice:
 
     def contains(self, vec, den=1):
         """Membership of the rational vector vec/den."""
-        # vec/den in L  <=>  vec * (self.den/den) in span_Z(basis)
-        t = self.den
-        target = [x * t for x in vec]
-        if any(x % den for x in target):
-            return False
-        target = [x // den for x in target]
-        for row in self.basis:
-            j = next((k for k, x in enumerate(row) if x), None)
-            if j is None:
-                continue
-            if target[j] % row[j] == 0:
-                q = target[j] // row[j]
-                if q:
-                    target = [x - q * y for x, y in zip(target, row)]
-        return not any(target)
+        return self.solve(vec, den) is not None
 
     def contains_lattice(self, other):
         if self.ambient != other.ambient:
@@ -147,16 +136,15 @@ class Lattice:
     def solve(self, vec, den=1):
         """Integer coordinates x with x @ basis = vec * self.den/den, or None.
 
-        Uses the stored Hermite form directly (pivots ascending), so each
-        call is a single back-substitution pass.
+        Uses the stored Hermite form and its cached pivots (ascending), so
+        each call is a single back-substitution pass.
         """
         t = [x * self.den for x in vec]
         if any(x % den for x in t):
             return None
         t = [x // den for x in t]
         x = [0] * len(self.basis)
-        for i, row in enumerate(self.basis):
-            j = next((k for k, v in enumerate(row) if v), None)
+        for i, (row, j) in enumerate(zip(self.basis, self.pivots)):
             if j is None:
                 continue
             q, r = divmod(t[j], row[j])
@@ -203,10 +191,6 @@ class Lattice:
         if not coords:
             return FinAbGroup([])
         return FinAbGroup(elementary_divisors(coords))
-
-
-def lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 def lattice_torsion_quotient(sub, over):

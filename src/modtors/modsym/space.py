@@ -9,15 +9,24 @@ cuspidal sublattice S = ker(boundary), which is the integral homology
 H1(X, Z), and the star-plus sublattice.  All operator matrices produced
 from it are integer matrices acting on row vectors: their rows are the
 images of the free symbols.
+
+The boundary of a Manin symbol is (head cusp) - (tail cusp), or 0 when the
+two cusps agree, so the boundary map is the incidence matrix of a directed
+graph on the cusps with one edge per free symbol.  S is that graph's cycle
+lattice: `fundamental_cycles` reads a Z-basis of it, already in row
+Hermite form, off a spanning forest, with no integer elimination.  S+ is
+the saturated kernel of Sigma - I on S's own 2g coordinates, Sigma the
+star map restricted to S.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from ..intlinalg import kernel_basis, transpose
+from ..intlinalg import kernel_basis, transpose, vec_mat
 from ..lattice import Lattice
 from .groups import GroupData, sl2_lift
+from .operators import restrict_to_lattice, star_matrix
 from .presentation import solve_presentation
 
 MAX_SYMBOLS = 60000  # resource guard: refuse absurdly large presentations
@@ -45,10 +54,15 @@ class ModSymSpace:
         self.ncusps = gd.ncusps
         self.cusp_classes = gd.cusp_classes
 
+        # the boundary of free symbol i is edges[i] = (head, tail): the
+        # divisor (head) - (tail), zero for a loop head == tail
+        self.edges = [self._symbol_edge(i) for i in self.free_symbols]
         # dim x ncusps, integer: the boundaries of the free symbols
-        self.boundary = [self._symbol_boundary(i) for i in self.free_symbols]
-        s_rows = kernel_basis(transpose(self.boundary))  # {v : v @ boundary = 0}
-        self.cuspidal = Lattice.from_rows(s_rows, ambient=self.dim) if s_rows else Lattice(self.dim, [])
+        self.boundary = [[(k == head) - (k == tail) for k in range(self.ncusps)]
+                         for head, tail in self.edges]
+        # S = {v : v @ boundary = 0}; the cycle rows are its Hermite form
+        self.cuspidal = Lattice(self.dim, fundamental_cycles(self.edges, self.ncusps),
+                                normalize=False)
 
         self._memo = {}  # derived objects, see memo()
 
@@ -91,14 +105,26 @@ class ModSymSpace:
         """The class of the path {0, oo}: the Manin symbol of the identity."""
         return list(self.symbol_vector(0, 1))
 
-    def _symbol_boundary(self, sym_idx):
-        """Boundary (gamma oo) - (gamma 0) of a Manin symbol, as divisor."""
+    def _symbol_edge(self, sym_idx):
+        """Cusp indices (head, tail) of (gamma oo, gamma 0) for a Manin
+        symbol gamma."""
         gd = self.group
         c, d = gd.symbols[sym_idx]
         a, b, c0, d0 = sl2_lift(c, d, self.level)
-        out = [0] * gd.ncusps
-        out[gd.cusp_index_of_fraction(a, c0)] += 1
-        out[gd.cusp_index_of_fraction(b, d0)] -= 1
+        return gd.cusp_index_of_fraction(a, c0), gd.cusp_index_of_fraction(b, d0)
+
+    def _symbol_boundary(self, sym_idx):
+        """Boundary (gamma oo) - (gamma 0) of a Manin symbol, as divisor."""
+        head, tail = self._symbol_edge(sym_idx)
+        return [(k == head) - (k == tail) for k in range(self.ncusps)]
+
+    def boundary_image(self, v):
+        """v @ boundary, read off the edge list in O(dim)."""
+        out = [0] * self.ncusps
+        for x, (head, tail) in zip(v, self.edges):
+            if x:
+                out[head] += x
+                out[tail] -= x
         return out
 
     # -- paths --------------------------------------------------------------
@@ -173,26 +199,81 @@ class ModSymSpace:
         return self._memo[key]
 
     def star_matrix(self):
-        from .operators import star_matrix
-
         return self.memo("star", lambda: star_matrix(self))
 
     def plus_cuspidal(self):
-        """Saturated lattice S+ = cuspidal vectors fixed by the star map."""
+        """Saturated lattice S+ = cuspidal vectors fixed by the star map.
+
+        With Sigma the 2g x 2g matrix of star on S's basis B, S+ is
+        {x B : x (Sigma - I) = 0}; x runs over a saturated kernel and B is a
+        Z-basis of the saturated S, so S+ is saturated too.
+        """
 
         def build():
-            star = self.star_matrix()
-            stacked = [
-                row_b + [x - (1 if i == j else 0) for j, x in enumerate(row_s)]
-                for i, (row_b, row_s) in enumerate(zip(self.boundary, star))
-            ]
-            rows = kernel_basis(transpose(stacked))
-            return Lattice.from_rows(rows, ambient=self.dim) if rows else Lattice(self.dim, [])
+            s = self.cuspidal
+            sigma = restrict_to_lattice(self.star_matrix(), s)
+            fixed = kernel_basis([
+                [x - (1 if i == j else 0) for i, x in enumerate(col)]
+                for j, col in enumerate(transpose(sigma))
+            ])  # {x : x @ (sigma - I) = 0}
+            return Lattice(self.dim, [vec_mat(x, s.basis) for x in fixed])
 
         return self.memo("plus", build)
 
     def __repr__(self):
         return f"ModSymSpace({self.spec.label()}, dim {self.dim})"
+
+
+def fundamental_cycles(edges, nvertices):
+    """Z-basis of the cycle lattice {x : x @ incidence = 0} of the directed
+    graph with edges[i] = (head, tail), as rows in row Hermite form.
+
+    A spanning forest grows from the last edge to the first (Kruskal's
+    order); an edge whose ends the forest already joins is a chord.  The
+    row of chord e is its fundamental cycle: +1 at e, and +-1 along the
+    forest path from head back to tail, which uses only edges after e.  A
+    chord lies in no other cycle, so each row has pivot 1 at its chord and
+    every other row is 0 there: the rows, by ascending chord, are their own
+    Hermite form.  They span every integer cycle x, since x minus the sum
+    of x_e times the cycle of chord e is a cycle on the forest, hence 0.  A
+    loop (head == tail) is a chord whose cycle is itself.
+    """
+    forest = [[] for _ in range(nvertices)]  # (neighbour, edge, sign of the step)
+    rows = []
+    for e in range(len(edges) - 1, -1, -1):
+        head, tail = edges[e]
+        path = _forest_path(forest, head, tail)
+        if path is None:
+            forest[head].append((tail, e, -1))
+            forest[tail].append((head, e, 1))
+        else:
+            row = [0] * len(edges)
+            row[e] = 1
+            for f, sign in path:
+                row[f] = sign
+            rows.append(row)
+    return rows[::-1]
+
+
+def _forest_path(forest, a, b):
+    """The edges (index, sign) of the forest path from a to b, or None when
+    a and b lie in different trees; the sign is +1 where the path runs from
+    an edge's tail to its head."""
+    back = {a: None}
+    stack = [a]
+    while stack:
+        v = stack.pop()
+        if v == b:
+            path = []
+            while back[v] is not None:
+                v, f, sign = back[v]
+                path.append((f, sign))
+            return path
+        for w, f, sign in forest[v]:
+            if w not in back:
+                back[w] = (v, f, sign)
+                stack.append(w)
+    return None
 
 
 _SPACE_CACHE = {}
@@ -207,13 +288,11 @@ def build_space(spec, cache=True, max_symbols=MAX_SYMBOLS):
     space = ModSymSpace(spec, max_symbols=max_symbols)
     # dimension identity: dim = 2 g + #cusps - 1
     g = space.genus()
-    assert space.dim == 2 * g + space.ncusps - 1, (
-        spec.label(),
-        space.dim,
-        g,
-        space.ncusps,
-    )
-    assert space.cuspidal.rank == 2 * g
+    if space.dim != 2 * g + space.ncusps - 1:
+        raise ArithmeticError(f"{spec.label()}: dim {space.dim} != 2 g + c - 1 "
+                              f"with g = {g}, c = {space.ncusps}")
+    if space.cuspidal.rank != 2 * g:
+        raise ArithmeticError(f"{spec.label()}: cuspidal rank {space.cuspidal.rank} != 2 g = {2 * g}")
     if cache:
         _SPACE_CACHE[key] = space
     return space

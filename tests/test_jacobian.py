@@ -134,6 +134,41 @@ def test_rank_certificates(spec, verdict, span):
         assert cert.span_dim == cert.plus_dim
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec.gamma0(11),
+        GroupSpec.gamma0(30),
+        GroupSpec.gamma1(13),
+        GroupSpec.x1_2_2n(13),
+        GroupSpec.x1_2_2n(14),
+    ],
+    ids=lambda s: s.label(),
+)
+def test_edge_list_boundary_of_kept_winding_vectors(spec):
+    # the rank-zero levels of test_rank_certificates: V d from the edge list
+    # equals the dense product with the boundary matrix
+    from modtors.intlinalg import MODP, vec_mat
+
+    sp = build_space(spec)
+    _, kept, _, _ = jacobian.winding_span_mod_p(sp, sturm_bound(sp.spec), MODP)
+    assert kept
+    for v in kept:
+        assert sp.boundary_image(v) == vec_mat(v, sp.boundary)
+
+
+def test_class_group_cross_check_raises(monkeypatch):
+    # a wrong class lattice breaks Div^0 / principal = Cl^cc, and the check
+    # raises ArithmeticError rather than a bare assert python -O would strip
+    from modtors.modsym.space import ModSymSpace
+
+    class_lattice = jacobian._class_lattice
+    monkeypatch.setattr(jacobian, "_class_lattice",
+                        lambda space, divs: class_lattice(space, divs).scale(1, 2))
+    with pytest.raises(ArithmeticError, match="Cl\\^cc"):
+        cuspidal_class_group(ModSymSpace(GroupSpec.gamma1(13)))
+
+
 def _cuspidal_span_rank_zero(sp, kept, g):
     """The former rank-zero certificate (the reference route): an integer
     basis of span V cap ker d, whose rank is checked mod three primes and

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from modtors.abgroup import FinAbGroup
-from modtors.intlinalg import det_bareiss, identity
+from modtors.intlinalg import det_bareiss, hnf, identity, vec_mat
 from modtors.lattice import Lattice, lattice_torsion_quotient
 
 
@@ -114,3 +114,71 @@ def test_solve_coordinates():
     got = [sum(xi * r[j] for xi, r in zip(x, rows)) for j in range(2)]
     assert got == [4, 12]
     assert l.solve([1, 0]) is None
+
+
+def _rescanning_solve(lat, vec, den=1):
+    """Lattice.solve as it was before the pivot cache: each row's pivot is
+    found by a fresh scan on every call."""
+    t = [x * lat.den for x in vec]
+    if any(x % den for x in t):
+        return None
+    t = [x // den for x in t]
+    x = [0] * len(lat.basis)
+    for i, row in enumerate(lat.basis):
+        j = next((k for k, v in enumerate(row) if v), None)
+        if j is None:
+            continue
+        q, r = divmod(t[j], row[j])
+        if r:
+            return None
+        if q:
+            x[i] = q
+            t = [a - q * b for a, b in zip(t, row)]
+    return None if any(t) else x
+
+
+def _rescanning_contains(lat, vec, den=1):
+    target = [x * lat.den for x in vec]
+    if any(x % den for x in target):
+        return False
+    target = [x // den for x in target]
+    for row in lat.basis:
+        j = next((k for k, x in enumerate(row) if x), None)
+        if j is not None and target[j] % row[j] == 0:
+            q = target[j] // row[j]
+            target = [x - q * y for x, y in zip(target, row)]
+    return not any(target)
+
+
+def _pivot_cache_cases(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(1, n + 2))]
+    yield Lattice(n, rows, rng.randint(1, 4))  # random, normalized to HNF
+    yield Lattice(n, hnf(rows), normalize=False)  # hnf output taken as is
+    yield Lattice.standard(n)
+    yield Lattice(n, [])  # rank 0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_solve_and_contains_with_cached_pivots(seed):
+    rng = random.Random(100 + seed)
+    for lat in _pivot_cache_cases(seed):
+        n = lat.ambient
+        vecs = []
+        for _ in range(6):
+            coeffs = [rng.randint(-5, 5) for _ in lat.basis]
+            member = vec_mat(coeffs, lat.basis) if lat.basis else [0] * n
+            d = rng.randint(1, 3)
+            vecs.append((member, lat.den))  # a member
+            vecs.append(([x * d for x in member], lat.den * d))  # the same, scaled
+            vecs.append(([rng.randint(-9, 9) for _ in range(n)], 1))  # mostly not
+            vecs.append(([rng.randint(-9, 9) for _ in range(n)], rng.randint(2, 5)))  # non-integral
+        assert lat.contains(*vecs[0])
+        for vec, den in vecs:
+            x = lat.solve(vec, den)
+            assert x == _rescanning_solve(lat, vec, den)
+            assert lat.contains(vec, den) == _rescanning_contains(lat, vec, den)
+            if x is not None:  # x @ basis = vec * lat.den / den
+                got = [sum(c * r[j] for c, r in zip(x, lat.basis)) for j in range(n)]
+                assert [y * den for y in got] == [v * lat.den for v in vec]

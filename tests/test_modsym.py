@@ -9,14 +9,17 @@ from modtors.cusps import cusp_count_X0, cusp_count_X1
 from modtors.intlinalg import (
     identity,
     is_zero_mat,
+    kernel_basis,
     mat_mul,
     mat_scale,
     mat_sub,
     mat_vec,
+    transpose,
     vec_gcd,
     vec_mat,
     xgcd,
 )
+from modtors.lattice import Lattice
 from modtors.modsym import (
     GroupSpec,
     atkin_lehner,
@@ -35,6 +38,8 @@ from modtors.modsym.presentation import (
     solve_presentation,
     tau_relations,
 )
+from modtors.modsym import space as space_module
+from modtors.modsym.space import ModSymSpace, fundamental_cycles
 
 
 @pytest.mark.parametrize(
@@ -455,3 +460,70 @@ def test_eliminate_refuses_a_non_unit_pivot():
     # x0 + x1 = 0 leaves x0 - x1 = 0 as -2 x1 = 0
     with pytest.raises(ArithmeticError):
         eliminate([{0: 1, 1: 1}, {0: 1, 1: -1}], [0, 1])
+
+
+def _cuspidal_oracle(sp):
+    """S = ker(boundary) by a general HNF kernel (the former route)."""
+    return Lattice(sp.dim, kernel_basis(transpose(sp.boundary)))
+
+
+def _plus_cuspidal_oracle(sp):
+    """S+ as the kernel of the stacked block [boundary | star - I] (the
+    former route)."""
+    stacked = [
+        row_b + [x - (1 if i == j else 0) for j, x in enumerate(row_s)]
+        for i, (row_b, row_s) in enumerate(zip(sp.boundary, sp.star_matrix()))
+    ]
+    return Lattice(sp.dim, kernel_basis(transpose(stacked)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        *(GroupSpec.gamma0(n) for n in (11, 37, 97)),
+        *(GroupSpec.gamma1(n) for n in (13, 29, 37, 45, 53, 57)),
+        GroupSpec.x1_2_2n(9),
+        GroupSpec.x1_2_2n(19),
+        GroupSpec.gammaH(45, (1, 4, 16, 19, 31, 34)),
+        GroupSpec.gamma1(10),  # genus 0: S is empty
+    ],
+    ids=lambda spec: spec.label(),
+)
+def test_cuspidal_lattices_match_kernel_oracle(spec):
+    sp = build_space(spec)
+    assert sp.cuspidal == _cuspidal_oracle(sp)
+    assert sp.plus_cuspidal() == _plus_cuspidal_oracle(sp)
+    assert sp.plus_cuspidal().rank == sp.genus()
+    # the fundamental cycles as built are already their own Hermite form
+    rows = fundamental_cycles(sp.edges, sp.ncusps)
+    assert Lattice(sp.dim, rows, normalize=False) == Lattice(sp.dim, rows)
+    assert sp.boundary == [sp._symbol_boundary(i) for i in sp.free_symbols]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fundamental_cycles_of_random_graphs(seed):
+    # loops, parallel edges and several components included
+    rng = random.Random(seed)
+    nv = rng.randint(1, 7)
+    edges = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 14))]
+    incidence = [[(v == h) - (v == t) for v in range(nv)] for h, t in edges]
+    rows = fundamental_cycles(edges, nv)
+    for row in rows:
+        assert not any(vec_mat(row, incidence))
+    expect = Lattice(len(edges), kernel_basis(transpose(incidence)) if edges else [])
+    assert Lattice(len(edges), rows, normalize=False) == expect
+
+
+def test_build_space_checks_survive_optimized_mode(monkeypatch):
+    # the dimension identity and the rank of S raise ArithmeticError rather
+    # than bare asserts, which python -O would strip
+    spec = GroupSpec.gamma1(13)
+    genus = ModSymSpace.genus
+    monkeypatch.setattr(ModSymSpace, "genus", lambda self: genus(self) + 1)
+    with pytest.raises(ArithmeticError, match="2 g"):
+        build_space(spec, cache=False)
+    monkeypatch.undo()
+    monkeypatch.setattr(space_module, "fundamental_cycles",
+                        lambda edges, nv: fundamental_cycles(edges, nv)[1:])
+    with pytest.raises(ArithmeticError, match="cuspidal rank"):
+        build_space(spec, cache=False)
