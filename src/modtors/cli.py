@@ -2,8 +2,8 @@
 finite-field scans and formal-immersion certificates.
 
 Reports are deterministic JSON (or text) embedding the tool version, the
-chosen normalization and the operator lists, so every number is
-reproducible from the report alone.  Level sweeps checkpoint each level in
+normalization of the kill operator and the operator lists, so every number
+is reproducible from the report alone.  Level sweeps checkpoint each level in
 the cache directory and resume on rerun; a level that fails is reported
 as an error record, gets no checkpoint and makes the sweep exit 1.  Golden
 mode compares against the shipped reference sets and exits 0 on match, 1
@@ -22,7 +22,6 @@ from functools import partial
 from . import __version__
 from .jacobian import (
     AUXILIARY_PRIMES_RULE,
-    DEFAULT_NORMALIZATION,
     MAX_AUXILIARY_PRIMES,
     is_rank_zero,
     torsion_report,
@@ -30,6 +29,9 @@ from .jacobian import (
 from .modsym import GroupSpec
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+# Names the kill operator T_q - q<q> - 1 (Eq. 4.1) in report headers and in
+# torsion checkpoint keys.
+NORMALIZATION = "eq41"
 
 
 def load_golden(name):
@@ -150,11 +152,11 @@ def sweep(args, command, compute, tasks, keys):
     return results
 
 
-def report_header(args, command):
+def report_header(command):
     return {
         "tool": f"modtors {__version__}",
         "command": command,
-        "normalization": getattr(args, "normalization", DEFAULT_NORMALIZATION),
+        "normalization": NORMALIZATION,
     }
 
 
@@ -168,7 +170,7 @@ def cmd_rank(args):
     if sweep_levels is None:
         return 2
     levels, specs = sweep_levels
-    report = report_header(args, "rank")
+    report = report_header("rank")
     tasks = list(zip(specs, levels))
     # "cert": the results carry their certificate fields, so results of a
     # program that did not report them are not read back
@@ -200,8 +202,8 @@ def cmd_rank(args):
 
 
 def _torsion_one(task):
-    spec, level, primes, normalization = task
-    rep = torsion_report(spec, primes=primes, normalization=normalization)
+    spec, level, primes = task
+    rep = torsion_report(spec, primes=primes)
     return rep.to_json() | {"level": level}
 
 
@@ -211,18 +213,17 @@ def cmd_torsion(args):
         return 2
     levels, specs = sweep_levels
     primes = [int(p) for p in args.primes.split(",")] if args.primes else None
-    report = report_header(args, "torsion")
+    report = report_header("torsion")
     report["primes"] = primes or (
         "per level: the two smallest good primes, then each next good prime "
         "while it strictly shrinks M_H and M_H is not inside Cl^cc, "
         f"at most {MAX_AUXILIARY_PRIMES}"
     )
-    kill = "T_q - q<q> - 1" if args.normalization == "eq41" else "T_q - <q> - q"
-    report["operators"] = [kill + " for each listed prime q", "star - 1"]
-    tasks = [(spec, n, primes, args.normalization) for spec, n in zip(specs, levels)]
+    report["operators"] = ["T_q - q<q> - 1 for each listed prime q", "star - 1"]
+    tasks = [(spec, n, primes) for spec, n in zip(specs, levels)]
     # results of the automatic choice depend on its rule
     prime_key = args.primes or f"auto-{AUXILIARY_PRIMES_RULE}"
-    keys = [f"{args.kind}-{n}-{prime_key}-{args.normalization}" for n in levels]
+    keys = [f"{args.kind}-{n}-{prime_key}-{NORMALIZATION}" for n in levels]
     try:
         results = sweep(args, "torsion", _torsion_one, tasks, keys)
     except (ResourceWarning, MemoryError) as exc:
@@ -260,7 +261,7 @@ def cmd_places(args):
     except ResourceWarning as exc:
         print(f"resource refusal: {exc}", file=sys.stderr)
         return 2
-    report = report_header(args, "places") | {
+    report = report_header("places") | {
         "level": args.level,
         "prime": args.prime,
         "places_by_degree": counts,
@@ -288,7 +289,7 @@ def cmd_ecscan(args):
             print(f"resource refusal: {exc}", file=sys.stderr)
             return 2
         results.append(row)
-    emit(report_header(args, "ecscan") | {"results": results}, args)
+    emit(report_header("ecscan") | {"results": results}, args)
     return 0
 
 
@@ -306,9 +307,7 @@ def cmd_immersion(args):
     except (ResourceWarning, MemoryError) as exc:
         print(f"resource refusal: {exc}", file=sys.stderr)
         return 2
-    report = report_header(args, "immersion") | cert
-    if not args.verbose:
-        report.pop("matrices", None)
+    report = report_header("immersion") | cert
     emit(report, args)
     if args.golden:
         return 0 if cert["all_pass"] else 1
@@ -347,11 +346,6 @@ def main(argv=None):
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--cache-dir", default=None)
-    common.add_argument(
-        "--normalization",
-        choices=("eq41", "diamondless"),
-        default=DEFAULT_NORMALIZATION,
-    )
     common.add_argument("--jobs", type=int, default=1)
     parser = argparse.ArgumentParser(
         prog="modtors",
@@ -397,7 +391,6 @@ def main(argv=None):
     p.add_argument("--rows-mode", choices=("full", "newform", "degeneracy"),
                    default="full")
     p.add_argument("--no-refine", dest="refine", action="store_false")
-    p.add_argument("--verbose", action="store_true")
     p.add_argument("--golden", action="store_true")
     p.set_defaults(func=cmd_immersion)
 

@@ -38,7 +38,7 @@ from .modsym import (
     restrict_to_lattice,
 )
 
-DEFAULT_SPLIT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+SPLIT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
 @dataclass
@@ -94,7 +94,7 @@ def _winding_span_vectors(space):
     return cuspidal_span(space, kept)
 
 
-def rank_zero_quotient(spec, split_primes=DEFAULT_SPLIT_PRIMES):
+def rank_zero_quotient(spec):
     """Hecke-isotypic decomposition of the cuspidal plus part with winding
     flags; the flagged components assemble the analytic-rank-zero quotient.
     """
@@ -110,7 +110,7 @@ def rank_zero_quotient(spec, split_primes=DEFAULT_SPLIT_PRIMES):
     comps = [[[1 if j == i else 0 for j in range(g)] for i in range(g)]]
     labels = [""]
     x = Symbol("x")
-    for q in split_primes:
+    for q in SPLIT_PRIMES:
         if n % q == 0:
             continue
         tq = restrict_to_lattice(hecke_operator(space, q).matrix, plus)
@@ -139,7 +139,7 @@ def rank_zero_quotient(spec, split_primes=DEFAULT_SPLIT_PRIMES):
     # each surviving block must be isotypic for every operator used
     for basis in comps:
         sub = Lattice.from_rows(basis, ambient=g)
-        for q in split_primes:
+        for q in SPLIT_PRIMES:
             if n % q == 0:
                 continue
             tq = restrict_to_lattice(hecke_operator(space, q).matrix, plus)

@@ -53,13 +53,6 @@ from .modsym import (
 )
 from .modsym.space import ModSymSpace
 
-# Hecke-minus-Frobenius normalizations (which operator kills rational
-# torsion depends on the model of the curve; see DEFAULT_NORMALIZATION
-# calibration in the tests)
-NORMALIZATIONS = ("eq41", "diamondless")
-DEFAULT_NORMALIZATION = "eq41"
-
-
 def _space_of(thing):
     return thing if isinstance(thing, ModSymSpace) else build_space(thing)
 
@@ -183,12 +176,14 @@ def winding_span_mod_p(space, bound, p):
     return swept, kept, s_dim, stopped_at
 
 
-def is_rank_zero(spec, p=MODP, _max_retries=3):
+def is_rank_zero(spec):
     """Decide whether J(spec)(Q) has rank zero via the winding span.
 
     Sweeps T_n {0, oo} for n up to the Sturm bound, tracking the span and
-    its boundary image mod p; the verdict is then certified exactly in
-    integer arithmetic (see module docstring).
+    its boundary image mod p, from p = MODP on; the verdict is then
+    certified exactly in integer arithmetic (see module docstring).  A
+    prime whose certificate fails is replaced by the next one, three
+    primes at most.
     """
     space = _space_of(spec)
     bound = sturm_bound(space.spec)
@@ -198,7 +193,8 @@ def is_rank_zero(spec, p=MODP, _max_retries=3):
             space.spec, "rank_zero", bound, 0, 0, {"hecke_range_used": 0}
         )
 
-    for attempt in range(_max_retries):
+    p = MODP
+    for _ in range(3):
         cert = _try_rank_certificate(space, bound, p)
         if cert is not None:
             return cert
@@ -310,42 +306,29 @@ def _certify_positive(space, kept_vecs, swept, p):
 # local orders and torsion bounds
 
 
-def frobenius_kill_operator(space, q, normalization=DEFAULT_NORMALIZATION):
-    """The operator annihilating rational torsion prime to q.
+def frobenius_kill_operator(space, q):
+    """T_q - q <q> - 1, the operator annihilating rational torsion prime to
+    q, as an integer matrix on the full space; built once per space."""
 
-    eq41:         T_q - q <q> - 1
-    diamondless:  T_q - <q> - q
-    Returned as an integer matrix on the full space.
-    """
-    if normalization not in NORMALIZATIONS:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    t = hecke_operator(space, q).matrix
-    d = diamond_operator(space, q).matrix
-    n = space.dim
-    out = [row[:] for row in t]
-    if normalization == "eq41":
-        for i in range(n):
-            for j in range(n):
-                out[i][j] -= q * d[i][j]
+    def build():
+        t = hecke_operator(space, q).matrix
+        d = diamond_operator(space, q).matrix
+        out = [[a - q * b for a, b in zip(trow, drow)] for trow, drow in zip(t, d)]
+        for i in range(space.dim):
             out[i][i] -= 1
-    else:
-        for i in range(n):
-            for j in range(n):
-                out[i][j] -= d[i][j]
-            out[i][i] -= q
-    return out
+        return out
+
+    return space.memo(("kill", q), build)
 
 
-def jacobian_order_mod_p(spec, p, normalization=DEFAULT_NORMALIZATION):
+def jacobian_order_mod_p(spec, p):
     """#J(F_p) = |det(1 + p <p> - T_p)| on the cuspidal plus part."""
     space = _space_of(spec)
     _check_good_prime(space, p)
     if space.genus() == 0:
         return 1
-    op = frobenius_kill_operator(space, p, normalization)
-    neg = [[-x for x in row] for row in op]  # 1 + p<p> - T_p (sign-free det)
-    plus = space.plus_cuspidal()
-    r = restrict_to_lattice(neg, plus)
+    # the kill operator is -(1 + p <p> - T_p); |det| does not see the sign
+    r = restrict_to_lattice(frobenius_kill_operator(space, p), space.plus_cuspidal())
     return abs(det_bareiss(r))
 
 
@@ -371,7 +354,7 @@ def good_primes(level, count, start=3):
     return out
 
 
-def torsion_multiple(spec, primes=None, normalization=DEFAULT_NORMALIZATION):
+def torsion_multiple(spec, primes=None):
     """gcd of #J(F_p) over the given good primes (by default the two
     smallest, good_primes(N, 2))."""
     space = _space_of(spec)
@@ -381,7 +364,7 @@ def torsion_multiple(spec, primes=None, normalization=DEFAULT_NORMALIZATION):
         raise ValueError("empty prime list")
     out = 0
     for p in primes:
-        out = gcd(out, jacobian_order_mod_p(space, p, normalization))
+        out = gcd(out, jacobian_order_mod_p(space, p))
     return out
 
 
@@ -404,7 +387,7 @@ class AuxiliaryPrimes:
     capped: bool = False
 
 
-def auxiliary_primes(spec, normalization=DEFAULT_NORMALIZATION):
+def auxiliary_primes(spec):
     """The default auxiliary primes of the Hecke bound M_H for one level.
 
     Starts from the two smallest good primes, good_primes(N, 2), and adds
@@ -414,14 +397,14 @@ def auxiliary_primes(spec, normalization=DEFAULT_NORMALIZATION):
     MAX_AUXILIARY_PRIMES primes.  Each added prime only intersects M_H with
     one more kernel, so M_H stays an upper bound for the rational torsion,
     and the kernels already computed are not rebuilt.  The choice is
-    memoised on the space, keyed by the normalization and the cap.
+    memoised on the space, keyed by the cap.
     """
     space = _space_of(spec)
     cap = MAX_AUXILIARY_PRIMES
 
     def build():
         primes = good_primes(space.level, 2)
-        lat, _ = hecke_kernel_lattice(space, primes, normalization)
+        lat, _ = hecke_kernel_lattice(space, primes)
         if lat.ambient == 0:
             return AuxiliaryPrimes(primes, lat)
         cc = cuspidal_class_group(space)
@@ -429,7 +412,7 @@ def auxiliary_primes(spec, normalization=DEFAULT_NORMALIZATION):
             if len(primes) == cap:
                 return AuxiliaryPrimes(primes, lat, capped=True)
             q = good_primes(space.level, 1, start=primes[-1] + 1)[0]
-            a = _restricted_kill_operator(space, q, normalization)
+            a = _restricted_kill_operator(space, q)
             smaller = lat.preimage(a, Lattice.standard(lat.ambient))
             if smaller == lat:
                 break
@@ -437,36 +420,34 @@ def auxiliary_primes(spec, normalization=DEFAULT_NORMALIZATION):
             lat = smaller
         return AuxiliaryPrimes(primes, lat)
 
-    return space.memo(("auxiliary primes", normalization, cap), build)
+    return space.memo(("auxiliary primes", cap), build)
 
 
-def _restricted_kill_operator(space, q, normalization):
-    return restrict_to_lattice(
-        frobenius_kill_operator(space, q, normalization), space.cuspidal
-    )
+def _restricted_kill_operator(space, q):
+    return restrict_to_lattice(frobenius_kill_operator(space, q), space.cuspidal)
 
 
-def hecke_kernel_lattice(spec, primes=None, normalization=DEFAULT_NORMALIZATION):
+def hecke_kernel_lattice(spec, primes=None):
     """The kernel bound M_H of Eq-4.1 type as a lattice over the cuspidal
     basis: elements of H1(Q)/H1(Z) killed by every T_q - q<q> - 1 and by
     star - 1.  Returns (L, space) with M_H = L / Z^(2g).
 
     An explicit `primes` list (at least two good primes) is used exactly as
     given.  With primes=None the primes are chosen by `auxiliary_primes`.
-    The lattice is memoised on the space, keyed by primes and normalization.
+    The lattice is memoised on the space, keyed by the primes.
     """
     space = _space_of(spec)
     if primes is None:
-        return auxiliary_primes(space, normalization).lattice, space
+        return auxiliary_primes(space).lattice, space
     if len(primes) < 2:
         raise ValueError("need at least two auxiliary primes")
     for q in primes:
         _check_good_prime(space, q)
-    key = ("kernel lattice", tuple(primes), normalization)
-    return space.memo(key, lambda: _kernel_lattice(space, primes, normalization)), space
+    key = ("kernel lattice", tuple(primes))
+    return space.memo(key, lambda: _kernel_lattice(space, primes)), space
 
 
-def _kernel_lattice(space, primes, normalization):
+def _kernel_lattice(space, primes):
     """{x : x A_q integral for every q, x (star - 1) integral}.
 
     If x A_q is integral and A_q is nonsingular, then x = (x A_q) adj(A_q)
@@ -478,7 +459,7 @@ def _kernel_lattice(space, primes, normalization):
     g2 = s.rank
     if g2 == 0:
         return Lattice.standard(0)
-    ops = [_restricted_kill_operator(space, q, normalization) for q in primes]
+    ops = [_restricted_kill_operator(space, q) for q in primes]
     m = gcd(*map(det_bareiss, ops))
     if m == 0:
         raise ArithmeticError("all Hecke kill operators singular; add primes")
@@ -492,8 +473,7 @@ def _kernel_lattice(space, primes, normalization):
     return lat
 
 
-def hecke_bound_group(spec, primes=None, normalization=DEFAULT_NORMALIZATION,
-                      sharp=True):
+def hecke_bound_group(spec, primes=None):
     """The Hecke bound M_H as a FinAbGroup, with generators.
 
     The kernel bound is intersected with the Galois-invariant part of the
@@ -507,10 +487,10 @@ def hecke_bound_group(spec, primes=None, normalization=DEFAULT_NORMALIZATION,
     the default choice of `auxiliary_primes`.
     """
     space = _space_of(spec)
-    lat, _ = hecke_kernel_lattice(space, primes, normalization)
+    lat, _ = hecke_kernel_lattice(space, primes)
     if lat.ambient == 0:
         return FinAbGroup([]), []
-    if sharp and cuspidal_class_group(space).lattice_cc.contains_lattice(lat):
+    if cuspidal_class_group(space).lattice_cc.contains_lattice(lat):
         lat = lat.intersect(clcc_invariant_class_lattice(space))
     return quotient_with_generators(Lattice.standard(lat.ambient), lat)
 
@@ -713,50 +693,36 @@ class CuspidalClassGroup:
         }
 
 
-# Which coordinate of a cusp class the cyclotomic Galois action moves.
-# A cusp class key (c, d0) with g = gcd(c, N) matches the scheme point with
-# polygon coordinate c/g and root-of-unity exponent d0 mod g; in the model
-# where the curve classifies (E, P) with P a point (x1), sigma_s raises the
-# mu-coordinate, i.e. (c, d0) -> (c, s d0); in the dual model (xmu) it acts
-# through the c-coordinate instead.
-GALOIS_MODEL = "x1"
+def galois_cusp_permutation(space, s):
+    """Permutation of cusp classes under sigma_s in Gal(Q(zeta_N)/Q).
 
-
-def galois_cusp_permutation(space, s, model=None):
-    """Permutation of cusp classes under sigma_s in Gal(Q(zeta_N)/Q)."""
-    model = model or GALOIS_MODEL
+    A cusp class key (c, d0) with g = gcd(c, N) matches the scheme point
+    with polygon coordinate c/g and root-of-unity exponent d0 mod g.  On
+    the model where the curve classifies (E, P) with P a point of order N,
+    sigma_s raises the mu-coordinate: (c, d0) -> (c, s d0).
+    """
     gd = space.group
     n = space.level
     if gcd(s, n) != 1:
         raise ValueError(f"{s} is not a unit mod {n}")
     idx = {key: i for i, key in enumerate(gd.cusp_classes)}
-    perm = []
-    for c, d in gd.cusp_classes:
-        if model == "x1":
-            key = gd.cusp_key(c, s * d)
-        elif model == "xmu":
-            key = gd.cusp_key(s * c, d)
-        else:
-            raise ValueError(f"unknown Galois model {model!r}")
-        perm.append(idx[key])
-    return perm
+    return [idx[gd.cusp_key(c, s * d)] for c, d in gd.cusp_classes]
 
 
-def cuspidal_class_group(spec, model=None):
+def cuspidal_class_group(spec):
     """Cl^cc and Cl^cc_Q of the modular curve, with the Prop-4.4 check.
 
     Works in two coordinate systems at once: divisor coordinates (to take
     Galois invariants, which are only group-linear on divisors) and
     cuspidal-basis coordinates (to compare against the Hecke bound M_H).
     Every class comes from the classes of the divisor basis d_i, solved
-    once per space; the group is memoised on the space per Galois model.
+    once per space; the group is memoised on the space.
     """
     space = _space_of(spec)
-    model = model or GALOIS_MODEL
-    return space.memo(("class group", model), lambda: _class_group(space, model))
+    return space.memo("class group", lambda: _class_group(space))
 
 
-def _class_group(space, model):
+def _class_group(space):
     g2 = space.cuspidal.rank
     c = space.ncusps
     if g2 == 0:
@@ -779,7 +745,7 @@ def _class_group(space, model):
 
     # Galois structure
     gens = unit_group_gens(space.level)
-    perms = [galois_cusp_permutation(space, s, model) for s in gens]
+    perms = [galois_cusp_permutation(space, s) for s in gens]
     orbit_of = _orbit_partition(perms, c)
     norbits = max(orbit_of) + 1
     orbit_sums = [[0] * c for _ in range(norbits)]
@@ -868,7 +834,7 @@ class TorsionReport:
     def to_json(self):
         return {
             "group": self.spec.label(),
-            "rank_verdict": self.rank.verdict if self.rank else None,
+            "rank_verdict": self.rank.verdict,
             "sturm_bound": self.sturm,
             "primes": self.primes,
             "primes_capped": self.primes_capped,
@@ -882,7 +848,7 @@ class TorsionReport:
         }
 
 
-def torsion_is_cuspidal(spec, primes=None, normalization=DEFAULT_NORMALIZATION):
+def torsion_is_cuspidal(spec, primes=None):
     """Three-stage equality test between M_H and the cuspidal classes.
 
     Returns (verdict, k, cc, stage): verdict is "equal" or
@@ -897,7 +863,7 @@ def torsion_is_cuspidal(spec, primes=None, normalization=DEFAULT_NORMALIZATION):
     """
     space = _space_of(spec)
     cc = cuspidal_class_group(space)
-    lat, _ = hecke_kernel_lattice(space, primes, normalization)
+    lat, _ = hecke_kernel_lattice(space, primes)
     if lat.ambient == 0:
         return "equal", 1, cc, "trivial"
     std = Lattice.standard(lat.ambient)
@@ -930,8 +896,7 @@ def _prime_divisors(n):
     return [int(p) for p in factorint(n)]
 
 
-def torsion_report(spec, primes=None, normalization=DEFAULT_NORMALIZATION,
-                   with_rank=True):
+def torsion_report(spec, primes=None):
     """Full per-level report: rank, local orders, bounds, class groups.
 
     An explicit `primes` list is used exactly as given; primes=None takes
@@ -943,17 +908,17 @@ def torsion_report(spec, primes=None, normalization=DEFAULT_NORMALIZATION,
     space = _space_of(spec)
     cc = cuspidal_class_group(space)
     if primes is None:
-        aux = auxiliary_primes(space, normalization)
+        aux = auxiliary_primes(space)
     else:
-        lat, _ = hecke_kernel_lattice(space, primes, normalization)
+        lat, _ = hecke_kernel_lattice(space, primes)
         aux = AuxiliaryPrimes(list(primes), lat)
-    rank = is_rank_zero(space) if with_rank else None
-    orders = {p: jacobian_order_mod_p(space, p, normalization) for p in aux.primes}
+    rank = is_rank_zero(space)
+    orders = {p: jacobian_order_mod_p(space, p) for p in aux.primes}
     tmult = 0
     for o in orders.values():
         tmult = gcd(tmult, o)
-    mh, _ = hecke_bound_group(space, primes, normalization)
-    verdict, k, _, _stage = torsion_is_cuspidal(space, primes, normalization)
+    mh, _ = hecke_bound_group(space, primes)
+    verdict, k, _, _stage = torsion_is_cuspidal(space, primes)
     return TorsionReport(
         spec=space.spec,
         rank=rank,

@@ -121,12 +121,6 @@ class Lattice:
         tb, td = target.basis, target.den
         # condition: sum x_i imgs_i / self.den  in  span(tb)/td
         # i.e. td * sum x_i imgs_i = self.den * (y @ tb): integer solve
-        if not tb:
-            # target trivial: need image zero
-            stacked = transpose(imgs)
-            ker = kernel_basis(stacked)
-            rows = [vec_mat(k, self.basis) for k in ker]
-            return Lattice(self.ambient, rows, self.den)
         stacked = [[x * td for x in img] for img in imgs]
         stacked += [[-x * self.den for x in r] for r in tb]
         ker = kernel_basis(transpose(stacked))
@@ -137,7 +131,8 @@ class Lattice:
         """Integer coordinates x with x @ basis = vec * self.den/den, or None.
 
         Uses the stored Hermite form and its cached pivots (ascending), so
-        each call is a single back-substitution pass.
+        each call is a single back-substitution pass.  Each basis row is
+        zero before its pivot, so it is subtracted from the pivot on.
         """
         t = [x * self.den for x in vec]
         if any(x % den for x in t):
@@ -152,7 +147,7 @@ class Lattice:
                 return None
             if q:
                 x[i] = q
-                t = [a - q * b for a, b in zip(t, row)]
+                t[j:] = [a - q * b for a, b in zip(t[j:], row[j:])]
         if any(t):
             return None
         return x

@@ -12,14 +12,6 @@ from .operators import (
 from .space import ModSymSpace, build_space, clear_space_cache
 
 
-def coefficient_rows(space, sublattice, count):
-    """Integral q-expansion coefficient rows for a Hecke-stable sublattice
-    of the plus part (delegates to the immersion machinery lazily to avoid
-    an import cycle)."""
-    from ..immersion import coefficient_rows as impl
-
-    return impl(space, sublattice, count)
-
 __all__ = [
     "GroupSpec",
     "GroupData",

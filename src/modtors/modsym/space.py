@@ -35,15 +35,15 @@ MAX_SYMBOLS = 60000  # resource guard: refuse absurdly large presentations
 class ModSymSpace:
     """Weight-2 modular symbols for a congruence subgroup, on a Z-basis."""
 
-    def __init__(self, spec, max_symbols=MAX_SYMBOLS):
+    def __init__(self, spec):
         if isinstance(spec, str):
             raise TypeError("pass a GroupSpec")
         from .groups import num_unit_pairs
 
         est = num_unit_pairs(spec.level) // max(1, len(spec.hplus()))
-        if est > max_symbols:
+        if est > MAX_SYMBOLS:
             raise ResourceWarning(
-                f"{spec.label()}: ~{est} Manin symbols exceeds bound {max_symbols}"
+                f"{spec.label()}: ~{est} Manin symbols exceeds bound {MAX_SYMBOLS}"
             )
         self.spec = spec
         self.group = GroupData(spec)
@@ -279,13 +279,13 @@ def _forest_path(forest, a, b):
 _SPACE_CACHE = {}
 
 
-def build_space(spec, cache=True, max_symbols=MAX_SYMBOLS):
+def build_space(spec, cache=True):
     """Build the space for spec, going through the in-process cache (keyed
     by kind, level and H generators)."""
     key = (spec.kind, spec.level, spec.h_gens)
     if cache and key in _SPACE_CACHE:
         return _SPACE_CACHE[key]
-    space = ModSymSpace(spec, max_symbols=max_symbols)
+    space = ModSymSpace(spec)
     # dimension identity: dim = 2 g + #cusps - 1
     g = space.genus()
     if space.dim != 2 * g + space.ncusps - 1:

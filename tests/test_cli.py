@@ -135,6 +135,19 @@ def test_immersion_command():
     assert len(report["per_target"]) == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("torsion", "gamma1", "13", "--normalization", "diamondless"),
+        ("immersion", "65", "3", "--verbose"),
+    ],
+    ids=["torsion-normalization", "immersion-verbose"],
+)
+def test_removed_flags_are_refused(argv):
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
 def test_text_format():
     proc = run_cli("places", "22", "3", "--format", "text")
     assert proc.returncode == 0

@@ -304,7 +304,7 @@ def test_auxiliary_primes_cap(monkeypatch):
     assert aux.primes == [5, 7] and aux.capped
 
 
-def _kernel_lattice_rational_route(sp, primes, normalization="eq41"):
+def _kernel_lattice_rational_route(sp, primes):
     """M_H through rational inverses (the reference route): A_q^-1 Z^(2g)
     for every nonsingular A_q, intersected, then the preimages of Z^(2g)
     under the singular A_q and under star - 1."""
@@ -315,7 +315,7 @@ def _kernel_lattice_rational_route(sp, primes, normalization="eq41"):
     std = Lattice.standard(g2)
     lat, singular = None, []
     for q in primes:
-        a = jacobian._restricted_kill_operator(sp, q, normalization)
+        a = jacobian._restricted_kill_operator(sp, q)
         if det_bareiss(a) == 0:
             singular.append(a)
             continue
@@ -361,8 +361,8 @@ def test_kernel_lattice_with_singular_operators(monkeypatch):
     kill = jacobian._restricted_kill_operator
 
     def singular_at(bad):
-        def patched(space, q, normalization):
-            a = kill(space, q, normalization)
+        def patched(space, q):
+            a = kill(space, q)
             if q in bad:  # drop one column: a weaker condition on x
                 for row in a:
                     row[0] = 0
@@ -371,14 +371,14 @@ def test_kernel_lattice_with_singular_operators(monkeypatch):
         return patched
 
     primes = [5, 7, 11]
-    full = jacobian._kernel_lattice(sp, primes, "eq41")
+    full = jacobian._kernel_lattice(sp, primes)
     monkeypatch.setattr(jacobian, "_restricted_kill_operator", singular_at({7}))
-    lat = jacobian._kernel_lattice(sp, primes, "eq41")
+    lat = jacobian._kernel_lattice(sp, primes)
     assert lat == _kernel_lattice_rational_route(sp, primes)
     assert lat.contains_lattice(full)
     monkeypatch.setattr(jacobian, "_restricted_kill_operator", singular_at(set(primes)))
     with pytest.raises(ArithmeticError):
-        jacobian._kernel_lattice(sp, primes, "eq41")
+        jacobian._kernel_lattice(sp, primes)
 
 
 def test_torsion_layer_needs_no_rational_inverse(monkeypatch):
@@ -725,11 +725,9 @@ def test_dropped_space_is_freed():
 def test_memo_keys_follow_inputs(monkeypatch):
     sp = build_space(GroupSpec.gamma1(24))
     cc = cuspidal_class_group(sp)
-    assert cuspidal_class_group(sp, "x1") is cc
-    assert cuspidal_class_group(sp, "xmu") is not cc
+    assert cuspidal_class_group(sp) is cc
     default = auxiliary_primes(sp)
     assert auxiliary_primes(sp) is default and not default.capped
-    assert auxiliary_primes(sp, "diamondless") is not default
     monkeypatch.setattr(jacobian, "MAX_AUXILIARY_PRIMES", 2)
     capped = auxiliary_primes(sp)
     assert capped.primes == [5, 7] and capped.capped
@@ -740,6 +738,29 @@ def test_memo_keys_follow_inputs(monkeypatch):
     for bad in ([5], [5, 3], [5, 4]):
         with pytest.raises(ValueError):
             hecke_kernel_lattice(sp, bad)
+
+
+def test_kill_operator_built_once_per_prime(monkeypatch):
+    from collections import Counter
+
+    from modtors.jacobian import frobenius_kill_operator
+
+    # the kill operator is the only caller of <q> in the torsion layer, so
+    # each call of it there is one build
+    builds = Counter()
+    diamond = jacobian.diamond_operator
+
+    def counting(space, q):
+        builds[q] += 1
+        return diamond(space, q)
+
+    monkeypatch.setattr(jacobian, "diamond_operator", counting)
+    sp = build_space(GroupSpec.gamma1(24), cache=False)
+    report = torsion_report(sp)
+    assert set(report.primes) <= set(builds)
+    assert set(builds.values()) == {1}
+    assert frobenius_kill_operator(sp, 5) is frobenius_kill_operator(sp, 5)
+    assert builds[5] == 1
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,15 @@ import random
 import pytest
 
 from modtors.abgroup import FinAbGroup
-from modtors.intlinalg import det_bareiss, hnf, identity, vec_mat
+from modtors.intlinalg import (
+    det_bareiss,
+    hnf,
+    identity,
+    kernel_basis,
+    mat_mul,
+    transpose,
+    vec_mat,
+)
 from modtors.lattice import Lattice, lattice_torsion_quotient
 
 
@@ -182,3 +190,26 @@ def test_solve_and_contains_with_cached_pivots(seed):
             if x is not None:  # x @ basis = vec * lat.den / den
                 got = [sum(c * r[j] for c, r in zip(x, lat.basis)) for j in range(n)]
                 assert [y * den for y in got] == [v * lat.den for v in vec]
+
+
+def _preimage_of_zero(lat, op):
+    """{v in lat : v @ op = 0} as the kernel of the basis images: the
+    former trivial-target branch of Lattice.preimage, kept as its oracle."""
+    if not lat.basis:
+        return lat
+    imgs = [vec_mat(r, op) for r in lat.basis]
+    rows = [vec_mat(k, lat.basis) for k in kernel_basis(transpose(imgs))]
+    return Lattice(lat.ambient, rows, lat.den)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_preimage_of_trivial_target_is_the_kernel(seed):
+    rng = random.Random(200 + seed)
+    for lat in _pivot_cache_cases(seed):
+        n, m = lat.ambient, rng.randint(1, 5)
+        r = rng.randint(0, min(n, m))  # op of rank at most r: a kernel in most cases
+        left = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(n)]
+        right = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(r)]
+        op = mat_mul(left, right) if r else [[0] * m for _ in range(n)]
+        for target in (Lattice(m, []), Lattice(m, [], rng.randint(2, 5))):
+            assert lat.preimage(op, target) == _preimage_of_zero(lat, op)
