@@ -1,13 +1,15 @@
 """Command-line surface: rank sweeps, torsion reports, place counts,
 finite-field scans and formal-immersion certificates.
 
-Reports are deterministic JSON (or text) embedding the tool version, the
-normalization of the kill operator and the operator lists, so every number
-is reproducible from the report alone.  Level sweeps checkpoint each level in
-the cache directory and resume on rerun; a level that fails is reported
-as an error record, gets no checkpoint and makes the sweep exit 1.  Golden
-mode compares against the shipped reference sets and exits 0 on match, 1
-on mismatch, 2 on a resource refusal.
+Reports are deterministic JSON (or text) embedding the tool version;
+torsion reports also name the kill operator, the operator list and the
+primes, so every number is reproducible from the report alone.  Level
+sweeps checkpoint each level in the cache directory and resume on rerun;
+a level that fails is reported as an error record, gets no checkpoint and
+makes the sweep exit 1.  Golden mode compares against the shipped
+reference sets and exits 0 on match, 1 on mismatch, 2 on a resource
+refusal.  Invalid arguments are refused before anything is computed: one
+line on stderr, nothing on stdout, exit code 2.
 """
 
 import argparse
@@ -19,6 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
 
+from sympy import isprime
+
 from . import __version__
 from .jacobian import (
     AUXILIARY_PRIMES_RULE,
@@ -26,10 +30,10 @@ from .jacobian import (
     is_rank_zero,
     torsion_report,
 )
-from .modsym import GroupSpec
+from .modsym import GroupSpec, build_space
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
-# Names the kill operator T_q - q<q> - 1 (Eq. 4.1) in report headers and in
+# Names the kill operator T_q - q<q> - 1 (Eq. 4.1) in torsion reports and
 # torsion checkpoint keys.
 NORMALIZATION = "eq41"
 
@@ -72,8 +76,25 @@ def level_specs(args):
         levels = parse_levels(args.levels)
         return levels, [make_spec(args.kind, n) for n in levels]
     except ValueError as exc:
-        print(f"invalid levels {args.levels!r}: {exc}", file=sys.stderr)
+        refuse(f"invalid levels {args.levels!r}", exc)
         return None
+
+
+def parse_primes(arg):
+    """The explicit auxiliary primes of `--primes`: at least two primes."""
+    primes = [int(p) for p in arg.split(",")]
+    if len(primes) < 2:
+        raise ValueError("need at least two auxiliary primes")
+    bad = [p for p in primes if not isprime(p)]
+    if bad:
+        raise ValueError(f"not prime: {bad}")
+    return primes
+
+
+def refuse(what, exc):
+    """Report a refused command in one line on stderr; returns exit code 2."""
+    print(f"{what}: {exc}", file=sys.stderr)
+    return 2
 
 
 def checkpoint_path(cache_dir, command, key):
@@ -153,16 +174,12 @@ def sweep(args, command, compute, tasks, keys):
 
 
 def report_header(command):
-    return {
-        "tool": f"modtors {__version__}",
-        "command": command,
-        "normalization": NORMALIZATION,
-    }
+    return {"tool": f"modtors {__version__}", "command": command}
 
 
 def _rank_one(task):
     spec, level = task
-    return is_rank_zero(spec).to_json() | {"level": level}
+    return is_rank_zero(build_space(spec)).to_json() | {"level": level}
 
 
 def cmd_rank(args):
@@ -178,8 +195,7 @@ def cmd_rank(args):
     try:
         results = sweep(args, "rank", _rank_one, tasks, keys)
     except (ResourceWarning, MemoryError) as exc:
-        print(f"resource refusal: {exc}", file=sys.stderr)
-        return 2
+        return refuse("resource refusal", exc)
     report["results"] = results
     emit(report, args)
     if args.golden:
@@ -203,8 +219,7 @@ def cmd_rank(args):
 
 def _torsion_one(task):
     spec, level, primes = task
-    rep = torsion_report(spec, primes=primes)
-    return rep.to_json() | {"level": level}
+    return torsion_report(build_space(spec), primes=primes).to_json() | {"level": level}
 
 
 def cmd_torsion(args):
@@ -212,8 +227,12 @@ def cmd_torsion(args):
     if sweep_levels is None:
         return 2
     levels, specs = sweep_levels
-    primes = [int(p) for p in args.primes.split(",")] if args.primes else None
+    try:
+        primes = parse_primes(args.primes) if args.primes else None
+    except ValueError as exc:
+        return refuse(f"invalid primes {args.primes!r}", exc)
     report = report_header("torsion")
+    report["normalization"] = NORMALIZATION
     report["primes"] = primes or (
         "per level: the two smallest good primes, then each next good prime "
         "while it strictly shrinks M_H and M_H is not inside Cl^cc, "
@@ -227,8 +246,7 @@ def cmd_torsion(args):
     try:
         results = sweep(args, "torsion", _torsion_one, tasks, keys)
     except (ResourceWarning, MemoryError) as exc:
-        print(f"resource refusal: {exc}", file=sys.stderr)
-        return 2
+        return refuse("resource refusal", exc)
     report["results"] = results
     emit(report, args)
     if args.golden:
@@ -259,8 +277,9 @@ def cmd_places(args):
             for d in range(1, args.maxdeg + 1)
         ]
     except ResourceWarning as exc:
-        print(f"resource refusal: {exc}", file=sys.stderr)
-        return 2
+        return refuse("resource refusal", exc)
+    except ValueError as exc:
+        return refuse("invalid arguments", exc)
     report = report_header("places") | {
         "level": args.level,
         "prime": args.prime,
@@ -276,8 +295,7 @@ def cmd_ecscan(args):
     try:
         fields = parse_levels(args.fields)
     except ValueError as exc:
-        print(f"invalid fields {args.fields!r}: {exc}", file=sys.stderr)
-        return 2
+        return refuse(f"invalid fields {args.fields!r}", exc)
     results = []
     for q in fields:
         row = {"q": q, "N": args.order, "hasse_excluded": hasse_excludes(q, args.order)}
@@ -286,8 +304,9 @@ def cmd_ecscan(args):
                 q, args.order, q_bound=args.q_bound
             )
         except ResourceWarning as exc:
-            print(f"resource refusal: {exc}", file=sys.stderr)
-            return 2
+            return refuse("resource refusal", exc)
+        except ValueError as exc:
+            return refuse("invalid arguments", exc)
         results.append(row)
     emit(report_header("ecscan") | {"results": results}, args)
     return 0
@@ -305,8 +324,9 @@ def cmd_immersion(args):
             refine="auto" if args.refine else False,
         )
     except (ResourceWarning, MemoryError) as exc:
-        print(f"resource refusal: {exc}", file=sys.stderr)
-        return 2
+        return refuse("resource refusal", exc)
+    except ValueError as exc:
+        return refuse("invalid arguments", exc)
     report = report_header("immersion") | cert
     emit(report, args)
     if args.golden:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import gcd
 
-from sympy import Poly, Symbol, factor_list, isprime
+from sympy import Poly, Symbol, factor_list
 
 from .cusps import cusp_orbits_mod_p
 from .ecff import exists_point_of_order, hasse_excludes
@@ -27,7 +27,7 @@ from .intlinalg import (
     transpose,
     vec_mat,
 )
-from .jacobian import sturm_bound, winding_span_mod_p
+from .jacobian import check_good_prime, sturm_bound, winding_span_mod_p
 from .lattice import Lattice
 from .modsym import (
     GroupSpec,
@@ -94,11 +94,11 @@ def _winding_span_vectors(space):
     return cuspidal_span(space, kept)
 
 
-def rank_zero_quotient(spec):
-    """Hecke-isotypic decomposition of the cuspidal plus part with winding
-    flags; the flagged components assemble the analytic-rank-zero quotient.
+def rank_zero_quotient(space):
+    """Hecke-isotypic decomposition of the cuspidal plus part of a Gamma0
+    space with winding flags; the flagged components assemble the
+    analytic-rank-zero quotient.
     """
-    space = build_space(spec) if isinstance(spec, GroupSpec) else spec
     if space.spec.kind != "gamma0":
         raise ValueError("quotient decompositions are built on Gamma0 spaces")
     plus = space.plus_cuspidal()
@@ -113,7 +113,7 @@ def rank_zero_quotient(spec):
     for q in SPLIT_PRIMES:
         if n % q == 0:
             continue
-        tq = restrict_to_lattice(hecke_operator(space, q).matrix, plus)
+        tq = restrict_to_lattice(hecke_operator(space, q), plus)
         new_comps = []
         new_labels = []
         for basis, label in zip(comps, labels):
@@ -142,7 +142,7 @@ def rank_zero_quotient(spec):
         for q in SPLIT_PRIMES:
             if n % q == 0:
                 continue
-            tq = restrict_to_lattice(hecke_operator(space, q).matrix, plus)
+            tq = restrict_to_lattice(hecke_operator(space, q), plus)
             cp = charpoly(restrict_to_lattice(tq, sub))
             poly = Poly(list(reversed(cp)), x)
             if len(factor_list(poly)[1]) > 1:
@@ -213,7 +213,7 @@ def joint_expansion_rows(space, sublattice, cusp_classes, count):
     ns = _coprime_range(space.level, count)
     inf_class = space.group.cusp_index_of_fraction(1, 0)
     tn_mats = {
-        n: restrict_to_lattice(hecke_operator(space, n).matrix, plus) for n in ns
+        n: restrict_to_lattice(hecke_operator(space, n), plus) for n in ns
     }
     per_cusp_mats = {}
     for cusp in cusp_classes:
@@ -234,7 +234,7 @@ def joint_expansion_rows(space, sublattice, cusp_classes, count):
             raise ValueError(
                 f"cusp class {cusp} is not in the Atkin-Lehner orbit of oo"
             )
-        w = restrict_to_lattice(atkin_lehner(space, found).matrix, plus)
+        w = restrict_to_lattice(atkin_lehner(space, found), plus)
         per_cusp_mats[cusp] = [
             restrict_to_lattice(mat_mul(w, tn_mats[n]), sublattice) for n in ns
         ]
@@ -265,7 +265,7 @@ def coefficient_rows(space, sublattice, count):
     d = sublattice.rank
     mats = []
     for n in range(1, count + 1):
-        tn = restrict_to_lattice(hecke_operator(space, n).matrix, plus)
+        tn = restrict_to_lattice(hecke_operator(space, n), plus)
         mats.append(restrict_to_lattice(tn, sublattice))
     func_rows = []
     for i in range(d):
@@ -284,8 +284,7 @@ def expansions_at_cusp(space, sublattice, cusp_class, count, p):
     The cusp must be reachable from infinity by an Atkin-Lehner involution;
     rows are reduced mod p, with unit scaling immaterial for rank tests.
     """
-    if not isprime(p) or (2 * space.level) % p == 0:
-        raise ValueError(f"bad reduction prime {p}")
+    check_good_prime(space, p)
     inf_class = space.group.cusp_index_of_fraction(1, 0)
     _, blocks = joint_expansion_rows(space, sublattice, [inf_class, cusp_class], count)
     return [[x % p for x in row] for row in blocks[cusp_class]]
@@ -358,9 +357,10 @@ def _x0_rational_cusp_classes(space, p):
     return fixed
 
 
-def reduction_targets(N, p, q_bound=3**6, refine="auto"):
+def reduction_targets(space, p, q_bound=3**6, refine="auto"):
     """Degree-3 cuspidal divisors on X0(N) mod p that a cubic point of
-    X1(N) can reduce to.
+    X1(N) can reduce to, for the Gamma0(N) space and a prime p not
+    dividing 2N (ValueError otherwise).
 
     First certifies that no elliptic curve over F_{p^i} (i <= 3) carries a
     point of order N (Hasse bound where it applies, Tate scans otherwise);
@@ -370,7 +370,10 @@ def reduction_targets(N, p, q_bound=3**6, refine="auto"):
     single-cusp support; refine=False keeps every degree-3 divisor
     supported on the low-degree cusps (the coarse X0-side set).
     """
-    space = build_space(GroupSpec.gamma0(N))
+    N = space.level
+    if space.spec.kind != "gamma0":
+        raise ValueError("reduction targets are divisors on X0(N)")
+    check_good_prime(space, p)
     hasse_all = all(hasse_excludes(p**i, N) for i in (1, 2, 3))
     if not hasse_all:
         for i in (1, 2, 3):
@@ -436,8 +439,8 @@ def immersion_certificate(N, p, count=5, q_bound=3**6, refine="auto",
     reproduces computations built from newform q-expansions alone.
     """
     space = build_space(GroupSpec.gamma0(N))
+    targets = reduction_targets(space, p, q_bound=q_bound, refine=refine)
     quotient = rank_zero_quotient(space)
-    targets = reduction_targets(N, p, q_bound=q_bound, refine=refine)
     cusps_needed = sorted({c for div in targets for c, _ in div})
     inf_class = space.group.cusp_index_of_fraction(1, 0)
     all_cusps = sorted(set(cusps_needed) | {inf_class})

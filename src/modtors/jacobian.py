@@ -45,29 +45,12 @@ from .intlinalg import (
     vec_mat,
 )
 from .lattice import Lattice, lattice_torsion_quotient
-from .modsym import (
-    build_space,
-    diamond_operator,
-    hecke_operator,
-    restrict_to_lattice,
-)
-from .modsym.space import ModSymSpace
-
-def _space_of(thing):
-    return thing if isinstance(thing, ModSymSpace) else build_space(thing)
+from .modsym import diamond_operator, hecke_operator, restrict_to_lattice
 
 
 def sturm_bound(spec, weight=2):
     """Generation bound for the Hecke algebra: ceil(weight/12 * index)."""
-    space_free = spec if not isinstance(spec, ModSymSpace) else spec.spec
-    idx = space_free.sl2_index()
-    num = weight * idx
-    return -(-num // 12)
-
-
-def winding_element(space):
-    """The class of {0, oo} in integral coordinates."""
-    return _space_of(space).winding_element()
+    return -(-weight * spec.sl2_index() // 12)
 
 
 @dataclass
@@ -176,8 +159,9 @@ def winding_span_mod_p(space, bound, p):
     return swept, kept, s_dim, stopped_at
 
 
-def is_rank_zero(spec):
-    """Decide whether J(spec)(Q) has rank zero via the winding span.
+def is_rank_zero(space):
+    """Decide whether the Jacobian of the space's curve has rank zero over
+    Q, via the winding span.
 
     Sweeps T_n {0, oo} for n up to the Sturm bound, tracking the span and
     its boundary image mod p, from p = MODP on; the verdict is then
@@ -185,7 +169,6 @@ def is_rank_zero(spec):
     prime whose certificate fails is replaced by the next one, three
     primes at most.
     """
-    space = _space_of(spec)
     bound = sturm_bound(space.spec)
     g = space.genus()
     if g == 0:
@@ -206,27 +189,14 @@ def _try_rank_certificate(space, bound, p):
     g = space.genus()
     swept, kept_vecs, s_dim, stopped_at = winding_span_mod_p(space, bound, p)
     if s_dim >= g:
-        if _certify_rank_zero(space, kept_vecs, g):
-            return RankCertificate(
-                space.spec,
-                "rank_zero",
-                sturm_bound(space.spec),
-                g,
-                g,
-                {"hecke_range_used": stopped_at},
-            )
-        return None
+        if not _certify_rank_zero(space, kept_vecs, g):
+            return None
+        return RankCertificate(space.spec, "rank_zero", bound, g, g,
+                               {"hecke_range_used": stopped_at})
     cert = _certify_positive(space, kept_vecs, swept, p)
     if cert is None:
         return None
-    return RankCertificate(
-        space.spec,
-        "positive_rank",
-        sturm_bound(space.spec),
-        s_dim,
-        g,
-        cert,
-    )
+    return RankCertificate(space.spec, "positive_rank", bound, s_dim, g, cert)
 
 
 def _certify_rank_zero(space, kept_vecs, g):
@@ -311,8 +281,8 @@ def frobenius_kill_operator(space, q):
     q, as an integer matrix on the full space; built once per space."""
 
     def build():
-        t = hecke_operator(space, q).matrix
-        d = diamond_operator(space, q).matrix
+        t = hecke_operator(space, q)
+        d = diamond_operator(space, q)
         out = [[a - q * b for a, b in zip(trow, drow)] for trow, drow in zip(t, d)]
         for i in range(space.dim):
             out[i][i] -= 1
@@ -321,10 +291,9 @@ def frobenius_kill_operator(space, q):
     return space.memo(("kill", q), build)
 
 
-def jacobian_order_mod_p(spec, p):
+def jacobian_order_mod_p(space, p):
     """#J(F_p) = |det(1 + p <p> - T_p)| on the cuspidal plus part."""
-    space = _space_of(spec)
-    _check_good_prime(space, p)
+    check_good_prime(space, p)
     if space.genus() == 0:
         return 1
     # the kill operator is -(1 + p <p> - T_p); |det| does not see the sign
@@ -332,7 +301,8 @@ def jacobian_order_mod_p(spec, p):
     return abs(det_bareiss(r))
 
 
-def _check_good_prime(space, p):
+def check_good_prime(space, p):
+    """ValueError unless p is a prime not dividing 2N."""
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
     if (2 * space.level) % p == 0:
@@ -354,18 +324,14 @@ def good_primes(level, count, start=3):
     return out
 
 
-def torsion_multiple(spec, primes=None):
+def torsion_multiple(space, primes=None):
     """gcd of #J(F_p) over the given good primes (by default the two
     smallest, good_primes(N, 2))."""
-    space = _space_of(spec)
     if primes is None:
         primes = good_primes(space.level, 2)
     if not primes:
         raise ValueError("empty prime list")
-    out = 0
-    for p in primes:
-        out = gcd(out, jacobian_order_mod_p(space, p))
-    return out
+    return gcd(*(jacobian_order_mod_p(space, p) for p in primes))
 
 
 # Most auxiliary primes the default rule takes for one level.
@@ -387,7 +353,7 @@ class AuxiliaryPrimes:
     capped: bool = False
 
 
-def auxiliary_primes(spec):
+def auxiliary_primes(space):
     """The default auxiliary primes of the Hecke bound M_H for one level.
 
     Starts from the two smallest good primes, good_primes(N, 2), and adds
@@ -399,7 +365,6 @@ def auxiliary_primes(spec):
     and the kernels already computed are not rebuilt.  The choice is
     memoised on the space, keyed by the cap.
     """
-    space = _space_of(spec)
     cap = MAX_AUXILIARY_PRIMES
 
     def build():
@@ -427,7 +392,7 @@ def _restricted_kill_operator(space, q):
     return restrict_to_lattice(frobenius_kill_operator(space, q), space.cuspidal)
 
 
-def hecke_kernel_lattice(spec, primes=None):
+def hecke_kernel_lattice(space, primes=None):
     """The kernel bound M_H of Eq-4.1 type as a lattice over the cuspidal
     basis: elements of H1(Q)/H1(Z) killed by every T_q - q<q> - 1 and by
     star - 1.  Returns (L, space) with M_H = L / Z^(2g).
@@ -436,13 +401,12 @@ def hecke_kernel_lattice(spec, primes=None):
     given.  With primes=None the primes are chosen by `auxiliary_primes`.
     The lattice is memoised on the space, keyed by the primes.
     """
-    space = _space_of(spec)
     if primes is None:
         return auxiliary_primes(space).lattice, space
     if len(primes) < 2:
         raise ValueError("need at least two auxiliary primes")
     for q in primes:
-        _check_good_prime(space, q)
+        check_good_prime(space, q)
     key = ("kernel lattice", tuple(primes))
     return space.memo(key, lambda: _kernel_lattice(space, primes)), space
 
@@ -473,7 +437,7 @@ def _kernel_lattice(space, primes):
     return lat
 
 
-def hecke_bound_group(spec, primes=None):
+def hecke_bound_group(space, primes=None):
     """The Hecke bound M_H as a FinAbGroup, with generators.
 
     The kernel bound is intersected with the Galois-invariant part of the
@@ -486,7 +450,6 @@ def hecke_bound_group(spec, primes=None):
     An explicit `primes` list is used exactly as given; primes=None takes
     the default choice of `auxiliary_primes`.
     """
-    space = _space_of(spec)
     lat, _ = hecke_kernel_lattice(space, primes)
     if lat.ambient == 0:
         return FinAbGroup([]), []
@@ -497,7 +460,6 @@ def hecke_bound_group(spec, primes=None):
 
 def clcc_invariant_class_lattice(space):
     """(Cl^cc)^G as a lattice over the cuspidal basis."""
-    space = _space_of(space)
     # lattice_inv is a sublattice of Z^(c-1) (denominator 1): its rows are
     # integral divisors
     return _class_lattice(space, cuspidal_class_group(space).lattice_inv.basis)
@@ -558,7 +520,7 @@ class ManinDrinfeldProjector:
     def __init__(self, space):
         c, s, bnd = space.ncusps, space.cuspidal, space.boundary
         self.q = next(q for q in filter(isprime, count(7)) if space.level % q)
-        t = hecke_operator(space, self.q).matrix
+        t = hecke_operator(space, self.q)
         h, u = hnf(bnd, transform=True)
         image = Lattice(c, h, normalize=False)  # u[i] @ bnd = h[i]
         lifts = [image.solve([1 if j == i else -1 if j == c - 1 else 0 for j in range(c)])
@@ -624,7 +586,7 @@ def manin_drinfeld_class(space, divisor):
 
     Returns Fraction coordinates over the cuspidal basis, reduced mod 1.
     """
-    return [x % 1 for x in _projector(_space_of(space)).class_of_divisor(divisor)]
+    return [x % 1 for x in _projector(space).class_of_divisor(divisor)]
 
 
 def _projector(space):
@@ -709,7 +671,7 @@ def galois_cusp_permutation(space, s):
     return [idx[gd.cusp_key(c, s * d)] for c, d in gd.cusp_classes]
 
 
-def cuspidal_class_group(spec):
+def cuspidal_class_group(space):
     """Cl^cc and Cl^cc_Q of the modular curve, with the Prop-4.4 check.
 
     Works in two coordinate systems at once: divisor coordinates (to take
@@ -718,7 +680,6 @@ def cuspidal_class_group(spec):
     Every class comes from the classes of the divisor basis d_i, solved
     once per space; the group is memoised on the space.
     """
-    space = _space_of(spec)
     return space.memo("class group", lambda: _class_group(space))
 
 
@@ -848,7 +809,7 @@ class TorsionReport:
         }
 
 
-def torsion_is_cuspidal(spec, primes=None):
+def torsion_is_cuspidal(space, primes=None):
     """Three-stage equality test between M_H and the cuspidal classes.
 
     Returns (verdict, k, cc, stage): verdict is "equal" or
@@ -861,7 +822,6 @@ def torsion_is_cuspidal(spec, primes=None):
     An explicit `primes` list is used exactly as given; primes=None takes
     the default choice of `auxiliary_primes`.
     """
-    space = _space_of(spec)
     cc = cuspidal_class_group(space)
     lat, _ = hecke_kernel_lattice(space, primes)
     if lat.ambient == 0:
@@ -896,7 +856,7 @@ def _prime_divisors(n):
     return [int(p) for p in factorint(n)]
 
 
-def torsion_report(spec, primes=None):
+def torsion_report(space, primes=None):
     """Full per-level report: rank, local orders, bounds, class groups.
 
     An explicit `primes` list is used exactly as given; primes=None takes
@@ -905,7 +865,6 @@ def torsion_report(spec, primes=None):
     primes, and the kernel lattice and class group they share are built
     once, in the space memo.
     """
-    space = _space_of(spec)
     cc = cuspidal_class_group(space)
     if primes is None:
         aux = auxiliary_primes(space)
@@ -914,16 +873,13 @@ def torsion_report(spec, primes=None):
         aux = AuxiliaryPrimes(list(primes), lat)
     rank = is_rank_zero(space)
     orders = {p: jacobian_order_mod_p(space, p) for p in aux.primes}
-    tmult = 0
-    for o in orders.values():
-        tmult = gcd(tmult, o)
     mh, _ = hecke_bound_group(space, primes)
     verdict, k, _, _stage = torsion_is_cuspidal(space, primes)
     return TorsionReport(
         spec=space.spec,
         rank=rank,
         local_orders=orders,
-        torsion_multiple=tmult,
+        torsion_multiple=gcd(*orders.values()),
         hecke_bound=mh,
         clcc=cc.clcc,
         clcc_q=cc.clcc_q,

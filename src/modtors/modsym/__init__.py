@@ -1,15 +1,13 @@
 from .groups import GroupData, GroupSpec
 from .operators import (
-    OperatorMatrix,
     atkin_lehner,
     atkin_lehner_cusp_action,
     diamond_operator,
     hecke_operator,
     merel_family,
     restrict_to_lattice,
-    star_involution,
 )
-from .space import ModSymSpace, build_space, clear_space_cache
+from .space import ModSymSpace, build_space
 
 
 __all__ = [
@@ -17,11 +15,8 @@ __all__ = [
     "GroupData",
     "ModSymSpace",
     "build_space",
-    "clear_space_cache",
-    "OperatorMatrix",
     "hecke_operator",
     "diamond_operator",
-    "star_involution",
     "atkin_lehner",
     "atkin_lehner_cusp_action",
     "merel_family",

@@ -1,16 +1,18 @@
 """Operators on modular symbol spaces: Hecke, diamond, star, Atkin-Lehner.
 
-All matrices act on row vectors (v -> v @ M) in the coordinates of the
-space, whose basis is the free Manin symbols: row j of a matrix is the
-image of free symbol j, an integer vector, since every operator below
-preserves the symbol lattice.  Hecke operators use the Merel family X_n
-acting on Manin symbols by right multiplication.
+Every operator is a plain integer matrix, a list of rows, acting on row
+vectors (v -> v @ M) in the coordinates of the space, whose basis is the
+free Manin symbols: row j is the image of free symbol j, an integer
+vector, since every operator below preserves the symbol lattice.  T_n,
+<u> and W_Q are memoised on their space; callers must not mutate them.
+Hecke operators use the Merel family X_n acting on Manin symbols by right
+multiplication.
 """
 
 from functools import lru_cache
 from math import gcd
 
-from ..intlinalg import mat_mul, vec_mat
+from ..intlinalg import vec_mat
 from .groups import sl2_lift
 
 
@@ -43,30 +45,6 @@ def merel_family(n):
     return tuple(out)
 
 
-class OperatorMatrix:
-    """An operator tagged with its space and label; matrix acts on rows."""
-
-    __slots__ = ("space", "label", "matrix")
-
-    def __init__(self, space, label, matrix):
-        self.space = space
-        self.label = label
-        self.matrix = matrix
-
-    def __repr__(self):
-        return f"OperatorMatrix({self.label} on {self.space.spec.label()})"
-
-    def __mul__(self, other):
-        return OperatorMatrix(
-            self.space,
-            f"{self.label}*{other.label}",
-            mat_mul(self.matrix, other.matrix),
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, OperatorMatrix) and self.matrix == other.matrix
-
-
 def hecke_images_of_pair(space, c, d, n):
     """Sum of symbol projections of (c, d) . M over Merel's X_n."""
     nlev = space.level
@@ -93,10 +71,7 @@ def hecke_operator(space, n):
 
     def build():
         gd = space.group
-        rows = [
-            hecke_images_of_pair(space, *gd.symbols[j], n) for j in space.free_symbols
-        ]
-        return OperatorMatrix(space, f"T_{n}", rows)
+        return [hecke_images_of_pair(space, *gd.symbols[j], n) for j in space.free_symbols]
 
     return space.memo(("T", n), build)
 
@@ -107,30 +82,22 @@ def diamond_operator(space, u):
     if gcd(u, nlev) != 1:
         raise ValueError(f"<{u}>: not a unit mod {nlev}")
     u %= nlev
-
-    def build():
-        gd = space.group
-        rows = []
-        for j in space.free_symbols:
-            c, d = gd.symbols[j]
-            rows.append(list(space.symbol_vector(u * c, u * d)))
-        return OperatorMatrix(space, f"<{u}>", rows)
-
-    return space.memo(("D", u), build)
+    return space.memo(("D", u), lambda: _scaled_symbols(space, u, u))
 
 
 def star_matrix(space):
     """Complex conjugation on symbols: (c, d) -> (-c, d)."""
+    return _scaled_symbols(space, -1, 1)
+
+
+def _scaled_symbols(space, a, b):
+    """Rows of the symbol map (c : d) -> (a c : b d) on the free symbols."""
     gd = space.group
     rows = []
     for j in space.free_symbols:
         c, d = gd.symbols[j]
-        rows.append(list(space.symbol_vector(-c, d)))
+        rows.append(list(space.symbol_vector(a * c, b * d)))
     return rows
-
-
-def star_involution(space):
-    return OperatorMatrix(space, "star", space.star_matrix())
 
 
 def atkin_lehner_matrix_2x2(N, Q):
@@ -153,7 +120,7 @@ def atkin_lehner(space, Q):
     if space.spec.kind != "gamma0":
         raise ValueError("Atkin-Lehner implemented on Gamma0 spaces")
     w = atkin_lehner_matrix_2x2(space.level, Q)
-    return space.memo(("W", Q), lambda: OperatorMatrix(space, f"W_{Q}", gl2q_action(space, w)))
+    return space.memo(("W", Q), lambda: gl2q_action(space, w))
 
 
 def gl2q_action(space, g2):

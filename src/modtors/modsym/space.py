@@ -190,9 +190,10 @@ class ModSymSpace:
         """The derived object under key, built by build() on first use.
 
         Operators, class groups and kernel lattices of the level live here,
-        so they are computed once per space and freed with it.  The key
-        must name every input the object depends on; callers must not
-        mutate what they get back.
+        so they are computed once per space and freed with it: no memoised
+        object refers back to the space, so dropping the space frees it
+        by reference counting alone.  The key must name every input the
+        object depends on; callers must not mutate what they get back.
         """
         if key not in self._memo:
             self._memo[key] = build()
@@ -276,15 +277,13 @@ def _forest_path(forest, a, b):
     return None
 
 
+# Always empty: the benchmark's fresh-process guard (bench/child.py) reads
+# it.  A space is owned by its caller, and its memo dies with it.
 _SPACE_CACHE = {}
 
 
-def build_space(spec, cache=True):
-    """Build the space for spec, going through the in-process cache (keyed
-    by kind, level and H generators)."""
-    key = (spec.kind, spec.level, spec.h_gens)
-    if cache and key in _SPACE_CACHE:
-        return _SPACE_CACHE[key]
+def build_space(spec):
+    """Build the space for spec and check its dimension identities."""
     space = ModSymSpace(spec)
     # dimension identity: dim = 2 g + #cusps - 1
     g = space.genus()
@@ -293,12 +292,4 @@ def build_space(spec, cache=True):
                               f"with g = {g}, c = {space.ncusps}")
     if space.cuspidal.rank != 2 * g:
         raise ArithmeticError(f"{spec.label()}: cuspidal rank {space.cuspidal.rank} != 2 g = {2 * g}")
-    if cache:
-        _SPACE_CACHE[key] = space
     return space
-
-
-def clear_space_cache():
-    """Drop the cached spaces; their operators, class groups and kernel
-    lattices go with them."""
-    _SPACE_CACHE.clear()

@@ -39,7 +39,7 @@ def test_criterion_01_rank_gamma0_up_to_100():
     s0 = set(golden("rank_sets.json")["S0"])
     mism = []
     for n in range(1, 101):
-        cert = is_rank_zero(GroupSpec.gamma0(n))
+        cert = is_rank_zero(build_space(GroupSpec.gamma0(n)))
         if cert.is_rank_zero != (n in s0):
             mism.append(n)
     assert mism == [], f"Gamma0 rank mismatches at {mism}"
@@ -50,13 +50,13 @@ def test_criterion_02_rank_gamma1_up_to_65():
     want = set(golden("rank_sets.json")["gamma1_rank0"])
     mism = []
     for n in range(1, 66):
-        cert = is_rank_zero(GroupSpec.gamma1(n))
+        cert = is_rank_zero(build_space(GroupSpec.gamma1(n)))
         if cert.is_rank_zero != (n in want):
             mism.append(n)
     assert mism == [], f"Gamma1 rank mismatches at {mism}"
     # the divergence from Gamma0 at N = 63 is genuinely exercised
-    assert not is_rank_zero(GroupSpec.gamma1(63)).is_rank_zero
-    assert is_rank_zero(GroupSpec.gamma0(63)).is_rank_zero
+    assert not is_rank_zero(build_space(GroupSpec.gamma1(63))).is_rank_zero
+    assert is_rank_zero(build_space(GroupSpec.gamma0(63))).is_rank_zero
     report(2, "is_rank_zero(Gamma1(N)) matches the theorem for N <= 65, "
               "including the N = 63 divergence")
 
@@ -65,12 +65,12 @@ def test_criterion_03_rank_x1_2_2n_up_to_21():
     s1 = set(golden("rank_sets.json")["S1"])
     mism = []
     for n in range(1, 22):
-        cert = is_rank_zero(GroupSpec.x1_2_2n(n))
+        cert = is_rank_zero(build_space(GroupSpec.x1_2_2n(n)))
         if cert.is_rank_zero != (n in s1):
             mism.append(n)
     assert mism == [], f"X1(2,2N) rank mismatches at {mism}"
-    assert is_rank_zero(GroupSpec.x1_2_2n(13)).is_rank_zero  # 13 in S1
-    assert is_rank_zero(GroupSpec.x1_2_2n(21)).is_rank_zero  # 21 in S1
+    assert is_rank_zero(build_space(GroupSpec.x1_2_2n(13))).is_rank_zero  # 13 in S1
+    assert is_rank_zero(build_space(GroupSpec.x1_2_2n(21))).is_rank_zero  # 21 in S1
     report(3, "is_rank_zero(X1(2,2N)) matches S1 for N <= 21")
 
 
@@ -216,7 +216,7 @@ def test_criterion_12_formal_immersions():
 def test_criterion_13_property_suites():
     from modtors.ecff import count_X1_points, group_structure
     from modtors.intlinalg import identity, mat_mul, mat_scale, mat_sub
-    from modtors.modsym import diamond_operator, hecke_operator, star_involution
+    from modtors.modsym import diamond_operator, hecke_operator
     from modtors.modsym.operators import restrict_to_lattice
 
     # dimension formula across kinds
@@ -231,14 +231,14 @@ def test_criterion_13_property_suites():
 
     # Hecke commutation and the p^2 recursion
     sp = build_space(GroupSpec.gamma1(15))
-    t2, t3 = hecke_operator(sp, 2).matrix, hecke_operator(sp, 3).matrix
+    t2, t3 = hecke_operator(sp, 2), hecke_operator(sp, 3)
     assert mat_mul(t2, t3) == mat_mul(t3, t2)
-    t4 = hecke_operator(sp, 4).matrix
-    d2 = diamond_operator(sp, 2).matrix
+    t4 = hecke_operator(sp, 4)
+    d2 = diamond_operator(sp, 2)
     assert t4 == mat_sub(mat_mul(t2, t2), mat_scale(d2, 2))
 
     # star involution, lattice preservation
-    st = star_involution(sp).matrix
+    st = sp.star_matrix()
     assert mat_mul(st, st) == identity(sp.dim)
     restrict_to_lattice(t2, sp.cuspidal)
     restrict_to_lattice(st, sp.cuspidal)
@@ -259,7 +259,7 @@ def test_criterion_13_property_suites():
     for p in primerange(3, 98):
         if p == 11:
             continue
-        tp = restrict_to_lattice(hecke_operator(sp11, int(p)).matrix, sp11.cuspidal)
+        tp = restrict_to_lattice(hecke_operator(sp11, int(p)), sp11.cuspidal)
         ap = curve11_ap(int(p))
         assert tp[0][0] == ap and tp[1][1] == ap
         assert jacobian_order_mod_p(sp11, int(p)) == int(p) + 1 - ap

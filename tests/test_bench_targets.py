@@ -31,5 +31,5 @@ def test_fresh_process_guard_names_exist():
     from modtors.modsym import operators, space
 
     assert jacobian._MD_CACHE == {}
-    assert isinstance(space._SPACE_CACHE, dict)
+    assert space._SPACE_CACHE == {}
     assert operators.merel_family.cache_info().currsize >= 0

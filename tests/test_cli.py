@@ -20,7 +20,8 @@ def test_rank_json_and_golden():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["command"] == "rank"
-    assert report["normalization"] == "eq41"
+    # only torsion reports use a kill operator and name it
+    assert "normalization" not in report
     verdicts = {r["level"]: r["verdict"] for r in report["results"]}
     assert verdicts == {11: "rank_zero", 37: "positive_rank"}
     assert report["tool"].startswith("modtors ")
@@ -56,6 +57,88 @@ def test_invalid_level_is_refused_before_the_sweep(command, tmp_path):
         assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (("torsion", "gamma1", "13", "--primes", "x"), "invalid primes 'x'"),
+        (("torsion", "gamma1", "13", "--primes", "5"), "at least two"),
+        (("torsion", "gamma1", "13", "--primes", "5,9"), "not prime: [9]"),
+        (("places", "22", "11"), "divides 2N"),
+        (("places", "4", "3"), "at least 5"),
+        (("ecscan", "0", "5"), "order must be positive"),
+        (("ecscan", "11", "6"), "not a prime power"),
+        (("immersion", "121", "11"), "divides 2N"),
+        (("immersion", "11", "4"), "not prime"),
+    ],
+)
+def test_invalid_arguments_are_refused(argv, reason, tmp_path, capsys):
+    from modtors import cli
+
+    # refused before anything is printed or checkpointed, in one line
+    assert cli.main([*argv, "--cache-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert reason in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_prime_dividing_one_level_gives_an_error_record(capsys):
+    from modtors import cli
+
+    # 7 divides 2N at 14 only: that level is an error record, 13 is computed
+    assert cli.main(["torsion", "gamma1", "13,14", "--primes", "5,7"]) == 1
+    first, second = json.loads(capsys.readouterr().out)["results"]
+    assert first["clcc_Q"] == [19]
+    assert second == {"level": 14, "error": "ValueError: p = 7 divides 2N for N = 14"}
+
+
+def test_sweep_holds_one_space_at_a_time(monkeypatch, capsys):
+    import gc
+    import weakref
+
+    from modtors import cli
+
+    build, refs = cli.build_space, []
+
+    def tracked(spec):
+        assert all(r() is None for r in refs), "an earlier level's space is alive"
+        space = build(spec)
+        refs.append(weakref.ref(space))
+        return space
+
+    monkeypatch.setattr(cli, "build_space", tracked)
+    # reference counting alone must free each level's space
+    gc.disable()
+    try:
+        assert cli.main(["rank", "gamma1", "11-16"]) == 0
+    finally:
+        gc.enable()
+    assert len(refs) == 6 and all(r() is None for r in refs)
+
+
+def test_immersion_builds_one_space(monkeypatch, capsys):
+    from modtors import cli, immersion
+    from modtors.modsym import ModSymSpace
+
+    init, targets = ModSymSpace.__init__, immersion.reduction_targets
+    built, targets_of = [], []
+
+    def counted(self, spec):
+        init(self, spec)
+        built.append(self)
+
+    def recorded(space, *args, **kwargs):
+        targets_of.append(space)
+        return targets(space, *args, **kwargs)
+
+    monkeypatch.setattr(ModSymSpace, "__init__", counted)
+    monkeypatch.setattr(immersion, "reduction_targets", recorded)
+    assert cli.main(["immersion", "121", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"] is True
+    assert len(built) == 1 and targets_of == built
+
+
 def test_torsion_command_golden(tmp_path):
     proc = run_cli(
         "torsion", "gamma1", "13,21",
@@ -65,6 +148,7 @@ def test_torsion_command_golden(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
+    assert report["normalization"] == "eq41"
     got = {r["level"]: r["clcc_Q"] for r in report["results"]}
     assert got == {13: [19], 21: [364]}
     # warm-cache rerun must be byte-identical
@@ -243,10 +327,10 @@ def test_failing_level_is_recorded_and_the_sweep_goes_on(tmp_path, monkeypatch, 
 
     rank = cli.is_rank_zero
 
-    def flaky(spec, refusal=False):
-        if spec.level == 14:
+    def flaky(space, refusal=False):
+        if space.level == 14:
             raise (ResourceWarning if refusal else ArithmeticError)("level 14 fails")
-        return rank(spec)
+        return rank(space)
 
     monkeypatch.setattr(cli, "is_rank_zero", flaky)
     outs = []
@@ -262,7 +346,7 @@ def test_failing_level_is_recorded_and_the_sweep_goes_on(tmp_path, monkeypatch, 
     assert results[1] == {"level": 14, "error": "ArithmeticError: level 14 fails"}
     assert [results[0]["verdict"], results[2]["verdict"]] == ["rank_zero", "positive_rank"]
     # a resource refusal still stops the sweep with code 2 and no output
-    monkeypatch.setattr(cli, "is_rank_zero", lambda spec: flaky(spec, refusal=True))
+    monkeypatch.setattr(cli, "is_rank_zero", lambda space: flaky(space, refusal=True))
     for jobs in ("1", "2"):
         code = cli.main(["rank", "gamma0", "11,14,37", "--jobs", jobs])
         assert (code, capsys.readouterr().out) == (2, "")

@@ -19,21 +19,21 @@ from modtors.modsym import GroupSpec, build_space
 
 
 def test_rank_zero_quotient_11():
-    q = rank_zero_quotient(GroupSpec.gamma0(11))
+    q = rank_zero_quotient(build_space(GroupSpec.gamma0(11)))
     assert len(q.components) == 1
     assert q.components[0].rank_zero
     assert q.rank_zero_dim == 1
 
 
 def test_rank_zero_quotient_65():
-    q = rank_zero_quotient(GroupSpec.gamma0(65))
+    q = rank_zero_quotient(build_space(GroupSpec.gamma0(65)))
     dims = sorted((c.dim, c.rank_zero) for c in q.components)
     assert dims == [(1, False), (2, True), (2, True)]
     assert q.rank_zero_dim == 4  # the winding quotient has dimension 4
 
 
 def test_rank_zero_quotient_121():
-    q = rank_zero_quotient(GroupSpec.gamma0(121))
+    q = rank_zero_quotient(build_space(GroupSpec.gamma0(121)))
     assert sum(c.dim for c in q.components) == 6
     assert q.rank_zero_dim == 5
     rank_one = [c for c in q.components if not c.rank_zero]
@@ -78,21 +78,22 @@ def test_expansions_at_zero_via_fricke():
 
 
 def test_reduction_targets_121_5():
-    targets = reduction_targets(121, 5)
+    targets = reduction_targets(build_space(GroupSpec.gamma0(121)), 5)
     assert len(targets) == 4
     degrees = sorted(tuple(m for _, m in div) for div in targets)
     assert degrees == [(1, 2), (2, 1), (3,), (3,)]
 
 
 def test_reduction_targets_65_3():
-    targets = reduction_targets(65, 3)
+    targets = reduction_targets(build_space(GroupSpec.gamma0(65)), 3)
     assert len(targets) == 4
     assert all(len(div) == 1 and div[0][1] == 3 for div in targets)
 
 
 def test_reduction_targets_rejects_torsion_admitting_fields():
     with pytest.raises(ArithmeticError):
-        reduction_targets(7, 3)  # curves over F_27 with 7-torsion exist
+        # curves over F_27 with 7-torsion exist
+        reduction_targets(build_space(GroupSpec.gamma0(7)), 3)
 
 
 def test_certificate_121_5():
