@@ -273,7 +273,7 @@ def cmd_places(args):
 
     try:
         counts = [
-            places_of_degree(args.level, args.prime, d, q_bound=args.q_bound)
+            places_of_degree(args.level, args.prime, d)
             for d in range(1, args.maxdeg + 1)
         ]
     except ResourceWarning as exc:
@@ -300,9 +300,7 @@ def cmd_ecscan(args):
     for q in fields:
         row = {"q": q, "N": args.order, "hasse_excluded": hasse_excludes(q, args.order)}
         try:
-            row["exists_point_of_order"] = exists_point_of_order(
-                q, args.order, q_bound=args.q_bound
-            )
+            row["exists_point_of_order"] = exists_point_of_order(q, args.order)
         except ResourceWarning as exc:
             return refuse("resource refusal", exc)
         except ValueError as exc:
@@ -395,26 +393,25 @@ def main(argv=None):
     p.add_argument("level", type=int)
     p.add_argument("prime", type=int)
     p.add_argument("--maxdeg", type=int, default=3)
-    p.add_argument("--q-bound", type=int, default=3**6)
     p.set_defaults(func=cmd_places)
 
     p = add_parser("ecscan", help="torsion existence over finite fields")
     p.add_argument("order", type=int, help="torsion order N")
     p.add_argument("fields", help="field sizes, e.g. 5,25,125")
-    p.add_argument("--q-bound", type=int, default=3**6)
     p.set_defaults(func=cmd_ecscan)
 
     p = add_parser("immersion", help="formal-immersion certificate chain")
     p.add_argument("level", type=int)
     p.add_argument("prime", type=int)
     p.add_argument("--count", type=int, default=5)
-    p.add_argument("--rows-mode", choices=("full", "newform", "degeneracy"),
-                   default="full")
+    p.add_argument("--rows-mode", choices=("full", "degeneracy"), default="full")
     p.add_argument("--no-refine", dest="refine", action="store_false")
     p.add_argument("--golden", action="store_true")
     p.set_defaults(func=cmd_immersion)
 
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        return refuse(f"invalid --jobs {args.jobs}", "need at least one process")
     return args.func(args)
 
 

@@ -7,6 +7,7 @@ here is bookkeeping on that data: Galois orbits, residue degrees, widths,
 reductions mod p.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -41,35 +42,18 @@ class CuspOrbit:
     """A bundle of closed cusp points sharing all discrete data.
 
     component: the divisor d | N indexing the Lemma-2.5 component;
-    coords: a representative (mu-index, Z/d residue) pair;
     count: number of closed points in the bundle;
-    degree: common residue degree over the base;
-    width: cusp width of the component;
-    base: "Q" or the prime p of reduction;
-    fold_identified: whether [-1] glued two distinct geometric points.
+    degree: common residue degree over the base (Q or F_p);
+    width: cusp width of the component.
     """
 
     component: int
-    coords: tuple
     count: int
     degree: int
     width: int
-    base: object
-    fold_identified: bool
 
     def geometric_points(self):
         return self.count * self.degree
-
-    def to_json(self):
-        return {
-            "component": self.component,
-            "coords": list(self.coords),
-            "count": self.count,
-            "degree": self.degree,
-            "width": self.width,
-            "base": self.base,
-            "fold_identified": self.fold_identified,
-        }
 
 
 def x1_width(N, d):
@@ -105,17 +89,14 @@ def x1_cusp_points(N):
     return [(d, i, b) for d in divisors(N) for (i, b) in x1_component_points(N, d)]
 
 
-def _x1_orbits_under(N, d, generators):
-    """Galois orbits of folded d-component points under given unit exponents.
-
-    generators act on the mu-coordinate only; returns list of orbits (each a
-    sorted list of folded points).
-    """
+def _x1_orbit_sizes(N, d, generators):
+    """Sizes of the orbits of the folded d-component points under the
+    group generated by the given unit exponents, which act on the
+    mu-coordinate only."""
     m = N // d
-    pts = x1_component_points(N, d)
-    seen = {}
-    orbits = []
-    for p0 in pts:
+    seen = set()
+    sizes = []
+    for p0 in x1_component_points(N, d):
         if p0 in seen:
             continue
         orbit = {p0}
@@ -127,111 +108,42 @@ def _x1_orbits_under(N, d, generators):
                 if nxt not in orbit:
                     orbit.add(nxt)
                     frontier.append(nxt)
-        for q in orbit:
-            seen[q] = True
-        orbits.append(sorted(orbit))
-    return orbits
+        seen |= orbit
+        sizes.append(len(orbit))
+    return sizes
 
 
-def cusp_orbits_X1(N):
-    """Galois orbits of cusps of X1(N) over Q, bundled as CuspOrbit records.
+def cusp_orbits(N, kind, p=None):
+    """Closed cusp points of X1(N) or X0(N) (kind "X1" or "X0") over Q
+    (p None) or over F_p (p prime, not dividing 2N), bundled as CuspOrbit
+    records.
 
-    Requires N >= 5 (hypothesis of the cuspidal-subscheme description).
+    Over Q the Galois group acts on the mu-coordinates through all units,
+    over F_p through the Frobenius x -> x^p; X1 points are [-1]-folded and
+    need N >= 5 (hypothesis of the cuspidal-subscheme description).
     """
-    if N < 5:
+    if p is not None:
+        if not isprime(p):
+            raise ValueError(f"{p} is not prime")
+        if (2 * N) % p == 0:
+            raise ValueError(f"p = {p} must not divide 2N (N = {N})")
+    if kind not in ("X1", "X0"):
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind == "X1" and N < 5:
         raise ValueError("X1 cusp scheme description requires N >= 5")
     out = []
     for d in divisors(N):
-        m = N // d
-        orbits = _x1_orbits_under(N, d, units(m))
-        by_size = {}
-        for orb in orbits:
-            by_size.setdefault(len(orb), []).append(orb)
-        for size, orbs in sorted(by_size.items()):
-            rep = orbs[0][0]
-            out.append(
-                CuspOrbit(
-                    component=d,
-                    coords=rep,
-                    count=len(orbs),
-                    degree=size,
-                    width=x1_width(N, d),
-                    base="Q",
-                    fold_identified=(m > 2 or d > 2),
-                )
+        if kind == "X1":
+            gens = units(N // d) if p is None else [p]
+            sizes = Counter(_x1_orbit_sizes(N, d, gens))
+            out.extend(
+                CuspOrbit(d, count, size, x1_width(N, d))
+                for size, count in sorted(sizes.items())
             )
-    return out
-
-
-def cusp_orbits_X0(N):
-    """Galois orbits of cusps of X0(N) over Q."""
-    out = []
-    for d in divisors(N):
-        g = gcd(d, N // d)
-        deg = int(totient(g)) if g > 1 else 1
-        out.append(
-            CuspOrbit(
-                component=d,
-                coords=(1 if g > 1 else 0, 0),
-                count=1,
-                degree=deg,
-                width=x0_width(N, d),
-                base="Q",
-                fold_identified=False,
-            )
-        )
-    return out
-
-
-def cusp_orbits_mod_p(N, kind, p):
-    """Cusp places of X1/X0 of level N over F_p, p coprime to 2N.
-
-    kind is "X1" or "X0".  Residue degrees come from the Frobenius
-    x -> x^p on the mu-coordinates, with [-1]-folding for X1.
-    """
-    if not isprime(p):
-        raise ValueError(f"{p} is not prime")
-    if (2 * N) % p == 0:
-        raise ValueError(f"p = {p} must not divide 2N (N = {N})")
-    out = []
-    if kind == "X1":
-        if N < 5:
-            raise ValueError("X1 cusp scheme description requires N >= 5")
-        for d in divisors(N):
-            orbits = _x1_orbits_under(N, d, [p % (N // d) if N // d > 1 else 1])
-            by_size = {}
-            for orb in orbits:
-                by_size.setdefault(len(orb), []).append(orb)
-            for size, orbs in sorted(by_size.items()):
-                out.append(
-                    CuspOrbit(
-                        component=d,
-                        coords=orbs[0][0],
-                        count=len(orbs),
-                        degree=size,
-                        width=x1_width(N, d),
-                        base=p,
-                        fold_identified=True,
-                    )
-                )
-    elif kind == "X0":
-        for d in divisors(N):
+        else:
             g = gcd(d, N // d)
-            deg = mult_order(p % g, g) if g > 1 else 1
-            cnt = (int(totient(g)) if g > 1 else 1) // deg
-            out.append(
-                CuspOrbit(
-                    component=d,
-                    coords=(1 if g > 1 else 0, 0),
-                    count=cnt,
-                    degree=deg,
-                    width=x0_width(N, d),
-                    base=p,
-                    fold_identified=False,
-                )
-            )
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+            degree = int(totient(g)) if p is None else mult_order(p % g, g)
+            out.append(CuspOrbit(d, int(totient(g)) // degree, degree, x0_width(N, d)))
     return out
 
 
@@ -266,12 +178,7 @@ def cusp_count_X0(N):
 
 def rational_cusp_count(N, kind, p=None):
     """Number of degree-1 cusp places over Q (p None) or over F_p."""
-    orbits = (
-        (cusp_orbits_X1(N) if kind == "X1" else cusp_orbits_X0(N))
-        if p is None
-        else cusp_orbits_mod_p(N, kind, p)
-    )
-    return sum(o.count for o in orbits if o.degree == 1)
+    return sum(o.count for o in cusp_orbits(N, kind, p) if o.degree == 1)
 
 
 def degree1_count_over_extension(N, kind, p, k):
@@ -282,6 +189,6 @@ def degree1_count_over_extension(N, kind, p, k):
     """
     return sum(
         o.count * o.degree
-        for o in cusp_orbits_mod_p(N, kind, p)
+        for o in cusp_orbits(N, kind, p)
         if k % o.degree == 0
     )

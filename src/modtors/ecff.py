@@ -26,17 +26,24 @@ from itertools import product
 from math import isqrt
 
 import numpy as np
-from sympy import factorint, isprime, mobius
+from sympy import ZZ, factorint, isprime, mobius
+from sympy.polys.galoistools import gf_irreducible_p
 
 from .abgroup import FinAbGroup
 from .cusps import degree1_count_over_extension
 
-DEFAULT_Q_BOUND = 3**6
 # Largest field whose q x q tables are built: two 38 MB tables at 3^7.
 # Larger fields are refused with ResourceWarning before any allocation.
 MAX_TABLE_Q = 3**7
 # Tate pairs (b, c) per vectorized chunk of a scan; bounds its memory.
 _CHUNK = 200000
+
+
+def _check_table_size(q):
+    if q > MAX_TABLE_Q:
+        raise ResourceWarning(
+            f"field size {q} above the arithmetic-table limit {MAX_TABLE_Q}"
+        )
 
 
 def _polymulmod(a, b, mod, p):
@@ -74,10 +81,7 @@ class FiniteField:
         self.p = int(p)
         self.k = int(k)
         self.q = self.p**self.k
-        if self.q > MAX_TABLE_Q:
-            raise ResourceWarning(
-                f"field size {self.q} above the arithmetic-table limit {MAX_TABLE_Q}"
-            )
+        _check_table_size(self.q)
         if k == 1:
             self.modulus = (0,)
         elif modulus is not None:
@@ -96,60 +100,7 @@ class FiniteField:
 
     def _is_irreducible(self, mod):
         """Irreducibility of x^k + mod (monic, coefficients low-first)."""
-        p, k = self.p, self.k
-        if mod[0] == 0:
-            return False
-
-        def frob(a, e):
-            # a^(p^e) by repeated p-th powers
-            for _ in range(e):
-                out = [1 if i == 0 else 0 for i in range(k)]
-                base = a
-                n = p
-                while n:
-                    if n & 1:
-                        out = _polymulmod(out, base, mod, p)
-                    base = _polymulmod(base, base, mod, p)
-                    n >>= 1
-                a = out
-            return a
-
-        def poly_gcd_with_f(g):
-            # gcd of f = x^k + mod and the residue polynomial g, over F_p
-            f_full = list(mod) + [1]
-            a, b = f_full, [x % p for x in g]
-            while any(b):
-                while b and b[-1] == 0:
-                    b.pop()
-                if not b:
-                    break
-                inv = pow(b[-1], p - 2, p)
-                while len(a) >= len(b) and any(a):
-                    while a and a[-1] == 0:
-                        a.pop()
-                    if len(a) < len(b):
-                        break
-                    coef = a[-1] * inv % p
-                    shift = len(a) - len(b)
-                    for i, bc in enumerate(b):
-                        a[shift + i] = (a[shift + i] - coef * bc) % p
-                a, b = b, a
-            while a and a[-1] == 0:
-                a.pop()
-            return a
-
-        x = [0, 1] + [0] * (k - 2) if k >= 2 else [1]
-        # x^(p^k) == x is necessary
-        if frob(x[:], k) != x:
-            return False
-        # and gcd(x^(p^(k/r)) - x, f) = 1 for each prime r | k
-        for r in set(factorint(k)):
-            y = frob(x[:], k // r)
-            diff = [(a - b) % p for a, b in zip(y, x)]
-            g = poly_gcd_with_f(diff)
-            if len(g) != 1:
-                return False
-        return True
+        return gf_irreducible_p([1, *reversed(mod)], self.p, ZZ)
 
     def _build_tables(self):
         """Exact add/mul/neg/inv tables from a primitive element g.
@@ -240,12 +191,17 @@ class FiniteField:
         return f"FiniteField({self.p}^{self.k})"
 
 
-def finite_field(q, modulus=None):
-    fac = factorint(q)
+def prime_power(q):
+    """(p, k) with q = p^k, p prime and k >= 1; ValueError otherwise."""
+    fac = factorint(q) if q > 1 else {}
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
     (p, k), = fac.items()
-    return FiniteField(int(p), int(k), modulus)
+    return int(p), int(k)
+
+
+def finite_field(q, modulus=None):
+    return FiniteField(*prime_power(q), modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +459,7 @@ def hasse_excludes(q, N):
     return (N - q - 1) ** 2 > 4 * q
 
 
-def exists_point_of_order(q, N, q_bound=DEFAULT_Q_BOUND):
+def exists_point_of_order(q, N):
     """Whether some elliptic curve over F_q has a point of exact order N.
 
     For N >= 4 this scans the Tate parameter pairs (covering every curve
@@ -511,10 +467,12 @@ def exists_point_of_order(q, N, q_bound=DEFAULT_Q_BOUND):
     up to the first chunk holding a pair of exact order N.  For N <= 3 a
     curve always exists: any curve for N = 1; every ordinary curve over
     F_{2^k} and any full-2-torsion model for odd q when N = 2; the Hasse
-    interval contains a realizable multiple of 3 when N = 3.
+    interval contains a realizable multiple of 3 when N = 3.  A q that is
+    not a prime power (ValueError) or is above MAX_TABLE_Q
+    (ResourceWarning) is refused before either shortcut.
     """
-    if q > q_bound:
-        raise ResourceWarning(f"field size {q} above configured bound {q_bound}")
+    prime_power(q)
+    _check_table_size(q)
     if N <= 0:
         raise ValueError("order must be positive")
     if hasse_excludes(q, N):
@@ -524,23 +482,18 @@ def exists_point_of_order(q, N, q_bound=DEFAULT_Q_BOUND):
     return any(_exact_order_chunks(N, q))
 
 
-def count_X1_points(N, q, q_bound=DEFAULT_Q_BOUND):
+def count_X1_points(N, q):
     """#X1(N)(F_q): degree-one cusp points plus Tate pairs of order N."""
     if N < 5:
         raise ValueError("N must be at least 5")
-    if q > q_bound:
-        raise ResourceWarning(f"field size {q} above configured bound {q_bound}")
-    fac = factorint(q)
-    if len(fac) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    (p, k), = ((int(a), int(b)) for a, b in fac.items())
+    p, k = prime_power(q)
     if (2 * N) % p == 0:
         raise ValueError(f"char {p} divides 2N")
     cusps = degree1_count_over_extension(N, "X1", p, k)
     return cusps + count_points_of_exact_order(N, q)
 
 
-def places_of_degree(N, p, d, q_bound=DEFAULT_Q_BOUND):
+def places_of_degree(N, p, d):
     """Number of degree-d places of X1(N) over F_p, for small d.
 
     Moebius inversion of the point counts over F_{p^e} for e | d.
@@ -551,22 +504,19 @@ def places_of_degree(N, p, d, q_bound=DEFAULT_Q_BOUND):
     for e in range(1, d + 1):
         if d % e:
             continue
-        total += int(mobius(d // e)) * count_X1_points(N, p**e, q_bound)
+        total += int(mobius(d // e)) * count_X1_points(N, p**e)
     assert total % d == 0
     return total // d
 
 
-def no_cubic_points_certificate(N, p, known_rational_count,
-                                q_bound=DEFAULT_Q_BOUND):
+def no_cubic_points_certificate(N, p, known_rational_count):
     """Local certificate that X1(N) has no unknown points of degree <= 3.
 
     Embeds the caller-asserted hypotheses (gonality >= 4, Mordell-Weil rank
     zero); certifies when the degree-1 places match the known rational
     count and no places of degree 2 or 3 exist.
     """
-    a1 = places_of_degree(N, p, 1, q_bound)
-    a2 = places_of_degree(N, p, 2, q_bound)
-    a3 = places_of_degree(N, p, 3, q_bound)
+    a1, a2, a3 = (places_of_degree(N, p, d) for d in (1, 2, 3))
     certified = a1 == known_rational_count and a2 == 0 and a3 == 0
     return {
         "level": N,

@@ -14,7 +14,7 @@ from math import gcd
 
 from sympy import Poly, Symbol, factor_list
 
-from .cusps import cusp_orbits_mod_p
+from .cusps import cusp_orbits
 from .ecff import exists_point_of_order, hasse_excludes
 from .intlinalg import (
     MODP,
@@ -127,8 +127,8 @@ def rank_zero_quotient(space):
                 new_labels.append(label or _fmt_factor(q, factors[0]))
                 continue
             for fac, mult in factors:
-                coeffs = [int(c) for c in reversed(fac.all_coeffs())]
-                mat = poly_eval_matrix(_poly_power(coeffs, mult), tq_sub)
+                coeffs = [int(c) for c in reversed((fac**mult).all_coeffs())]
+                mat = poly_eval_matrix(coeffs, tq_sub)
                 ker = kernel_basis(transpose(mat))  # left kernel rows
                 piece = [vec_mat(k, basis) for k in ker]
                 new_comps.append(piece)
@@ -161,18 +161,6 @@ def rank_zero_quotient(space):
     return RankZeroQuotient(space.spec, components, len(wcoords))
 
 
-def _poly_power(coeffs, m):
-    out = [1]
-    for _ in range(m):
-        new = [0] * (len(out) + len(coeffs) - 1)
-        for i, a in enumerate(out):
-            if a:
-                for j, b in enumerate(coeffs):
-                    new[i + j] += a * b
-        out = new
-    return out
-
-
 def _fmt_factor(q, fac_mult):
     fac, mult = fac_mult
     s = f"T{q}:{fac.as_expr()}"
@@ -194,9 +182,10 @@ def _coprime_range(n_level, count):
     return out
 
 
-def joint_expansion_rows(space, sublattice, cusp_classes, count):
+def joint_expansion_rows(space, basis, cusp_classes, count):
     """Consistent coefficient rows of an integral basis of the dual forms,
-    at several cusps at once.
+    at several cusps at once; basis lists the rows of a Hecke-stable
+    sublattice of the plus part.
 
     Returns (ns, blocks) where ns lists the coefficient indices used and
     blocks maps each requested cusp class to an e x len(ns) integer matrix;
@@ -207,8 +196,7 @@ def joint_expansion_rows(space, sublattice, cusp_classes, count):
     changes of basis act on all cusps together and ranks are well defined.
     """
     plus = space.plus_cuspidal()
-    if isinstance(sublattice, list):
-        sublattice = Lattice.from_rows(sublattice, ambient=plus.rank)
+    sublattice = Lattice.from_rows(basis, ambient=plus.rank)
     d = sublattice.rank
     ns = _coprime_range(space.level, count)
     inf_class = space.group.cusp_index_of_fraction(1, 0)
@@ -256,29 +244,7 @@ def joint_expansion_rows(space, sublattice, cusp_classes, count):
     return ns, blocks
 
 
-def coefficient_rows(space, sublattice, count):
-    """Integral basis of first-coefficient rows (a_1 ... a_B) of the cusp
-    forms dual to a Hecke-stable sublattice of the plus part."""
-    plus = space.plus_cuspidal()
-    if isinstance(sublattice, list):
-        sublattice = Lattice.from_rows(sublattice, ambient=plus.rank)
-    d = sublattice.rank
-    mats = []
-    for n in range(1, count + 1):
-        tn = restrict_to_lattice(hecke_operator(space, n), plus)
-        mats.append(restrict_to_lattice(tn, sublattice))
-    func_rows = []
-    for i in range(d):
-        for j in range(d):
-            func_rows.append([mats[n][i][j] for n in range(count)])
-    lat = Lattice.from_rows(func_rows, ambient=count)
-    sat = lat.saturation()
-    if not sat.basis:
-        raise ValueError("non-integral system: empty coefficient space")
-    return sat.basis
-
-
-def expansions_at_cusp(space, sublattice, cusp_class, count, p):
+def expansions_at_cusp(space, basis, cusp_class, count, p):
     """Coefficient rows (mod p) of the quotient's forms at a rational cusp.
 
     The cusp must be reachable from infinity by an Atkin-Lehner involution;
@@ -286,7 +252,7 @@ def expansions_at_cusp(space, sublattice, cusp_class, count, p):
     """
     check_good_prime(space, p)
     inf_class = space.group.cusp_index_of_fraction(1, 0)
-    _, blocks = joint_expansion_rows(space, sublattice, [inf_class, cusp_class], count)
+    _, blocks = joint_expansion_rows(space, basis, [inf_class, cusp_class], count)
     return [[x % p for x in row] for row in blocks[cusp_class]]
 
 
@@ -294,39 +260,17 @@ def exact_divisors(n):
     return [q for q in range(1, n + 1) if n % q == 0 and gcd(q, n // q) == 1]
 
 
-@dataclass
-class ImmersionInstance:
-    level: int
-    prime: int
-    quotient: RankZeroQuotient
-    divisor: list  # list of (cusp_class_index, multiplicity)
-    rows_at_cusp: dict  # cusp_class_index -> rows mod p
-    count: int
+def immersion_matrix(rows_at_cusp, divisor):
+    """The block matrix of leading expansion coefficients at the divisor.
 
-    @property
-    def degree(self):
-        return sum(m for _, m in self.divisor)
-
-
-def immersion_matrix(instance):
-    """The block matrix of leading expansion coefficients at the divisor."""
-    blocks = []
-    for cusp, mult in instance.divisor:
-        rows = instance.rows_at_cusp[cusp]
-        blocks.append([row[:mult] for row in rows])
-    e = len(blocks[0])
-    out = []
-    for i in range(e):
-        row = []
-        for blk in blocks:
-            row.extend(blk[i])
-        out.append(row)
-    return out
-
-
-def is_formal_immersion(instance):
-    mat = immersion_matrix(instance)
-    return rank_mod_p(mat, instance.prime) == instance.degree
+    rows_at_cusp maps each cusp class to the rows mod p of the forms there;
+    divisor lists (cusp class, multiplicity) pairs, and each cusp of
+    multiplicity m contributes the first m coefficients of every row.
+    """
+    return [
+        [x for cusp, mult in divisor for x in rows_at_cusp[cusp][i][:mult]]
+        for i in range(len(rows_at_cusp[divisor[0][0]]))
+    ]
 
 
 def _x0_rational_cusp_classes(space, p):
@@ -341,7 +285,7 @@ def _x0_rational_cusp_classes(space, p):
 
     perm = galois_cusp_permutation(space, p % space.level)
     fixed = [i for i, j in enumerate(perm) if i == j]
-    scheme = [o for o in cusp_orbits_mod_p(space.level, "X0", p) if o.degree == 1]
+    scheme = [o for o in cusp_orbits(space.level, "X0", p) if o.degree == 1]
     expected = sum(o.count for o in scheme)
     if len(fixed) != expected:
         raise ArithmeticError(
@@ -357,7 +301,7 @@ def _x0_rational_cusp_classes(space, p):
     return fixed
 
 
-def reduction_targets(space, p, q_bound=3**6, refine="auto"):
+def reduction_targets(space, p, refine="auto"):
     """Degree-3 cuspidal divisors on X0(N) mod p that a cubic point of
     X1(N) can reduce to, for the Gamma0(N) space and a prime p not
     dividing 2N (ValueError otherwise).
@@ -377,7 +321,7 @@ def reduction_targets(space, p, q_bound=3**6, refine="auto"):
     hasse_all = all(hasse_excludes(p**i, N) for i in (1, 2, 3))
     if not hasse_all:
         for i in (1, 2, 3):
-            if exists_point_of_order(p**i, N, q_bound=q_bound):
+            if exists_point_of_order(p**i, N):
                 raise ArithmeticError(
                     f"reduction not forced to cusps: curve over F_{p**i} "
                     f"with {N}-torsion exists"
@@ -389,7 +333,7 @@ def reduction_targets(space, p, q_bound=3**6, refine="auto"):
     low = list(rational)  # degrees 2,3 would enter here; see below
     extra = [
         o
-        for o in cusp_orbits_mod_p(N, "X0", p)
+        for o in cusp_orbits(N, "X0", p)
         if o.degree in (2, 3)
     ]
     if extra:
@@ -423,37 +367,32 @@ def _degeneracy_scale(N):
 def _x1_patterns_single_support(N, p):
     """Lemma-7.1-style hypothesis: every admissible degree-3 cuspidal
     pattern on X1(N) mod p is supported over a single X0 cusp."""
-    orbits = cusp_orbits_mod_p(N, "X1", p)
+    orbits = cusp_orbits(N, "X1", p)
     rational_components = {o.component for o in orbits if o.degree == 1}
     has_degree2 = any(o.degree == 2 for o in orbits)
     return len(rational_components) == 1 and not has_degree2
 
 
-def immersion_certificate(N, p, count=5, q_bound=3**6, refine="auto",
-                          rows_mode="full"):
+def immersion_certificate(N, p, count=5, refine="auto", rows_mode="full"):
     """Full certificate: reduction targets plus rank tests at each target.
 
     rows_mode "full" uses an integral basis of all forms on the rank-zero
     quotient (old directions carry their expansions at every cusp);
-    "newform" keeps only rows visible in the expansion at infinity, which
-    reproduces computations built from newform q-expansions alone.
+    "degeneracy" takes one form per visible row of each rank-zero
+    component, folding an old component's shadow row in through the
+    degeneracy 1-form scaling.
     """
     space = build_space(GroupSpec.gamma0(N))
-    targets = reduction_targets(space, p, q_bound=q_bound, refine=refine)
+    targets = reduction_targets(space, p, refine=refine)
     quotient = rank_zero_quotient(space)
     cusps_needed = sorted({c for div in targets for c, _ in div})
     inf_class = space.group.cusp_index_of_fraction(1, 0)
     all_cusps = sorted(set(cusps_needed) | {inf_class})
-    if rows_mode in ("full", "newform"):
+    if rows_mode == "full":
         _, blocks = joint_expansion_rows(
             space, quotient.rank_zero_basis(), all_cusps, count
         )
-        keep = list(range(len(blocks[inf_class])))
-        if rows_mode == "newform":
-            keep = [i for i in keep if any(blocks[inf_class][i])]
-        rows = {
-            c: [[x % p for x in blocks[c][i]] for i in keep] for c in cusps_needed
-        }
+        rows = {c: [[x % p for x in row] for row in blocks[c]] for c in cusps_needed}
     elif rows_mode == "degeneracy":
         rows = {c: [] for c in cusps_needed}
         for comp in quotient.components:
@@ -482,18 +421,11 @@ def immersion_certificate(N, p, count=5, q_bound=3**6, refine="auto",
     per_target = []
     all_pass = True
     for div in targets:
-        inst = ImmersionInstance(
-            level=N,
-            prime=p,
-            quotient=quotient,
-            divisor=div,
-            rows_at_cusp=rows,
-            count=count,
-        )
-        rank = rank_mod_p(immersion_matrix(inst), p)
-        ok = rank == inst.degree
+        rank = rank_mod_p(immersion_matrix(rows, div), p)
+        degree = sum(m for _, m in div)
+        ok = rank == degree
         all_pass = all_pass and ok
-        per_target.append({"divisor": div, "rank": rank, "degree": inst.degree,
+        per_target.append({"divisor": div, "rank": rank, "degree": degree,
                            "formal_immersion": ok})
     return {
         "level": N,

@@ -69,6 +69,11 @@ def test_invalid_level_is_refused_before_the_sweep(command, tmp_path):
         (("ecscan", "11", "6"), "not a prime power"),
         (("immersion", "121", "11"), "divides 2N"),
         (("immersion", "11", "4"), "not prime"),
+        (("ecscan", "3", "6"), "not a prime power"),
+        (("ecscan", "11", "1"), "not a prime power"),
+        (("ecscan", "11", "0"), "not a prime power"),
+        (("rank", "gamma1", "11", "--jobs", "-1"), "invalid --jobs -1"),
+        (("torsion", "gamma1", "13", "--jobs", "0"), "invalid --jobs 0"),
     ],
 )
 def test_invalid_arguments_are_refused(argv, reason, tmp_path, capsys):
@@ -185,10 +190,8 @@ def test_places_command():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["places_by_degree"] == [10, 0, 0]
-    # resource refusals: F_9 above --q-bound, F_2401 above the table limit
-    proc = run_cli("places", "22", "3", "--q-bound", "8")
-    assert (proc.returncode, proc.stdout) == (2, "")
-    proc = run_cli("places", "5", "7", "--maxdeg", "4", "--q-bound", "100000")
+    # resource refusal: F_2401 above the table limit
+    proc = run_cli("places", "5", "7", "--maxdeg", "4")
     assert (proc.returncode, proc.stdout) == (2, "")
 
 
@@ -197,11 +200,11 @@ def test_ecscan_command():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert [r["exists_point_of_order"] for r in report["results"]] == [False, False]
-    # resource refusal
-    proc = run_cli("ecscan", "11", "2187")
-    assert proc.returncode == 2
-    # a field above the arithmetic-table limit is refused whatever --q-bound
-    proc = run_cli("ecscan", "5", "6561,19683", "--q-bound", "100000")
+    # resource refusals: fields above the arithmetic-table limit, also
+    # where the N <= 3 shortcut needs no table
+    proc = run_cli("ecscan", "3", "6561")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    proc = run_cli("ecscan", "5", "6561,19683")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "resource refusal" in proc.stderr

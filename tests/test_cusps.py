@@ -3,9 +3,7 @@ import pytest
 from modtors.cusps import (
     cusp_count_X0,
     cusp_count_X1,
-    cusp_orbits_X0,
-    cusp_orbits_X1,
-    cusp_orbits_mod_p,
+    cusp_orbits,
     degree1_count_over_extension,
     galois_act,
     mult_order,
@@ -15,7 +13,7 @@ from modtors.cusps import (
 
 
 def test_X1_21_orbit_fields():
-    orbits = cusp_orbits_X1(21)
+    orbits = cusp_orbits(21, "X1")
     rational = sum(o.count for o in orbits if o.degree == 1)
     quadratic = sum(o.count for o in orbits if o.degree == 2)
     assert rational == 6
@@ -28,31 +26,31 @@ def test_X1_22_ten_rational():
 
 
 def test_X1_65_top_component():
-    orbits = [o for o in cusp_orbits_X1(65) if o.component == 65]
+    orbits = [o for o in cusp_orbits(65, "X1") if o.component == 65]
     assert sum(o.count for o in orbits if o.degree == 1) == 24
     assert all(o.degree == 1 for o in orbits)
 
 
 def test_X0_121_and_65():
-    orbits = cusp_orbits_X0(121)
+    orbits = cusp_orbits(121, "X0")
     assert sorted(o.degree for o in orbits) == [1, 1, 10]
     assert rational_cusp_count(121, "X0") == 2
 
-    orbits = cusp_orbits_X0(65)
+    orbits = cusp_orbits(65, "X0")
     assert [o.degree for o in orbits] == [1, 1, 1, 1]
 
-    assert [o.degree for o in cusp_orbits_X0(11)] == [1, 1]
+    assert [o.degree for o in cusp_orbits(11, "X0")] == [1, 1]
 
 
 def test_X0_121_mod_5_splits_in_two_quintics():
-    orbits = cusp_orbits_mod_p(121, "X0", 5)
+    orbits = cusp_orbits(121, "X0", 5)
     big = [o for o in orbits if o.component == 11]
     assert len(big) == 1 and big[0].count == 2 and big[0].degree == 5
     assert rational_cusp_count(121, "X0", p=5) == 2
 
 
 def test_X1_65_mod_3_degrees():
-    orbits = cusp_orbits_mod_p(65, "X1", 3)
+    orbits = cusp_orbits(65, "X1", 3)
     # (Z/5 x mu_13)' part: d = 5 component; order of 3 mod 13 is 3
     d5 = [o for o in orbits if o.component == 5]
     assert mult_order(3, 13) == 3
@@ -69,25 +67,25 @@ def test_X1_65_mod_3_degrees():
 
 def test_mod_p_rejects_bad_primes():
     with pytest.raises(ValueError):
-        cusp_orbits_mod_p(22, "X1", 11)
+        cusp_orbits(22, "X1", 11)
     with pytest.raises(ValueError):
-        cusp_orbits_mod_p(21, "X1", 2)
+        cusp_orbits(21, "X1", 2)
     with pytest.raises(ValueError):
-        cusp_orbits_mod_p(21, "X1", 9)
+        cusp_orbits(21, "X1", 9)
 
 
 @pytest.mark.parametrize("N", range(5, 66))
 def test_total_counts_match_formulas(N):
-    o1 = cusp_orbits_X1(N)
+    o1 = cusp_orbits(N, "X1")
     assert sum(o.geometric_points() for o in o1) == cusp_count_X1(N)
-    o0 = cusp_orbits_X0(N)
+    o0 = cusp_orbits(N, "X0")
     assert sum(o.geometric_points() for o in o0) == cusp_count_X0(N)
 
 
 @pytest.mark.parametrize("N,p", [(21, 5), (22, 3), (25, 3), (65, 3), (121, 3), (33, 7)])
 def test_reduction_preserves_degree_totals(N, p):
-    q_orbits = cusp_orbits_X1(N)
-    p_orbits = cusp_orbits_mod_p(N, "X1", p)
+    q_orbits = cusp_orbits(N, "X1")
+    p_orbits = cusp_orbits(N, "X1", p)
     assert sum(o.geometric_points() for o in q_orbits) == sum(
         o.geometric_points() for o in p_orbits
     )
@@ -170,5 +168,5 @@ def test_degree1_count_over_extension():
     d3 = degree1_count_over_extension(65, "X1", 3, 3)
     # the eight cubic places over the d=5 component now contribute
     assert d3 == 24 + 3 * sum(
-        o.count for o in cusp_orbits_mod_p(65, "X1", 3) if o.degree == 3
+        o.count for o in cusp_orbits(65, "X1", 3) if o.degree == 3
     )

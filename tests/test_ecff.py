@@ -91,6 +91,41 @@ def test_antilog_covers_nonzero_elements(q):
     assert (f.antilog[f.log[1:]] == np.arange(1, q)).all()
 
 
+# The default modulus x^k + f.modulus of F_{p^k} for every p^k <= 3^7 with
+# k >= 2: element codes, and so every table, depend on it.
+DEFAULT_MODULI = {
+    (2, 2): (1, 1), (2, 3): (1, 0, 1), (2, 4): (1, 0, 0, 1),
+    (2, 5): (1, 0, 0, 1, 0), (2, 6): (1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 0, 0, 0, 0, 0, 1), (2, 8): (1, 0, 0, 0, 1, 1, 0, 1),
+    (2, 9): (1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 0, 0, 0, 0, 1, 0, 0),
+    (2, 11): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0),
+    (3, 2): (1, 0), (3, 3): (1, 0, 2), (3, 4): (1, 0, 1, 1),
+    (3, 5): (1, 0, 0, 0, 2), (3, 6): (1, 0, 0, 0, 1, 1),
+    (3, 7): (1, 0, 0, 0, 0, 1, 2),
+    (5, 2): (1, 1), (5, 3): (1, 0, 1), (5, 4): (1, 0, 1, 1),
+    (7, 2): (1, 0), (7, 3): (1, 0, 1), (11, 2): (1, 0), (11, 3): (1, 0, 4),
+    (13, 2): (1, 3), (17, 2): (1, 1), (19, 2): (1, 0), (23, 2): (1, 0),
+    (29, 2): (1, 1), (31, 2): (1, 0), (37, 2): (1, 3), (41, 2): (1, 1),
+    (43, 2): (1, 0),
+}
+
+
+def test_default_moduli_are_frozen(monkeypatch):
+    # only the modulus search runs, not the tables
+    monkeypatch.setattr(ecff.FiniteField, "_build_tables", lambda self: None)
+    fields = {
+        (p, k)
+        for p in range(2, 50)
+        if isprime(p)
+        for k in range(2, 12)
+        if p**k <= ecff.MAX_TABLE_Q
+    }
+    assert fields == set(DEFAULT_MODULI)
+    for (p, k), modulus in DEFAULT_MODULI.items():
+        assert ecff.FiniteField(p, k).modulus == modulus
+
+
 def test_field_conversions():
     f = finite_field(49)
     assert f.scalar(-1) == 6 and f.scalar((3, 2)) == 3 + 2 * 7
@@ -158,7 +193,7 @@ def test_exists_point_of_order():
         for n in (1, 2, 3):
             assert exists_point_of_order(q, n) is True
     with pytest.raises(ResourceWarning):
-        exists_point_of_order(3**7, 5)
+        exists_point_of_order(3**8, 5)
 
 
 def test_small_order_existence_via_scan():
@@ -357,6 +392,6 @@ def test_field_above_table_limit_is_refused(monkeypatch):
         with pytest.raises(ResourceWarning):
             finite_field(q)
     with pytest.raises(ResourceWarning):
-        exists_point_of_order(3**8, 5, q_bound=3**9)
+        exists_point_of_order(3**8, 5)
     with pytest.raises(ResourceWarning):
         group_structure(3**8, (0, 0, 0, 1, 1))

@@ -3,13 +3,10 @@ import random
 import pytest
 
 from modtors.immersion import (
-    ImmersionInstance,
-    coefficient_rows,
     exact_divisors,
     expansions_at_cusp,
     immersion_certificate,
     immersion_matrix,
-    is_formal_immersion,
     joint_expansion_rows,
     rank_zero_quotient,
     reduction_targets,
@@ -49,15 +46,17 @@ def test_component_dims_sum_to_genus():
 
 def test_coefficient_rows_level11():
     sp = build_space(GroupSpec.gamma0(11))
-    rows = coefficient_rows(sp, [[1]], 10)
-    assert rows == [[1, -2, -1, 2, 1, 2, -2, 0, -2, -2]]
+    inf = sp.group.cusp_index_of_fraction(1, 0)
+    _, blocks = joint_expansion_rows(sp, [[1]], [inf], 10)
+    assert blocks[inf] == [[1, -2, -1, 2, 1, 2, -2, 0, -2, -2]]
 
 
 def test_coefficient_rows_eigenline_normalized():
     # a one-dimensional eigen-line yields a row starting with a_1 = 1
     sp = build_space(GroupSpec.gamma0(11))
-    rows = coefficient_rows(sp, [[1]], 1)
-    assert rows == [[1]]
+    inf = sp.group.cusp_index_of_fraction(1, 0)
+    _, blocks = joint_expansion_rows(sp, [[1]], [inf], 1)
+    assert blocks[inf] == [[1]]
 
 
 def test_expansions_at_infinity_identity():
@@ -130,8 +129,7 @@ def test_rank_invariant_under_row_and_cusp_permutations():
     p = 5
     rows = {c: [[x % p for x in row] for row in blocks[c]] for c in (inf, zero)}
     div = [(inf, 2), (zero, 1)]
-    inst = ImmersionInstance(121, p, q, div, rows, 5)
-    base_rank = rank_mod_p(immersion_matrix(inst), p)
+    base_rank = rank_mod_p(immersion_matrix(rows, div), p)
     rng = random.Random(3)
     for _ in range(5):
         perm = list(range(len(rows[inf])))
@@ -140,11 +138,9 @@ def test_rank_invariant_under_row_and_cusp_permutations():
         shuffled = {
             c: [[x * unit % p for x in rows[c][i]] for i in perm] for c in rows
         }
-        inst2 = ImmersionInstance(121, p, q, div, shuffled, 5)
-        assert rank_mod_p(immersion_matrix(inst2), p) == base_rank
+        assert rank_mod_p(immersion_matrix(shuffled, div), p) == base_rank
     # reordering the divisor blocks does not change the rank
-    inst3 = ImmersionInstance(121, p, q, [(zero, 1), (inf, 2)], rows, 5)
-    assert rank_mod_p(immersion_matrix(inst3), p) == base_rank
+    assert rank_mod_p(immersion_matrix(rows, [(zero, 1), (inf, 2)]), p) == base_rank
 
 
 def test_exact_divisors():

@@ -151,17 +151,16 @@ def test_diamond_properties():
     sp13 = build_space(GroupSpec.gamma1(13))
     with pytest.raises(ValueError):
         diamond_operator(sp13, 13)
-    # <d> has multiplicative order dividing 6 = |(Z/13)^* / {+-1}|
+    # <2> has multiplicative order exactly 6 = |(Z/13)^* / {+-1}|
     d2 = diamond_operator(sp13, 2)
     power = identity(sp13.dim)
-    for _ in range(6):
+    for k in range(1, 7):
         power = mat_mul(power, d2)
-    assert power == identity(sp13.dim)
+        assert (power == identity(sp13.dim)) == (k == 6)
     # multiplicative
     d4 = diamond_operator(sp13, 4)
     assert d4 == mat_mul(d2, d2)
     # <-1> acts trivially on weight-2 symbols
-    assert diamond_operator(sp13, 12) != identity(sp13.dim) or True
     assert diamond_operator(sp13, -1) == identity(sp13.dim)
 
 
