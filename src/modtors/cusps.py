@@ -84,11 +84,6 @@ def x1_component_points(N, d):
     return sorted(pts)
 
 
-def x1_cusp_points(N):
-    """All folded geometric cusp points of X1(N): list of (d, i, b)."""
-    return [(d, i, b) for d in divisors(N) for (i, b) in x1_component_points(N, d)]
-
-
 def _x1_orbit_sizes(N, d, generators):
     """Sizes of the orbits of the folded d-component points under the
     group generated by the given unit exponents, which act on the
@@ -145,35 +140,6 @@ def cusp_orbits(N, kind, p=None):
             degree = int(totient(g)) if p is None else mult_order(p % g, g)
             out.append(CuspOrbit(d, int(totient(g)) // degree, degree, x0_width(N, d)))
     return out
-
-
-def galois_act(s, N, points):
-    """Permutation induced by sigma_s on folded X1(N) cusp points.
-
-    points is a list of (d, i, b) triples as from x1_cusp_points; s must be
-    a unit mod N.  Acts by exponent s on the mu-coordinate, fixes the Z/d
-    coordinate, and commutes with the folding.
-    """
-    if gcd(s, N) != 1:
-        raise ValueError(f"{s} is not a unit mod {N}")
-    index = {pt: k for k, pt in enumerate(points)}
-    perm = []
-    for d, i, b in points:
-        m = N // d
-        img = _fold(((s * i) % m if m > 1 else i, b), m, d)
-        perm.append(index[(d, img[0], img[1])])
-    return perm
-
-
-def cusp_count_X1(N):
-    """Number of geometric cusps of X1(N) by the standard formula (N >= 5)."""
-    if N < 5:
-        raise ValueError("formula stated for N >= 5")
-    return sum(int(totient(d)) * int(totient(N // d)) for d in divisors(N)) // 2
-
-
-def cusp_count_X0(N):
-    return sum(int(totient(gcd(d, N // d))) for d in divisors(N))
 
 
 def rational_cusp_count(N, kind, p=None):

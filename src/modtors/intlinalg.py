@@ -176,6 +176,14 @@ def hnf(a, transform=False):
     pass an adaptive bit threshold (Kannan-Bachem style), so nasty inputs
     stay polynomial without slowing down the common sparse case.
     """
+    return _hermite(a, transform, 0)
+
+
+def _hermite(a, transform, reduced_from):
+    """hnf(a, transform), except that the final renormalization reduces
+    only the rows whose pivot column is at least `reduced_from`.  A row is
+    reduced only by rows with later pivots, so those rows come out as in
+    hnf; the rows before them are left as the growth control left them."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     u = identity(nrows) if transform else None
@@ -185,11 +193,13 @@ def hnf(a, transform=False):
     in_bits = max((abs(x) for row in a for x in row), default=1).bit_length()
     threshold = 1 << max(256, 8 * in_bits + 64)
 
-    def renormalize():
+    def renormalize(first=0):
         order = sorted(pivots)
         ech = [echelon[pivots[j]] for j in order]
         for i in range(len(ech) - 2, -1, -1):
-            rrow, rurow, _ = ech[i]
+            rrow, rurow, pivcol = ech[i]
+            if pivcol < first:
+                break
             for k in range(i + 1, len(ech)):
                 row, urow, j = ech[k]
                 q = rrow[j] // row[j]
@@ -249,7 +259,7 @@ def hnf(a, transform=False):
         if reduce_in(row[:], u[i][:] if transform else None):
             renormalize()
 
-    renormalize()
+    renormalize(reduced_from)
     order = sorted(pivots)
     ech_sorted = [echelon[pivots[j]] for j in order]
     h = [e[0] for e in ech_sorted]
@@ -279,6 +289,8 @@ def kernel_basis(a):
     Z^n), i.e. it equals its own saturation.  Computed as the HNF of the
     block [a^T | I]: rows whose left block vanished carry kernel vectors in
     the right block, and the HNF's own reduction keeps their entries small.
+    Only those rows are returned, so the final reduction skips the rows
+    with a pivot in the left block.
     """
     at = transpose(a)
     if not at:
@@ -286,7 +298,7 @@ def kernel_basis(a):
     n = len(at)
     m = len(at[0])
     aug = [row + [1 if k == i else 0 for k in range(n)] for i, row in enumerate(at)]
-    h = hnf(aug)
+    h = _hermite(aug, False, m)
     out = []
     for row in h:
         if any(row[:m]):

@@ -118,12 +118,19 @@ def winding_sweep(space, bound):
         yield n, np.stack((idx, total[idx]), axis=1)
 
 
-def _exact_vector(space, terms):
-    out = [0] * space.dim
-    for idx, cnt in terms.tolist():
-        for k, y in space.proj_support[idx]:
-            out[k] += cnt * y
-    return out
+INT64_MAX = 2**63 - 1
+
+
+def _winding_vector(proj64, proj_max, terms):
+    """sum of count * proj[symbol] over the terms of a T_n {0, oo}, as an
+    exact int64 vector; proj_max is max |proj|.  Every partial sum of the
+    product is at most proj_max * sum |count| in absolute value, so it
+    cannot wrap once that bound fits; ArithmeticError if it does not."""
+    idx, cnt = terms.T
+    if proj_max * int(np.abs(cnt).sum()) > INT64_MAX:
+        raise ArithmeticError("winding vector could overflow int64")
+    # cnt @ proj64[idx], as a sum of scaled rows (faster than int matmul)
+    return np.einsum("i,ij->j", cnt, proj64[idx])
 
 
 def winding_span_mod_p(space, bound, p):
@@ -137,7 +144,9 @@ def winding_span_mod_p(space, bound, p):
     n swept.
     """
     g = space.genus()
-    proj_np = np.array(space.proj, dtype=np.int64) % p
+    # not memoised: at high levels it is hundreds of MiB
+    proj64 = np.array(space.proj, dtype=np.int64)
+    proj_max = int(np.abs(proj64).max(initial=0))
     bnd_np = np.array(space.boundary, dtype=np.int64) % p
     full_ech = ModPEchelon(space.dim, p)
     bnd_ech = ModPEchelon(space.ncusps, p)
@@ -147,10 +156,10 @@ def winding_span_mod_p(space, bound, p):
     stopped_at = bound
     for n, terms in winding_sweep(space, bound):
         swept.append(terms)
-        idx, cnt = terms.T
-        v = (proj_np[idx] * cnt[:, None]).sum(axis=0) % p
+        x = _winding_vector(proj64, proj_max, terms)
+        v = x % p
         if full_ech.add(v):
-            kept.append(_exact_vector(space, terms))
+            kept.append(x.tolist())
             bnd_ech.add(v @ bnd_np % p)
             s_dim = full_ech.rank - bnd_ech.rank
             if s_dim >= g:
@@ -213,29 +222,44 @@ def _certify_rank_zero(space, kept_vecs, g):
     return len(kept_vecs) - rank_rational(dv) >= g
 
 
+def _plus_spanning_rows(space):
+    """W = B_S (I + star) as an exact int64 array, B_S the cycle basis of
+    S: 2g rows in S+ that span S+ over Q (see _certify_positive)."""
+    bs = np.array(space.cuspidal.basis, dtype=np.int64)
+    star = np.array(space.star_matrix(), dtype=np.int64)
+    # |W_ij| <= |B_ij| + sum_k |B_ik| |star_kj| <= (row sum |B|) (1 + max |star|)
+    row_max = int(np.abs(bs).sum(axis=1).max())
+    if row_max * (1 + int(np.abs(star).max())) > INT64_MAX:
+        raise ArithmeticError("B_S (I + star) could overflow int64")
+    return bs + bs @ star
+
+
 def _certify_positive(space, kept_vecs, swept, p):
-    """Exact functional phi with phi(T_n e) = 0 for all n, phi|S+ != 0."""
+    """Exact functional phi with phi(T_n e) = 0 for all n, phi|S+ != 0.
+
+    S+ is met through the 2g rows W = B_S (I + star), not through a basis
+    of S+.  Star is an involution keeping S invariant, so W lies in S+,
+    and x (I + star) = 2x for x in S+, so 2 S+ lies in the row span of W:
+    W spans S+ over Q, and phi|S+ != 0 exactly when W phi != 0.  S+ / W is
+    killed by 2, so for the odd prime p the rows of W mod p span S+ mod p,
+    and the mod-p screen below sees what a basis of S+ would.
+    """
     dim = space.dim
     v_np = np.array(kept_vecs, dtype=np.int64) % p
     ech, piv = echelon_mod_p(v_np, p)
-    splus = space.plus_cuspidal().basis
+    w = _plus_spanning_rows(space)
     k = len(kept_vecs)
-    nonpiv = [j for j in range(dim) if j not in set(piv)]
+    pivset = set(piv)
+    nonpiv = [j for j in range(dim) if j not in pivset]
     sub = [[row[j] for j in piv] for row in kept_vecs]
     # screen candidate kernel directions by their S+ pairing mod p: the
     # kernel vector for a non-pivot column j0 is e_j0 minus the echelon
     # column at j0 spread over the pivot columns
-    splus_np = np.array([[x % p for x in row] for row in splus], dtype=np.int64)
-    good = []
-    for j0 in nonpiv:
-        pairing = splus_np[:, j0].copy()
-        col = ech[:, j0]
-        if col.any():
-            pairing = (pairing - splus_np[:, piv] @ col) % p
-        else:
-            pairing = pairing % p
-        if pairing.any():
-            good.append(j0)
+    w_p = w % p
+    pairing = w_p[:, nonpiv]
+    if piv:
+        pairing = (pairing - w_p[:, piv] @ ech[:, nonpiv]) % p
+    good = [j0 for j0, col in zip(nonpiv, pairing.T) if col.any()]
     tried = 0
     for j0 in good + nonpiv:
         tried += 1
@@ -254,21 +278,21 @@ def _certify_positive(space, kept_vecs, swept, p):
         for col, x in zip(piv, num):
             phi[col] = x
         phi[j0] = den
-        # exact kill of the kept span is automatic; check S+ non-vanishing
-        if all(sum(a * b for a, b in zip(s, phi)) == 0 for s in splus):
+        # exact kill of the kept span is automatic; check W phi != 0
+        support = [j for j, x in enumerate(phi) if x]
+        phi_s = [phi[j] for j in support]
+        if not any(sum(a * b for a, b in zip(row, phi_s))
+                   for row in w[:, support].tolist()):
             continue
         # exact verification against every swept vector
-        phiproj = [
-            sum(a * b for a, b in zip(row, phi)) if any(row) else 0
-            for row in space.proj
-        ]
+        phiproj = [sum(c * phi[j] for j, c in sup) for sup in space.proj_support]
         ok = True
         for terms in swept:
             if sum(cnt * phiproj[idx] for idx, cnt in terms.tolist()) != 0:
                 ok = False
                 break
         if ok:
-            return {"functional_support": int(sum(1 for x in phi if x))}
+            return {"functional_support": len(support)}
     return None
 
 

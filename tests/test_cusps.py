@@ -1,15 +1,40 @@
+from math import gcd
+
 import pytest
 
+from conftest import cusp_count_X0, cusp_count_X1
 from modtors.cusps import (
-    cusp_count_X0,
-    cusp_count_X1,
+    _fold,
     cusp_orbits,
     degree1_count_over_extension,
-    galois_act,
+    divisors,
     mult_order,
     rational_cusp_count,
-    x1_cusp_points,
+    x1_component_points,
 )
+
+
+def x1_cusp_points(N):
+    """All folded geometric cusp points of X1(N): list of (d, i, b)."""
+    return [(d, i, b) for d in divisors(N) for (i, b) in x1_component_points(N, d)]
+
+
+def galois_act(s, N, points):
+    """Permutation induced by sigma_s on folded X1(N) cusp points.
+
+    points is a list of (d, i, b) triples as from x1_cusp_points; s must be
+    a unit mod N.  Acts by exponent s on the mu-coordinate, fixes the Z/d
+    coordinate, and commutes with the folding.
+    """
+    if gcd(s, N) != 1:
+        raise ValueError(f"{s} is not a unit mod {N}")
+    index = {pt: k for k, pt in enumerate(points)}
+    perm = []
+    for d, i, b in points:
+        m = N // d
+        img = _fold(((s * i) % m if m > 1 else i, b), m, d)
+        perm.append(index[(d, img[0], img[1])])
+    return perm
 
 
 def test_X1_21_orbit_fields():

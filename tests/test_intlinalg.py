@@ -130,6 +130,65 @@ def test_kernel_basis_saturated(seed):
             assert sol is not None
 
 
+def _kernel_basis_oracle(a):
+    """kernel_basis with the full final renormalization of the Hermite form
+    of [a^T | I], the left-block rows included (the former route)."""
+    at = transpose(a)
+    if not at:
+        return []
+    n, m = len(at), len(at[0])
+    aug = [row + [1 if k == i else 0 for k in range(n)] for i, row in enumerate(at)]
+    return [row[m:] for row in hnf(aug) if not any(row[:m])]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_kernel_basis_matches_full_renormalization(seed):
+    rng = random.Random(900 + seed)
+    r, c = rng.randint(1, 8), rng.randint(1, 10)
+    bound = rng.choice([1, 10, 10**6, 10**40])
+    m = random_matrix(rng, r, c, -bound, bound)
+    # rank-deficient: a product through a thin middle
+    k = rng.randint(1, min(r, c))
+    thin = mat_mul(random_matrix(rng, r, k), random_matrix(rng, k, c))
+    for a in (m, thin, transpose(thin)):
+        assert kernel_basis(a) == _kernel_basis_oracle(a)
+
+
+def test_kernel_basis_matches_full_renormalization_on_lattice_blocks(monkeypatch):
+    # the blocks Lattice.preimage and Lattice.intersect pass to kernel_basis
+    # in the torsion pipeline of Gamma1(21)
+    from modtors import lattice
+    from modtors.jacobian import torsion_is_cuspidal
+    from modtors.modsym import GroupSpec, build_space
+
+    blocks = []
+
+    def recording(a):
+        blocks.append(a)
+        return kernel_basis(a)
+
+    monkeypatch.setattr(lattice, "kernel_basis", recording)
+    sp = build_space(GroupSpec.gamma1(21))
+    torsion_is_cuspidal(sp, [5, 11])
+    assert len(blocks) >= 6
+    for a in blocks:
+        assert kernel_basis(a) == _kernel_basis_oracle(a)
+
+
+def test_kernel_basis_matches_full_renormalization_on_structured_inputs():
+    # identity and zero blocks, a single row of degrees, a wide block
+    # of multiples: kernels with many and with no left-block pivots
+    cases = [
+        identity(5),
+        [[0] * 4 for _ in range(3)],
+        [[1, 2, 3, 4, 6, 12]],
+        [[6 * i + j for j in range(7)] for i in range(3)],
+        [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(9)] for i in range(9)],
+    ]
+    for a in cases:
+        assert kernel_basis(a) == _kernel_basis_oracle(a)
+
+
 def test_kernel_spec_example():
     ker = kernel_basis([[1, 1]])
     assert len(ker) == 1

@@ -2,6 +2,7 @@ import sys
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from sympy import divisors
 
@@ -23,6 +24,7 @@ from modtors.jacobian import (
     torsion_report,
     winding_sweep,
 )
+from modtors.intlinalg import MODP, rank_rational, vec_mat
 from modtors.lattice import Lattice, lattice_torsion_quotient
 from modtors.modsym import GroupSpec, build_space, merel_family
 
@@ -93,9 +95,30 @@ def test_winding_sweep_matches_merel_oracle(spec):
     bound = sturm_bound(spec)
     swept = list(winding_sweep(space, bound))
     assert [n for n, _ in swept] == list(range(1, bound + 1))
+    proj64 = np.array(space.proj, dtype=np.int64)
+    proj_max = int(np.abs(proj64).max())
     for n, terms in swept:
         want = _merel_winding_vector(space, n)
-        assert jacobian._exact_vector(space, terms) == want, n
+        assert jacobian._winding_vector(proj64, proj_max, terms).tolist() == want, n
+
+
+def test_winding_vector_refuses_int64_overflow(monkeypatch):
+    # 2^62 fits int64, but twice it wraps to -2^63: the bound check raises
+    # before the product is taken
+    big = np.array([[2**62, 0], [0, 1]], dtype=np.int64)
+    assert jacobian._winding_vector(big, 2**62, np.array([[0, 1]])).tolist() == [2**62, 0]
+    assert jacobian._winding_vector(big, 2**62, np.array([[1, -1]])).tolist() == [0, -1]
+    with pytest.raises(ArithmeticError):
+        jacobian._winding_vector(big, 2**62, np.array([[0, 2]]))
+    with pytest.raises(ArithmeticError):
+        jacobian._winding_vector(big, 2**62, np.array([[0, 1], [0, 1]]))
+    # through the sweep: symbol projections scaled by 2^61 overflow at the
+    # first T_n {0, oo} with four or more symbols
+    space = build_space(GroupSpec.gamma0(37))
+    assert max(abs(x) for row in space.proj for x in row) == 1
+    monkeypatch.setattr(space, "proj", [[x * 2**61 for x in row] for row in space.proj])
+    with pytest.raises(ArithmeticError):
+        jacobian.winding_span_mod_p(space, sturm_bound(space.spec), MODP)
 
 
 def test_winding_sweep_diamond_orientation():
@@ -131,6 +154,37 @@ def test_rank_certificates(spec, verdict, span):
         assert cert.span_dim == span
     if verdict == "rank_zero":
         assert cert.span_dim == cert.plus_dim
+
+
+POSITIVE_RANK_SPECS = [GroupSpec.gamma0(37), GroupSpec.gamma0(65), GroupSpec.gamma1(37)]
+
+
+@pytest.mark.parametrize("spec", POSITIVE_RANK_SPECS, ids=lambda s: s.label())
+def test_plus_spanning_rows_lie_in_and_span_plus_part(spec):
+    # the rows of B_S (I + star) lie in the saturated S+ and have rank g
+    sp = build_space(spec)
+    w = jacobian._plus_spanning_rows(sp)
+    assert w.shape == (2 * sp.genus(), sp.dim)
+    assert w.tolist() == [[a + b for a, b in zip(row, vec_mat(row, sp.star_matrix()))]
+                          for row in sp.cuspidal.basis]
+    plus = sp.plus_cuspidal()
+    for row in w.tolist():
+        assert plus.solve(row) is not None
+    assert rank_rational(w.tolist()) == sp.genus() == plus.rank
+
+
+@pytest.mark.parametrize("spec", POSITIVE_RANK_SPECS, ids=lambda s: s.label())
+def test_positive_rank_certificate_builds_no_plus_lattice(spec, monkeypatch):
+    sp = build_space(spec)
+    cert = is_rank_zero(sp)
+    assert cert.verdict == "positive_rank"
+    assert "plus" not in sp._memo
+    # the same functional as through a Z-basis of S+ (the former route)
+    fresh = build_space(spec)
+    monkeypatch.setattr(jacobian, "_plus_spanning_rows",
+                        lambda space: np.array(space.plus_cuspidal().basis, dtype=np.int64))
+    assert is_rank_zero(fresh).to_json() == cert.to_json()
+    assert "plus" in fresh._memo
 
 
 @pytest.mark.parametrize(
@@ -200,7 +254,7 @@ def _cuspidal_span_rank_zero(sp, kept, g):
 )
 def test_rank_zero_certificate_counts_boundary_rank(spec):
     from modtors.immersion import cuspidal_span
-    from modtors.intlinalg import MODP, rank_rational
+    from modtors.intlinalg import MODP, rank_rational, vec_mat
 
     sp = build_space(spec)
     g = sp.genus()

@@ -4,8 +4,7 @@ from math import gcd
 
 import pytest
 
-from conftest import curve11_ap
-from modtors.cusps import cusp_count_X0, cusp_count_X1
+from conftest import curve11_ap, cusp_count_X0, cusp_count_X1
 from modtors.intlinalg import (
     identity,
     is_zero_mat,
