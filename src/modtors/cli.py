@@ -412,6 +412,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.jobs < 1:
         return refuse(f"invalid --jobs {args.jobs}", "need at least one process")
+    if getattr(args, "maxdeg", 1) < 1:
+        return refuse(f"invalid --maxdeg {args.maxdeg}", "need at least degree 1")
+    if getattr(args, "count", 1) < 1:
+        return refuse(f"invalid --count {args.count}", "need at least one coefficient")
     return args.func(args)
 
 

@@ -68,6 +68,9 @@ def is_zero_mat(a):
 
 
 def max_abs(a):
+    """max |entry| of a list of rows, or of an int64 array without a copy."""
+    if isinstance(a, np.ndarray):
+        return int(max(a.max(initial=0), -a.min(initial=0)))
     return max((abs(x) for row in a for x in row), default=0)
 
 
@@ -460,6 +463,19 @@ def elementary_divisors(a):
 # word-sized modular arithmetic (numpy int64; p^2 * n must stay below 2^63)
 
 MODP = 67108859  # prime just below 2^26
+INT64_MAX = 2**63 - 1
+
+
+def check_int64_sum(row_max, weight, what):
+    """ArithmeticError unless row_max * weight <= 2^63 - 1.
+
+    A sum of int64 rows with entries at most row_max in absolute value,
+    taken with integer coefficients of total absolute value at most weight,
+    has every partial sum at most row_max * weight in absolute value; the
+    int64 product is exact when that bound fits.
+    """
+    if row_max * weight > INT64_MAX:
+        raise ArithmeticError(f"{what} could overflow int64")
 
 
 def _as_modp(a, p=MODP):
@@ -526,7 +542,10 @@ class ModPEchelon:
     """Incremental reduced row echelon mod p for streaming rank computations.
 
     Rows are stored fully reduced (rref), so reducing an incoming vector is
-    a single matrix product; safe for p < 2^26 and dimension < 2^10.
+    a single int64 matrix product, a sum of rank products each below p^2.
+    Each reduction checks that max(rank, 1) * (p - 1)^2 fits int64, which
+    also bounds the single products of `add`, and raises ArithmeticError
+    otherwise: at MODP that allows rank up to 2048.
     """
 
     def __init__(self, ncols, p=MODP):
@@ -541,6 +560,7 @@ class ModPEchelon:
 
     def reduce(self, vec):
         """Reduce vec (np.int64 array) against the echelon; returns residue."""
+        check_int64_sum(self.p - 1, max(1, self.rank) * (self.p - 1), "mod-p reduction")
         v = np.asarray(vec, dtype=np.int64) % self.p
         if self.piv:
             coeffs = v[self.piv]

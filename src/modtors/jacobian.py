@@ -28,6 +28,7 @@ from .intlinalg import (
     _as_modp,
     _charpoly_mod_p,
     _crt_pair,
+    check_int64_sum,
     det_bareiss,
     echelon_mod_p,
     hnf,
@@ -38,6 +39,7 @@ from .intlinalg import (
     mat_mul,
     mat_scale,
     mat_sub,
+    max_abs,
     rank_rational,
     rational_reconstruct,
     smith_normal_form,
@@ -118,19 +120,14 @@ def winding_sweep(space, bound):
         yield n, np.stack((idx, total[idx]), axis=1)
 
 
-INT64_MAX = 2**63 - 1
-
-
-def _winding_vector(proj64, proj_max, terms):
+def _winding_vector(proj, proj_max, terms):
     """sum of count * proj[symbol] over the terms of a T_n {0, oo}, as an
-    exact int64 vector; proj_max is max |proj|.  Every partial sum of the
-    product is at most proj_max * sum |count| in absolute value, so it
-    cannot wrap once that bound fits; ArithmeticError if it does not."""
+    exact int64 vector; proj_max is max |proj|.  ArithmeticError unless
+    proj_max * sum |count| fits int64 (see check_int64_sum)."""
     idx, cnt = terms.T
-    if proj_max * int(np.abs(cnt).sum()) > INT64_MAX:
-        raise ArithmeticError("winding vector could overflow int64")
-    # cnt @ proj64[idx], as a sum of scaled rows (faster than int matmul)
-    return np.einsum("i,ij->j", cnt, proj64[idx])
+    check_int64_sum(proj_max, int(np.abs(cnt).sum()), "winding vector")
+    # cnt @ proj[idx], as a sum of scaled rows (faster than int matmul)
+    return np.einsum("i,ij->j", cnt, proj[idx])
 
 
 def winding_span_mod_p(space, bound, p):
@@ -144,9 +141,7 @@ def winding_span_mod_p(space, bound, p):
     n swept.
     """
     g = space.genus()
-    # not memoised: at high levels it is hundreds of MiB
-    proj64 = np.array(space.proj, dtype=np.int64)
-    proj_max = int(np.abs(proj64).max(initial=0))
+    proj_max = max_abs(space.proj)
     bnd_np = np.array(space.boundary, dtype=np.int64) % p
     full_ech = ModPEchelon(space.dim, p)
     bnd_ech = ModPEchelon(space.ncusps, p)
@@ -156,7 +151,7 @@ def winding_span_mod_p(space, bound, p):
     stopped_at = bound
     for n, terms in winding_sweep(space, bound):
         swept.append(terms)
-        x = _winding_vector(proj64, proj_max, terms)
+        x = _winding_vector(space.proj, proj_max, terms)
         v = x % p
         if full_ech.add(v):
             kept.append(x.tolist())
@@ -227,10 +222,10 @@ def _plus_spanning_rows(space):
     S: 2g rows in S+ that span S+ over Q (see _certify_positive)."""
     bs = np.array(space.cuspidal.basis, dtype=np.int64)
     star = np.array(space.star_matrix(), dtype=np.int64)
-    # |W_ij| <= |B_ij| + sum_k |B_ik| |star_kj| <= (row sum |B|) (1 + max |star|)
-    row_max = int(np.abs(bs).sum(axis=1).max())
-    if row_max * (1 + int(np.abs(star).max())) > INT64_MAX:
-        raise ArithmeticError("B_S (I + star) could overflow int64")
+    # W = B_S (I + star): rows of I + star, entries at most 1 + max |star|,
+    # with coefficients of total absolute value at most the row sum of |B_S|
+    check_int64_sum(1 + max_abs(star), int(np.abs(bs).sum(axis=1).max(initial=0)),
+                    "B_S (I + star)")
     return bs + bs @ star
 
 
@@ -258,6 +253,7 @@ def _certify_positive(space, kept_vecs, swept, p):
     w_p = w % p
     pairing = w_p[:, nonpiv]
     if piv:
+        check_int64_sum(p - 1, len(piv) * (p - 1), "S+ pairing mod p")
         pairing = (pairing - w_p[:, piv] @ ech[:, nonpiv]) % p
     good = [j0 for j0, col in zip(nonpiv, pairing.T) if col.any()]
     tried = 0
@@ -274,24 +270,17 @@ def _certify_positive(space, kept_vecs, swept, p):
         else:
             y = []
         (num,), den = integer_rows([y])
-        phi = [0] * dim
-        for col, x in zip(piv, num):
-            phi[col] = x
-        phi[j0] = den
-        # exact kill of the kept span is automatic; check W phi != 0
-        support = [j for j, x in enumerate(phi) if x]
-        phi_s = [phi[j] for j in support]
-        if not any(sum(a * b for a, b in zip(row, phi_s))
-                   for row in w[:, support].tolist()):
+        # phi is den at j0 and num on the pivot columns; the exact kill of
+        # the kept span is automatic, check W phi != 0
+        phi = {col: x for col, x in zip(piv, num) if x} | {j0: den}
+        support = sorted(phi)
+        phi_s = np.array([phi[j] for j in support], dtype=object)
+        if not (w[:, support].astype(object) @ phi_s).any():
             continue
-        # exact verification against every swept vector
-        phiproj = [sum(c * phi[j] for j, c in sup) for sup in space.proj_support]
-        ok = True
-        for terms in swept:
-            if sum(cnt * phiproj[idx] for idx, cnt in terms.tolist()) != 0:
-                ok = False
-                break
-        if ok:
+        # exact verification against every swept vector: phi on every
+        # symbol as one product in Python integers, then one dot per T_n
+        phiproj = space.proj[:, support].astype(object) @ phi_s
+        if not any(phiproj[idx].dot(cnt) for idx, cnt in (t.T for t in swept)):
             return {"functional_support": len(support)}
     return None
 

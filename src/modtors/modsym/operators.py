@@ -6,13 +6,16 @@ free Manin symbols: row j is the image of free symbol j, an integer
 vector, since every operator below preserves the symbol lattice.  T_n,
 <u> and W_Q are memoised on their space; callers must not mutate them.
 Hecke operators use the Merel family X_n acting on Manin symbols by right
-multiplication.
+multiplication.  T_n, <u> and star map the free symbols to Manin symbols
+and gather their rows of the space's projection, all free symbols at once.
 """
 
 from functools import lru_cache
 from math import gcd
 
-from ..intlinalg import vec_mat
+import numpy as np
+
+from ..intlinalg import check_int64_sum, max_abs, vec_mat
 from .groups import sl2_lift
 
 
@@ -45,33 +48,31 @@ def merel_family(n):
     return tuple(out)
 
 
-def hecke_images_of_pair(space, c, d, n):
-    """Sum of symbol projections of (c, d) . M over Merel's X_n."""
-    nlev = space.level
-    gd = space.group
-    counts = {}
-    for a, b, cc, dd in merel_family(n):
-        c1 = (c * a + d * cc) % nlev
-        d1 = (c * b + d * dd) % nlev
-        if gcd(gcd(c1, d1), nlev) != 1:
-            continue
-        idx = gd.pair_orbit[(c1, d1)]
-        counts[idx] = counts.get(idx, 0) + 1
-    out = [0] * space.dim
-    for idx, cnt in counts.items():
-        v = space.proj[idx]
-        for k, y in enumerate(v):
-            if y:
-                out[k] += cnt * y
-    return out
+def _free_pairs(space):
+    """The pairs (c, d) of the free symbols, as two int64 arrays."""
+    pairs = np.array(space.group.symbols, dtype=np.int64).reshape(-1, 2)
+    return pairs[space.free_symbols].T
 
 
 def hecke_operator(space, n):
-    """The Hecke operator T_n as an integer matrix on the space."""
+    """The Hecke operator T_n as an integer matrix on the space.
+
+    Row j is the sum over M = (a, b; c', d') in Merel's X_n of the
+    projections of the symbols (c a + d c' : c b + d d'), (c : d) free
+    symbol j; pairs that are not units mod N contribute zero.
+    """
 
     def build():
-        gd = space.group
-        return [hecke_images_of_pair(space, *gd.symbols[j], n) for j in space.free_symbols]
+        family = merel_family(n)
+        proj = space.proj
+        check_int64_sum(max_abs(proj), len(family), f"T_{n}")
+        c, d = _free_pairs(space)
+        out = np.zeros((space.dim, space.dim), dtype=np.int64)
+        for a, b, c1, d1 in family:
+            idx = space.symbol_indices(c * a + d * c1, c * b + d * d1)
+            unit = idx >= 0
+            out[unit] += proj[idx[unit]]
+        return out.tolist()
 
     return space.memo(("T", n), build)
 
@@ -92,12 +93,8 @@ def star_matrix(space):
 
 def _scaled_symbols(space, a, b):
     """Rows of the symbol map (c : d) -> (a c : b d) on the free symbols."""
-    gd = space.group
-    rows = []
-    for j in space.free_symbols:
-        c, d = gd.symbols[j]
-        rows.append(list(space.symbol_vector(a * c, b * d)))
-    return rows
+    c, d = _free_pairs(space)
+    return space.proj[space.symbol_indices(a * c, b * d)].tolist()
 
 
 def atkin_lehner_matrix_2x2(N, Q):

@@ -25,6 +25,8 @@ Approach*, ch. 3):
 argument above that never happens.
 """
 
+import numpy as np
+
 from ..intlinalg import vec_gcd
 
 
@@ -163,22 +165,25 @@ def solve_presentation(gd):
     """Solve the presentation of the weight-2 modular symbol space.
 
     Returns (free, proj): free lists the symbol ids of the free symbols, a
-    Z-basis of the symbol lattice; proj[i] is the integer coordinate
-    vector of symbol i on that basis (dense, length len(free)).
+    Z-basis of the symbol lattice; proj is the nsym x len(free) int64
+    array whose row i is the coordinate vector of symbol i on that basis.
+    Total unimodularity keeps its entries in {-1, 0, 1}; the int64
+    conversion would refuse any entry that does not fit.
     """
     rep, sign, zero = sigma_pairing(gd)
     variables = [i for i in range(gd.nsym) if not zero[i] and rep[i] == i]
     rows = tau_relations(gd, rep, sign, zero)
     free, expressions = eliminate(rows, variables)
     free_pos = {v: k for k, v in enumerate(free)}
-    dim = len(free)
 
-    proj = []
+    syms, cols, vals = [], [], []  # the nonzero entries of proj
     for i in range(gd.nsym):
-        vec = [0] * dim
         if not zero[i]:
             # a free representative is its own expansion
-            for v, c in expressions.get(rep[i], {rep[i]: 1}).items():
-                vec[free_pos[v]] = sign[i] * c
-        proj.append(vec)
+            expr = expressions.get(rep[i], {rep[i]: 1})
+            syms += [i] * len(expr)
+            cols += [free_pos[v] for v in expr]
+            vals += [sign[i] * c for c in expr.values()]
+    proj = np.zeros((gd.nsym, len(free)), dtype=np.int64)
+    proj[syms, cols] = vals
     return free, proj

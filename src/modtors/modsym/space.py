@@ -2,11 +2,13 @@
 
 A ModSymSpace carries the solved presentation: its free Manin symbols are
 a Z-basis of the symbol lattice (every elimination pivot is +-1, see
-presentation.py), so symbol projections are integer vectors and the
-lattice is exactly Z^dim.  On that basis it holds the boundary map to the
-cusp divisor space, whose rows are the boundaries of the free symbols, the
-cuspidal sublattice S = ker(boundary), which is the integral homology
-H1(X, Z), and the star-plus sublattice.  All operator matrices produced
+presentation.py), so the symbol projection is one integer array `proj`,
+row i the coordinates of symbol i, and the lattice is exactly Z^dim.
+Every operator built from symbols is a gather of rows of `proj`.  On that
+basis the space holds the boundary map to the cusp divisor space, whose
+rows are the boundaries of the free symbols, the cuspidal sublattice S =
+ker(boundary), which is the integral homology H1(X, Z), and the star-plus
+sublattice.  All operator matrices produced
 from it are integer matrices acting on row vectors: their rows are the
 images of the free symbols.
 
@@ -18,8 +20,6 @@ Hermite form, off a spanning forest, with no integer elimination.  S+ is
 the saturated kernel of Sigma - I on S's own 2g coordinates, Sigma the
 star map restricted to S.
 """
-
-from functools import cached_property
 
 import numpy as np
 
@@ -46,11 +46,15 @@ class ModSymSpace:
                 f"{spec.label()}: ~{est} Manin symbols exceeds bound {MAX_SYMBOLS}"
             )
         self.spec = spec
-        self.group = GroupData(spec)
-        self.free_symbols, self.proj = solve_presentation(self.group)
+        self.group = gd = GroupData(spec)
+        self.free_symbols, self.proj = solve_presentation(gd)  # nsym x dim int64
         self.dim = len(self.free_symbols)
+        # symbol index of the unit pair (c, d) mod N at position c N + d,
+        # -1 at pairs that are not units
+        n = spec.level
+        self._pair_table = np.full(n * n, -1, dtype=np.int64)
+        self._pair_table[[c * n + d for c, d in gd.pair_orbit]] = list(gd.pair_orbit.values())
 
-        gd = self.group
         self.ncusps = gd.ncusps
         self.cusp_classes = gd.cusp_classes
 
@@ -75,35 +79,15 @@ class ModSymSpace:
     def genus(self):
         return self.group.genus()
 
-    def symbol_vector(self, c, d):
-        """Projection of the Manin symbol (c : d) onto the basis."""
-        n = self.level
-        return self.proj[self.group.pair_orbit[(c % n, d % n)]]
-
-    @cached_property
-    def proj_support(self):
-        """The nonzero entries (k, y) of each symbol projection."""
-        return [[(k, y) for k, y in enumerate(row) if y] for row in self.proj]
-
-    @cached_property
-    def _pair_table(self):
-        """Symbol index of the unit pair (c, d) mod N at position c N + d
-        (-1 at pairs that are not units)."""
-        n = self.level
-        table = np.full(n * n, -1, dtype=np.int64)
-        for (c, d), idx in self.group.pair_orbit.items():
-            table[c * n + d] = idx
-        return table
-
     def symbol_indices(self, c, d):
-        """Symbol indices of the unit pairs (c[i], d[i]) mod N (integer
-        arrays of any sign)."""
+        """Symbol indices of the pairs (c[i], d[i]) mod N (integer arrays of
+        any sign, or scalars), -1 where a pair is not a unit."""
         n = self.level
         return self._pair_table[np.asarray(c) % n * n + np.asarray(d) % n]
 
     def winding_element(self):
         """The class of the path {0, oo}: the Manin symbol of the identity."""
-        return list(self.symbol_vector(0, 1))
+        return self.proj[self.symbol_indices(0, 1)].tolist()
 
     def _symbol_edge(self, sym_idx):
         """Cusp indices (head, tail) of (gamma oo, gamma 0) for a Manin
@@ -112,11 +96,6 @@ class ModSymSpace:
         c, d = gd.symbols[sym_idx]
         a, b, c0, d0 = sl2_lift(c, d, self.level)
         return gd.cusp_index_of_fraction(a, c0), gd.cusp_index_of_fraction(b, d0)
-
-    def _symbol_boundary(self, sym_idx):
-        """Boundary (gamma oo) - (gamma 0) of a Manin symbol, as divisor."""
-        head, tail = self._symbol_edge(sym_idx)
-        return [(k == head) - (k == tail) for k in range(self.ncusps)]
 
     def boundary_image(self, v):
         """v @ boundary, read off the edge list in O(dim)."""
@@ -133,28 +112,18 @@ class ModSymSpace:
         """Modular symbol {alpha, beta} as a coordinate vector.
 
         alpha, beta are cusps given as (numerator, denominator) pairs with
-        denominator 0 meaning infinity.
+        denominator 0 meaning infinity.  {alpha, beta} = {oo, beta} -
+        {oo, alpha}, each the sum of the rows of `proj` on its path: a
+        path has O(log den) symbols and the rows have entries in
+        {-1, 0, 1}, so the int64 sums are exact.
         """
-        out = [0] * self.dim
-        for x, s in ((beta, 1), (alpha, -1)):
-            for v, coef in self._path_from_infinity(x):
-                if s == 1:
-                    for j, y in enumerate(v):
-                        out[j] += coef * y
-                else:
-                    for j, y in enumerate(v):
-                        out[j] -= coef * y
-        return out
-
-    def _path_from_infinity(self, cusp):
-        """{oo, cusp} as a list of (symbol projection vector, coefficient)."""
-        num, den = cusp
-        if den == 0:
-            return []
-        if den < 0:
-            num, den = -num, -den
-        symbols = self.path_symbols([num % den], den).tolist()
-        return [(self.proj[i], 1) for i in symbols]
+        ends = []
+        for num, den in (beta, alpha):
+            if den < 0:
+                num, den = -num, -den
+            idx = self.path_symbols([num % den], den) if den else []
+            ends.append(self.proj[idx].sum(axis=0))
+        return (ends[0] - ends[1]).tolist()
 
     def path_symbols(self, residues, den):
         """Symbol indices on the paths {oo, b/den}, for each b in residues

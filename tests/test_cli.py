@@ -74,6 +74,10 @@ def test_invalid_level_is_refused_before_the_sweep(command, tmp_path):
         (("ecscan", "11", "0"), "not a prime power"),
         (("rank", "gamma1", "11", "--jobs", "-1"), "invalid --jobs -1"),
         (("torsion", "gamma1", "13", "--jobs", "0"), "invalid --jobs 0"),
+        (("places", "22", "3", "--maxdeg", "0"), "invalid --maxdeg 0"),
+        (("places", "22", "3", "--maxdeg", "-1"), "invalid --maxdeg -1"),
+        (("immersion", "65", "3", "--count", "0"), "invalid --count 0"),
+        (("immersion", "65", "3", "--count", "-2"), "invalid --count -2"),
     ],
 )
 def test_invalid_arguments_are_refused(argv, reason, tmp_path, capsys):

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from sympy import Matrix as SymMatrix
 
 from modtors.intlinalg import (
+    MODP,
+    ModPEchelon,
+    check_int64_sum,
     charpoly,
     det_bareiss,
     hnf,
@@ -248,3 +252,41 @@ def test_rational_reconstruct_roundtrip():
         a = num * pow(den, -1, m) % m
         f = rational_reconstruct(a, m)
         assert f == Fraction(num, den)
+
+
+def _four_rows_and_their_sum(seed, p, ncols=5):
+    rng = random.Random(seed)
+    rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(4)]
+    return rows + [[sum(col) % p for col in zip(*rows)]]
+
+
+def test_mod_p_echelon_rank_of_dependent_rows():
+    for seed in range(20):
+        ech = ModPEchelon(5, MODP)
+        added = [ech.add(np.array(row, dtype=np.int64))
+                 for row in _four_rows_and_their_sum(seed, MODP)]
+        assert added == [True] * 4 + [False]
+        assert ech.rank == 4
+
+
+def test_mod_p_echelon_refuses_int64_overflow():
+    # at p = 2147483629 a sum of three products (p - 1)^2 exceeds 2^63 - 1;
+    # unchecked, the int64 reduction wrapped and this input, four rows and
+    # their sum, came out with rank 5
+    p = 2147483629
+    ech = ModPEchelon(5, p)
+    rows = [np.array(row, dtype=np.int64) for row in _four_rows_and_their_sum(21, p)]
+    assert all(ech.add(row) for row in rows[:3])
+    with pytest.raises(ArithmeticError):
+        ech.add(rows[3])
+    assert ech.rank == 3
+
+
+def test_int64_sum_bound():
+    # at MODP the echelon reduces against up to 2048 rows
+    check_int64_sum(MODP - 1, 2048 * (MODP - 1), "reduction")
+    with pytest.raises(ArithmeticError):
+        check_int64_sum(MODP - 1, 2049 * (MODP - 1), "reduction")
+    check_int64_sum(1, 2**63 - 1, "sum")
+    with pytest.raises(ArithmeticError):
+        check_int64_sum(2, 2**62, "sum")

@@ -44,7 +44,8 @@ def test_winding_element_is_path():
 
 
 def _add_symbol(space, out, c, d, sign=1):
-    for k, y in enumerate(space.symbol_vector(c, d)):
+    n = space.level
+    for k, y in enumerate(space.proj[space.group.pair_orbit[(c % n, d % n)]].tolist()):
         out[k] += sign * y
 
 
@@ -95,11 +96,10 @@ def test_winding_sweep_matches_merel_oracle(spec):
     bound = sturm_bound(spec)
     swept = list(winding_sweep(space, bound))
     assert [n for n, _ in swept] == list(range(1, bound + 1))
-    proj64 = np.array(space.proj, dtype=np.int64)
-    proj_max = int(np.abs(proj64).max())
+    proj_max = int(np.abs(space.proj).max())
     for n, terms in swept:
         want = _merel_winding_vector(space, n)
-        assert jacobian._winding_vector(proj64, proj_max, terms).tolist() == want, n
+        assert jacobian._winding_vector(space.proj, proj_max, terms).tolist() == want, n
 
 
 def test_winding_vector_refuses_int64_overflow(monkeypatch):
@@ -115,8 +115,8 @@ def test_winding_vector_refuses_int64_overflow(monkeypatch):
     # through the sweep: symbol projections scaled by 2^61 overflow at the
     # first T_n {0, oo} with four or more symbols
     space = build_space(GroupSpec.gamma0(37))
-    assert max(abs(x) for row in space.proj for x in row) == 1
-    monkeypatch.setattr(space, "proj", [[x * 2**61 for x in row] for row in space.proj])
+    assert int(np.abs(space.proj).max()) == 1
+    monkeypatch.setattr(space, "proj", space.proj * 2**61)
     with pytest.raises(ArithmeticError):
         jacobian.winding_span_mod_p(space, sturm_bound(space.spec), MODP)
 

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
+from sympy import primefactors
 
 from conftest import curve11_ap, cusp_count_X0, cusp_count_X1
 from modtors.intlinalg import (
@@ -29,7 +31,8 @@ from modtors.modsym import (
     merel_family,
     restrict_to_lattice,
 )
-from modtors.modsym.groups import GroupData
+from modtors.modsym.groups import GroupData, sl2_lift
+from modtors.modsym.operators import atkin_lehner_matrix_2x2
 from modtors.modsym.presentation import (
     eliminate,
     sigma_pairing,
@@ -74,13 +77,19 @@ def test_cusp_counts_match_formulas(n):
         assert sp1.ncusps == cusp_count_X1(n)
 
 
+def _symbol_boundary(sp, idx):
+    """Boundary (gamma oo) - (gamma 0) of the Manin symbol idx, as divisor."""
+    head, tail = sp._symbol_edge(idx)
+    return [(k == head) - (k == tail) for k in range(sp.ncusps)]
+
+
 def test_boundary_consistency():
     # the boundary of a symbol equals the boundary map applied to its
     # projection, for every Manin symbol
     for spec in (GroupSpec.gamma0(24), GroupSpec.gamma1(13)):
         sp = build_space(spec)
         for idx in range(sp.group.nsym):
-            direct = sp._symbol_boundary(idx)
+            direct = _symbol_boundary(sp, idx)
             via = vec_mat(sp.proj[idx], sp.boundary)
             assert direct == via
 
@@ -450,7 +459,9 @@ def test_free_symbols_are_a_z_basis(spec):
     free, basis, den, proj = _rational_presentation(gd)
     assert den == 1
     assert basis == identity(len(free))
-    assert (free, proj) == solve_presentation(gd)
+    got_free, got_proj = solve_presentation(gd)
+    assert got_proj.dtype == np.int64
+    assert (free, proj) == (got_free, got_proj.tolist())
 
 
 def test_eliminate_refuses_a_non_unit_pivot():
@@ -494,7 +505,7 @@ def test_cuspidal_lattices_match_kernel_oracle(spec):
     # the fundamental cycles as built are already their own Hermite form
     rows = fundamental_cycles(sp.edges, sp.ncusps)
     assert Lattice(sp.dim, rows, normalize=False) == Lattice(sp.dim, rows)
-    assert sp.boundary == [sp._symbol_boundary(i) for i in sp.free_symbols]
+    assert sp.boundary == [_symbol_boundary(sp, i) for i in sp.free_symbols]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -524,3 +535,110 @@ def test_build_space_checks_survive_optimized_mode(monkeypatch):
                         lambda edges, nv: fundamental_cycles(edges, nv)[1:])
     with pytest.raises(ArithmeticError, match="cuspidal rank"):
         build_space(spec)
+
+
+# -- scalar oracles of the gathered operators --------------------------------
+#
+# The former routes, one Manin symbol at a time through the pair_orbit
+# dict: the pair-by-pair Merel loop for T_n and the convergent walk for
+# paths.  The operators gather rows of `proj` for all free symbols at once
+# and must agree with them entry for entry.
+
+
+def _free_pairs(space):
+    return [space.group.symbols[j] for j in space.free_symbols]
+
+
+def _symbol_row(space, c, d):
+    """Projection of the Manin symbol (c : d)."""
+    n = space.level
+    return space.proj[space.group.pair_orbit[(c % n, d % n)]].tolist()
+
+
+def _hecke_images_of_pair(space, c, d, n):
+    """Sum of the projections of (c, d) M over M in Merel's X_n, skipping
+    pairs that are not units mod N."""
+    nlev = space.level
+    out = [0] * space.dim
+    for a, b, c1, d1 in merel_family(n):
+        cc, dd = c * a + d * c1, c * b + d * d1
+        if gcd(gcd(cc, dd), nlev) == 1:
+            out = [x + y for x, y in zip(out, _symbol_row(space, cc, dd))]
+    return out
+
+
+def _path_from_infinity(space, num, den):
+    """{oo, num/den} through the convergents p_k/q_k of num/den: the sum of
+    the symbols ((-1)^(k-1) q_k : q_(k-1)), k = 0, 1, ..., with q_(-1) = 0
+    and q_0 = 1."""
+    if den == 0:
+        return [0] * space.dim
+    if den < 0:
+        num, den = -num, -den
+    q_prev, q, sign = 0, 1, -1
+    out = _symbol_row(space, -1, 0)
+    x, y = den, num % den  # past the partial quotient a_0
+    while y:
+        a = x // y
+        x, y = y, x - a * y
+        q_prev, q, sign = q, a * q + q_prev, -sign
+        out = [s + t for s, t in zip(out, _symbol_row(space, sign * q, q_prev))]
+    return out
+
+
+def _path_oracle(space, alpha, beta):
+    return [b - a for a, b in zip(_path_from_infinity(space, *alpha),
+                                  _path_from_infinity(space, *beta))]
+
+
+GATHER_ORACLE_SPECS = [
+    GroupSpec.gamma0(11),
+    GroupSpec.gamma0(37),
+    GroupSpec.gamma0(121),
+    GroupSpec.gamma1(13),
+    GroupSpec.gamma1(29),
+    GroupSpec.x1_2_2n(18),
+]
+
+
+@pytest.mark.parametrize("spec", GATHER_ORACLE_SPECS, ids=lambda s: s.label())
+def test_hecke_operators_match_pairwise_merel_oracle(spec):
+    sp = build_space(spec)
+    for n in sorted({2, 3, 4, 6, max(primefactors(sp.level))}):
+        assert hecke_operator(sp, n) == [_hecke_images_of_pair(sp, c, d, n)
+                                         for c, d in _free_pairs(sp)], n
+
+
+@pytest.mark.parametrize("spec", GATHER_ORACLE_SPECS, ids=lambda s: s.label())
+def test_scaled_symbols_match_pairwise_oracle(spec):
+    sp = build_space(spec)
+    assert sp.star_matrix() == [_symbol_row(sp, -c, d) for c, d in _free_pairs(sp)]
+    for u in (2, 3, 5, 7, sp.level - 1):
+        if gcd(u, sp.level) == 1:
+            assert diamond_operator(sp, u) == [_symbol_row(sp, u * c, u * d)
+                                               for c, d in _free_pairs(sp)], u
+
+
+@pytest.mark.parametrize("spec", GATHER_ORACLE_SPECS, ids=lambda s: s.label())
+def test_paths_match_convergent_walk(spec):
+    sp = build_space(spec)
+    assert sp.winding_element() == _path_oracle(sp, (0, 1), (1, 0))
+    rng = random.Random(sp.level)
+    for _ in range(20):
+        alpha = (rng.randint(-200, 200), rng.randint(-40, 40))
+        beta = (rng.randint(-200, 200), rng.randint(0, 40))
+        if alpha == (0, 0) or beta == (0, 0):
+            continue
+        assert sp.path_vector(alpha, beta) == _path_oracle(sp, alpha, beta)
+    if spec.kind != "gamma0":
+        return
+    # W_Q pushes the path {gamma 0, gamma oo} of each free symbol forward
+    n = sp.level
+    for q in (d for d in range(2, n + 1) if n % d == 0 and gcd(d, n // d) == 1):
+        p0, q0, r0, s0 = atkin_lehner_matrix_2x2(n, q)
+        want = []
+        for c, d in _free_pairs(sp):
+            a, b, c0, d0 = sl2_lift(c, d, n)
+            want.append(_path_oracle(sp, (p0 * b + q0 * d0, r0 * b + s0 * d0),
+                                     (p0 * a + q0 * c0, r0 * a + s0 * c0)))
+        assert atkin_lehner(sp, q) == want, q
