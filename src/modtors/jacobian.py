@@ -19,7 +19,7 @@ from itertools import count
 from math import gcd, isqrt
 
 import numpy as np
-from sympy import divisors, isprime, nextprime
+from sympy import isprime, nextprime
 
 from .abgroup import FinAbGroup
 from .intlinalg import (
@@ -84,6 +84,11 @@ class RankCertificate:
         }
 
 
+# Cap on the lanes (b, n) of one Euclid walk in winding_sweep: it bounds the
+# walk's arrays and the block of S_n counts it fills.
+_LANES = 1 << 12
+
+
 def winding_sweep(space, bound):
     """T_n {0, oo} for n = 1..bound, as (n, terms) pairs.
 
@@ -95,39 +100,90 @@ def winding_sweep(space, bound):
         S_d = sum over 0 <= b < d of {b/d, oo},
 
     where {b/d, oo} = -{oo, b/d} is the continued-fraction path of b/d
-    and <a> scales symbol pairs (c, d) to (a c, a d).  S_n is built when
-    the sweep reaches n, and stored for later n only if 2n <= bound.
+    and <a> scales symbol pairs (c, d) to (a c, a d).  The n are swept in
+    blocks of consecutive n, and one `path_symbols` walk over the lanes
+    (b, n) of a block gives S_n for the whole block.  A block has one n at
+    least; beyond that, at most _LANES lanes and at most as many as all
+    blocks before it, so a caller that stops early has had at most twice
+    the lanes it used walked.  S_n is copied out of its block for later n
+    only if 2n <= bound.  The divisors d come from one sieve.
     """
     nlev = space.level
     nsym = space.group.nsym
     symbols = np.array(space.group.symbols, dtype=np.int64).reshape(-1, 2)
+    divs = _coprime_divisors(bound, nlev)
     scaled = {}  # unit a mod N -> index of <a> applied to each symbol
-    sums = {}  # d -> S_d as counts over the symbols
-    for n in range(1, bound + 1):
-        s_n = -np.bincount(space.path_symbols(range(n), n), minlength=nsym)
-        if 2 * n <= bound:
-            sums[n] = s_n
-        total = np.zeros(nsym, dtype=np.int64)
-        for d in divisors(n):
-            if gcd(n // d, nlev) != 1:
-                continue
-            a = n // d % nlev
-            s_d = s_n if d == n else sums[d]
-            if a not in scaled:
-                scaled[a] = space.symbol_indices(a * symbols[:, 0], a * symbols[:, 1])
-            total[scaled[a]] += s_d  # <a> permutes the symbols
-        idx = np.flatnonzero(total)
-        yield n, np.stack((idx, total[idx]), axis=1)
+    # row d: S_d as counts over the symbols, for 2d <= bound.  np.zeros
+    # maps a large array's pages lazily, so rows an early stop never writes
+    # cost no memory.
+    sums = np.zeros((bound // 2 + 1, nsym), dtype=np.int64)
+    first, walked = 1, 0
+    while first <= bound:
+        last, lanes = first + 1, first  # the block is first..last - 1
+        while last <= bound and lanes + last <= min(_LANES, walked):
+            lanes += last
+            last += 1
+        walked += lanes
+        ns = np.arange(first, last)
+        dens = np.repeat(ns, ns)
+        residues = np.arange(lanes) - np.repeat(np.cumsum(ns) - ns, ns)
+        sym, lane = space.path_symbols(residues, dens)
+        # row n - first of the block: S_n as counts over the symbols
+        block = -np.bincount((dens[lane] - first) * nsym + sym,
+                             minlength=len(ns) * nsym).reshape(len(ns), nsym)
+        for n, s_n in zip(range(first, last), block):
+            if 2 * n <= bound:
+                sums[n] = s_n
+            total = np.zeros(nsym, dtype=np.int64)
+            for d in divs[n]:
+                a = n // d % nlev
+                s_d = s_n if d == n else sums[d]
+                if a not in scaled:
+                    scaled[a] = space.symbol_indices(a * symbols[:, 0], a * symbols[:, 1])
+                total[scaled[a]] += s_d  # <a> permutes the symbols
+            idx = np.flatnonzero(total)
+            yield n, np.stack((idx, total[idx]), axis=1)
+        first = last
 
 
-def _winding_vector(proj, proj_max, terms):
+def _coprime_divisors(bound, nlev):
+    """divs[n], for 1 <= n <= bound: the d | n with gcd(n/d, nlev) = 1,
+    ascending, by a sieve over d."""
+    coprime = [gcd(a, nlev) == 1 for a in range(bound + 1)]
+    divs = [[] for _ in range(bound + 1)]
+    for d in range(1, bound + 1):
+        for a, n in enumerate(range(d, bound + 1, d), 1):
+            if coprime[a]:
+                divs[n].append(d)
+    return divs
+
+
+def _proj_rows(proj):
+    """The rows of `proj` in CSR form (indptr, indices, data), all int64:
+    row i has the entries data[k] at the columns indices[k] for
+    indptr[i] <= k < indptr[i + 1]."""
+    rows, cols = np.nonzero(proj)
+    indptr = np.zeros(len(proj) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(proj)), out=indptr[1:])
+    return indptr, cols.astype(np.int64, copy=False), proj[rows, cols]
+
+
+def _winding_vector(rows, dim, proj_max, terms):
     """sum of count * proj[symbol] over the terms of a T_n {0, oo}, as an
-    exact int64 vector; proj_max is max |proj|.  ArithmeticError unless
-    proj_max * sum |count| fits int64 (see check_int64_sum)."""
+    exact int64 vector of length dim: a sum of scaled sparse rows, rows
+    being `proj` in CSR form (see _proj_rows) and proj_max max |proj|.
+    ArithmeticError unless proj_max * sum |count| fits int64 (see
+    check_int64_sum)."""
+    indptr, indices, data = rows
     idx, cnt = terms.T
     check_int64_sum(proj_max, int(np.abs(cnt).sum()), "winding vector")
-    # cnt @ proj[idx], as a sum of scaled rows (faster than int matmul)
-    return np.einsum("i,ij->j", cnt, proj[idx])
+    start = indptr[idx]
+    size = indptr[idx + 1] - start
+    # the positions of the nonzeros of rows idx, one row after the other
+    pos = np.arange(size.sum()) + np.repeat(start - (np.cumsum(size) - size), size)
+    out = np.zeros(dim, dtype=np.int64)
+    np.add.at(out, indices[pos], data[pos] * np.repeat(cnt, size))
+    return out
 
 
 def winding_span_mod_p(space, bound, p):
@@ -142,6 +198,7 @@ def winding_span_mod_p(space, bound, p):
     """
     g = space.genus()
     proj_max = max_abs(space.proj)
+    rows = _proj_rows(space.proj)
     bnd_np = np.array(space.boundary, dtype=np.int64) % p
     full_ech = ModPEchelon(space.dim, p)
     bnd_ech = ModPEchelon(space.ncusps, p)
@@ -151,7 +208,7 @@ def winding_span_mod_p(space, bound, p):
     stopped_at = bound
     for n, terms in winding_sweep(space, bound):
         swept.append(terms)
-        x = _winding_vector(space.proj, proj_max, terms)
+        x = _winding_vector(rows, space.dim, proj_max, terms)
         v = x % p
         if full_ech.add(v):
             kept.append(x.tolist())

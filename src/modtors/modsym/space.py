@@ -121,35 +121,39 @@ class ModSymSpace:
         for num, den in (beta, alpha):
             if den < 0:
                 num, den = -num, -den
-            idx = self.path_symbols([num % den], den) if den else []
+            idx = self.path_symbols([num % den], [den])[0] if den else []
             ends.append(self.proj[idx].sum(axis=0))
         return (ends[0] - ends[1]).tolist()
 
-    def path_symbols(self, residues, den):
-        """Symbol indices on the paths {oo, b/den}, for each b in residues
-        (0 <= b < den), concatenated; every symbol has coefficient 1.
+    def path_symbols(self, residues, dens):
+        """Symbol indices on the paths {oo, b/den}, one path per lane
+        (b, den) = (residues[i], dens[i]) with 0 <= b < den; every symbol
+        has coefficient 1.  Returns (symbols, lanes): the symbol indices of
+        all paths, concatenated, and the lane of each.
 
         The path from oo to b/den runs through the convergents p_k/q_k of
         its continued fraction; its Manin symbols are (-1 : 0) and
         ((-1)^(k+1) q_k : q_(k-1)) for k >= 1.  They depend on the cusp
-        only through its denominator and its numerator mod den, so the
-        paths of all residues are walked together, one Euclid step per
-        round.
+        only through its denominator and its numerator mod den, so all
+        lanes are walked together, one Euclid step per round.
         """
-        top = np.full(len(residues), den, dtype=np.int64)
+        top = np.asarray(dens, dtype=np.int64)
         rest = np.asarray(residues, dtype=np.int64)
+        lane = np.arange(len(rest))
         q_prev = np.zeros(len(rest), dtype=np.int64)
         q_cur = np.ones(len(rest), dtype=np.int64)
-        out = [self.symbol_indices(-q_cur, q_prev)]
+        symbols, lanes = [self.symbol_indices(-q_cur, q_prev)], [lane]
         sign = 1
         while True:
             live = rest != 0
             if not live.any():
-                return np.concatenate(out)
-            top, rest, q_prev, q_cur = top[live], rest[live], q_prev[live], q_cur[live]
+                return np.concatenate(symbols), np.concatenate(lanes)
+            top, rest, q_prev, q_cur, lane = (
+                top[live], rest[live], q_prev[live], q_cur[live], lane[live])
             quot, rem = np.divmod(top, rest)
             q_prev, q_cur = q_cur, quot * q_cur + q_prev
-            out.append(self.symbol_indices(sign * q_cur, q_prev))
+            symbols.append(self.symbol_indices(sign * q_cur, q_prev))
+            lanes.append(lane)
             sign = -sign
             top, rest = rest, rem
 

@@ -40,6 +40,29 @@ def test_golden_mismatch_exit_code(tmp_path):
     assert proc.returncode != 0
 
 
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        # Gamma0(11) has rank zero, but this golden set lists no level
+        (["rank", "gamma0", "11"], {"S0": [], "gamma1_rank0": [], "S1": []}),
+        # Cl^cc_Q of Gamma1(13) is not Z/7 in this table
+        (["torsion", "gamma1", "13"], {"13": [7]}),
+    ],
+    ids=["rank", "torsion"],
+)
+def test_golden_mismatch_exits_one(argv, golden, monkeypatch, capsys):
+    from modtors import cli
+
+    monkeypatch.setattr(cli, "load_golden", lambda name: golden)
+    assert cli.main([*argv, "--golden"]) == 1
+    out, err = capsys.readouterr()
+    assert "golden mismatch" in err
+    # the report is printed before the golden check
+    report = json.loads(out)
+    assert report["command"] == argv[0]
+    assert [r["level"] for r in report["results"]] == [int(argv[2])]
+
+
 @pytest.mark.parametrize("command", ["rank", "torsion"])
 def test_invalid_level_is_refused_before_the_sweep(command, tmp_path):
     # 3 is odd, so no X1(2,2N) has it, and a reversed range names no level;

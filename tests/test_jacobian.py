@@ -69,7 +69,7 @@ def _divisor_sum_vector(space, n, inverse):
             continue
         u = pow(a, -1, nlev) if inverse else a
         # S_d = sum over b of {b/d, oo} = -sum over b of {oo, b/d}
-        for idx in space.path_symbols(range(d), d).tolist():
+        for idx in space.path_symbols(range(d), [d] * d)[0].tolist():
             c, dd = space.group.symbols[idx]
             _add_symbol(space, out, u * c, u * dd, -1)
     return out
@@ -90,28 +90,104 @@ ORACLE_SPECS = [
 ]
 
 
+def _per_n_winding_sweep(space, bound):
+    """The sweep one n at a time, as before the blocked sweep: one walk per
+    n, its divisors from sympy."""
+    nlev = space.level
+    nsym = space.group.nsym
+    symbols = np.array(space.group.symbols, dtype=np.int64).reshape(-1, 2)
+    sums = {}
+    for n in range(1, bound + 1):
+        s_n = -np.bincount(space.path_symbols(range(n), [n] * n)[0], minlength=nsym)
+        if 2 * n <= bound:
+            sums[n] = s_n
+        total = np.zeros(nsym, dtype=np.int64)
+        for d in divisors(n):
+            a = n // d
+            if gcd(a, nlev) == 1:
+                total[space.symbol_indices(a * symbols[:, 0], a * symbols[:, 1])] += (
+                    s_n if d == n else sums[d])
+        idx = np.flatnonzero(total)
+        yield n, np.stack((idx, total[idx]), axis=1)
+
+
+def _dense_winding_vector(proj, terms):
+    """cnt @ proj[idx], the dense gather of every row of the terms."""
+    idx, cnt = terms.T
+    return np.einsum("i,ij->j", cnt, proj[idx])
+
+
+def _winding_vector(space, terms):
+    proj_max = int(np.abs(space.proj).max())
+    return jacobian._winding_vector(jacobian._proj_rows(space.proj), space.dim, proj_max, terms)
+
+
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
 def test_winding_sweep_matches_merel_oracle(spec):
     space = build_space(spec)
     bound = sturm_bound(spec)
     swept = list(winding_sweep(space, bound))
     assert [n for n, _ in swept] == list(range(1, bound + 1))
-    proj_max = int(np.abs(space.proj).max())
     for n, terms in swept:
         want = _merel_winding_vector(space, n)
-        assert jacobian._winding_vector(space.proj, proj_max, terms).tolist() == want, n
+        got = _winding_vector(space, terms)
+        assert got.dtype == np.int64
+        assert got.tolist() == want, n
+        assert _dense_winding_vector(space.proj, terms).tolist() == want, n
+
+
+@pytest.mark.parametrize("lanes", [1, None, 2**40], ids=["one-lane", "default", "uncapped"])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
+def test_blocked_sweep_matches_per_n_sweep(spec, lanes, monkeypatch):
+    # a cap of one lane gives blocks of one n; under a huge cap the blocks
+    # only double
+    if lanes is not None:
+        monkeypatch.setattr(jacobian, "_LANES", lanes)
+    space = build_space(spec)
+    for bound in (1, sturm_bound(spec)):
+        got = list(winding_sweep(space, bound))
+        want = list(_per_n_winding_sweep(space, bound))
+        assert [n for n, _ in got] == [n for n, _ in want] == list(range(1, bound + 1))
+        for (n, terms), (_, oracle) in zip(got, want):
+            assert terms.dtype == np.int64
+            assert terms.tolist() == oracle.tolist(), (bound, n)
+
+
+def test_sweep_walks_at_most_the_lane_cap(monkeypatch):
+    # each walk covers consecutive n, and beyond one n at most _LANES lanes
+    # and at most as many as all walks before it
+    monkeypatch.setattr(jacobian, "_LANES", 50)
+    space = build_space(GroupSpec.gamma1(29))
+    walk, blocks = space.path_symbols, []
+
+    def spy(residues, dens):
+        blocks.append((len(dens), sorted(set(dens.tolist()))))
+        return walk(residues, dens)
+
+    monkeypatch.setattr(space, "path_symbols", spy)
+    bound = sturm_bound(space.spec)
+    assert bound > 50
+    list(winding_sweep(space, bound))
+    assert [n for _, ns in blocks for n in ns] == list(range(1, bound + 1))
+    walked = 0
+    for lanes, ns in blocks:
+        assert lanes == sum(ns)
+        assert lanes <= min(50, walked) or len(ns) == 1
+        walked += lanes
+    assert max(len(ns) for _, ns in blocks) > 1
+    assert len(blocks[-1][1]) == 1
 
 
 def test_winding_vector_refuses_int64_overflow(monkeypatch):
     # 2^62 fits int64, but twice it wraps to -2^63: the bound check raises
     # before the product is taken
-    big = np.array([[2**62, 0], [0, 1]], dtype=np.int64)
-    assert jacobian._winding_vector(big, 2**62, np.array([[0, 1]])).tolist() == [2**62, 0]
-    assert jacobian._winding_vector(big, 2**62, np.array([[1, -1]])).tolist() == [0, -1]
+    big = jacobian._proj_rows(np.array([[2**62, 0], [0, 1]], dtype=np.int64))
+    assert jacobian._winding_vector(big, 2, 2**62, np.array([[0, 1]])).tolist() == [2**62, 0]
+    assert jacobian._winding_vector(big, 2, 2**62, np.array([[1, -1]])).tolist() == [0, -1]
     with pytest.raises(ArithmeticError):
-        jacobian._winding_vector(big, 2**62, np.array([[0, 2]]))
+        jacobian._winding_vector(big, 2, 2**62, np.array([[0, 2]]))
     with pytest.raises(ArithmeticError):
-        jacobian._winding_vector(big, 2**62, np.array([[0, 1], [0, 1]]))
+        jacobian._winding_vector(big, 2, 2**62, np.array([[0, 1], [0, 1]]))
     # through the sweep: symbol projections scaled by 2^61 overflow at the
     # first T_n {0, oo} with four or more symbols
     space = build_space(GroupSpec.gamma0(37))

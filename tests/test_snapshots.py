@@ -15,6 +15,8 @@ SNAPSHOTS = Path(__file__).resolve().parent / "snapshots"
 COMMANDS = {
     "rank_gamma1_11-13": ["rank", "gamma1", "11-13"],
     "rank_x1-2-2n_10": ["rank", "x1-2-2n", "10"],
+    "rank_gamma1_37": ["rank", "gamma1", "37"],
+    "rank_x1-2-2n_22": ["rank", "x1-2-2n", "22"],
     "torsion_gamma1_13_16": ["torsion", "gamma1", "13,16"],
     "torsion_x1-2-2n_10": ["torsion", "x1-2-2n", "10"],
     "immersion_65_3": ["immersion", "65", "3"],
