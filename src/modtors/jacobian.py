@@ -158,32 +158,35 @@ def _coprime_divisors(bound, nlev):
     return divs
 
 
-def _proj_rows(proj):
-    """The rows of `proj` in CSR form (indptr, indices, data), all int64:
-    row i has the entries data[k] at the columns indices[k] for
-    indptr[i] <= k < indptr[i + 1]."""
+def _proj_columns(proj):
+    """The columns of `proj` in CSC form (colptr, rows, data), all int64:
+    column j has the entries data[k] at the rows rows[k] for colptr[j] <=
+    k < colptr[j + 1].  ArithmeticError unless colptr increases strictly:
+    every column holds its own free symbol's 1, and np.add.reduceat would
+    read an empty column as the next entry, not as 0."""
     rows, cols = np.nonzero(proj)
-    indptr = np.zeros(len(proj) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=len(proj)), out=indptr[1:])
-    return indptr, cols.astype(np.int64, copy=False), proj[rows, cols]
+    by_col = np.argsort(cols, kind="stable")  # faster than np.nonzero(proj.T)
+    rows, cols = rows[by_col], cols[by_col]
+    colptr = np.zeros(proj.shape[1] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=proj.shape[1]), out=colptr[1:])
+    if not (np.diff(colptr) > 0).all():
+        raise ArithmeticError("proj has a zero column")
+    return colptr, rows.astype(np.int64, copy=False), proj[rows, cols]
 
 
-def _winding_vector(rows, dim, proj_max, terms):
+def _winding_vector(columns, nsym, proj_max, terms):
     """sum of count * proj[symbol] over the terms of a T_n {0, oo}, as an
-    exact int64 vector of length dim: a sum of scaled sparse rows, rows
-    being `proj` in CSR form (see _proj_rows) and proj_max max |proj|.
-    ArithmeticError unless proj_max * sum |count| fits int64 (see
+    exact int64 vector: the symbol counts, one dense vector of length nsym,
+    dotted with each column of `proj` (columns in CSC form, see
+    _proj_columns; proj_max max |proj|).  ArithmeticError unless proj_max *
+    sum |count| fits int64, which bounds every column sum (see
     check_int64_sum)."""
-    indptr, indices, data = rows
+    colptr, rows, data = columns
     idx, cnt = terms.T
     check_int64_sum(proj_max, int(np.abs(cnt).sum()), "winding vector")
-    start = indptr[idx]
-    size = indptr[idx + 1] - start
-    # the positions of the nonzeros of rows idx, one row after the other
-    pos = np.arange(size.sum()) + np.repeat(start - (np.cumsum(size) - size), size)
-    out = np.zeros(dim, dtype=np.int64)
-    np.add.at(out, indices[pos], data[pos] * np.repeat(cnt, size))
-    return out
+    counts = np.zeros(nsym, dtype=np.int64)
+    np.add.at(counts, idx, cnt)
+    return np.add.reduceat(data * counts[rows], colptr[:-1])
 
 
 def winding_span_mod_p(space, bound, p):
@@ -198,7 +201,7 @@ def winding_span_mod_p(space, bound, p):
     """
     g = space.genus()
     proj_max = max_abs(space.proj)
-    rows = _proj_rows(space.proj)
+    columns = _proj_columns(space.proj)
     bnd_np = np.array(space.boundary, dtype=np.int64) % p
     full_ech = ModPEchelon(space.dim, p)
     bnd_ech = ModPEchelon(space.ncusps, p)
@@ -208,7 +211,7 @@ def winding_span_mod_p(space, bound, p):
     stopped_at = bound
     for n, terms in winding_sweep(space, bound):
         swept.append(terms)
-        x = _winding_vector(rows, space.dim, proj_max, terms)
+        x = _winding_vector(columns, len(space.proj), proj_max, terms)
         v = x % p
         if full_ech.add(v):
             kept.append(x.tolist())

@@ -1,33 +1,36 @@
-"""Weight-2 Manin-symbol presentations: relations and their elimination.
+"""Weight-2 Manin-symbol presentations, solved on a graph.
 
 Symbols are indexed by H+- orbits of unit pairs (c, d) mod N.  The two-term
-relations x + x.sigma = 0 are folded away first; the remaining three-term
-relations x + x.tau + x.tau^2 = 0 are solved by sparse Gaussian elimination
-over Z with Markowitz-style pivoting.
+relations x + x.sigma = 0 are folded away first: a symbol fixed by sigma is
+0, and each other pair {v, sigma v}, v < sigma v, leaves one variable v with
+x_(sigma v) = -x_v.  The three-term relations x + x.tau + x.tau^2 = 0, one
+per tau-orbit, then form a directed graph (Stein, *Modular Forms: A
+Computational Approach*, ch. 3; Schrijver, *Theory of Linear and Integer
+Programming*, ch. 19-21):
 
-Every pivot of that elimination is +-1, so the free symbols are a Z-basis
-of the symbol lattice and every symbol projects to an integer vector on
-them.  The reason is total unimodularity (Schrijver, *Theory of Linear and
-Integer Programming*, ch. 19-21; Stein, *Modular Forms: A Computational
-Approach*, ch. 3):
+- the vertices are the tau-orbits of symbols;
+- variable v is an edge from the orbit of v, where it enters the relation
+  with +1, to the orbit of sigma v, where it enters with -1; when both lie
+  in one orbit the two cancel and the edge is a loop;
+- the relation of an orbit is then its row of the incidence matrix.  A
+  tau-fixed symbol gives 3 x = 0, which over Q is x = 0: a vertex with one
+  edge.
 
-- the variable of a sigma pair {i, sigma i} enters the tau-row of i with
-  sign s and the tau-row of sigma i with sign -s; when both symbols lie in
-  one tau-orbit the two entries cancel;
-- every other entry is +-1, except the tau-fixed row 3x = 0, which the gcd
-  step turns into x = 0;
-- so each column holds at most one +1 and one -1: a directed-graph
-  incidence matrix, which is totally unimodular;
-- negating rows, removing rows and taking the Schur complement on a +-1
-  pivot keep total unimodularity, so every pivot met is +-1 again.
-
-`eliminate` raises ArithmeticError at a pivot that is not a unit; by the
-argument above that never happens.
+A solution of the relations, a vector on the variables that every relation
+maps to 0, is therefore an integer cycle of the graph.  `forest_cycles`
+grows a spanning forest over the variables in ascending order; its chords
+are the free symbols.  The fundamental cycle of chord c is +1 at c and +-1
+along the forest path between its ends, and c lies in no other one, so
+these cycles are a Z-basis of the solutions.  The symbol lattice is the
+quotient of Z^variables by the vertex rows, which are exactly the vectors
+orthogonal to every cycle, so it is Z^chords: the coordinates of variable
+e on the free symbols are column e of the chord-by-variable cycle matrix.
+`proj` is that matrix transposed, and its entries are in {-1, 0, 1}.
 """
 
-import numpy as np
+from itertools import chain
 
-from ..intlinalg import vec_gcd
+import numpy as np
 
 
 def sigma_pairing(gd):
@@ -51,139 +54,105 @@ def sigma_pairing(gd):
     return rep, sign, zero
 
 
-def tau_relations(gd, rep, sign, zero):
-    """Deduplicated three-term relations in the sigma-reduced variables."""
-    n = gd.level
-    seen = [False] * gd.nsym
-    rows = []
-    row_keys = set()
-    for i, (c, d) in enumerate(gd.symbols):
-        if seen[i]:
-            continue
-        j = gd.pair_orbit[(d % n, (-c - d) % n)]
-        cj, dj = gd.symbols[j]
-        k = gd.pair_orbit[(dj % n, (-cj - dj) % n)]
-        orbit = {i, j, k}
-        for t in orbit:
-            seen[t] = True
-        row = {}
-        for t in (i, j, k):
-            if zero[t]:
-                continue
-            r = rep[t]
-            row[r] = row.get(r, 0) + sign[t]
-        row = {v: c0 for v, c0 in row.items() if c0}
-        if not row:
-            continue
-        g = vec_gcd(list(row.values()))
-        if g > 1:
-            row = {v: c0 // g for v, c0 in row.items()}
-        first = min(row)
-        if row[first] < 0:
-            row = {v: -c0 for v, c0 in row.items()}
-        key = tuple(sorted(row.items()))
-        if key not in row_keys:
-            row_keys.add(key)
-            rows.append(row)
-    return rows
+def forest_cycles(edges, order, nvertices):
+    """The chords of a spanning forest of the directed graph with edges[e] =
+    (head, tail), and their fundamental cycles.
 
-
-def eliminate(rows, variables):
-    """Sparse elimination over Z with unit pivots.
-
-    rows: list of {var: int}; variables: iterable of all variable ids.
-    Returns (free_vars, expressions) where expressions maps each pivot var
-    to a {free_var: int} expansion.  Raises ArithmeticError at a pivot
-    other than +-1.
+    The forest grows by union-find over the edges in the given order; an
+    edge whose ends it already joins is a chord.  Returns [(chord, cycle)]
+    in scan order, cycle the (edge, sign) list of the chord's fundamental
+    cycle x, which has x @ incidence = 0 for incidence[e] = (head) - (tail):
+    (chord, 1), and the steps of the forest path from the chord's head back
+    to its tail, with sign +1 where the path runs from an edge's tail to its
+    head.  A loop is a chord whose cycle is itself.
     """
-    rows = [dict(r) for r in rows]
-    col_rows = {}
-    for ridx, row in enumerate(rows):
-        for v in row:
-            col_rows.setdefault(v, set()).add(ridx)
-    active = set(range(len(rows)))
-    elim_order = []  # (var, row dict at elimination time)
-    pivoted = set()
+    root = list(range(nvertices))
 
-    while active:
-        # pick the shortest active row; among its entries prefer low
-        # column usage
-        ridx = min(active, key=lambda r: (len(rows[r]), r))
-        row = rows[ridx]
-        if not row:
-            active.discard(ridx)
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    forest = [[] for _ in range(nvertices)]  # (neighbour, edge)
+    chords = []
+    for e in order:
+        head, tail = edges[e]
+        a, b = find(head), find(tail)
+        if a == b:
+            chords.append(e)
+        else:
+            root[a] = b
+            forest[head].append((tail, e))
+            forest[tail].append((head, e))
+
+    # root each tree; the step v -> parent[v] along the forest edge e is
+    # climb[v] = (e, +-1), and the step back is descend[v] = (e, -+1)
+    parent = [-1] * nvertices
+    depth = [-1] * nvertices
+    climb = [None] * nvertices
+    descend = [None] * nvertices
+    for r in range(nvertices):
+        if depth[r] >= 0:
             continue
-        var = min(row, key=lambda v: (len(col_rows.get(v, ())), v))
-        a = row[var]
-        if a not in (1, -1):
-            raise ArithmeticError(f"pivot {a} on variable {var} is not a unit")
-        users = [r for r in col_rows.get(var, ()) if r != ridx and r in active]
-        for r in users:
-            other = rows[r]
-            f = other.pop(var) * a  # other := other - (b / a) * row
-            col_rows[var].discard(r)
-            for v, c0 in row.items():
-                if v == var:
-                    continue
-                nv = other.get(v, 0) - f * c0
-                if nv:
-                    if v not in other:
-                        col_rows.setdefault(v, set()).add(r)
-                    other[v] = nv
-                elif v in other:
-                    del other[v]
-                    col_rows[v].discard(r)
-            if not other:
-                active.discard(r)
-        elim_order.append((var, row))
-        pivoted.add(var)
-        active.discard(ridx)
-        for v in row:
-            col_rows.get(v, set()).discard(ridx)
+        depth[r] = 0
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            for w, e in forest[v]:
+                if depth[w] < 0:
+                    parent[w], depth[w] = v, depth[v] + 1
+                    s = 1 if edges[e][1] == w else -1
+                    climb[w], descend[w] = (e, s), (e, -s)
+                    stack.append(w)
 
-    free = [v for v in variables if v not in pivoted]
-    free_set = set(free)
-
-    expressions = {}
-    for var, row in reversed(elim_order):
-        a = row[var]
-        expr = {}
-        for v, c0 in row.items():
-            if v == var:
-                continue
-            coef = -c0 * a
-            if v in free_set:
-                expr[v] = expr.get(v, 0) + coef
+    out = []
+    for c in chords:
+        a, b = edges[c]
+        cycle = [(c, 1)]
+        while a != b:  # walk both ends up to where they meet
+            if depth[a] >= depth[b]:
+                cycle.append(climb[a])
+                a = parent[a]
             else:
-                for w, c1 in expressions[v].items():
-                    expr[w] = expr.get(w, 0) + coef * c1
-        expressions[var] = {v: c0 for v, c0 in expr.items() if c0}
-    return free, expressions
+                cycle.append(descend[b])
+                b = parent[b]
+        out.append((c, cycle))
+    return out
 
 
 def solve_presentation(gd):
     """Solve the presentation of the weight-2 modular symbol space.
 
     Returns (free, proj): free lists the symbol ids of the free symbols, a
-    Z-basis of the symbol lattice; proj is the nsym x len(free) int64
-    array whose row i is the coordinate vector of symbol i on that basis.
-    Total unimodularity keeps its entries in {-1, 0, 1}; the int64
-    conversion would refuse any entry that does not fit.
+    Z-basis of the symbol lattice, ascending; proj is the nsym x len(free)
+    int64 array whose row i is the coordinate vector of symbol i on that
+    basis, with entries in {-1, 0, 1}.
     """
-    rep, sign, zero = sigma_pairing(gd)
-    variables = [i for i in range(gd.nsym) if not zero[i] and rep[i] == i]
-    rows = tau_relations(gd, rep, sign, zero)
-    free, expressions = eliminate(rows, variables)
-    free_pos = {v: k for k, v in enumerate(free)}
+    n = gd.level
+    rep, sign, _ = sigma_pairing(gd)
+    orbit = [-1] * gd.nsym  # the tau-orbit of each symbol: the vertices
+    norbits = 0
+    for i, (c, d) in enumerate(gd.symbols):
+        if orbit[i] < 0:
+            j = gd.pair_orbit[(d % n, (-c - d) % n)]
+            cj, dj = gd.symbols[j]
+            k = gd.pair_orbit[(dj % n, (-cj - dj) % n)]
+            orbit[i] = orbit[j] = orbit[k] = norbits
+            norbits += 1
+    partner = {rep[i]: i for i in range(gd.nsym) if sign[i] < 0}  # v -> sigma v
+    variables = sorted(partner)
+    edges = [(orbit[v], orbit[partner[v]]) for v in variables]
+    cycles = forest_cycles(edges, range(len(edges)), norbits)
+    free = [variables[c] for c, _ in cycles]
 
-    syms, cols, vals = [], [], []  # the nonzero entries of proj
-    for i in range(gd.nsym):
-        if not zero[i]:
-            # a free representative is its own expansion
-            expr = expressions.get(rep[i], {rep[i]: 1})
-            syms += [i] * len(expr)
-            cols += [free_pos[v] for v in expr]
-            vals += [sign[i] * c for c in expr.values()]
+    # proj[i] = sign[i] proj[rep[i]], and the row of a variable is its
+    # column of the cycle matrix: +-1 at each chord whose cycle passes it
+    ends = np.array([(v, partner[v]) for v in variables], dtype=np.int64).reshape(-1, 2)
+    steps = np.fromiter(chain.from_iterable(chain.from_iterable(c for _, c in cycles)),
+                        dtype=np.int64).reshape(-1, 2)
+    col = np.repeat(np.arange(len(cycles)), [len(cycle) for _, cycle in cycles])
     proj = np.zeros((gd.nsym, len(free)), dtype=np.int64)
-    proj[syms, cols] = vals
+    proj[ends[steps[:, 0], 0], col] = steps[:, 1]
+    proj[ends[steps[:, 0], 1], col] = -steps[:, 1]  # sign[sigma v] = -1
     return free, proj

@@ -1,9 +1,10 @@
 """Built modular symbol spaces: coordinates, boundary, lattices.
 
-A ModSymSpace carries the solved presentation: its free Manin symbols are
-a Z-basis of the symbol lattice (every elimination pivot is +-1, see
-presentation.py), so the symbol projection is one integer array `proj`,
-row i the coordinates of symbol i, and the lattice is exactly Z^dim.
+A ModSymSpace carries the solved presentation: its free Manin symbols,
+the chords of a spanning forest of the relation graph, are a Z-basis of
+the symbol lattice (see presentation.py), so the symbol projection is one
+integer array `proj`, row i the coordinates of symbol i, and the lattice
+is exactly Z^dim.
 Every operator built from symbols is a gather of rows of `proj`.  On that
 basis the space holds the boundary map to the cusp divisor space, whose
 rows are the boundaries of the free symbols, the cuspidal sublattice S =
@@ -16,7 +17,8 @@ The boundary of a Manin symbol is (head cusp) - (tail cusp), or 0 when the
 two cusps agree, so the boundary map is the incidence matrix of a directed
 graph on the cusps with one edge per free symbol.  S is that graph's cycle
 lattice: `fundamental_cycles` reads a Z-basis of it, already in row
-Hermite form, off a spanning forest, with no integer elimination.  S+ is
+Hermite form, off a spanning forest, with no integer elimination; the
+presentation's `forest_cycles` grows that forest for both graphs.  S+ is
 the saturated kernel of Sigma - I on S's own 2g coordinates, Sigma the
 star map restricted to S.
 """
@@ -27,7 +29,7 @@ from ..intlinalg import kernel_basis, transpose, vec_mat
 from ..lattice import Lattice
 from .groups import GroupData, sl2_lift
 from .operators import restrict_to_lattice, star_matrix
-from .presentation import solve_presentation
+from .presentation import forest_cycles, solve_presentation
 
 MAX_SYMBOLS = 60000  # resource guard: refuse absurdly large presentations
 
@@ -202,52 +204,20 @@ def fundamental_cycles(edges, nvertices):
     """Z-basis of the cycle lattice {x : x @ incidence = 0} of the directed
     graph with edges[i] = (head, tail), as rows in row Hermite form.
 
-    A spanning forest grows from the last edge to the first (Kruskal's
-    order); an edge whose ends the forest already joins is a chord.  The
-    row of chord e is its fundamental cycle: +1 at e, and +-1 along the
-    forest path from head back to tail, which uses only edges after e.  A
+    The spanning forest grows from the last edge to the first (see
+    `forest_cycles`), so the cycle of chord e uses only edges after e.  A
     chord lies in no other cycle, so each row has pivot 1 at its chord and
     every other row is 0 there: the rows, by ascending chord, are their own
     Hermite form.  They span every integer cycle x, since x minus the sum
-    of x_e times the cycle of chord e is a cycle on the forest, hence 0.  A
-    loop (head == tail) is a chord whose cycle is itself.
+    of x_e times the cycle of chord e is a cycle on the forest, hence 0.
     """
-    forest = [[] for _ in range(nvertices)]  # (neighbour, edge, sign of the step)
     rows = []
-    for e in range(len(edges) - 1, -1, -1):
-        head, tail = edges[e]
-        path = _forest_path(forest, head, tail)
-        if path is None:
-            forest[head].append((tail, e, -1))
-            forest[tail].append((head, e, 1))
-        else:
-            row = [0] * len(edges)
-            row[e] = 1
-            for f, sign in path:
-                row[f] = sign
-            rows.append(row)
+    for _, cycle in forest_cycles(edges, range(len(edges) - 1, -1, -1), nvertices):
+        row = [0] * len(edges)
+        for e, sign in cycle:
+            row[e] = sign
+        rows.append(row)
     return rows[::-1]
-
-
-def _forest_path(forest, a, b):
-    """The edges (index, sign) of the forest path from a to b, or None when
-    a and b lie in different trees; the sign is +1 where the path runs from
-    an edge's tail to its head."""
-    back = {a: None}
-    stack = [a]
-    while stack:
-        v = stack.pop()
-        if v == b:
-            path = []
-            while back[v] is not None:
-                v, f, sign = back[v]
-                path.append((f, sign))
-            return path
-        for w, f, sign in forest[v]:
-            if w not in back:
-                back[w] = (v, f, sign)
-                stack.append(w)
-    return None
 
 
 # Always empty: the benchmark's fresh-process guard (bench/child.py) reads

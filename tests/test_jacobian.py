@@ -119,7 +119,8 @@ def _dense_winding_vector(proj, terms):
 
 def _winding_vector(space, terms):
     proj_max = int(np.abs(space.proj).max())
-    return jacobian._winding_vector(jacobian._proj_rows(space.proj), space.dim, proj_max, terms)
+    return jacobian._winding_vector(jacobian._proj_columns(space.proj), len(space.proj),
+                                    proj_max, terms)
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
@@ -181,7 +182,7 @@ def test_sweep_walks_at_most_the_lane_cap(monkeypatch):
 def test_winding_vector_refuses_int64_overflow(monkeypatch):
     # 2^62 fits int64, but twice it wraps to -2^63: the bound check raises
     # before the product is taken
-    big = jacobian._proj_rows(np.array([[2**62, 0], [0, 1]], dtype=np.int64))
+    big = jacobian._proj_columns(np.array([[2**62, 0], [0, 1]], dtype=np.int64))
     assert jacobian._winding_vector(big, 2, 2**62, np.array([[0, 1]])).tolist() == [2**62, 0]
     assert jacobian._winding_vector(big, 2, 2**62, np.array([[1, -1]])).tolist() == [0, -1]
     with pytest.raises(ArithmeticError):
@@ -195,6 +196,20 @@ def test_winding_vector_refuses_int64_overflow(monkeypatch):
     monkeypatch.setattr(space, "proj", space.proj * 2**61)
     with pytest.raises(ArithmeticError):
         jacobian.winding_span_mod_p(space, sturm_bound(space.spec), MODP)
+
+
+def test_proj_columns_refuse_a_zero_column():
+    # np.add.reduceat reads an empty segment as the next entry, not as 0:
+    # with the zero middle column the sum would come out [2, 1, 2]
+    proj = np.array([[1, 0, 0], [0, 0, 1], [1, 0, 1]], dtype=np.int64)
+    with pytest.raises(ArithmeticError, match="zero column"):
+        jacobian._proj_columns(proj)
+    proj[1, 1] = -1
+    columns = jacobian._proj_columns(proj)
+    assert [x.dtype for x in columns] == [np.int64] * 3
+    terms = np.array([[0, 1], [1, 1], [2, 1]])
+    assert jacobian._winding_vector(columns, 3, 1, terms).tolist() == [2, -1, 2]
+    assert _dense_winding_vector(proj, terms).tolist() == [2, -1, 2]
 
 
 def test_winding_sweep_diamond_orientation():

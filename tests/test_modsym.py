@@ -33,12 +33,7 @@ from modtors.modsym import (
 )
 from modtors.modsym.groups import GroupData, sl2_lift
 from modtors.modsym.operators import atkin_lehner_matrix_2x2
-from modtors.modsym.presentation import (
-    eliminate,
-    sigma_pairing,
-    solve_presentation,
-    tau_relations,
-)
+from modtors.modsym.presentation import sigma_pairing, solve_presentation
 from modtors.modsym import space as space_module
 from modtors.modsym.space import ModSymSpace, fundamental_cycles
 
@@ -250,8 +245,166 @@ def test_level11_ap_oracle(p):
     assert tp[0][1] == 0 and tp[1][0] == 0 and tp[1][1] == tp[0][0]
 
 
-# -- the rational presentation, kept as the oracle ---------------------------
+# -- the former presentations, kept as oracles -------------------------------
 #
+# The Markowitz elimination over Z that solved the presentation before the
+# relation graph: the oracle of the forest route, which must give the same
+# free symbols and the same `proj`.
+
+
+def tau_relations(gd, rep, sign, zero):
+    """Deduplicated three-term relations in the sigma-reduced variables."""
+    n = gd.level
+    seen = [False] * gd.nsym
+    rows = []
+    row_keys = set()
+    for i, (c, d) in enumerate(gd.symbols):
+        if seen[i]:
+            continue
+        j = gd.pair_orbit[(d % n, (-c - d) % n)]
+        cj, dj = gd.symbols[j]
+        k = gd.pair_orbit[(dj % n, (-cj - dj) % n)]
+        orbit = {i, j, k}
+        for t in orbit:
+            seen[t] = True
+        row = {}
+        for t in (i, j, k):
+            if zero[t]:
+                continue
+            r = rep[t]
+            row[r] = row.get(r, 0) + sign[t]
+        row = {v: c0 for v, c0 in row.items() if c0}
+        if not row:
+            continue
+        g = vec_gcd(list(row.values()))
+        if g > 1:
+            row = {v: c0 // g for v, c0 in row.items()}
+        first = min(row)
+        if row[first] < 0:
+            row = {v: -c0 for v, c0 in row.items()}
+        key = tuple(sorted(row.items()))
+        if key not in row_keys:
+            row_keys.add(key)
+            rows.append(row)
+    return rows
+
+
+def eliminate(rows, variables):
+    """Sparse elimination over Z with unit pivots.
+
+    rows: list of {var: int}; variables: iterable of all variable ids.
+    Returns (free_vars, expressions) where expressions maps each pivot var
+    to a {free_var: int} expansion.  Raises ArithmeticError at a pivot
+    other than +-1.
+    """
+    rows = [dict(r) for r in rows]
+    col_rows = {}
+    for ridx, row in enumerate(rows):
+        for v in row:
+            col_rows.setdefault(v, set()).add(ridx)
+    active = set(range(len(rows)))
+    elim_order = []  # (var, row dict at elimination time)
+    pivoted = set()
+
+    while active:
+        # pick the shortest active row; among its entries prefer low
+        # column usage
+        ridx = min(active, key=lambda r: (len(rows[r]), r))
+        row = rows[ridx]
+        if not row:
+            active.discard(ridx)
+            continue
+        var = min(row, key=lambda v: (len(col_rows.get(v, ())), v))
+        a = row[var]
+        if a not in (1, -1):
+            raise ArithmeticError(f"pivot {a} on variable {var} is not a unit")
+        users = [r for r in col_rows.get(var, ()) if r != ridx and r in active]
+        for r in users:
+            other = rows[r]
+            f = other.pop(var) * a  # other := other - (b / a) * row
+            col_rows[var].discard(r)
+            for v, c0 in row.items():
+                if v == var:
+                    continue
+                nv = other.get(v, 0) - f * c0
+                if nv:
+                    if v not in other:
+                        col_rows.setdefault(v, set()).add(r)
+                    other[v] = nv
+                elif v in other:
+                    del other[v]
+                    col_rows[v].discard(r)
+            if not other:
+                active.discard(r)
+        elim_order.append((var, row))
+        pivoted.add(var)
+        active.discard(ridx)
+        for v in row:
+            col_rows.get(v, set()).discard(ridx)
+
+    free = [v for v in variables if v not in pivoted]
+    free_set = set(free)
+
+    expressions = {}
+    for var, row in reversed(elim_order):
+        a = row[var]
+        expr = {}
+        for v, c0 in row.items():
+            if v == var:
+                continue
+            coef = -c0 * a
+            if v in free_set:
+                expr[v] = expr.get(v, 0) + coef
+            else:
+                for w, c1 in expressions[v].items():
+                    expr[w] = expr.get(w, 0) + coef * c1
+        expressions[var] = {v: c0 for v, c0 in expr.items() if c0}
+    return free, expressions
+
+
+def _markowitz_presentation(gd):
+    """(free, proj) by the Markowitz elimination."""
+    rep, sign, zero = sigma_pairing(gd)
+    variables = [i for i in range(gd.nsym) if not zero[i] and rep[i] == i]
+    free, expressions = eliminate(tau_relations(gd, rep, sign, zero), variables)
+    free_pos = {v: k for k, v in enumerate(free)}
+    proj = np.zeros((gd.nsym, len(free)), dtype=np.int64)
+    for i in range(gd.nsym):
+        if not zero[i]:
+            # a free representative is its own expansion
+            for v, c in expressions.get(rep[i], {rep[i]: 1}).items():
+                proj[i, free_pos[v]] = sign[i] * c
+    return free, proj
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # sigma-fixed symbols (5, 13, 25, 65) and tau-fixed ones (7, 13, 49)
+        *(GroupSpec.gamma0(n) for n in (5, 7, 13, 25, 49, 65)),
+        *(GroupSpec.gamma1(n) for n in (13, 29, 57)),
+        GroupSpec.x1_2_2n(9),
+        GroupSpec.x1_2_2n(19),
+        GroupSpec.gammaH(45, (1, 4, 16, 19, 31, 34)),
+        pytest.param(GroupSpec.gamma1(144), marks=pytest.mark.stretch),
+    ],
+    ids=lambda spec: spec.label(),
+)
+def test_forest_presentation_matches_markowitz_elimination(spec):
+    gd = GroupData(spec)
+    free, proj = _markowitz_presentation(gd)
+    got_free, got_proj = solve_presentation(gd)
+    assert got_free == free
+    assert got_proj.dtype == np.int64
+    assert np.array_equal(got_proj, proj)
+
+
+def test_eliminate_refuses_a_non_unit_pivot():
+    # x0 + x1 = 0 leaves x0 - x1 = 0 as -2 x1 = 0
+    with pytest.raises(ArithmeticError):
+        eliminate([{0: 1, 1: 1}, {0: 1, 1: -1}], [0, 1])
+
+
 # The route modtors took before the unit-pivot argument: fraction-free
 # elimination with Fraction back substitution, then an integral change of
 # coordinates onto the lattice spanned by all symbol projections.
@@ -462,12 +615,6 @@ def test_free_symbols_are_a_z_basis(spec):
     got_free, got_proj = solve_presentation(gd)
     assert got_proj.dtype == np.int64
     assert (free, proj) == (got_free, got_proj.tolist())
-
-
-def test_eliminate_refuses_a_non_unit_pivot():
-    # x0 + x1 = 0 leaves x0 - x1 = 0 as -2 x1 = 0
-    with pytest.raises(ArithmeticError):
-        eliminate([{0: 1, 1: 1}, {0: 1, 1: -1}], [0, 1])
 
 
 def _cuspidal_oracle(sp):

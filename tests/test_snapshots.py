@@ -17,6 +17,8 @@ COMMANDS = {
     "rank_x1-2-2n_10": ["rank", "x1-2-2n", "10"],
     "rank_gamma1_37": ["rank", "gamma1", "37"],
     "rank_x1-2-2n_22": ["rank", "x1-2-2n", "22"],
+    "rank_gamma1_52-58": ["rank", "gamma1", "52-58"],
+    "rank_x1-2-2n_38_40_42": ["rank", "x1-2-2n", "38,40,42"],
     "torsion_gamma1_13_16": ["torsion", "gamma1", "13,16"],
     "torsion_x1-2-2n_10": ["torsion", "x1-2-2n", "10"],
     "immersion_65_3": ["immersion", "65", "3"],
