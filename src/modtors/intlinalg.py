@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import numpy as np
-from sympy import isprime, nextprime
+from sympy import factorint, isprime, nextprime
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +594,107 @@ def inverse_mod_p(a_np, p=MODP):
     if piv != list(range(n)):
         return None
     return r[:, n:]
+
+
+# ---------------------------------------------------------------------------
+# kernels modulo m, one prime power at a time (Howell form)
+
+
+def kernel_mod(a, m):
+    """Row Hermite basis of K = {x in Z^n : x a = 0 mod m}, a n x k: the
+    rows hnf gives, n of them since K contains m Z^n.
+
+    K is solved one prime power q = l^e of m at a time (`_local_kernel`), in
+    int64 if (q - 1)^2 + q fits.  A larger q is tried mod l^f, the largest
+    power that fits: if no row there is a unit mod l, no element has order
+    l^f, the l-part has exponent below l^f and the rows mod q are l^(e - f)
+    times those; else Python ints are used.  The diagonal entry of K at
+    column j is the product of the local ones; each row is glued from the
+    local rows by the Chinese remainder theorem, then reduced above the
+    pivots by the rows below it, in Python ints.
+    """
+    n = len(a)
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    big = np.array(a, dtype=object).reshape(n, len(a[0]) if n else 0)
+    local, diag = [], [1] * n
+    for l, e in factorint(m).items():
+        l, q, f = int(l), int(l) ** e, e
+        while f and (l**f - 1) ** 2 + l**f > INT64_MAX:
+            f -= 1
+        if f:
+            vals, h = _local_kernel(big, l, f, np.int64)
+        if f < e and (not f or (h % l).any()):
+            vals, h = _local_kernel(big, l, e, object)
+        elif f < e:
+            vals, h = [v + e - f for v in vals], h.astype(object) * l ** (e - f)
+        diag = [d * l**v for d, v in zip(diag, vals)]
+        local.append((l, e, vals, h, m // q * pow(m // q, -1, q)))  # 1 mod q, 0 mod m/q
+    rows, support = [None] * n, [None] * n
+    for j in range(n - 1, -1, -1):
+        row = [0] * n
+        for l, e, vals, h, unit in local:
+            if vals[j] < e:
+                c = diag[j] // l ** vals[j] * unit
+                row[j + 1 :] = [x + c * y for x, y in zip(row[j + 1 :], h[j, j + 1 :].tolist())]
+        row = [x % m for x in row]
+        row[j] = diag[j]
+        for k in range(j + 1, n):
+            t = row[k] // diag[k]
+            if t:
+                for c in support[k]:
+                    row[c] -= t * rows[k][c]
+        rows[j], support[j] = row, [k for k in range(j, n) if row[k]]
+    return rows
+
+
+def _local_kernel(big, l, e, dtype):
+    """(vals, h): a triangular basis of {x : x a = 0 mod q}, q = l^e, mod q.
+    Row j of h is zero before column j and has l^vals[j] there (the zero row
+    q e_j if vals[j] = e).  The elimination takes each pivot of least
+    valuation a_t and tracks only the row transform p (column operations
+    keep the kernel), so the kernel is spanned by l^(e - a_t) p_t, the rows
+    of p never pivoted and q Z^n.  Those are put in Hermite form column by
+    column; the Howell step puts l^(e - v) times each pivot row back.
+    """
+    q = l**e
+    b = (big % q).astype(dtype)
+    n = b.shape[0]
+    p = np.eye(n, dtype=dtype)
+    pool = []
+    while (found := _least_valuation(b, l, e))[1] is not None:
+        v, mask = found
+        i, j = np.unravel_index(mask.argmax(), mask.shape)
+        f = b[:, j] // l**v * pow(int(b[i, j]) // l**v, -1, q) % q
+        prow = p[i]
+        b = (b - np.outer(f, b[i])) % q  # row i and column j are now zero
+        b = np.delete(np.delete(b, i, 0), j, 1)
+        p = np.delete((p - np.outer(f, prow)) % q, i, 0)
+        if v:
+            pool.append(prow * l ** (e - v) % q)
+    pool += list(p)
+    pool = np.array(pool, dtype=dtype).reshape(len(pool), n)
+    vals, h = [e] * n, np.zeros((n, n), dtype=dtype)
+    for j in range(n):
+        col = pool[:, j]
+        v, mask = _least_valuation(col, l, e)
+        if mask is not None:
+            i = mask.argmax()
+            r = pool[i] * pow(int(col[i]) // l**v, -1, q) % q
+            pool = (pool - np.outer(col // l**v, r)) % q  # clears column j and row i
+            pool[i] = r * l ** (e - v) % q
+            vals[j], h[j] = v, r
+    return vals, h
+
+
+def _least_valuation(a, l, e):
+    """(v, mask): the least l-valuation v < e of an entry of a (all in
+    [0, l^e)) and where it is attained, or (e, None) when a is zero."""
+    for v in range(e):
+        mask = a % l ** (v + 1) != 0
+        if mask.any():
+            return v, mask
+    return e, None
 
 
 # ---------------------------------------------------------------------------

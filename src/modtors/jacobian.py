@@ -36,6 +36,7 @@ from .intlinalg import (
     integer_rows,
     inverse_mod_p,
     kernel_basis,
+    kernel_mod,
     mat_mul,
     mat_scale,
     mat_sub,
@@ -434,24 +435,26 @@ def auxiliary_primes(space):
     and that prime strictly shrinks M_H.  A prime that leaves M_H unchanged
     is not kept and ends the search; the search also ends at
     MAX_AUXILIARY_PRIMES primes.  Each added prime only intersects M_H with
-    one more kernel, so M_H stays an upper bound for the rational torsion,
-    and the kernels already computed are not rebuilt.  The choice is
-    memoised on the space, keyed by the cap.
+    one more kernel, so M_H stays an upper bound for the rational torsion;
+    its kill operator is appended to the block of `_kill_block`, solved mod
+    the same m.  The choice is memoised on the space, keyed by the cap.
     """
     cap = MAX_AUXILIARY_PRIMES
 
     def build():
         primes = good_primes(space.level, 2)
-        lat, _ = hecke_kernel_lattice(space, primes)
-        if lat.ambient == 0:
-            return AuxiliaryPrimes(primes, lat)
+        if space.cuspidal.rank == 0:
+            return AuxiliaryPrimes(primes, Lattice.standard(0))
+        block, m = _kill_block(space, primes)
+        lat = _lattice_mod(block, m)
         cc = cuspidal_class_group(space)
         while not cc.lattice_cc.contains_lattice(lat):
             if len(primes) == cap:
                 return AuxiliaryPrimes(primes, lat, capped=True)
             q = good_primes(space.level, 1, start=primes[-1] + 1)[0]
             a = _restricted_kill_operator(space, q)
-            smaller = lat.preimage(a, Lattice.standard(lat.ambient))
+            block = [r + s for r, s in zip(block, a)]
+            smaller = _lattice_mod(block, m)
             if smaller == lat:
                 break
             primes.append(q)
@@ -489,25 +492,30 @@ def _kernel_lattice(space, primes):
 
     If x A_q is integral and A_q is nonsingular, then x = (x A_q) adj(A_q)
     / det A_q lies in (1/|det A_q|) Z^(2g).  So M_H lies in (1/m) Z^(2g),
-    m the gcd of the determinants, and M_H is that lattice's preimage of
-    Z^(2g) under every A_q (singular ones included) and under star - 1.
+    m the gcd of the determinants, and M_H = (1/m) K for the kernel
+    K = {x : x [A_q1 | A_q2 | ... | star - 1] = 0 mod m}; singular A_q
+    only add their columns.
     """
-    s = space.cuspidal
-    g2 = s.rank
-    if g2 == 0:
+    if space.cuspidal.rank == 0:
         return Lattice.standard(0)
+    return _lattice_mod(*_kill_block(space, primes))
+
+
+def _kill_block(space, primes):
+    """([A_q1 | A_q2 | ... | star - 1], m), m the gcd of the det A_q."""
     ops = [_restricted_kill_operator(space, q) for q in primes]
     m = gcd(*map(det_bareiss, ops))
     if m == 0:
         raise ArithmeticError("all Hecke kill operators singular; add primes")
-    star = restrict_to_lattice(space.star_matrix(), s)
-    for i in range(g2):
-        star[i][i] -= 1
-    std = Lattice.standard(g2)
-    lat = std.scale(1, m)
-    for a in ops + [star]:
-        lat = lat.preimage(a, std)
-    return lat
+    star = restrict_to_lattice(space.star_matrix(), space.cuspidal)
+    for i, row in enumerate(star):
+        row[i] -= 1
+    return [sum(rows, []) for rows in zip(*ops, star)], m
+
+
+def _lattice_mod(block, m):
+    """(1/m) {x : x block = 0 mod m}."""
+    return Lattice(len(block), kernel_mod(block, m), m)
 
 
 def hecke_bound_group(space, primes=None):
@@ -771,8 +779,7 @@ def _class_group(space):
     # principal-divisor lattice in divisor coordinates: kernel of the class
     # map on Div^0
     proj = _projector(space)  # phi: (c-1) x 2g
-    target = Lattice(g2, [[proj.den if i == j else 0 for j in range(g2)] for i in range(g2)], 1)
-    l_prin = Lattice.standard(c - 1).preimage(proj.phi, target)
+    l_prin = Lattice(c - 1, kernel_mod(proj.phi, proj.den))
     # cross-check: Div^0 / principal must reproduce Cl^cc
     if lattice_torsion_quotient(l_prin, Lattice.standard(c - 1)) != clcc:
         raise ArithmeticError(f"{space.spec.label()}: Div^0 / principal does not reproduce Cl^cc")
@@ -792,12 +799,15 @@ def _class_group(space):
     l_ccq = _class_lattice(space, inv_divs)
     clcc_q = lattice_torsion_quotient(std, l_ccq)
 
-    # (Cl^cc)^G in divisor coordinates: (sigma - 1) D principal for all
-    # generators sigma
-    lam_div = Lattice.standard(c - 1)
-    for perm in perms:
-        op = _perm_minus_one_matrix(perm, c)
-        lam_div = lam_div.preimage(op, l_prin)
+    # (Cl^cc)^G in divisor coordinates: D B = 0 mod den, where B has one
+    # column block per generator sigma (cusp permutation s), the classes of
+    # (sigma - 1) d_i = d_s[i] - d_s[c-1] - d_i with d_(c-1) = 0
+    phi = proj.phi + [[0] * g2]
+    block = [
+        [x - y - z for s in perms for x, y, z in zip(phi[s[i]], phi[s[c - 1]], phi[i])]
+        for i in range(c - 1)
+    ]
+    lam_div = Lattice(c - 1, kernel_mod(block, proj.den))
     l_inv_div = (
         Lattice.from_rows(inv_divs, ambient=c - 1).sum(l_prin)
         if inv_divs
@@ -808,20 +818,6 @@ def _class_group(space):
     return CuspidalClassGroup(
         space.spec, clcc, clcc_q, surjective, l_cc, l_ccq, lam_div
     )
-
-
-def _perm_minus_one_matrix(perm, c):
-    """(P_sigma - 1) on Div^0 in the d_i = e_i - e_{c-1} coordinates."""
-    out = [[0] * (c - 1) for _ in range(c - 1)]
-    last = perm[c - 1]
-    for i in range(c - 1):
-        j = perm[i]
-        if j < c - 1:
-            out[i][j] += 1
-        if last < c - 1:
-            out[i][last] -= 1
-        out[i][i] -= 1
-    return out
 
 
 def _orbit_partition(perms, n):

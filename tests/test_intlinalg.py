@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import class_lattice_folds, kernel_lattice_fold
 from sympy import Matrix as SymMatrix
 
+from modtors import intlinalg
 from modtors.intlinalg import (
     MODP,
     ModPEchelon,
@@ -15,6 +17,7 @@ from modtors.intlinalg import (
     identity,
     is_zero_mat,
     kernel_basis,
+    kernel_mod,
     mat_mul,
     mat_vec,
     minpoly,
@@ -27,6 +30,7 @@ from modtors.intlinalg import (
     solve_integer,
     transpose,
 )
+from modtors.lattice import Lattice
 
 
 def random_matrix(rng, r, c, lo=-10, hi=10):
@@ -159,10 +163,10 @@ def test_kernel_basis_matches_full_renormalization(seed):
 
 
 def test_kernel_basis_matches_full_renormalization_on_lattice_blocks(monkeypatch):
-    # the blocks Lattice.preimage and Lattice.intersect pass to kernel_basis
-    # in the torsion pipeline of Gamma1(21)
+    # the blocks Lattice.preimage passes to kernel_basis in the folds of
+    # preimages behind M_H (primes [5, 11]) and the class lattices of
+    # Gamma1(21)
     from modtors import lattice
-    from modtors.jacobian import torsion_is_cuspidal
     from modtors.modsym import GroupSpec, build_space
 
     blocks = []
@@ -173,7 +177,8 @@ def test_kernel_basis_matches_full_renormalization_on_lattice_blocks(monkeypatch
 
     monkeypatch.setattr(lattice, "kernel_basis", recording)
     sp = build_space(GroupSpec.gamma1(21))
-    torsion_is_cuspidal(sp, [5, 11])
+    kernel_lattice_fold(sp, [5, 11])
+    class_lattice_folds(sp)
     assert len(blocks) >= 6
     for a in blocks:
         assert kernel_basis(a) == _kernel_basis_oracle(a)
@@ -197,6 +202,75 @@ def test_kernel_spec_example():
     ker = kernel_basis([[1, 1]])
     assert len(ker) == 1
     assert ker[0] in ([1, -1], [-1, 1])
+
+
+def _kernel_mod_fold(a, m, rng):
+    """{x : x a = 0 mod m} as a fold of Lattice.preimage over column
+    blocks of a, each pulled back to m Z^w."""
+    lat = Lattice.standard(len(a))
+    start = 0
+    while start < len(a[0]):
+        w = rng.randint(1, len(a[0]) - start)
+        block = [row[start : start + w] for row in a]
+        target = Lattice(w, [[m if i == j else 0 for j in range(w)] for i in range(w)])
+        lat = lat.preimage(block, target)
+        start += w
+    return lat.basis
+
+
+# moduli with int64 local passes, and two past the int64 bound: 3^41 and
+# the 2^40 of 2^40 * 97
+MODULI = [1, 2, 12, 97, 2**5 * 3**3 * 7, 5**13, 3**41, 2**40 * 97]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kernel_mod_matches_preimage_fold(seed):
+    rng = random.Random(1800 + seed)
+    n, k = rng.randint(1, 7), rng.randint(1, 8)
+    m = MODULI[seed % len(MODULI)]
+    bound = rng.choice([1, 10, 10**30])
+    a = random_matrix(rng, n, k, -bound, bound)
+    r = rng.randint(0, min(n, k))  # singular: a product through r
+    thin = mat_mul(random_matrix(rng, n, r, -3, 3), random_matrix(rng, r, k, -3, 3))
+    deep = [[x * rng.choice([2, 3]) ** 35 for x in row] for row in a]
+    zero_col = [row[:-1] + [0] for row in a]
+    for b in (a, thin, deep, zero_col):
+        got = kernel_mod(b, m)
+        assert got == _kernel_mod_fold(b, m, rng)
+        assert hnf(got) == got
+
+
+def test_kernel_mod_of_trivial_inputs():
+    a = [[3, -1], [4, 7], [0, 5]]
+    assert kernel_mod(a, 1) == identity(3)
+    assert kernel_mod([[0, 0]] * 3, 2**40 * 97) == identity(3)
+    assert kernel_mod([[] for _ in range(4)], 12) == identity(4)
+    assert kernel_mod([], 12) == []
+    assert kernel_mod([[2]], 4) == [[2]]
+    with pytest.raises(ValueError):
+        kernel_mod(a, 0)
+
+
+def test_kernel_mod_past_int64(monkeypatch):
+    # mod 3^41 or 2^40, a wide matrix of full row rank has a small kernel:
+    # it has stabilised mod the largest power that fits int64 and stays
+    # there; a tall matrix has a kernel of order l^e and needs Python ints
+    calls = []
+    local = intlinalg._local_kernel
+
+    def spy(big, l, e, dtype):
+        calls.append((l, dtype))
+        return local(big, l, e, dtype)
+
+    monkeypatch.setattr(intlinalg, "_local_kernel", spy)
+    rng = random.Random(18)
+    for m, l in [(3**41, 3), (2**40 * 97, 2)]:
+        for rows, cols, via_object in [(4, 6, False), (6, 4, True)]:
+            a = random_matrix(rng, rows, cols)
+            calls.clear()
+            assert kernel_mod(a, m) == _kernel_mod_fold(a, m, rng)
+            assert ((l, object) in calls) == via_object
+            assert (l, np.int64) in calls
 
 
 @pytest.mark.parametrize("seed", range(10))

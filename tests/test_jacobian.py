@@ -4,6 +4,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+from conftest import class_lattice_folds, kernel_lattice_fold
 from sympy import divisors
 
 from modtors import jacobian
@@ -24,7 +25,7 @@ from modtors.jacobian import (
     torsion_report,
     winding_sweep,
 )
-from modtors.intlinalg import MODP, rank_rational, vec_mat
+from modtors.intlinalg import MODP, kernel_mod, rank_rational, vec_mat
 from modtors.lattice import Lattice, lattice_torsion_quotient
 from modtors.modsym import GroupSpec, build_space, merel_family
 
@@ -523,6 +524,53 @@ def test_kernel_lattice_with_singular_operators(monkeypatch):
     monkeypatch.setattr(jacobian, "_restricted_kill_operator", singular_at(set(primes)))
     with pytest.raises(ArithmeticError):
         jacobian._kernel_lattice(sp, primes)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec.gamma1(13),
+        GroupSpec.gamma1(21),
+        GroupSpec.gamma1(24),
+        GroupSpec.gamma1(29),
+        GroupSpec.x1_2_2n(9),
+        GroupSpec.gamma0(30),
+        pytest.param(GroupSpec.gamma1(55), marks=pytest.mark.stretch),
+    ],
+    ids=lambda s: s.label(),
+)
+def test_kernel_lattices_match_preimage_folds(spec, monkeypatch):
+    # Gamma1(55) has 5^22 in m, past int64: its local kernel is found mod
+    # 5^f, the largest power that fits, and needs no Python-int pass
+    from modtors import intlinalg
+
+    calls = []
+    local = intlinalg._local_kernel
+
+    def spy(big, l, e, dtype):
+        calls.append((l, e, dtype))
+        return local(big, l, e, dtype)
+
+    monkeypatch.setattr(intlinalg, "_local_kernel", spy)
+    sp = build_space(spec)
+    aux = auxiliary_primes(sp)
+    assert aux.lattice == kernel_lattice_fold(sp, aux.primes)
+    l_prin, lam_div = class_lattice_folds(sp)
+    proj = jacobian._projector(sp)
+    assert Lattice(len(proj.phi), kernel_mod(proj.phi, proj.den)) == l_prin
+    assert cuspidal_class_group(sp).lattice_inv == lam_div
+    if sp.level == 55:
+        assert (5, 13, np.int64) in calls
+        assert all(dtype is np.int64 for _, _, dtype in calls)
+
+
+def test_torsion_layer_needs_no_preimage(monkeypatch):
+    def refuse(self, op, target):
+        raise AssertionError("Lattice.preimage in the torsion layer")
+
+    monkeypatch.setattr(Lattice, "preimage", refuse)
+    rep = torsion_report(build_space(GroupSpec.gamma1(24)))
+    assert rep.primes == [5, 7, 11] and rep.verdict == "equal"
 
 
 def test_torsion_layer_needs_no_rational_inverse(monkeypatch):

@@ -21,6 +21,8 @@ COMMANDS = {
     "rank_x1-2-2n_38_40_42": ["rank", "x1-2-2n", "38,40,42"],
     "torsion_gamma1_13_16": ["torsion", "gamma1", "13,16"],
     "torsion_x1-2-2n_10": ["torsion", "x1-2-2n", "10"],
+    "torsion_gamma1_21-30": ["torsion", "gamma1", "21-30"],
+    "torsion_x1-2-2n_18": ["torsion", "x1-2-2n", "18"],
     "immersion_65_3": ["immersion", "65", "3"],
     "places_22_3": ["places", "22", "3"],
 }
