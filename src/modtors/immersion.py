@@ -90,7 +90,7 @@ def cuspidal_span(space, vecs):
 
 def _winding_span_vectors(space):
     """Exact integer vectors spanning (Hecke span of {0,oo}) cap cuspidal."""
-    _, kept, _, _ = winding_span_mod_p(space, sturm_bound(space.spec), MODP)
+    _, kept, _, _, _ = winding_span_mod_p(space, sturm_bound(space.spec), MODP)
     return cuspidal_span(space, kept)
 
 
@@ -110,10 +110,10 @@ def rank_zero_quotient(space):
     comps = [[[1 if j == i else 0 for j in range(g)] for i in range(g)]]
     labels = [""]
     x = Symbol("x")
-    for q in SPLIT_PRIMES:
-        if n % q == 0:
-            continue
-        tq = restrict_to_lattice(hecke_operator(space, q), plus)
+    # T_q on S+, once per q: the splitting and the isotypy check share it
+    t_plus = {q: restrict_to_lattice(hecke_operator(space, q), plus)
+              for q in SPLIT_PRIMES if n % q}
+    for q, tq in t_plus.items():
         new_comps = []
         new_labels = []
         for basis, label in zip(comps, labels):
@@ -139,10 +139,7 @@ def rank_zero_quotient(space):
     # each surviving block must be isotypic for every operator used
     for basis in comps:
         sub = Lattice.from_rows(basis, ambient=g)
-        for q in SPLIT_PRIMES:
-            if n % q == 0:
-                continue
-            tq = restrict_to_lattice(hecke_operator(space, q), plus)
+        for tq in t_plus.values():
             cp = charpoly(restrict_to_lattice(tq, sub))
             poly = Poly(list(reversed(cp)), x)
             if len(factor_list(poly)[1]) > 1:

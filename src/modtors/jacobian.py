@@ -30,7 +30,6 @@ from .intlinalg import (
     _crt_pair,
     check_int64_sum,
     det_bareiss,
-    echelon_mod_p,
     hnf,
     identity,
     integer_rows,
@@ -49,6 +48,7 @@ from .intlinalg import (
 )
 from .lattice import Lattice, lattice_torsion_quotient
 from .modsym import diamond_operator, hecke_operator, restrict_to_lattice
+from .modsym.presentation import forest_cycles
 
 
 def sturm_bound(spec, weight=2):
@@ -195,10 +195,10 @@ def winding_span_mod_p(space, bound, p):
     boundary image of the span mod p; stop once the cuspidal part of the
     span has dimension genus.
 
-    Returns (swept, kept, s_dim, stopped_at): the terms of every swept
-    T_n {0, oo} (index n - 1), the exact vectors of the T_n {0, oo} that
-    increased the span, the dimension of its cuspidal part, and the last
-    n swept.
+    Returns (swept, kept, echelon, s_dim, stopped_at): the terms of every
+    swept T_n {0, oo} (index n - 1), the exact vectors of the T_n {0, oo}
+    that increased the span, the ModPEchelon of those vectors mod p, the
+    dimension of its cuspidal part, and the last n swept.
     """
     g = space.genus()
     proj_max = max_abs(space.proj)
@@ -221,7 +221,7 @@ def winding_span_mod_p(space, bound, p):
             if s_dim >= g:
                 stopped_at = n
                 break
-    return swept, kept, s_dim, stopped_at
+    return swept, kept, full_ech, s_dim, stopped_at
 
 
 def is_rank_zero(space):
@@ -252,13 +252,13 @@ def is_rank_zero(space):
 
 def _try_rank_certificate(space, bound, p):
     g = space.genus()
-    swept, kept_vecs, s_dim, stopped_at = winding_span_mod_p(space, bound, p)
+    swept, kept_vecs, echelon, s_dim, stopped_at = winding_span_mod_p(space, bound, p)
     if s_dim >= g:
         if not _certify_rank_zero(space, kept_vecs, g):
             return None
         return RankCertificate(space.spec, "rank_zero", bound, g, g,
                                {"hecke_range_used": stopped_at})
-    cert = _certify_positive(space, kept_vecs, swept, p)
+    cert = _certify_positive(space, kept_vecs, echelon, swept)
     if cert is None:
         return None
     return RankCertificate(space.spec, "positive_rank", bound, s_dim, g, cert)
@@ -290,8 +290,10 @@ def _plus_spanning_rows(space):
     return bs + bs @ star
 
 
-def _certify_positive(space, kept_vecs, swept, p):
-    """Exact functional phi with phi(T_n e) = 0 for all n, phi|S+ != 0.
+def _certify_positive(space, kept_vecs, echelon, swept):
+    """Exact functional phi with phi(T_n e) = 0 for all n, phi|S+ != 0,
+    from the sweep's ModPEchelon of the kept vectors mod p (their unique
+    reduced echelon form, rows in the order their pivots were found).
 
     S+ is met through the 2g rows W = B_S (I + star), not through a basis
     of S+.  Star is an involution keeping S invariant, so W lies in S+,
@@ -300,9 +302,8 @@ def _certify_positive(space, kept_vecs, swept, p):
     killed by 2, so for the odd prime p the rows of W mod p span S+ mod p,
     and the mod-p screen below sees what a basis of S+ would.
     """
-    dim = space.dim
-    v_np = np.array(kept_vecs, dtype=np.int64) % p
-    ech, piv = echelon_mod_p(v_np, p)
+    dim, p = space.dim, echelon.p
+    ech, piv = echelon.mat, echelon.piv
     w = _plus_spanning_rows(space)
     k = len(kept_vecs)
     pivset = set(piv)
@@ -351,28 +352,31 @@ def _certify_positive(space, kept_vecs, swept, p):
 
 
 def frobenius_kill_operator(space, q):
-    """T_q - q <q> - 1, the operator annihilating rational torsion prime to
-    q, as an integer matrix on the full space; built once per space."""
+    """(K, det K), K = (T_q - q <q> - 1)|_S the operator annihilating
+    rational torsion prime to q on the cuspidal lattice S, built once per
+    space; the dim x dim operator it is restricted from is not kept."""
 
     def build():
         t = hecke_operator(space, q)
         d = diamond_operator(space, q)
-        out = [[a - q * b for a, b in zip(trow, drow)] for trow, drow in zip(t, d)]
+        full = [[a - q * b for a, b in zip(trow, drow)] for trow, drow in zip(t, d)]
         for i in range(space.dim):
-            out[i][i] -= 1
-        return out
+            full[i][i] -= 1
+        kill = restrict_to_lattice(full, space.cuspidal)
+        return kill, det_bareiss(kill)
 
     return space.memo(("kill", q), build)
 
 
 def jacobian_order_mod_p(space, p):
-    """#J(F_p) = |det(1 + p <p> - T_p)| on the cuspidal plus part."""
+    """#J(F_p) = |det(1 + p <p> - T_p)| on the cuspidal plus part, as the
+    root of det K for the kill operator K on S: S tensor Q = S+ + S- with
+    S+ and S- isomorphic Hecke modules, so det K = det(K|S+)^2."""
     check_good_prime(space, p)
-    if space.genus() == 0:
-        return 1
-    # the kill operator is -(1 + p <p> - T_p); |det| does not see the sign
-    r = restrict_to_lattice(frobenius_kill_operator(space, p), space.plus_cuspidal())
-    return abs(det_bareiss(r))
+    det = frobenius_kill_operator(space, p)[1]
+    if det < 0 or isqrt(det) ** 2 != det:
+        raise ArithmeticError(f"det of the kill operator at p = {p} is {det}, not a square")
+    return isqrt(det)
 
 
 def check_good_prime(space, p):
@@ -427,45 +431,50 @@ class AuxiliaryPrimes:
     capped: bool = False
 
 
-def auxiliary_primes(space):
-    """The default auxiliary primes of the Hecke bound M_H for one level.
+def auxiliary_primes(space, primes=None):
+    """The auxiliary primes of the Hecke bound M_H for one level.
 
-    Starts from the two smallest good primes, good_primes(N, 2), and adds
+    An explicit `primes` list (at least two good primes) is used exactly as
+    given.  By default the search starts from good_primes(N, 2) and adds
     the next good prime while the sandwich M_H within Cl^cc is still open
     and that prime strictly shrinks M_H.  A prime that leaves M_H unchanged
     is not kept and ends the search; the search also ends at
     MAX_AUXILIARY_PRIMES primes.  Each added prime only intersects M_H with
     one more kernel, so M_H stays an upper bound for the rational torsion;
     its kill operator is appended to the block of `_kill_block`, solved mod
-    the same m.  The choice is memoised on the space, keyed by the cap.
+    the same m.  Memoised on the space, keyed by the primes or the cap.
     """
+    if primes is not None:
+        if len(primes) < 2:
+            raise ValueError("need at least two auxiliary primes")
+        for q in primes:
+            check_good_prime(space, q)
     cap = MAX_AUXILIARY_PRIMES
 
     def build():
-        primes = good_primes(space.level, 2)
+        chosen = good_primes(space.level, 2) if primes is None else list(primes)
         if space.cuspidal.rank == 0:
-            return AuxiliaryPrimes(primes, Lattice.standard(0))
-        block, m = _kill_block(space, primes)
+            return AuxiliaryPrimes(chosen, Lattice.standard(0))
+        block, m = _kill_block(space, chosen)
         lat = _lattice_mod(block, m)
+        if primes is not None:
+            return AuxiliaryPrimes(chosen, lat)
         cc = cuspidal_class_group(space)
         while not cc.lattice_cc.contains_lattice(lat):
-            if len(primes) == cap:
-                return AuxiliaryPrimes(primes, lat, capped=True)
-            q = good_primes(space.level, 1, start=primes[-1] + 1)[0]
-            a = _restricted_kill_operator(space, q)
+            if len(chosen) == cap:
+                return AuxiliaryPrimes(chosen, lat, capped=True)
+            q = good_primes(space.level, 1, start=chosen[-1] + 1)[0]
+            a, _ = frobenius_kill_operator(space, q)
             block = [r + s for r, s in zip(block, a)]
             smaller = _lattice_mod(block, m)
             if smaller == lat:
                 break
-            primes.append(q)
+            chosen.append(q)
             lat = smaller
-        return AuxiliaryPrimes(primes, lat)
+        return AuxiliaryPrimes(chosen, lat)
 
-    return space.memo(("auxiliary primes", cap), build)
-
-
-def _restricted_kill_operator(space, q):
-    return restrict_to_lattice(frobenius_kill_operator(space, q), space.cuspidal)
+    key = cap if primes is None else tuple(primes)
+    return space.memo(("auxiliary primes", key), build)
 
 
 def hecke_kernel_lattice(space, primes=None):
@@ -473,38 +482,23 @@ def hecke_kernel_lattice(space, primes=None):
     basis: elements of H1(Q)/H1(Z) killed by every T_q - q<q> - 1 and by
     star - 1.  Returns (L, space) with M_H = L / Z^(2g).
 
-    An explicit `primes` list (at least two good primes) is used exactly as
-    given.  With primes=None the primes are chosen by `auxiliary_primes`.
-    The lattice is memoised on the space, keyed by the primes.
+    The primes, explicit or by default, are those of `auxiliary_primes`.
     """
-    if primes is None:
-        return auxiliary_primes(space).lattice, space
-    if len(primes) < 2:
-        raise ValueError("need at least two auxiliary primes")
-    for q in primes:
-        check_good_prime(space, q)
-    key = ("kernel lattice", tuple(primes))
-    return space.memo(key, lambda: _kernel_lattice(space, primes)), space
-
-
-def _kernel_lattice(space, primes):
-    """{x : x A_q integral for every q, x (star - 1) integral}.
-
-    If x A_q is integral and A_q is nonsingular, then x = (x A_q) adj(A_q)
-    / det A_q lies in (1/|det A_q|) Z^(2g).  So M_H lies in (1/m) Z^(2g),
-    m the gcd of the determinants, and M_H = (1/m) K for the kernel
-    K = {x : x [A_q1 | A_q2 | ... | star - 1] = 0 mod m}; singular A_q
-    only add their columns.
-    """
-    if space.cuspidal.rank == 0:
-        return Lattice.standard(0)
-    return _lattice_mod(*_kill_block(space, primes))
+    return auxiliary_primes(space, primes).lattice, space
 
 
 def _kill_block(space, primes):
-    """([A_q1 | A_q2 | ... | star - 1], m), m the gcd of the det A_q."""
-    ops = [_restricted_kill_operator(space, q) for q in primes]
-    m = gcd(*map(det_bareiss, ops))
+    """([A_q1 | A_q2 | ... | star - 1], m), A_q the kill operators on S and
+    m the gcd of their determinants.
+
+    If x A_q is integral and A_q is nonsingular, then x = (x A_q) adj(A_q)
+    / det A_q lies in (1/|det A_q|) Z^(2g).  So M_H = {x : x A_q integral
+    for every q, x (star - 1) integral} lies in (1/m) Z^(2g), and M_H =
+    (1/m) K for the kernel K = {x : x block = 0 mod m}; singular A_q only
+    add their columns.
+    """
+    ops, dets = zip(*(frobenius_kill_operator(space, q) for q in primes))
+    m = gcd(*dets)
     if m == 0:
         raise ArithmeticError("all Hecke kill operators singular; add primes")
     star = restrict_to_lattice(space.star_matrix(), space.cuspidal)
@@ -587,7 +581,8 @@ class ManinDrinfeldProjector:
     all c - 1 basis classes from one exact Sylvester solve.
 
     T = T_q for the least prime q >= 7 not dividing N; gamma_i are integral
-    lifts of d_i = e_i - e_{c-1} through the boundary map.  In the basis
+    lifts of d_i = e_i - e_{c-1} through the boundary map, read off the
+    cusp forest (see `boundary_lifts`).  In the basis
     [S-basis; Gamma], T is [[T_S, 0], [Z, R]], with R the matrix of T on the
     d-basis and Z the cuspidal coordinates of Gamma T - R Gamma.  The
     Eisenstein complement has the rows [-Y | I] with Y T_S - R Y = Z, and
@@ -599,16 +594,10 @@ class ManinDrinfeldProjector:
     """
 
     def __init__(self, space):
-        c, s, bnd = space.ncusps, space.cuspidal, space.boundary
+        c, s = space.ncusps, space.cuspidal
         self.q = next(q for q in filter(isprime, count(7)) if space.level % q)
         t = hecke_operator(space, self.q)
-        h, u = hnf(bnd, transform=True)
-        image = Lattice(c, h, normalize=False)  # u[i] @ bnd = h[i]
-        lifts = [image.solve([1 if j == i else -1 if j == c - 1 else 0 for j in range(c)])
-                 for i in range(c - 1)]
-        if None in lifts:
-            raise ValueError("divisor not in the boundary image lattice")
-        gammas = [vec_mat(x, u) for x in lifts]
+        gammas = boundary_lifts(space)
         images = [vec_mat(gm, t) for gm in gammas]
         r = [space.boundary_image(w)[: c - 1] for w in images]
         z = [s.solve([a - b for a, b in zip(w, vec_mat(row, gammas))], s.den)
@@ -622,6 +611,24 @@ class ManinDrinfeldProjector:
         if len(divisor) != len(self.phi) + 1 or sum(divisor) != 0:
             raise ValueError(f"need a degree-0 divisor on the {len(self.phi) + 1} cusps")
         return [Fraction(x, self.den) for x in vec_mat(divisor[:-1], self.phi)]
+
+
+def boundary_lifts(space):
+    """Integral gamma_i with gamma_i @ boundary = e_i - e_(c-1), i < c - 1.
+
+    The boundary is the incidence matrix of the cusp graph.  The forest of
+    `fundamental_cycles` (real edges, last to first) then takes one virtual
+    edge (c - 1 -> i) for each i; each is a chord, whose fundamental cycle
+    minus its own step is a path x of real edges with x @ boundary =
+    e_i - e_(c-1).  ValueError if a virtual edge joins two trees.
+    """
+    c, dim = space.ncusps, space.dim
+    edges = space.edges + [(c - 1, i) for i in range(c - 1)]
+    order = [*range(dim - 1, -1, -1), *range(dim, dim + c - 1)]
+    paths = [dict(cycle[1:]) for chord, cycle in forest_cycles(edges, order, c) if chord >= dim]
+    if len(paths) < c - 1:
+        raise ValueError("divisor not in the boundary image lattice")
+    return [[path.get(e, 0) for e in range(dim)] for path in paths]
 
 
 def _solve_sylvester(ts, r, z):
@@ -898,7 +905,8 @@ def torsion_is_cuspidal(space, primes=None):
     std = Lattice.standard(lat.ambient)
     if cc.surjective and cc.lattice_cc.contains_lattice(lat):
         return "equal", 1, cc, "sandwich"
-    # stage (ii): compare p-torsion of M/C and (M cap Cl^cc)/C for p | #M
+    # stage (ii): compare p-torsion of M/C and (M cap Cl^cc)/C for p | #M;
+    # C <= small <= big, so equal orders over C mean equal lattices
     m_groups = lattice_torsion_quotient(std, lat)
     mprime = lat.intersect(cc.lattice_cc)
     c_lat = cc.lattice_ccq
@@ -907,9 +915,7 @@ def torsion_is_cuspidal(space, primes=None):
         for p in sorted({q for inv in m_groups.invariants for q in _prime_divisors(inv)}):
             big = lat.intersect(c_lat.scale(1, p)).sum(c_lat)
             small = mprime.intersect(c_lat.scale(1, p)).sum(c_lat)
-            o_big = lattice_torsion_quotient(c_lat, big).order()
-            o_small = lattice_torsion_quotient(c_lat, small).order()
-            if o_big != o_small:
+            if big != small:
                 ok = False
                 break
         if ok:
@@ -935,11 +941,7 @@ def torsion_report(space, primes=None):
     once, in the space memo.
     """
     cc = cuspidal_class_group(space)
-    if primes is None:
-        aux = auxiliary_primes(space)
-    else:
-        lat, _ = hecke_kernel_lattice(space, primes)
-        aux = AuxiliaryPrimes(list(primes), lat)
+    aux = auxiliary_primes(space, primes)
     rank = is_rank_zero(space)
     orders = {p: jacobian_order_mod_p(space, p) for p in aux.primes}
     mh, _ = hecke_bound_group(space, primes)

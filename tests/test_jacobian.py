@@ -296,7 +296,7 @@ def test_edge_list_boundary_of_kept_winding_vectors(spec):
     from modtors.intlinalg import MODP, vec_mat
 
     sp = build_space(spec)
-    _, kept, _, _ = jacobian.winding_span_mod_p(sp, sturm_bound(sp.spec), MODP)
+    _, kept, _, _, _ = jacobian.winding_span_mod_p(sp, sturm_bound(sp.spec), MODP)
     assert kept
     for v in kept:
         assert sp.boundary_image(v) == vec_mat(v, sp.boundary)
@@ -350,7 +350,7 @@ def test_rank_zero_certificate_counts_boundary_rank(spec):
 
     sp = build_space(spec)
     g = sp.genus()
-    _, kept, s_dim, _ = jacobian.winding_span_mod_p(sp, sturm_bound(sp.spec), MODP)
+    _, kept, _, s_dim, _ = jacobian.winding_span_mod_p(sp, sturm_bound(sp.spec), MODP)
     assert s_dim == g > 0
     assert jacobian._certify_rank_zero(sp, kept, g)
     assert _cuspidal_span_rank_zero(sp, kept, g)
@@ -385,18 +385,44 @@ def test_torsion_multiple_single_prime():
     assert torsion_multiple(sp, [3]) == jacobian_order_mod_p(sp, 3)
 
 
+ORDER_ORACLE_SPECS = (
+    [GroupSpec.gamma1(n) for n in range(11, 46)]
+    + [GroupSpec.x1_2_2n(n) for n in range(1, 19)]
+    + [GroupSpec.gamma0(n) for n in (11, 30, 37, 43, 53, 61, 65)]
+)
+
+
 def test_full_space_det_is_square_of_plus():
+    # the S+ route is the oracle: #J(F_p) = |det(T_p - p<p> - 1)| on S+,
+    # and the kill operator's determinant on S is its square, sign included
     from modtors.intlinalg import det_bareiss
     from modtors.jacobian import frobenius_kill_operator
-    from modtors.modsym import restrict_to_lattice
+    from modtors.modsym import diamond_operator, hecke_operator, restrict_to_lattice
 
-    for spec, p in ((GroupSpec.gamma1(21), 5), (GroupSpec.gamma0(30), 7)):
+    pairs = 0
+    for spec in ORDER_ORACLE_SPECS:
         sp = build_space(spec)
-        op = frobenius_kill_operator(sp, p)
-        neg = [[-x for x in row] for row in op]
-        full = abs(det_bareiss(restrict_to_lattice(neg, sp.cuspidal)))
-        plus = jacobian_order_mod_p(sp, p)
-        assert full == plus * plus
+        if sp.genus() == 0:
+            assert jacobian_order_mod_p(sp, good_primes(sp.level, 1)[0]) == 1
+            continue
+        for p in good_primes(sp.level, 3):
+            t, d = hecke_operator(sp, p), diamond_operator(sp, p)
+            kill = [[a - p * b - (i == j) for j, (a, b) in enumerate(zip(trow, drow))]
+                    for i, (trow, drow) in enumerate(zip(t, d))]
+            plus = abs(det_bareiss(restrict_to_lattice(kill, sp.plus_cuspidal())))
+            assert jacobian_order_mod_p(sp, p) == plus, (spec.label(), p)
+            assert frobenius_kill_operator(sp, p)[1] == plus * plus, (spec.label(), p)
+            pairs += 1
+    assert pairs == 165
+
+
+def test_jacobian_order_refuses_a_non_square_determinant(monkeypatch):
+    sp = build_space(GroupSpec.gamma1(13))
+    kill, det = jacobian.frobenius_kill_operator(sp, 3)
+    for bad in (-det, 2 * det):
+        monkeypatch.setitem(sp._memo, ("kill", 3), (kill, bad))
+        with pytest.raises(ArithmeticError, match="not a square"):
+            jacobian_order_mod_p(sp, 3)
 
 
 def test_hecke_bounds_paper_values():
@@ -460,7 +486,7 @@ def _kernel_lattice_rational_route(sp, primes):
     std = Lattice.standard(g2)
     lat, singular = None, []
     for q in primes:
-        a = jacobian._restricted_kill_operator(sp, q)
+        a, _ = jacobian.frobenius_kill_operator(sp, q)
         if det_bareiss(a) == 0:
             singular.append(a)
             continue
@@ -502,28 +528,32 @@ def test_kernel_lattice_matches_rational_route(spec):
 
 
 def test_kernel_lattice_with_singular_operators(monkeypatch):
-    sp = build_space(GroupSpec.gamma1(24))
-    kill = jacobian._restricted_kill_operator
+    from modtors.intlinalg import det_bareiss
+
+    spec = GroupSpec.gamma1(24)
+    kill = jacobian.frobenius_kill_operator
 
     def singular_at(bad):
         def patched(space, q):
-            a = kill(space, q)
+            a, det = kill(space, q)
             if q in bad:  # drop one column: a weaker condition on x
-                for row in a:
-                    row[0] = 0
-            return a
+                a = [[0] + row[1:] for row in a]
+                det = det_bareiss(a)
+            return a, det
 
         return patched
 
+    # each patch gets a freshly built space: the kernel lattice is memoised
     primes = [5, 7, 11]
-    full = jacobian._kernel_lattice(sp, primes)
-    monkeypatch.setattr(jacobian, "_restricted_kill_operator", singular_at({7}))
-    lat = jacobian._kernel_lattice(sp, primes)
+    full, _ = hecke_kernel_lattice(build_space(spec), primes)
+    monkeypatch.setattr(jacobian, "frobenius_kill_operator", singular_at({7}))
+    sp = build_space(spec)
+    lat, _ = hecke_kernel_lattice(sp, primes)
     assert lat == _kernel_lattice_rational_route(sp, primes)
     assert lat.contains_lattice(full)
-    monkeypatch.setattr(jacobian, "_restricted_kill_operator", singular_at(set(primes)))
+    monkeypatch.setattr(jacobian, "frobenius_kill_operator", singular_at(set(primes)))
     with pytest.raises(ArithmeticError):
-        jacobian._kernel_lattice(sp, primes)
+        hecke_kernel_lattice(build_space(spec), primes)
 
 
 @pytest.mark.parametrize(
@@ -734,6 +764,40 @@ class _HornerProjector:
         if gamma is None:
             raise ValueError("divisor not in the boundary image lattice")
         return self.project(gamma)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec.gamma0(11),
+        GroupSpec.gamma0(30),
+        GroupSpec.gamma0(65),
+        GroupSpec.gamma1(13),
+        GroupSpec.gamma1(24),
+        GroupSpec.gamma1(36),
+        GroupSpec.x1_2_2n(9),
+        GroupSpec.x1_2_2n(12),
+    ],
+    ids=lambda s: s.label(),
+)
+def test_boundary_lifts_from_the_cusp_forest(spec):
+    sp = build_space(spec)
+    c = sp.ncusps
+    lifts = jacobian.boundary_lifts(sp)
+    assert len(lifts) == c - 1
+    for i, gamma in enumerate(lifts):
+        assert len(gamma) == sp.dim
+        assert sp.boundary_image(gamma) == [(j == i) - (j == c - 1) for j in range(c)]
+
+
+def test_boundary_lifts_refuse_a_disconnected_cusp_graph(monkeypatch):
+    # with every edge at the last cusp dropped, no path reaches it
+    sp = build_space(GroupSpec.gamma1(13))
+    c = sp.ncusps
+    cut = [(h, t) if c - 1 not in (h, t) else (0, 0) for h, t in sp.edges]
+    monkeypatch.setattr(sp, "edges", cut)
+    with pytest.raises(ValueError, match="boundary image"):
+        jacobian.boundary_lifts(sp)
 
 
 def test_manin_drinfeld_lift_independent():
