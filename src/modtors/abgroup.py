@@ -70,6 +70,11 @@ class FinAbGroup:
                 out.setdefault(int(p), []).append(int(e))
         return {p: tuple(sorted(v, reverse=True)) for p, v in out.items()}
 
+    def p_ranks(self):
+        """dict p -> rank of the p-torsion G[p] over F_p, for each prime p
+        dividing the order: the number of invariants divisible by p."""
+        return {p: len(exps) for p, exps in self._prime_counts().items()}
+
     def embeds_in(self, other):
         """Whether this group embeds in other.
 

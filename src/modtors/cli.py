@@ -81,10 +81,13 @@ def level_specs(args):
 
 
 def parse_primes(arg):
-    """The explicit auxiliary primes of `--primes`: at least two primes."""
+    """The explicit auxiliary primes of `--primes`: at least two distinct
+    primes."""
     primes = [int(p) for p in arg.split(",")]
     if len(primes) < 2:
         raise ValueError("need at least two auxiliary primes")
+    if len(set(primes)) < len(primes):
+        raise ValueError(f"repeated auxiliary primes: {primes}")
     bad = [p for p in primes if not isprime(p)]
     if bad:
         raise ValueError(f"not prime: {bad}")

@@ -4,7 +4,11 @@ Contents: Sturm-type generation bounds, rank-zero certification via the
 winding element, point counts #J(F_p) from the Eichler-Shimura operator,
 local torsion multiples, the Hecke kernel bound M_H on rational torsion,
 Manin-Drinfeld projections of cuspidal divisors, rational cuspidal class
-groups, and the three-stage equality pipeline comparing them.
+groups, and the three-stage equality pipeline comparing them.  The
+pipeline is arithmetic on the finite groups M_H, M_H cap Cl^cc and
+Cl^cc_Q modulo Z^(2g), computed once per level and prime list: the
+sandwich is a containment, stage (ii) compares p-ranks and stage (iii)
+is a quotient of group orders (see `_pipeline`).
 
 Mod-p linear algebra is used for speed, but every reported verdict is
 backed by an exact integer certificate: rank-zero claims bound the
@@ -30,7 +34,6 @@ from .intlinalg import (
     _crt_pair,
     check_int64_sum,
     det_bareiss,
-    hnf,
     identity,
     integer_rows,
     inverse_mod_p,
@@ -42,7 +45,6 @@ from .intlinalg import (
     max_abs,
     rank_rational,
     rational_reconstruct,
-    smith_normal_form,
     solve_dixon,
     vec_mat,
 )
@@ -434,19 +436,21 @@ class AuxiliaryPrimes:
 def auxiliary_primes(space, primes=None):
     """The auxiliary primes of the Hecke bound M_H for one level.
 
-    An explicit `primes` list (at least two good primes) is used exactly as
-    given.  By default the search starts from good_primes(N, 2) and adds
-    the next good prime while the sandwich M_H within Cl^cc is still open
-    and that prime strictly shrinks M_H.  A prime that leaves M_H unchanged
-    is not kept and ends the search; the search also ends at
+    An explicit `primes` list (at least two distinct good primes) is used
+    exactly as given.  By default the search starts from good_primes(N, 2)
+    and adds the next good prime while the sandwich M_H within Cl^cc is
+    still open and that prime strictly shrinks M_H.  A prime that leaves
+    M_H unchanged is not kept and ends the search; the search also ends at
     MAX_AUXILIARY_PRIMES primes.  Each added prime only intersects M_H with
     one more kernel, so M_H stays an upper bound for the rational torsion;
     its kill operator is appended to the block of `_kill_block`, solved mod
-    the same m.  Memoised on the space, keyed by the primes or the cap.
+    the same m.  Memoised on the space under `_primes_key`.
     """
     if primes is not None:
         if len(primes) < 2:
             raise ValueError("need at least two auxiliary primes")
+        if len(set(primes)) < len(primes):
+            raise ValueError(f"repeated auxiliary primes: {list(primes)}")
         for q in primes:
             check_good_prime(space, q)
     cap = MAX_AUXILIARY_PRIMES
@@ -473,8 +477,13 @@ def auxiliary_primes(space, primes=None):
             lat = smaller
         return AuxiliaryPrimes(chosen, lat)
 
-    key = cap if primes is None else tuple(primes)
-    return space.memo(("auxiliary primes", key), build)
+    return space.memo(("auxiliary primes", _primes_key(primes)), build)
+
+
+def _primes_key(primes):
+    """The memo key of a choice of auxiliary primes: the explicit primes,
+    or the cap of the default rule."""
+    return MAX_AUXILIARY_PRIMES if primes is None else tuple(primes)
 
 
 def hecke_kernel_lattice(space, primes=None):
@@ -512,64 +521,11 @@ def _lattice_mod(block, m):
     return Lattice(len(block), kernel_mod(block, m), m)
 
 
-def hecke_bound_group(space, primes=None):
-    """The Hecke bound M_H as a FinAbGroup, with generators.
-
-    The kernel bound is intersected with the Galois-invariant part of the
-    cuspidal class group whenever the verified containment M_H within Cl^cc
-    holds (then rational torsion lies in M_H and is Galois-fixed inside
-    Cl^cc, so the cut is a sound sharpening); otherwise the plain kernel
-    bound is returned.  Generators are (order, numerators, denominator)
-    triples over the cuspidal basis.
-
-    An explicit `primes` list is used exactly as given; primes=None takes
-    the default choice of `auxiliary_primes`.
-    """
-    lat, _ = hecke_kernel_lattice(space, primes)
-    if lat.ambient == 0:
-        return FinAbGroup([]), []
-    if cuspidal_class_group(space).lattice_cc.contains_lattice(lat):
-        lat = lat.intersect(clcc_invariant_class_lattice(space))
-    return quotient_with_generators(Lattice.standard(lat.ambient), lat)
-
-
 def clcc_invariant_class_lattice(space):
     """(Cl^cc)^G as a lattice over the cuspidal basis."""
     # lattice_inv is a sublattice of Z^(c-1) (denominator 1): its rows are
     # integral divisors
     return _class_lattice(space, cuspidal_class_group(space).lattice_inv.basis)
-
-
-def quotient_with_generators(sub, over):
-    """Invariants and generators of over/sub (commensurable lattices).
-
-    Generators are returned as (order, vector numerators, denominator) with
-    vectors in the ambient coordinates.
-    """
-    coords = []
-    for r in sub.basis:
-        x = over.solve(r, sub.den)
-        if x is None:
-            raise ValueError("not commensurable")
-        coords.append(x)
-    if not coords:
-        return FinAbGroup([]), []
-    _, d, v = smith_normal_form(coords)
-    # new basis of `over` is V^-1 @ basis; quotient generated by its rows
-    # with orders given by the diagonal of D.  V is unimodular, so its
-    # Hermite form is I and the transform U with U V = I is V^-1.
-    _, vinv = hnf(v, transform=True)
-    k = len(over.basis)
-    gens = []
-    invs = []
-    for i in range(k):
-        di = d[i][i] if i < len(d) and i < len(d[0]) else 0
-        if di in (0, 1):
-            continue
-        row = vec_mat(vinv[i], over.basis)
-        gens.append((di, row, over.den))
-        invs.append(di)
-    return FinAbGroup(invs), gens
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +819,6 @@ class TorsionReport:
     clcc_q: FinAbGroup
     verdict: str
     index_bound: int = 1
-    surjective: bool = True
     sturm: int = 0
     primes: list = field(default_factory=list)
     primes_capped: bool = False
@@ -885,6 +840,61 @@ class TorsionReport:
         }
 
 
+def _pipeline(space, primes):
+    """(Hecke bound, verdict, k, stage) for one choice of auxiliary primes,
+    memoised on the space under `_primes_key`.
+
+    Write M = M_H, Cl = Cl^cc and C = Cl^cc_Q as lattices over the cuspidal
+    basis, and M' = M cap Cl.  ArithmeticError unless C lies in M: rational
+    cuspidal torsion lies in every bound on rational torsion.  Then
+    Z^(2g) <= C <= M' <= M, and each stage is arithmetic on M/C and M'/C:
+    - (i) if M lies in Cl, then M' = M, and the verdict is "equal" when
+      (Div^0cc)^G -> (Cl^cc)^G is surjective;
+    - (ii) (M'/C)[p] lies in (M/C)[p], so the two are equal exactly when
+      M'/C and M/C have the same p-rank; "equal" when that holds for every
+      p and the map above is surjective;
+    - (iii) otherwise k = #(M/C) / #(M'/C) = [M : M'], which is
+      [M + Cl : Cl] by the second isomorphism theorem.
+    The Hecke bound is M cap (Cl^cc)^G when M lies in Cl (rational torsion
+    then lies in M and is Galois-fixed inside Cl^cc, so the cut is sound),
+    and M otherwise, as a group modulo Z^(2g).
+    """
+
+    def build():
+        lat, _ = hecke_kernel_lattice(space, primes)
+        if lat.ambient == 0:
+            return FinAbGroup([]), "equal", 1, "trivial"
+        cc = cuspidal_class_group(space)
+        if not lat.contains_lattice(cc.lattice_ccq):
+            raise ArithmeticError(f"{space.spec.label()}: Cl^cc_Q is not inside M_H")
+        sandwich = cc.lattice_cc.contains_lattice(lat)
+        if sandwich:
+            mprime, cut = lat, lat.intersect(clcc_invariant_class_lattice(space))
+        else:
+            mprime, cut = lat.intersect(cc.lattice_cc), lat
+        bound = lattice_torsion_quotient(Lattice.standard(lat.ambient), cut)
+        if sandwich and cc.surjective:
+            return bound, "equal", 1, "sandwich"
+        m_c = lattice_torsion_quotient(cc.lattice_ccq, lat)
+        mprime_c = lattice_torsion_quotient(cc.lattice_ccq, mprime)
+        if cc.surjective and m_c.p_ranks() == mprime_c.p_ranks():
+            return bound, "equal", 1, "maximal-ideal"
+        k = m_c.order() // mprime_c.order()
+        return bound, f"index-divides-{k}", k, "index"
+
+    return space.memo(("pipeline", _primes_key(primes)), build)
+
+
+def hecke_bound_group(space, primes=None):
+    """The Hecke bound on rational torsion as a FinAbGroup: M_H cut by
+    (Cl^cc)^G when M_H lies in Cl^cc, else M_H (see `_pipeline`).
+
+    An explicit `primes` list is used exactly as given; primes=None takes
+    the default choice of `auxiliary_primes`.
+    """
+    return _pipeline(space, primes)[0]
+
+
 def torsion_is_cuspidal(space, primes=None):
     """Three-stage equality test between M_H and the cuspidal classes.
 
@@ -893,42 +903,14 @@ def torsion_is_cuspidal(space, primes=None):
     CuspidalClassGroup and stage names the stage that decided: "trivial"
     (genus 0), "sandwich" (stage (i): M_H inside Cl^cc), "maximal-ideal"
     (stage (ii): the maximal-ideal torsion comparison of Lemma-4.6 type) or
-    "index" (stage (iii): the index [M_H + Cl^cc : Cl^cc]).
+    "index" (stage (iii): the index [M_H + Cl^cc : Cl^cc]).  The stages
+    are those of `_pipeline`.
 
     An explicit `primes` list is used exactly as given; primes=None takes
     the default choice of `auxiliary_primes`.
     """
-    cc = cuspidal_class_group(space)
-    lat, _ = hecke_kernel_lattice(space, primes)
-    if lat.ambient == 0:
-        return "equal", 1, cc, "trivial"
-    std = Lattice.standard(lat.ambient)
-    if cc.surjective and cc.lattice_cc.contains_lattice(lat):
-        return "equal", 1, cc, "sandwich"
-    # stage (ii): compare p-torsion of M/C and (M cap Cl^cc)/C for p | #M;
-    # C <= small <= big, so equal orders over C mean equal lattices
-    m_groups = lattice_torsion_quotient(std, lat)
-    mprime = lat.intersect(cc.lattice_cc)
-    c_lat = cc.lattice_ccq
-    ok = cc.surjective
-    if ok:
-        for p in sorted({q for inv in m_groups.invariants for q in _prime_divisors(inv)}):
-            big = lat.intersect(c_lat.scale(1, p)).sum(c_lat)
-            small = mprime.intersect(c_lat.scale(1, p)).sum(c_lat)
-            if big != small:
-                ok = False
-                break
-        if ok:
-            return "equal", 1, cc, "maximal-ideal"
-    # stage (iii): index of Cl^cc in M + Cl^cc
-    k = lattice_torsion_quotient(cc.lattice_cc, lat.sum(cc.lattice_cc)).order()
-    return f"index-divides-{k}", k, cc, "index"
-
-
-def _prime_divisors(n):
-    from sympy import factorint
-
-    return [int(p) for p in factorint(n)]
+    _, verdict, k, stage = _pipeline(space, primes)
+    return verdict, k, cuspidal_class_group(space), stage
 
 
 def torsion_report(space, primes=None):
@@ -937,14 +919,14 @@ def torsion_report(space, primes=None):
     An explicit `primes` list is used exactly as given; primes=None takes
     the default choice of `auxiliary_primes`.  The local orders, the
     torsion multiple, the Hecke bound and the pipeline all use the same
-    primes, and the kernel lattice and class group they share are built
-    once, in the space memo.
+    primes, and the kernel lattice, class group and pipeline they share
+    are built once, in the space memo.
     """
     cc = cuspidal_class_group(space)
     aux = auxiliary_primes(space, primes)
     rank = is_rank_zero(space)
     orders = {p: jacobian_order_mod_p(space, p) for p in aux.primes}
-    mh, _ = hecke_bound_group(space, primes)
+    mh = hecke_bound_group(space, primes)
     verdict, k, _, _stage = torsion_is_cuspidal(space, primes)
     return TorsionReport(
         spec=space.spec,
@@ -956,7 +938,6 @@ def torsion_report(space, primes=None):
         clcc_q=cc.clcc_q,
         verdict=verdict,
         index_bound=k,
-        surjective=cc.surjective,
         sturm=sturm_bound(space.spec),
         primes=aux.primes,
         primes_capped=aux.capped,

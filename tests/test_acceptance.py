@@ -117,7 +117,7 @@ def test_criterion_06_example_41_chain():
     assert jacobian_order_mod_p(sp, 11) == 96824
     assert torsion_multiple(sp, [5, 11]) == 728
     assert abgroup_gcd([FinAbGroup([2184]), FinAbGroup([14, 6916])]) == FinAbGroup([364])
-    mh, _ = hecke_bound_group(sp, primes=[5, 11])
+    mh = hecke_bound_group(sp, primes=[5, 11])
     cc = cuspidal_class_group(sp)
     assert mh == FinAbGroup([364])
     assert cc.clcc_q == FinAbGroup([364])
@@ -127,12 +127,12 @@ def test_criterion_06_example_41_chain():
 
 def test_criterion_07_examples_42_43():
     sp = build_space(GroupSpec.gamma1(28))
-    mh, _ = hecke_bound_group(sp, primes=[3, 5])
+    mh = hecke_bound_group(sp, primes=[3, 5])
     cc = cuspidal_class_group(sp)
     assert mh == FinAbGroup([2, 4, 12, 936])
     assert cc.clcc_q == FinAbGroup([2, 4, 12, 936])
     sp = build_space(GroupSpec.x1_2_2n(9))
-    mh, _ = hecke_bound_group(sp, primes=[5, 7])
+    mh = hecke_bound_group(sp, primes=[5, 7])
     cc = cuspidal_class_group(sp)
     assert mh == FinAbGroup([2, 42, 126])
     assert cc.clcc_q == FinAbGroup([2, 42, 126])

@@ -101,6 +101,7 @@ def test_invalid_level_is_refused_before_the_sweep(command, tmp_path):
         (("places", "22", "3", "--maxdeg", "-1"), "invalid --maxdeg -1"),
         (("immersion", "65", "3", "--count", "0"), "invalid --count 0"),
         (("immersion", "65", "3", "--count", "-2"), "invalid --count -2"),
+        (("torsion", "gamma1", "13", "--primes", "3,3"), "repeated auxiliary primes"),
     ],
 )
 def test_invalid_arguments_are_refused(argv, reason, tmp_path, capsys):
