@@ -10,7 +10,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import numpy as np
-from sympy import factorint, isprime, nextprime
+from sympy import ZZ, factorint, isprime, nextprime
+from sympy.polys.galoistools import gf_lcm
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +461,7 @@ def elementary_divisors(a):
 
 
 # ---------------------------------------------------------------------------
-# word-sized modular arithmetic (numpy int64; p^2 * n must stay below 2^63)
+# modular arithmetic (numpy int64 where n (p - 1)^2 fits, else Python ints)
 
 MODP = 67108859  # prime just below 2^26
 INT64_MAX = 2**63 - 1
@@ -483,85 +484,56 @@ def _as_modp(a, p=MODP):
     return m
 
 
-def echelon_mod_p(a_np, p=MODP):
-    """In-place-free row echelon mod p.  Returns (rref, pivot_cols)."""
-    m = a_np % p
-    nr, nc = m.shape
-    piv_cols = []
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + nz[0]
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        m = (m - np.outer(col, m[r])) % p
-        piv_cols.append(c)
-        r += 1
-    return m[:r], piv_cols
-
-
 def rank_mod_p(a, p):
     """Rank of an integer matrix modulo a prime p (exact)."""
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
     if not a or not a[0]:
         return 0
-    if p < 2**26:
-        _, piv = echelon_mod_p(_as_modp(a, p), p)
-        return len(piv)
-    # big p: plain python elimination
-    m = [[x % p for x in row] for row in a]
-    rank = 0
-    nc = len(m[0])
-    rows = [r for r in m if any(r)]
-    for c in range(nc):
-        piv = next((i for i, r in enumerate(rows) if r[c]), None)
-        if piv is None:
-            continue
-        prow = rows.pop(piv)
-        inv = pow(prow[c], p - 2, p)
-        prow = [x * inv % p for x in prow]
-        rows = [
-            [(x - r[c] * y) % p for x, y in zip(r, prow)] if r[c] else r
-            for r in rows
-        ]
-        rows = [r for r in rows if any(r)]
-        rank += 1
-    return rank
+    return ModPEchelon.from_rows([[x % p for x in row] for row in a], p).rank
 
 
 class ModPEchelon:
-    """Incremental reduced row echelon mod p for streaming rank computations.
+    """Incremental reduced row echelon mod p: the one elimination mod p.
 
-    Rows are stored fully reduced (rref), so reducing an incoming vector is
-    a single int64 matrix product, a sum of rank products each below p^2.
-    Each reduction checks that max(rank, 1) * (p - 1)^2 fits int64, which
-    also bounds the single products of `add`, and raises ArithmeticError
-    otherwise: at MODP that allows rank up to 2048.
+    Rows are stored fully reduced (rref, rows in the order their pivots
+    were found), so reducing an incoming vector is a single matrix product,
+    a sum of rank products each below p^2.  The rows are int64 by default:
+    each reduction then checks that max(rank, 1) * (p - 1)^2 fits int64,
+    which also bounds the single products of `add`, and raises
+    ArithmeticError otherwise: at MODP that allows rank up to 2048.
+    `from_rows` echelons a whole matrix, in int64 when its largest possible
+    rank times (p - 1)^2 fits and in Python ints (dtype object) otherwise.
     """
 
-    def __init__(self, ncols, p=MODP):
+    def __init__(self, ncols, p=MODP, dtype=np.int64):
         self.p = p
         self.ncols = ncols
-        self.mat = np.zeros((0, ncols), dtype=np.int64)
+        self.dtype = dtype
+        self.mat = np.zeros((0, ncols), dtype=dtype)
         self.piv = []
+
+    @classmethod
+    def from_rows(cls, rows, p):
+        """The echelon of the rows (a 2-d array or row lists, entries in
+        [0, p)), added in order."""
+        rows = np.asarray(rows)
+        nr, nc = rows.shape
+        fits = max(1, min(nr, nc)) * (p - 1) ** 2 <= INT64_MAX
+        ech = cls(nc, p, np.int64 if fits else object)
+        for row in rows:
+            ech.add(row)
+        return ech
 
     @property
     def rank(self):
         return len(self.piv)
 
     def reduce(self, vec):
-        """Reduce vec (np.int64 array) against the echelon; returns residue."""
-        check_int64_sum(self.p - 1, max(1, self.rank) * (self.p - 1), "mod-p reduction")
-        v = np.asarray(vec, dtype=np.int64) % self.p
+        """Reduce vec against the echelon; returns the residue."""
+        if self.dtype is not object:
+            check_int64_sum(self.p - 1, max(1, self.rank) * (self.p - 1), "mod-p reduction")
+        v = np.asarray(vec, dtype=self.dtype) % self.p
         if self.piv:
             coeffs = v[self.piv]
             if coeffs.any():
@@ -587,13 +559,14 @@ class ModPEchelon:
 
 
 def inverse_mod_p(a_np, p=MODP):
-    """Inverse of a square matrix mod p, or None if singular."""
+    """Inverse of a square matrix mod p, or None if singular: the reduced
+    echelon of [A | I] is [I | A^-1]."""
     n = a_np.shape[0]
-    m = np.concatenate([a_np % p, np.eye(n, dtype=np.int64)], axis=1)
-    r, piv = echelon_mod_p(m, p)
-    if piv != list(range(n)):
+    aug = np.concatenate([a_np % p, np.eye(n, dtype=np.int64)], axis=1)
+    ech = ModPEchelon.from_rows(aug, p)
+    if sorted(ech.piv) != list(range(n)):
         return None
-    return r[:, n:]
+    return ech.mat[np.argsort(ech.piv), n:]
 
 
 # ---------------------------------------------------------------------------
@@ -801,12 +774,14 @@ def poly_eval_matrix(coeffs, a):
 def minpoly(a):
     """Minimal polynomial of an integer matrix (monic, exact).
 
-    A candidate is computed mod p from Krylov sequences and then verified
-    exactly by evaluating at the matrix; falls back to charpoly on failure.
-    Nothing in the package calls it: the tests' reference Manin-Drinfeld
-    route does, and the traced benchmark (bench/spans.py) looks it up by
-    name, so it and its mod-p helpers go at the next change to the
-    benchmark.
+    A candidate is computed mod p as the lcm (galoistools `gf_lcm`) of the
+    minimal polynomials of Krylov sequences and then verified exactly by
+    evaluating at the matrix.  If the candidate fails that check, the
+    characteristic polynomial is returned instead: it annihilates the
+    matrix but need not be minimal.  Nothing in the package calls it: the
+    tests' reference Manin-Drinfeld route does, and the traced benchmark
+    (bench/spans.py) looks it up by name, so it goes at the next change to
+    the benchmark.
     """
     n = len(a)
     if n == 0:
@@ -820,7 +795,7 @@ def minpoly(a):
     for _ in range(4):
         v = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
         loc = _local_minpoly_mod_p(a_np, v, p)
-        mp = _poly_lcm_mod_p(mp, loc, p)
+        mp = [int(c) for c in reversed(gf_lcm(mp[::-1], loc[::-1], p, ZZ))]
         if len(mp) == n + 1:
             break
     half = p // 2
@@ -847,86 +822,16 @@ def _local_minpoly_mod_p(a_np, v, p):
 
 
 def _solve_mod_p(mat, target, p):
-    """Solve x @ mat = target mod p (mat k x n, full row rank)."""
+    """Solve x @ mat = target mod p (mat k x n, full row rank): the
+    reduced echelon of [mat^T | target] has x[c] in its row with pivot c."""
     k = mat.shape[0]
-    if k == 0:
-        return np.zeros(0, dtype=np.int64)
     aug = np.concatenate([mat.T % p, (target % p).reshape(-1, 1)], axis=1)
-    r, piv = echelon_mod_p(aug, p)
-    x = np.zeros(k, dtype=np.int64)
-    for row, c in zip(r, piv):
+    ech = ModPEchelon.from_rows(aug, p)
+    x = np.zeros(k, dtype=ech.dtype)
+    for row, c in zip(ech.mat, ech.piv):
         if c < k:
             x[c] = row[k]
     return x
-
-
-def _poly_lcm_mod_p(f, g, p):
-    q = _poly_div_mod_p(g, _poly_gcd_mod_p(f, g, p), p)
-    return _poly_mul_mod_p(f, q, p)
-
-
-def _poly_gcd_mod_p(f, g, p):
-    f, g = f[:], g[:]
-    while any(g):
-        f, g = g, _poly_mod_mod_p(f, g, p)
-    lead = next(c for c in reversed(f) if c)
-    inv = pow(lead, p - 2, p)
-    f = [c * inv % p for c in f]
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_mod_mod_p(f, g, p):
-    f = [c % p for c in f]
-    g = [c % p for c in g]
-    while g and g[-1] == 0:
-        g.pop()
-    dg = len(g) - 1
-    inv = pow(g[-1], p - 2, p)
-    while len(f) - 1 >= dg and any(f):
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) - 1 < dg:
-            break
-        c = f[-1] * inv % p
-        shift = len(f) - 1 - dg
-        for i, gc in enumerate(g):
-            f[shift + i] = (f[shift + i] - c * gc) % p
-    while f and f[-1] == 0:
-        f.pop()
-    return f or [0]
-
-
-def _poly_mul_mod_p(f, g, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % p
-    return out
-
-
-def _poly_div_mod_p(f, g, p):
-    f = [c % p for c in f]
-    g = [c % p for c in g]
-    while g and g[-1] == 0:
-        g.pop()
-    dg = len(g) - 1
-    inv = pow(g[-1], p - 2, p)
-    q = [0] * max(1, len(f) - dg)
-    while len(f) - 1 >= dg and any(f):
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) - 1 < dg:
-            break
-        c = f[-1] * inv % p
-        shift = len(f) - 1 - dg
-        q[shift] = c
-        for i, gc in enumerate(g):
-            f[shift + i] = (f[shift + i] - c * gc) % p
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -956,13 +861,17 @@ def solve_dixon(a, b, p=MODP):
     """Solve A x = b exactly for square nonsingular integer A (x rational).
 
     p-adic lifting with adaptive rational reconstruction; the final candidate
-    is verified exactly, so the result is unconditionally correct.
+    is verified exactly, so the result is unconditionally correct.  If A is
+    singular mod p, its rank over Q decides: ZeroDivisionError if A is
+    singular, else the next prime is tried.
     """
     n = len(a)
     if n == 0:
         return []
     a_np = _as_modp(a, p)
     ainv = inverse_mod_p(a_np, p)
+    if ainv is None and rank_rational(a) < n:
+        raise ZeroDivisionError("singular matrix")
     while ainv is None:
         p = int(nextprime(p))
         a_np = _as_modp(a, p)

@@ -857,7 +857,9 @@ def _pipeline(space, primes):
       [M + Cl : Cl] by the second isomorphism theorem.
     The Hecke bound is M cap (Cl^cc)^G when M lies in Cl (rational torsion
     then lies in M and is Galois-fixed inside Cl^cc, so the cut is sound),
-    and M otherwise, as a group modulo Z^(2g).
+    and M otherwise, as a group modulo Z^(2g).  If the map above is
+    surjective as well, (Cl^cc)^G = C lies in M and the bound is C itself,
+    with no intersection built.
     """
 
     def build():
@@ -868,13 +870,13 @@ def _pipeline(space, primes):
         if not lat.contains_lattice(cc.lattice_ccq):
             raise ArithmeticError(f"{space.spec.label()}: Cl^cc_Q is not inside M_H")
         sandwich = cc.lattice_cc.contains_lattice(lat)
+        if sandwich and cc.surjective:
+            return cc.clcc_q, "equal", 1, "sandwich"
         if sandwich:
             mprime, cut = lat, lat.intersect(clcc_invariant_class_lattice(space))
         else:
             mprime, cut = lat.intersect(cc.lattice_cc), lat
         bound = lattice_torsion_quotient(Lattice.standard(lat.ambient), cut)
-        if sandwich and cc.surjective:
-            return bound, "equal", 1, "sandwich"
         m_c = lattice_torsion_quotient(cc.lattice_ccq, lat)
         mprime_c = lattice_torsion_quotient(cc.lattice_ccq, mprime)
         if cc.surjective and m_c.p_ranks() == mprime_c.p_ranks():

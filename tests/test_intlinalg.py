@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import class_lattice_folds, kernel_lattice_fold
+from sympy import GF
 from sympy import Matrix as SymMatrix
+from sympy.polys.matrices import DomainMatrix
 
 from modtors import intlinalg
 from modtors.intlinalg import (
@@ -15,6 +17,7 @@ from modtors.intlinalg import (
     det_bareiss,
     hnf,
     identity,
+    inverse_mod_p,
     is_zero_mat,
     kernel_basis,
     kernel_mod,
@@ -364,3 +367,97 @@ def test_int64_sum_bound():
     check_int64_sum(1, 2**63 - 1, "sum")
     with pytest.raises(ArithmeticError):
         check_int64_sum(2, 2**62, "sum")
+
+
+def _random_square_mod_p(rng, n, p, singular):
+    """A random n x n matrix with entries in [0, p); if singular, its last
+    row is a combination of the others mod p."""
+    rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+    if singular:
+        coeffs = [rng.randrange(p) for _ in range(n - 1)]
+        rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) % p for j in range(n)]
+    return rows
+
+
+def _gf_rref(rows, p):
+    """(rref rows with entries in [0, p), pivot columns) by sympy over GF(p)."""
+    r, piv = DomainMatrix.from_list(rows, GF(p)).rref()
+    return [[int(x) % p for x in row] for row in r.to_list()], list(piv)
+
+
+@pytest.mark.parametrize("p", [3, 1000003, MODP, 2147483629, 4294967311])
+def test_mod_p_helpers_match_sympy(p):
+    # at 4294967311 a single product (p - 1)^2 exceeds int64, and at
+    # 2147483629 three of them do: both primes take the Python-int rows
+    rng = random.Random(p)
+    for trial in range(12):
+        n = 1 + trial % 5
+        singular = n > 1 and trial % 3 == 0
+        a = _random_square_mod_p(rng, n, p, singular)
+        want_rank = DomainMatrix.from_list(a, GF(p)).rank()
+        assert rank_mod_p(a, p) == want_rank
+        inv = inverse_mod_p(np.array(a, dtype=np.int64), p)
+        if want_rank < n:
+            assert inv is None
+            continue
+        want = SymMatrix(a).inv_mod(p).tolist()
+        assert [[int(x) for x in row] for row in inv] == want
+        # x @ a[:k] = t for the first k rows of the nonsingular a
+        k = 1 + trial % n
+        mat = np.array(a[:k], dtype=np.int64)
+        x0 = [rng.randrange(p) for _ in range(k)]
+        t = [sum(c * y for c, y in zip(x0, col)) % p for col in zip(*a[:k])]
+        x = intlinalg._solve_mod_p(mat, np.array(t, dtype=np.int64), p)
+        rref, piv = _gf_rref([list(col) + [ti] for col, ti in zip(zip(*a[:k]), t)], p)
+        assert piv == list(range(k))
+        assert [int(v) for v in x] == [row[k] for row in rref[:k]] == x0
+
+
+def test_inverse_past_int64_takes_python_ints():
+    # n (p - 1)^2 > 2^63 - 1 at n = 3, though (p - 1)^2 alone fits
+    p = 2147483629
+    a = _random_square_mod_p(random.Random(7), 3, p, False)
+    inv = inverse_mod_p(np.array(a, dtype=np.int64), p)
+    assert inv.dtype == object
+    assert [[int(x) for x in row] for row in inv] == SymMatrix(a).inv_mod(p).tolist()
+
+
+def test_mod_p_helpers_build_one_echelon(monkeypatch):
+    built = []
+    init = ModPEchelon.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModPEchelon, "__init__", counted)
+    a = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    for call in (
+        lambda: rank_mod_p(a, 5),
+        lambda: inverse_mod_p(np.array(a, dtype=np.int64), 5),
+        lambda: intlinalg._solve_mod_p(np.array(a, dtype=np.int64), np.array([1, 2, 3]), 5),
+    ):
+        built.clear()
+        call()
+        assert len(built) == 1
+
+
+def test_dixon_refuses_a_singular_matrix(monkeypatch):
+    from sympy import nextprime
+
+    calls = []
+
+    def spy(p):
+        calls.append(p)
+        if len(calls) > 3:
+            raise AssertionError("solve_dixon keeps trying primes")
+        return nextprime(p)
+
+    monkeypatch.setattr(intlinalg, "nextprime", spy)
+    for a in ([[1, 1], [1, 1]], [[2, 4, 6], [1, 2, 3], [0, 1, 5]]):
+        with pytest.raises(ZeroDivisionError, match="singular matrix"):
+            solve_dixon(a, [1] * len(a))
+    assert calls == []
+    # singular mod MODP only: the next prime solves it
+    assert solve_dixon([[MODP, 0], [0, 1]], [1, 1]) == [Fraction(1, MODP), 1]
+    assert len(calls) == 1

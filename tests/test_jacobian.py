@@ -695,9 +695,7 @@ class _HornerProjector:
     """
 
     def __init__(self, space):
-        import numpy as np
-
-        from modtors.intlinalg import MODP, echelon_mod_p, transpose
+        from modtors.intlinalg import MODP, ModPEchelon, transpose
         from modtors.modsym import hecke_operator
 
         self.space = space
@@ -712,10 +710,8 @@ class _HornerProjector:
         # reduce in python ints before handing to numpy
         piv = []
         for p2 in (MODP, 2147483629, 1000003):
-            ps_np = np.array(
-                [[x % p2 for x in row] for row in self.ps], dtype=np.int64
-            )
-            _, piv = echelon_mod_p(ps_np, p2)
+            ech = ModPEchelon.from_rows([[x % p2 for x in row] for row in self.ps], p2)
+            piv = sorted(ech.piv)
             if len(piv) == len(self.ps):
                 break
         assert len(piv) == len(self.ps), "annihilator not invertible on S"
@@ -1170,6 +1166,29 @@ def test_pipeline_without_surjective_invariants(monkeypatch):
     bound = hecke_bound_group(sp)
     assert bound == lattice_torsion_quotient(Lattice.standard(lat.ambient), cut)
     assert (bound, verdict, k, stage) == _pipeline_oracle(sp, None)
+
+
+def test_sandwich_bound_is_clccq_without_intersection(monkeypatch):
+    # Gamma1(21): M_H lies in Cl^cc and the invariants are surjective, so
+    # the bound M_H cap (Cl^cc)^G is Cl^cc_Q and no intersection is built
+    import json
+    from pathlib import Path
+
+    calls = []
+    intersect = Lattice.intersect
+
+    def counted(self, other):
+        calls.append(other)
+        return intersect(self, other)
+
+    sp = build_space(GroupSpec.gamma1(21))
+    monkeypatch.setattr(Lattice, "intersect", counted)
+    rep = torsion_report(sp)
+    assert calls == []
+    monkeypatch.undo()
+    snapshot = Path(__file__).resolve().parent / "snapshots" / "torsion_gamma1_21-30.json"
+    assert {**rep.to_json(), "level": 21} == json.loads(snapshot.read_text())["results"][0]
+    assert rep.hecke_bound == _pipeline_oracle(sp, None)[0]
 
 
 def test_j0_30_cuspidal_group():
