@@ -49,15 +49,8 @@ class FinAbGroup:
     def __setattr__(self, *a):
         raise AttributeError("FinAbGroup is immutable")
 
-    @classmethod
-    def trivial(cls):
-        return cls([])
-
     def order(self):
         return prod(self.invariants)
-
-    def exponent(self):
-        return self.invariants[-1] if self.invariants else 1
 
     def is_trivial(self):
         return not self.invariants

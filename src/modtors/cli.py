@@ -237,9 +237,9 @@ def cmd_torsion(args):
     report = report_header("torsion")
     report["normalization"] = NORMALIZATION
     report["primes"] = primes or (
-        "per level: the two smallest good primes, then each next good prime "
-        "while it strictly shrinks M_H and M_H is not inside Cl^cc, "
-        f"at most {MAX_AUXILIARY_PRIMES}"
+        "per level: the two smallest good primes, then, while M_H is not inside Cl^cc, "
+        "each next good prime that strictly shrinks M_H, skipping at most "
+        f"{MAX_AUXILIARY_PRIMES} in a row, up to {MAX_AUXILIARY_PRIMES} primes"
     )
     report["operators"] = ["T_q - q<q> - 1 for each listed prime q", "star - 1"]
     tasks = [(spec, n, primes) for spec, n in zip(specs, levels)]

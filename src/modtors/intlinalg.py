@@ -479,6 +479,15 @@ def check_int64_sum(row_max, weight, what):
         raise ArithmeticError(f"{what} could overflow int64")
 
 
+def exact_product(a, b):
+    """a @ b for 2-d integer arrays or row lists, exact: in int64 where the
+    bound of check_int64_sum allows, else in Python ints."""
+    a, b = np.array(a, dtype=object), np.array(b, dtype=object)
+    if max(1, max_abs(b)) * max(1, int(np.abs(a).sum(axis=1).max(initial=0))) > INT64_MAX:
+        return a @ b
+    return a.astype(np.int64) @ b.astype(np.int64)
+
+
 def _as_modp(a, p=MODP):
     m = np.array([[x % p for x in row] for row in a], dtype=np.int64)
     return m

@@ -34,6 +34,7 @@ from .intlinalg import (
     _crt_pair,
     check_int64_sum,
     det_bareiss,
+    exact_product,
     identity,
     integer_rows,
     inverse_mod_p,
@@ -49,7 +50,7 @@ from .intlinalg import (
     vec_mat,
 )
 from .lattice import Lattice, lattice_torsion_quotient
-from .modsym import diamond_operator, hecke_operator, restrict_to_lattice
+from .modsym import diamond_operator, hecke_operator
 from .modsym.presentation import forest_cycles
 
 
@@ -354,28 +355,24 @@ def _certify_positive(space, kept_vecs, echelon, swept):
 
 
 def frobenius_kill_operator(space, q):
-    """(K, det K), K = (T_q - q <q> - 1)|_S the operator annihilating
-    rational torsion prime to q on the cuspidal lattice S, built once per
-    space; the dim x dim operator it is restricted from is not kept."""
+    """K_q = T_q|_S - q <q>|_S - 1, the operator annihilating rational
+    torsion prime to q on the cuspidal lattice S, built once per space."""
 
     def build():
-        t = hecke_operator(space, q)
-        d = diamond_operator(space, q)
-        full = [[a - q * b for a, b in zip(trow, drow)] for trow, drow in zip(t, d)]
-        for i in range(space.dim):
-            full[i][i] -= 1
-        kill = restrict_to_lattice(full, space.cuspidal)
-        return kill, det_bareiss(kill)
+        t = space.restrict_to_cuspidal(hecke_operator(space, q))
+        d = space.restrict_to_cuspidal(diamond_operator(space, q))
+        return [[a - q * b - (i == j) for j, (a, b) in enumerate(zip(trow, drow))]
+                for i, (trow, drow) in enumerate(zip(t, d))]
 
     return space.memo(("kill", q), build)
 
 
 def jacobian_order_mod_p(space, p):
     """#J(F_p) = |det(1 + p <p> - T_p)| on the cuspidal plus part, as the
-    root of det K for the kill operator K on S: S tensor Q = S+ + S- with
-    S+ and S- isomorphic Hecke modules, so det K = det(K|S+)^2."""
+    root of det K, memoised, for the kill operator K on S: S tensor Q = S+ +
+    S- with S+ and S- isomorphic Hecke modules, so det K = det(K|S+)^2."""
     check_good_prime(space, p)
-    det = frobenius_kill_operator(space, p)[1]
+    det = space.memo(("kill det", p), lambda: det_bareiss(frobenius_kill_operator(space, p)))
     if det < 0 or isqrt(det) ** 2 != det:
         raise ArithmeticError(f"det of the kill operator at p = {p} is {det}, not a square")
     return isqrt(det)
@@ -414,19 +411,19 @@ def torsion_multiple(space, primes=None):
     return gcd(*(jacobian_order_mod_p(space, p) for p in primes))
 
 
-# Most auxiliary primes the default rule takes for one level.
+# Most primes the default rule keeps for one level, and skips in a row.
 MAX_AUXILIARY_PRIMES = 5
 # Names the rule of `auxiliary_primes` where results are stored (sweep
 # checkpoints); change it whenever the rule changes, so that results of an
 # older rule are not read back.
-AUXILIARY_PRIMES_RULE = f"shrink-until-sandwich-max{MAX_AUXILIARY_PRIMES}"
+AUXILIARY_PRIMES_RULE = f"skip-until-sandwich-max{MAX_AUXILIARY_PRIMES}"
 
 
 @dataclass
 class AuxiliaryPrimes:
     """The auxiliary primes used for a level and the kernel lattice of M_H
-    they give; `capped` is true when MAX_AUXILIARY_PRIMES ended the search
-    while the sandwich was still open and the last prime had shrunk M_H."""
+    they give; `capped` is true when the default rule had kept
+    MAX_AUXILIARY_PRIMES primes while the sandwich was still open."""
 
     primes: list
     lattice: Lattice
@@ -438,13 +435,14 @@ def auxiliary_primes(space, primes=None):
 
     An explicit `primes` list (at least two distinct good primes) is used
     exactly as given.  By default the search starts from good_primes(N, 2)
-    and adds the next good prime while the sandwich M_H within Cl^cc is
-    still open and that prime strictly shrinks M_H.  A prime that leaves
-    M_H unchanged is not kept and ends the search; the search also ends at
-    MAX_AUXILIARY_PRIMES primes.  Each added prime only intersects M_H with
-    one more kernel, so M_H stays an upper bound for the rational torsion;
-    its kill operator is appended to the block of `_kill_block`, solved mod
-    the same m.  Memoised on the space under `_primes_key`.
+    and, while the sandwich M_H within Cl^cc is still open, tries the next
+    good prime: it is kept if it strictly shrinks M_H, else skipped, until
+    MAX_AUXILIARY_PRIMES are kept (`capped`) or skipped in a row.
+    Each kept prime only intersects M_H with one more kernel, so M_H stays
+    an upper bound for the rational torsion; its kill operator is appended
+    to the block of `_kill_block`, solved mod the same m.  With M_H = (1/den)
+    Z^(2g) B, q leaves M_H as it is exactly when B K_q = 0 mod den: a skipped
+    prime costs one product.  Memoised on the space under `_primes_key`.
     """
     if primes is not None:
         if len(primes) < 2:
@@ -460,21 +458,23 @@ def auxiliary_primes(space, primes=None):
         if space.cuspidal.rank == 0:
             return AuxiliaryPrimes(chosen, Lattice.standard(0))
         block, m = _kill_block(space, chosen)
-        lat = _lattice_mod(block, m)
+        lat = Lattice(len(block), kernel_mod(block, m), m)
         if primes is not None:
             return AuxiliaryPrimes(chosen, lat)
         cc = cuspidal_class_group(space)
+        q = chosen[-1]
         while not cc.lattice_cc.contains_lattice(lat):
             if len(chosen) == cap:
                 return AuxiliaryPrimes(chosen, lat, capped=True)
-            q = good_primes(space.level, 1, start=chosen[-1] + 1)[0]
-            a, _ = frobenius_kill_operator(space, q)
+            for q in good_primes(space.level, cap, start=q + 1):
+                a = frobenius_kill_operator(space, q)
+                if (exact_product(lat.basis, a) % lat.den).any():
+                    break  # q shrinks M_H
+            else:
+                break  # cap primes in a row left M_H as it is
             block = [r + s for r, s in zip(block, a)]
-            smaller = _lattice_mod(block, m)
-            if smaller == lat:
-                break
+            lat = Lattice(len(block), kernel_mod(block, m), m)
             chosen.append(q)
-            lat = smaller
         return AuxiliaryPrimes(chosen, lat)
 
     return space.memo(("auxiliary primes", _primes_key(primes)), build)
@@ -498,7 +498,7 @@ def hecke_kernel_lattice(space, primes=None):
 
 def _kill_block(space, primes):
     """([A_q1 | A_q2 | ... | star - 1], m), A_q the kill operators on S and
-    m the gcd of their determinants.
+    m the gcd of their determinants det A_q = #J(F_q)^2.
 
     If x A_q is integral and A_q is nonsingular, then x = (x A_q) adj(A_q)
     / det A_q lies in (1/|det A_q|) Z^(2g).  So M_H = {x : x A_q integral
@@ -506,19 +506,14 @@ def _kill_block(space, primes):
     (1/m) K for the kernel K = {x : x block = 0 mod m}; singular A_q only
     add their columns.
     """
-    ops, dets = zip(*(frobenius_kill_operator(space, q) for q in primes))
-    m = gcd(*dets)
+    m = gcd(*(jacobian_order_mod_p(space, q) for q in primes)) ** 2
     if m == 0:
         raise ArithmeticError("all Hecke kill operators singular; add primes")
-    star = restrict_to_lattice(space.star_matrix(), space.cuspidal)
+    star = space.restrict_to_cuspidal(space.star_matrix())
     for i, row in enumerate(star):
         row[i] -= 1
+    ops = (frobenius_kill_operator(space, q) for q in primes)
     return [sum(rows, []) for rows in zip(*ops, star)], m
-
-
-def _lattice_mod(block, m):
-    """(1/m) {x : x block = 0 mod m}."""
-    return Lattice(len(block), kernel_mod(block, m), m)
 
 
 def clcc_invariant_class_lattice(space):
@@ -550,15 +545,15 @@ class ManinDrinfeldProjector:
     """
 
     def __init__(self, space):
-        c, s = space.ncusps, space.cuspidal
+        c = space.ncusps
         self.q = next(q for q in filter(isprime, count(7)) if space.level % q)
         t = hecke_operator(space, self.q)
         gammas = boundary_lifts(space)
         images = [vec_mat(gm, t) for gm in gammas]
         r = [space.boundary_image(w)[: c - 1] for w in images]
-        z = [s.solve([a - b for a, b in zip(w, vec_mat(row, gammas))], s.den)
-             for w, row in zip(images, r)]
-        self.phi, self.den = _solve_sylvester(restrict_to_lattice(t, s), r, z)
+        z = space.cuspidal_coordinates([[a - b for a, b in zip(w, vec_mat(row, gammas))]
+                                        for w, row in zip(images, r)])
+        self.phi, self.den = _solve_sylvester(space.restrict_to_cuspidal(t), r, z)
 
     def class_of_divisor(self, divisor):
         """Class coordinates (Fractions over the cuspidal basis) of an

@@ -25,10 +25,10 @@ star map restricted to S.
 
 import numpy as np
 
-from ..intlinalg import kernel_basis, transpose, vec_mat
+from ..intlinalg import exact_product, kernel_basis, transpose, vec_mat
 from ..lattice import Lattice
 from .groups import GroupData, sl2_lift
-from .operators import restrict_to_lattice, star_matrix
+from .operators import star_matrix
 from .presentation import forest_cycles, solve_presentation
 
 MAX_SYMBOLS = 60000  # resource guard: refuse absurdly large presentations
@@ -177,6 +177,25 @@ class ModSymSpace:
     def star_matrix(self):
         return self.memo("star", lambda: star_matrix(self))
 
+    def cycles(self):
+        """The cycle basis B of S as an int64 array."""
+        return self.memo("cycles", lambda: np.array(self.cuspidal.basis, dtype=np.int64)
+                         .reshape(self.cuspidal.rank, self.dim))
+
+    def cuspidal_coordinates(self, rows):
+        """Coordinates over B of rows in S, as row lists: their entries at the
+        chords (see `fundamental_cycles`), checked by one exact product.
+        ValueError if a row is not in S."""
+        x = np.array(rows, dtype=object).reshape(len(rows), self.dim)
+        coords = x[:, self.cuspidal.pivots]
+        if (exact_product(coords, self.cycles()) != x).any():
+            raise ValueError("a row is not in the cuspidal lattice S")
+        return coords.tolist()
+
+    def restrict_to_cuspidal(self, op):
+        """R with R B = B op; ValueError unless op keeps S."""
+        return self.cuspidal_coordinates(exact_product(self.cycles(), op))
+
     def plus_cuspidal(self):
         """Saturated lattice S+ = cuspidal vectors fixed by the star map.
 
@@ -186,13 +205,12 @@ class ModSymSpace:
         """
 
         def build():
-            s = self.cuspidal
-            sigma = restrict_to_lattice(self.star_matrix(), s)
+            sigma = self.restrict_to_cuspidal(self.star_matrix())
             fixed = kernel_basis([
                 [x - (1 if i == j else 0) for i, x in enumerate(col)]
                 for j, col in enumerate(transpose(sigma))
             ])  # {x : x @ (sigma - I) = 0}
-            return Lattice(self.dim, [vec_mat(x, s.basis) for x in fixed])
+            return Lattice(self.dim, [vec_mat(x, self.cuspidal.basis) for x in fixed])
 
         return self.memo("plus", build)
 

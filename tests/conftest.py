@@ -38,7 +38,7 @@ def kernel_lattice_fold(space, primes):
     from modtors.lattice import Lattice
     from modtors.modsym import restrict_to_lattice
 
-    ops = [jacobian.frobenius_kill_operator(space, q)[0] for q in primes]
+    ops = [jacobian.frobenius_kill_operator(space, q) for q in primes]
     star = restrict_to_lattice(space.star_matrix(), space.cuspidal)
     for i, row in enumerate(star):
         row[i] -= 1

@@ -14,6 +14,7 @@ import pytest
 from conftest import curve11_ap
 from modtors.abgroup import FinAbGroup, abgroup_gcd
 from modtors.jacobian import (
+    auxiliary_primes,
     cuspidal_class_group,
     hecke_bound_group,
     is_rank_zero,
@@ -111,6 +112,19 @@ def test_criterion_05_table2():
     report(5, "Cl^cc_Q X1(2,2N) matches Table 2 for (2,10) through (2,20)")
 
 
+@pytest.mark.stretch
+def test_criterion_05_table2_stretch_to_32():
+    table = golden("table2.json")
+    mism = []
+    for two_n in range(22, 33, 2):
+        cc = cuspidal_class_group(build_space(GroupSpec.x1_2_2n(two_n // 2)))
+        want = [x for x in table[str(two_n)] if x > 1]
+        if list(cc.clcc_q.invariants) != want:
+            mism.append((two_n, list(cc.clcc_q.invariants), want))
+    assert mism == [], f"Table 2 stretch mismatches: {mism}"
+    report("5s", "Cl^cc_Q X1(2,2N) matches Table 2 for (2,22) through (2,32) (stretch)")
+
+
 def test_criterion_06_example_41_chain():
     sp = build_space(GroupSpec.gamma1(21))
     assert jacobian_order_mod_p(sp, 5) == 2184
@@ -160,6 +174,21 @@ def test_criterion_08_n54_index():
     verdict, k, cc, stage = torsion_is_cuspidal(build_space(GroupSpec.gamma1(54)))
     assert verdict == "index-divides-3" and k == 3
     report("8s", "N = 54 gives verdict index-divides-3")
+
+
+@pytest.mark.stretch
+def test_criterion_08_torsion_is_cuspidal_to_55():
+    # the torsion theorem: generated by cusp orbits for N <= 55, N != 54,
+    # at the positive-rank levels 37, 43 and 53 as well
+    for n in range(37, 56):
+        if n == 54:
+            continue
+        sp = build_space(GroupSpec.gamma1(n))
+        verdict, k, cc, stage = torsion_is_cuspidal(sp)
+        assert verdict == "equal", (n, verdict)
+        if n == 45:
+            assert auxiliary_primes(sp).primes == [7, 11, 17]
+    report("8t", "pipeline verdict 'equal' for all 37 <= N <= 55, N != 54 (stretch)")
 
 
 def test_criterion_09_j0_30():

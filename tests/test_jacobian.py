@@ -411,16 +411,18 @@ def test_full_space_det_is_square_of_plus():
                     for i, (trow, drow) in enumerate(zip(t, d))]
             plus = abs(det_bareiss(restrict_to_lattice(kill, sp.plus_cuspidal())))
             assert jacobian_order_mod_p(sp, p) == plus, (spec.label(), p)
-            assert frobenius_kill_operator(sp, p)[1] == plus * plus, (spec.label(), p)
+            assert det_bareiss(frobenius_kill_operator(sp, p)) == plus * plus, (spec.label(), p)
             pairs += 1
     assert pairs == 165
 
 
 def test_jacobian_order_refuses_a_non_square_determinant(monkeypatch):
+    from modtors.intlinalg import det_bareiss
+
     sp = build_space(GroupSpec.gamma1(13))
-    kill, det = jacobian.frobenius_kill_operator(sp, 3)
+    det = det_bareiss(jacobian.frobenius_kill_operator(sp, 3))
     for bad in (-det, 2 * det):
-        monkeypatch.setitem(sp._memo, ("kill", 3), (kill, bad))
+        monkeypatch.setitem(sp._memo, ("kill det", 3), bad)
         with pytest.raises(ArithmeticError, match="not a square"):
             jacobian_order_mod_p(sp, 3)
 
@@ -449,6 +451,7 @@ def test_hecke_bound_monotone_in_primes():
         (21, [5, 11]),  # Example 4.1: the two smallest good primes suffice
         (28, [3, 5]),  # Example 4.2
         (24, [5, 7, 11]),  # 11 shrinks M_H, 13 does not
+        (45, [7, 11, 17]),  # 13 does not shrink M_H and is skipped, 17 does
     ],
 )
 def test_auxiliary_primes_default_choice(level, primes):
@@ -485,7 +488,7 @@ def _kernel_lattice_rational_route(sp, primes):
     std = Lattice.standard(g2)
     lat, singular = None, []
     for q in primes:
-        a, _ = jacobian.frobenius_kill_operator(sp, q)
+        a = jacobian.frobenius_kill_operator(sp, q)
         if det_bareiss(a) == 0:
             singular.append(a)
             continue
@@ -527,18 +530,15 @@ def test_kernel_lattice_matches_rational_route(spec):
 
 
 def test_kernel_lattice_with_singular_operators(monkeypatch):
-    from modtors.intlinalg import det_bareiss
-
     spec = GroupSpec.gamma1(24)
     kill = jacobian.frobenius_kill_operator
 
     def singular_at(bad):
         def patched(space, q):
-            a, det = kill(space, q)
+            a = kill(space, q)
             if q in bad:  # drop one column: a weaker condition on x
                 a = [[0] + row[1:] for row in a]
-                det = det_bareiss(a)
-            return a, det
+            return a
 
         return patched
 
@@ -991,6 +991,33 @@ def test_memo_keys_follow_inputs(monkeypatch):
     for bad in ([5], [5, 3], [5, 4], [5, 5]):
         with pytest.raises(ValueError):
             hecke_kernel_lattice(sp, bad)
+
+
+def test_a_skipped_prime_costs_one_product(monkeypatch):
+    from collections import Counter
+
+    # Gamma1(33) keeps 5 and 7, then tries and skips 13, 17, 19, 23 and 29;
+    # the class group is built first, since its lattices are kernels too
+    sp = build_space(GroupSpec.gamma1(33))
+    cuspidal_class_group(sp)
+    calls, tried = Counter(), set()
+
+    def counting(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return spy
+
+    kill = jacobian.frobenius_kill_operator
+    monkeypatch.setattr(jacobian, "det_bareiss", counting("det", jacobian.det_bareiss))
+    monkeypatch.setattr(jacobian, "kernel_mod", counting("kernel", jacobian.kernel_mod))
+    monkeypatch.setattr(jacobian, "frobenius_kill_operator",
+                        lambda space, q: tried.add(q) or kill(space, q))
+    report = torsion_report(sp)
+    assert report.primes == [5, 7] and report.verdict == "equal"
+    assert tried == {5, 7, 13, 17, 19, 23, 29}
+    assert calls == {"det": 2, "kernel": 1}
 
 
 def test_kill_operator_built_once_per_prime(monkeypatch):

@@ -200,6 +200,40 @@ def test_operators_preserve_structure():
             assert not any(vec_mat(img, sp.boundary))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec.gamma1(13),
+        GroupSpec.gamma1(29),
+        GroupSpec.gamma1(45),
+        pytest.param(GroupSpec.gamma1(55), marks=pytest.mark.stretch),
+        GroupSpec.x1_2_2n(15),
+        GroupSpec.gamma0(65),
+        GroupSpec.gammaH(45, (1, 4, 16, 19, 31, 34)),
+    ],
+    ids=lambda spec: spec.label(),
+)
+def test_restriction_to_s_by_chords_matches_lattice_solve(spec):
+    sp = build_space(spec)
+    s = sp.cuspidal
+    q = next(q for q in (3, 5, 7) if sp.level % q)
+    for op in (hecke_operator(sp, 2), hecke_operator(sp, q), diamond_operator(sp, q),
+               sp.star_matrix()):
+        assert sp.restrict_to_cuspidal(op) == restrict_to_lattice(op, s)
+    # past int64 the coordinates are Python ints
+    assert sp.cuspidal_coordinates([[x << 70 for x in s.basis[1]]]) == [
+        [(i == 1) << 70 for i in range(s.rank)]]
+    # a forest edge is not a cycle, and an operator sending a cycle to it
+    # does not keep S
+    edge = next(j for j in range(sp.dim) if j not in s.pivots)
+    leak = [[int(i == s.pivots[0] and j == edge) for j in range(sp.dim)] for i in range(sp.dim)]
+    for restrict in (sp.restrict_to_cuspidal, lambda op: restrict_to_lattice(op, s)):
+        with pytest.raises(ValueError):
+            restrict(leak)
+    with pytest.raises(ValueError):
+        sp.cuspidal_coordinates([s.basis[0], [int(j == edge) for j in range(sp.dim)]])
+
+
 def test_atkin_lehner_gamma0_121():
     sp = build_space(GroupSpec.gamma0(121))
     w = atkin_lehner(sp, 121)
