@@ -6,8 +6,7 @@ n1 | n2 | ... | nr with every ni >= 2; the empty list is the trivial group.
 
 from math import prod
 
-from sympy import factorint
-
+from .arith import factorint
 from .intlinalg import elementary_divisors
 
 

@@ -21,9 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
 
-from sympy import isprime
-
 from . import __version__
+from .arith import isprime
 from .jacobian import (
     AUXILIARY_PRIMES_RULE,
     MAX_AUXILIARY_PRIMES,

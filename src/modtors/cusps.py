@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from sympy import isprime, totient
+from .arith import isprime, totient
 
 
 def divisors(n):
@@ -137,8 +137,8 @@ def cusp_orbits(N, kind, p=None):
             )
         else:
             g = gcd(d, N // d)
-            degree = int(totient(g)) if p is None else mult_order(p % g, g)
-            out.append(CuspOrbit(d, int(totient(g)) // degree, degree, x0_width(N, d)))
+            degree = totient(g) if p is None else mult_order(p % g, g)
+            out.append(CuspOrbit(d, totient(g) // degree, degree, x0_width(N, d)))
     return out
 
 

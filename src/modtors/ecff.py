@@ -26,10 +26,9 @@ from itertools import product
 from math import isqrt
 
 import numpy as np
-from sympy import ZZ, factorint, isprime, mobius
-from sympy.polys.galoistools import gf_irreducible_p
 
 from .abgroup import FinAbGroup
+from .arith import factorint, is_irreducible_mod_p, isprime, mobius, poly_mulmod
 from .cusps import degree1_count_over_extension
 
 # Largest field whose q x q tables are built: two 38 MB tables at 3^7.
@@ -44,24 +43,6 @@ def _check_table_size(q):
         raise ResourceWarning(
             f"field size {q} above the arithmetic-table limit {MAX_TABLE_Q}"
         )
-
-
-def _polymulmod(a, b, mod, p):
-    """Product of residues a, b (coefficient lists, low first) modulo the
-    monic x^k + mod over F_p."""
-    k = len(mod)
-    out = [0] * (2 * k - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    for i in range(2 * k - 2, k - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j, m in enumerate(mod):
-                out[i - k + j] = (out[i - k + j] - c * m) % p
-    return out[:k]
 
 
 class FiniteField:
@@ -86,7 +67,7 @@ class FiniteField:
             self.modulus = (0,)
         elif modulus is not None:
             self.modulus = tuple(int(x) % p for x in modulus)
-            if len(self.modulus) != k or not self._is_irreducible(self.modulus):
+            if len(self.modulus) != k or not is_irreducible_mod_p([*self.modulus, 1], self.p):
                 raise ValueError("modulus must be irreducible of degree k")
         else:
             self.modulus = self._find_irreducible()
@@ -94,13 +75,9 @@ class FiniteField:
 
     def _find_irreducible(self):
         for tail in product(range(self.p), repeat=self.k):
-            if self._is_irreducible(tail):
+            if is_irreducible_mod_p([*tail, 1], self.p):
                 return tail
         raise AssertionError("no irreducible polynomial found")
-
-    def _is_irreducible(self, mod):
-        """Irreducibility of x^k + mod (monic, coefficients low-first)."""
-        return gf_irreducible_p([1, *reversed(mod)], self.p, ZZ)
 
     def _build_tables(self):
         """Exact add/mul/neg/inv tables from a primitive element g.
@@ -111,13 +88,14 @@ class FiniteField:
         """
         p, k, q = self.p, self.k, self.q
         place = [p**i for i in range(k)]
+        modulus = [*self.modulus, 1]
         for g in range(1, q):
             g_poly = self.coefficients(g)
-            powers, cur = [], [1] + [0] * (k - 1)
+            powers, cur = [], [1]
             while True:
                 powers.append(sum(c * w for c, w in zip(cur, place)))
-                cur = _polymulmod(cur, g_poly, self.modulus, p)
-                if cur[0] == 1 and not any(cur[1:]):
+                cur = poly_mulmod(cur, g_poly, modulus, p)
+                if cur == [1]:
                     break
             if len(powers) == q - 1:
                 break
@@ -197,7 +175,7 @@ def prime_power(q):
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
     (p, k), = fac.items()
-    return int(p), int(k)
+    return p, k
 
 
 def finite_field(q, modulus=None):
@@ -337,7 +315,7 @@ def _exact_order_chunks(N, q, modulus=None):
     if N < 4:
         raise ValueError("Tate normal form needs order >= 4")
     f = finite_field(q, modulus)
-    tests = [(N, True)] + [(N // int(ell), False) for ell in factorint(N)]
+    tests = [(N, True)] + [(N // ell, False) for ell in factorint(N)]
     for lanes in _tate_curves(f):
         for m, killed in tests:
             inf = _multiple(f, (*lanes, 0, 0), *_origin(lanes), m)[2]
@@ -410,8 +388,6 @@ def group_structure(q, coeffs, modulus=None):
         raise AssertionError("point count outside Hasse interval")
     a_part, b_part = 1, 1
     for ell, v_n in factorint(n).items():
-        ell = int(ell)
-        v_n = int(v_n)
         # E[l^j] has l^(min(j, alpha) + min(j, beta)) points with
         # alpha <= beta the l-valuations of the invariants; alpha is the
         # largest j with a full l^(2j) of l^j-torsion
@@ -504,7 +480,7 @@ def places_of_degree(N, p, d):
     for e in range(1, d + 1):
         if d % e:
             continue
-        total += int(mobius(d // e)) * count_X1_points(N, p**e)
+        total += mobius(d // e) * count_X1_points(N, p**e)
     assert total % d == 0
     return total // d
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import gcd
 
-from sympy import Poly, Symbol, factor_list
-
+from .arith import factor_monic, poly_mul, poly_str
 from .cusps import cusp_orbits
 from .ecff import exists_point_of_order, hasse_excludes
 from .intlinalg import (
@@ -109,7 +108,6 @@ def rank_zero_quotient(space):
 
     comps = [[[1 if j == i else 0 for j in range(g)] for i in range(g)]]
     labels = [""]
-    x = Symbol("x")
     # T_q on S+, once per q: the splitting and the isotypy check share it
     t_plus = {q: restrict_to_lattice(hecke_operator(space, q), plus)
               for q in SPLIT_PRIMES if n % q}
@@ -119,15 +117,15 @@ def rank_zero_quotient(space):
         for basis, label in zip(comps, labels):
             sub = Lattice.from_rows(basis, ambient=g)
             tq_sub = restrict_to_lattice(tq, sub)
-            cp = charpoly(tq_sub)
-            poly = Poly(list(reversed(cp)), x)
-            factors = factor_list(poly)[1]
+            factors = factor_monic(charpoly(tq_sub))
             if len(factors) == 1:
                 new_comps.append(basis)
                 new_labels.append(label or _fmt_factor(q, factors[0]))
                 continue
             for fac, mult in factors:
-                coeffs = [int(c) for c in reversed((fac**mult).all_coeffs())]
+                coeffs = [1]
+                for _ in range(mult):
+                    coeffs = poly_mul(coeffs, fac)
                 mat = poly_eval_matrix(coeffs, tq_sub)
                 ker = kernel_basis(transpose(mat))  # left kernel rows
                 piece = [vec_mat(k, basis) for k in ker]
@@ -140,9 +138,7 @@ def rank_zero_quotient(space):
     for basis in comps:
         sub = Lattice.from_rows(basis, ambient=g)
         for tq in t_plus.values():
-            cp = charpoly(restrict_to_lattice(tq, sub))
-            poly = Poly(list(reversed(cp)), x)
-            if len(factor_list(poly)[1]) > 1:
+            if len(factor_monic(charpoly(restrict_to_lattice(tq, sub)))) > 1:
                 raise ArithmeticError("decomposition incomplete")
 
     winding = _winding_span_vectors(space)
@@ -160,7 +156,7 @@ def rank_zero_quotient(space):
 
 def _fmt_factor(q, fac_mult):
     fac, mult = fac_mult
-    s = f"T{q}:{fac.as_expr()}"
+    s = f"T{q}:{poly_str(fac)}"
     return s + (f"^{mult}" if mult > 1 else "")
 
 

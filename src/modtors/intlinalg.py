@@ -10,8 +10,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import numpy as np
-from sympy import ZZ, factorint, isprime, nextprime
-from sympy.polys.galoistools import gf_lcm
+
+from .arith import factorint, isprime, lcm_mod_p, nextprime
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +601,7 @@ def kernel_mod(a, m):
     big = np.array(a, dtype=object).reshape(n, len(a[0]) if n else 0)
     local, diag = [], [1] * n
     for l, e in factorint(m).items():
-        l, q, f = int(l), int(l) ** e, e
+        q, f = l**e, e
         while f and (l**f - 1) ** 2 + l**f > INT64_MAX:
             f -= 1
         if f:
@@ -764,7 +764,7 @@ def charpoly(a):
         else:
             residues = [_crt_pair(r1, modulus, r2, p)[0] for r1, r2 in zip(residues, cp)]
             modulus *= p
-        p = int(nextprime(p))
+        p = nextprime(p)
     half = modulus // 2
     return [c - modulus if c > half else c for c in residues]
 
@@ -783,9 +783,9 @@ def poly_eval_matrix(coeffs, a):
 def minpoly(a):
     """Minimal polynomial of an integer matrix (monic, exact).
 
-    A candidate is computed mod p as the lcm (galoistools `gf_lcm`) of the
-    minimal polynomials of Krylov sequences and then verified exactly by
-    evaluating at the matrix.  If the candidate fails that check, the
+    A candidate is computed mod p as the lcm of the minimal polynomials of
+    Krylov sequences and then verified exactly by evaluating at the
+    matrix.  If the candidate fails that check, the
     characteristic polynomial is returned instead: it annihilates the
     matrix but need not be minimal.  Nothing in the package calls it: the
     tests' reference Manin-Drinfeld route does, and the traced benchmark
@@ -804,7 +804,7 @@ def minpoly(a):
     for _ in range(4):
         v = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
         loc = _local_minpoly_mod_p(a_np, v, p)
-        mp = [int(c) for c in reversed(gf_lcm(mp[::-1], loc[::-1], p, ZZ))]
+        mp = lcm_mod_p(mp, loc, p)
         if len(mp) == n + 1:
             break
     half = p // 2
@@ -882,7 +882,7 @@ def solve_dixon(a, b, p=MODP):
     if ainv is None and rank_rational(a) < n:
         raise ZeroDivisionError("singular matrix")
     while ainv is None:
-        p = int(nextprime(p))
+        p = nextprime(p)
         a_np = _as_modp(a, p)
         ainv = inverse_mod_p(a_np, p)
     x_digits = []

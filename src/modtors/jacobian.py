@@ -23,9 +23,9 @@ from itertools import count
 from math import gcd, isqrt
 
 import numpy as np
-from sympy import isprime, nextprime
 
 from .abgroup import FinAbGroup
+from .arith import factorint, isprime, nextprime, primitive_root
 from .intlinalg import (
     MODP,
     ModPEchelon,
@@ -249,7 +249,7 @@ def is_rank_zero(space):
         cert = _try_rank_certificate(space, bound, p)
         if cert is not None:
             return cert
-        p = int(nextprime(p))
+        p = nextprime(p)
     raise ArithmeticError(f"rank certification failed for {space.spec.label()}")
 
 
@@ -395,7 +395,7 @@ def good_primes(level, count, start=3):
     out = []
     p = start - 1
     while len(out) < count:
-        p = int(nextprime(p))
+        p = nextprime(p)
         if (2 * level) % p != 0:
             out.append(p)
     return out
@@ -652,9 +652,6 @@ _MD_CACHE = {}
 
 def unit_group_gens(n):
     """Generators of (Z/n)^*: one per odd prime power, {-1, 5} at 2^k."""
-    from sympy import factorint, primitive_root
-    from sympy.ntheory.modular import crt
-
     if n <= 2:
         return []
     fac = factorint(n)
@@ -665,13 +662,8 @@ def unit_group_gens(n):
         if p == 2:
             locals_ = [-1 % pe, 5 % pe] if e >= 3 else ([-1 % pe] if e == 2 else [])
         else:
-            locals_ = [int(primitive_root(pe))]
-        for gloc in locals_:
-            if rest == 1:
-                gens.append(gloc % n)
-            else:
-                val, _ = crt([pe, rest], [gloc, 1])
-                gens.append(int(val) % n)
+            locals_ = [primitive_root(pe)]
+        gens += [_crt_pair(gloc, pe, 1, rest)[0] for gloc in locals_]
     return sorted(set(g for g in gens if g % n != 1))
 
 

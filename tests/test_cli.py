@@ -381,3 +381,19 @@ def test_failing_level_is_recorded_and_the_sweep_goes_on(tmp_path, monkeypatch, 
     for jobs in ("1", "2"):
         code = cli.main(["rank", "gamma0", "11,14,37", "--jobs", jobs])
         assert (code, capsys.readouterr().out) == (2, "")
+
+
+def test_cli_runs_without_sympy():
+    """Every command runs in a fresh interpreter without importing sympy."""
+    script = """
+import contextlib, io, sys
+import modtors.cli
+assert "sympy" not in sys.modules, "sympy imported with modtors"
+calls = ["rank gamma1 11", "torsion gamma1 13", "places 22 3", "ecscan 121 5", "immersion 65 3"]
+for argv in calls:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert modtors.cli.main(argv.split()) == 0, argv
+assert "sympy" not in sys.modules, "sympy imported by a command"
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
