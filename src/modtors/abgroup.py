@@ -7,7 +7,7 @@ n1 | n2 | ... | nr with every ni >= 2; the empty list is the trivial group.
 from math import prod
 
 from .arith import factorint
-from .intlinalg import elementary_divisors
+from .intlinalg import elementary_divisors, hnf
 
 
 class FinAbGroup:
@@ -62,11 +62,6 @@ class FinAbGroup:
                 out.setdefault(int(p), []).append(int(e))
         return {p: tuple(sorted(v, reverse=True)) for p, v in out.items()}
 
-    def p_ranks(self):
-        """dict p -> rank of the p-torsion G[p] over F_p, for each prime p
-        dividing the order: the number of invariants divisible by p."""
-        return {p: len(exps) for p, exps in self._prime_counts().items()}
-
     def embeds_in(self, other):
         """Whether this group embeds in other.
 
@@ -116,11 +111,8 @@ def cokernel_invariants(m, ambient_rank=None):
         raise ValueError("matrix has wrong number of columns")
     if not rows:
         return FinAbGroup([]), ambient_rank
-    from .intlinalg import rank_rational
-
-    rank = rank_rational(rows)
     divs = elementary_divisors(rows)
-    return FinAbGroup(divs), ambient_rank - rank
+    return FinAbGroup(divs), ambient_rank - len(hnf(rows))
 
 
 def abgroup_gcd(groups):

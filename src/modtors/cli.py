@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
 
@@ -165,6 +164,8 @@ def sweep(args, command, compute, tasks, keys):
     results = [read_checkpoint(args.cache_dir, command, key) for key in keys]
     missing = [i for i, r in enumerate(results) if r is None]
     workers = min(args.jobs, len(missing))
+    if workers > 1:  # the pool's modules cost start-up time, so only then
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         mapper = pool.map if pool else map
         computed = mapper(partial(_guarded, compute), [tasks[i] for i in missing])

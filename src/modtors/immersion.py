@@ -18,11 +18,11 @@ from .ecff import exists_point_of_order, hasse_excludes
 from .intlinalg import (
     MODP,
     charpoly,
+    hnf,
     kernel_basis,
     mat_mul,
     poly_eval_matrix,
     rank_mod_p,
-    rank_rational,
     transpose,
     vec_mat,
 )
@@ -147,7 +147,7 @@ def rank_zero_quotient(space):
     components = []
     for basis, label in zip(comps, labels):
         stacked = wcoords + basis
-        meets = rank_rational(stacked) < len(wcoords) + len(basis)
+        meets = len(hnf(stacked)) < len(wcoords) + len(basis)
         components.append(
             IsotypicComponent(basis=basis, charpoly_label=label, rank_zero=meets)
         )

@@ -124,47 +124,6 @@ def det_bareiss(a):
     return sign * m[n - 1][n - 1]
 
 
-def rank_rational(a):
-    """Exact rank over Q via fraction-free elimination with row-gcd control."""
-    if not a or not a[0]:
-        return 0
-    rows = [row[:] for row in a if any(row)]
-    ncols = len(a[0])
-    rank = 0
-    col = 0
-    while rows and col < ncols:
-        piv = None
-        best = None
-        for i, row in enumerate(rows):
-            x = row[col]
-            if x and (best is None or abs(x) < best):
-                best = abs(x)
-                piv = i
-                if best == 1:
-                    break
-        if piv is None:
-            col += 1
-            continue
-        prow = rows.pop(piv)
-        pv = prow[col]
-        nxt = []
-        for row in rows:
-            x = row[col]
-            if x:
-                g = gcd(pv, x)
-                ca, cb = pv // g, x // g
-                row = [ca * u - cb * v for u, v in zip(row, prow)]
-                g = vec_gcd(row)
-                if g > 1:
-                    row = [u // g for u in row]
-            if any(row):
-                nxt.append(row)
-        rows = nxt
-        rank += 1
-        col += 1
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # Hermite normal form
 
@@ -174,7 +133,8 @@ def hnf(a, transform=False):
 
     Returns H (and U with U*a == H when transform=True); H has pivots > 0,
     entries above each pivot reduced into [0, pivot).  Zero rows are dropped
-    from H but kept in U's row count (U stays square unimodular).
+    from H but kept in U's row count (U stays square unimodular), so
+    len(hnf(a)) is the rank of a over Q.
 
     Entry growth is controlled by re-reducing the echelon whenever entries
     pass an adaptive bit threshold (Kannan-Bachem style), so nasty inputs
@@ -481,11 +441,20 @@ def check_int64_sum(row_max, weight, what):
 
 def exact_product(a, b):
     """a @ b for 2-d integer arrays or row lists, exact: in int64 where the
-    bound of check_int64_sum allows, else in Python ints."""
+    bound of check_int64_sum allows.  Else, if b is small, |a| is cut into
+    base-2^s digits, s as large as keeps each (sign a * digit) @ b in int64,
+    and those products are shifted together in Python ints; else the whole
+    product is taken in Python ints."""
     a, b = np.array(a, dtype=object), np.array(b, dtype=object)
-    if max(1, max_abs(b)) * max(1, int(np.abs(a).sum(axis=1).max(initial=0))) > INT64_MAX:
+    bmax = max(1, max_abs(b))
+    if bmax * max(1, int(np.abs(a).sum(axis=1).max(initial=0))) <= INT64_MAX:
+        return a.astype(np.int64) @ b.astype(np.int64)
+    s = (INT64_MAX // (bmax * a.shape[1])).bit_length() - 1
+    if s < 16:
         return a @ b
-    return a.astype(np.int64) @ b.astype(np.int64)
+    sign, mag, b = np.sign(a), np.abs(a), b.astype(np.int64)
+    return sum(((sign * (mag >> t & (1 << s) - 1)).astype(np.int64) @ b).astype(object) << t
+               for t in range(0, max_abs(a).bit_length(), s))
 
 
 def _as_modp(a, p=MODP):
@@ -871,7 +840,7 @@ def solve_dixon(a, b, p=MODP):
 
     p-adic lifting with adaptive rational reconstruction; the final candidate
     is verified exactly, so the result is unconditionally correct.  If A is
-    singular mod p, its rank over Q decides: ZeroDivisionError if A is
+    singular mod p, its rank over Q (`hnf`) decides: ZeroDivisionError if A is
     singular, else the next prime is tried.
     """
     n = len(a)
@@ -879,7 +848,7 @@ def solve_dixon(a, b, p=MODP):
         return []
     a_np = _as_modp(a, p)
     ainv = inverse_mod_p(a_np, p)
-    if ainv is None and rank_rational(a) < n:
+    if ainv is None and len(hnf(a)) < n:
         raise ZeroDivisionError("singular matrix")
     while ainv is None:
         p = nextprime(p)

@@ -4,11 +4,13 @@ Contents: Sturm-type generation bounds, rank-zero certification via the
 winding element, point counts #J(F_p) from the Eichler-Shimura operator,
 local torsion multiples, the Hecke kernel bound M_H on rational torsion,
 Manin-Drinfeld projections of cuspidal divisors, rational cuspidal class
-groups, and the three-stage equality pipeline comparing them.  The
-pipeline is arithmetic on the finite groups M_H, M_H cap Cl^cc and
-Cl^cc_Q modulo Z^(2g), computed once per level and prime list: the
-sandwich is a containment, stage (ii) compares p-ranks and stage (iii)
-is a quotient of group orders (see `_pipeline`).
+groups, and the three-stage equality pipeline comparing them.  Each
+group between Z^(2g) and M_H is one integer matrix from `kernel_mod`:
+M_H = (1/m) K, a group of classes by its divisor kernel mod den, or a
+span of classes by its dual (`_dual`).  The pipeline, computed once per
+level and prime list, reads orders, products of kernel diagonals: the
+sandwich and stage (iii) are an index, stage (ii) compares orders of
+p-torsion (see `_pipeline`).
 
 Mod-p linear algebra is used for speed, but every reported verdict is
 backed by an exact integer certificate: rank-zero claims bound the
@@ -20,7 +22,7 @@ T_n e up to the Sturm bound while not vanishing on the cuspidal plus part.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -34,8 +36,9 @@ from .intlinalg import (
     _crt_pair,
     check_int64_sum,
     det_bareiss,
+    elementary_divisors,
     exact_product,
-    identity,
+    hnf,
     integer_rows,
     inverse_mod_p,
     kernel_basis,
@@ -44,12 +47,13 @@ from .intlinalg import (
     mat_scale,
     mat_sub,
     max_abs,
-    rank_rational,
     rational_reconstruct,
+    smith_normal_form,
     solve_dixon,
+    transpose,
     vec_mat,
 )
-from .lattice import Lattice, lattice_torsion_quotient
+from .lattice import Lattice
 from .modsym import diamond_operator, hecke_operator
 from .modsym.presentation import forest_cycles
 
@@ -278,7 +282,7 @@ def _certify_rank_zero(space, kept_vecs, g):
     span V cap ker d.  V d is a small k x c integer matrix.
     """
     dv = [space.boundary_image(v) for v in kept_vecs]
-    return len(kept_vecs) - rank_rational(dv) >= g
+    return len(kept_vecs) - len(hnf(dv)) >= g
 
 
 def _plus_spanning_rows(space):
@@ -421,12 +425,15 @@ AUXILIARY_PRIMES_RULE = f"skip-until-sandwich-max{MAX_AUXILIARY_PRIMES}"
 
 @dataclass
 class AuxiliaryPrimes:
-    """The auxiliary primes used for a level and the kernel lattice of M_H
-    they give; `capped` is true when the default rule had kept
-    MAX_AUXILIARY_PRIMES primes while the sandwich was still open."""
+    """The auxiliary primes used for a level and the bound they give, M_H =
+    {x : x block integral} = (1/m) kernel (see `_hecke_kernel`); `capped` is
+    true when the default rule had kept MAX_AUXILIARY_PRIMES primes while
+    the sandwich was still open."""
 
     primes: list
-    lattice: Lattice
+    block: list
+    kernel: list
+    m: int
     capped: bool = False
 
 
@@ -435,14 +442,14 @@ def auxiliary_primes(space, primes=None):
 
     An explicit `primes` list (at least two distinct good primes) is used
     exactly as given.  By default the search starts from good_primes(N, 2)
-    and, while the sandwich M_H within Cl^cc is still open, tries the next
-    good prime: it is kept if it strictly shrinks M_H, else skipped, until
-    MAX_AUXILIARY_PRIMES are kept (`capped`) or skipped in a row.
-    Each kept prime only intersects M_H with one more kernel, so M_H stays
-    an upper bound for the rational torsion; its kill operator is appended
-    to the block of `_kill_block`, solved mod the same m.  With M_H = (1/den)
-    Z^(2g) B, q leaves M_H as it is exactly when B K_q = 0 mod den: a skipped
-    prime costs one product.  Memoised on the space under `_primes_key`.
+    and, while the sandwich M_H within Cl^cc is still open (`_cut_index`),
+    tries the next good prime: it is kept if it strictly shrinks M_H, else
+    skipped, until MAX_AUXILIARY_PRIMES are kept (`capped`) or skipped in a
+    row.  Each kept prime only intersects M_H with one more kernel, so M_H
+    stays an upper bound for the rational torsion; its kill operator is
+    appended to the block of `_kill_block`.  With M_H = (1/m) K, q leaves
+    M_H as it is exactly when K A_q = 0 mod m: a skipped prime costs one
+    product.  Memoised on the space under `_primes_key`.
     """
     if primes is not None:
         if len(primes) < 2:
@@ -456,26 +463,23 @@ def auxiliary_primes(space, primes=None):
     def build():
         chosen = good_primes(space.level, 2) if primes is None else list(primes)
         if space.cuspidal.rank == 0:
-            return AuxiliaryPrimes(chosen, Lattice.standard(0))
+            return AuxiliaryPrimes(chosen, [], [], 1)
         block, m = _kill_block(space, chosen)
-        lat = Lattice(len(block), kernel_mod(block, m), m)
-        if primes is not None:
-            return AuxiliaryPrimes(chosen, lat)
-        cc = cuspidal_class_group(space)
+        aux = AuxiliaryPrimes(chosen, block, *_hecke_kernel(block, m))
         q = chosen[-1]
-        while not cc.lattice_cc.contains_lattice(lat):
-            if len(chosen) == cap:
-                return AuxiliaryPrimes(chosen, lat, capped=True)
+        while primes is None and _cut_index(space, aux)[0] > 1:
+            if len(aux.primes) == cap:
+                aux.capped = True
+                break
             for q in good_primes(space.level, cap, start=q + 1):
                 a = frobenius_kill_operator(space, q)
-                if (exact_product(lat.basis, a) % lat.den).any():
+                if (exact_product(aux.kernel, a) % aux.m).any():
                     break  # q shrinks M_H
             else:
                 break  # cap primes in a row left M_H as it is
-            block = [r + s for r, s in zip(block, a)]
-            lat = Lattice(len(block), kernel_mod(block, m), m)
-            chosen.append(q)
-        return AuxiliaryPrimes(chosen, lat)
+            block = [r + s for r, s in zip(aux.block, a)]
+            aux = AuxiliaryPrimes(aux.primes + [q], block, *_hecke_kernel(block, aux.m))
+        return aux
 
     return space.memo(("auxiliary primes", _primes_key(primes)), build)
 
@@ -491,9 +495,11 @@ def hecke_kernel_lattice(space, primes=None):
     basis: elements of H1(Q)/H1(Z) killed by every T_q - q<q> - 1 and by
     star - 1.  Returns (L, space) with M_H = L / Z^(2g).
 
-    The primes, explicit or by default, are those of `auxiliary_primes`.
+    The primes, explicit or by default, are those of `auxiliary_primes`;
+    L is built on demand from its kernel, which is what the pipeline reads.
     """
-    return auxiliary_primes(space, primes).lattice, space
+    aux = auxiliary_primes(space, primes)
+    return Lattice(len(aux.kernel), aux.kernel, aux.m), space
 
 
 def _kill_block(space, primes):
@@ -516,11 +522,42 @@ def _kill_block(space, primes):
     return [sum(rows, []) for rows in zip(*ops, star)], m
 
 
-def clcc_invariant_class_lattice(space):
-    """(Cl^cc)^G as a lattice over the cuspidal basis."""
-    # lattice_inv is a sublattice of Z^(c-1) (denominator 1): its rows are
-    # integral divisors
-    return _class_lattice(space, cuspidal_class_group(space).lattice_inv.basis)
+def _hecke_kernel(block, m):
+    """(K, e) with {x : x block integral} = (1/e) K, for a group inside
+    (1/m) Z^(2g): K = kernel_mod(block, m) and m, both divided by the gcd of
+    m and the entries, so e is the exponent of the group mod Z^(2g)."""
+    kernel = kernel_mod(block, m)
+    g = gcd(m, *(x for row in kernel for x in row))
+    return [[x // g for x in row] for row in kernel], m // g
+
+
+def _det(kernel):
+    """The index in Z^n of a `kernel_mod` result: its diagonal product."""
+    return prod(row[i] for i, row in enumerate(kernel))
+
+
+def _cut_index(space, aux):
+    """(k, phi B mod den), k = [M_H : M'] for M_H = (1/m) K = {x : x B
+    integral} of `aux` and M' = M_H cap Cl^cc.  A class D phi / den lies in
+    M_H when D phi B = 0 mod den: M' is the classes of K' = kernel_mod(phi B
+    mod den, den), of order #Cl^cc / det K' as K' holds the principal
+    divisors, and #M_H = m^(2g) / det K.  Memoised under the primes."""
+
+    def build():
+        proj = _projector(space)
+        phib = exact_product(proj.phi, aux.block) % proj.den
+        order = cuspidal_class_group(space).clcc.order()
+        cut = _det(kernel_mod(phib, proj.den))
+        return aux.m ** len(aux.kernel) * cut // (_det(aux.kernel) * order), phib
+
+    return space.memo(("cut index", tuple(aux.primes)), build)
+
+
+def _dual(rows, n, den):
+    """Y = {y in Z^n : rows y^T = 0 mod den} for integer rows of length n.
+    The span S = rows / den + Z^n is {x : x Y^T integral}, and S / Z^n is
+    dual to Z^n / Y: it has order det Y and the invariants of Y."""
+    return kernel_mod(np.array(rows, dtype=object).reshape(-1, n).T, den)
 
 
 # ---------------------------------------------------------------------------
@@ -635,16 +672,6 @@ def _projector(space):
     return space.memo("manin-drinfeld projector", lambda: ManinDrinfeldProjector(space))
 
 
-def _class_lattice(space, divisors):
-    """Z^(2g) plus the classes of the integral degree-0 divisors given as
-    rows over the d_i, as a lattice over the cuspidal basis."""
-    proj = _projector(space)
-    g2 = space.cuspidal.rank
-    rows = [vec_mat(d, proj.phi) for d in divisors]
-    rows += [[proj.den if i == j else 0 for j in range(g2)] for i in range(g2)]
-    return Lattice(g2, rows, proj.den)
-
-
 # Always empty: the benchmark's fresh-process guard (bench/child.py) reads
 # it.  The projector lives in the space memo, see _projector.
 _MD_CACHE = {}
@@ -669,13 +696,18 @@ def unit_group_gens(n):
 
 @dataclass
 class CuspidalClassGroup:
+    """Cl^cc and Cl^cc_Q, with, over the projector's den: the classes of the
+    degree-0 Galois-invariant divisors as rows / den (`classes_q`), their
+    dual (`dual_q`, see `_dual`), and B_G (`galois_block`): D B_G = 0 mod
+    den exactly when the divisor D has a Galois-invariant class."""
+
     spec: object
     clcc: FinAbGroup
     clcc_q: FinAbGroup
     surjective: bool  # (Div^0cc)^G -> (Cl^cc)^G surjective
-    lattice_cc: Lattice
-    lattice_ccq: Lattice
-    lattice_inv: Lattice
+    classes_q: object
+    dual_q: list
+    galois_block: list
 
     def to_json(self):
         return {
@@ -718,20 +750,15 @@ def _class_group(space):
     g2 = space.cuspidal.rank
     c = space.ncusps
     if g2 == 0:
-        triv = Lattice.standard(0)
-        return CuspidalClassGroup(
-            space.spec, FinAbGroup([]), FinAbGroup([]), True, triv, triv, triv
-        )
-    std = Lattice.standard(g2)
-    l_cc = _class_lattice(space, identity(c - 1))
-    clcc = lattice_torsion_quotient(std, l_cc)
-
-    # principal-divisor lattice in divisor coordinates: kernel of the class
-    # map on Div^0
+        triv = FinAbGroup([])
+        return CuspidalClassGroup(space.spec, triv, triv, True, [], [], [])
     proj = _projector(space)  # phi: (c-1) x 2g
-    l_prin = Lattice(c - 1, kernel_mod(proj.phi, proj.den))
-    # cross-check: Div^0 / principal must reproduce Cl^cc
-    if lattice_torsion_quotient(l_prin, Lattice.standard(c - 1)) != clcc:
+    phi, den = proj.phi, proj.den
+    clcc = FinAbGroup(elementary_divisors(_dual(phi, g2, den)))
+    # cross-check: Div^0 / principal must reproduce Cl^cc, the principal
+    # divisors being the kernel of the class map on Div^0
+    prin = kernel_mod(phi, den)
+    if FinAbGroup(elementary_divisors(prin)) != clcc:
         raise ArithmeticError(f"{space.spec.label()}: Div^0 / principal does not reproduce Cl^cc")
 
     # Galois structure
@@ -746,28 +773,26 @@ def _class_group(space):
     combos = kernel_basis([degs])  # {a : sum a_j deg_j = 0}
     # degree-0 G-invariant divisors, divisor-basis coords (tail entry implied)
     inv_divs = [vec_mat(a, orbit_sums)[: c - 1] for a in combos]
-    l_ccq = _class_lattice(space, inv_divs)
-    clcc_q = lattice_torsion_quotient(std, l_ccq)
+    inv_divs = np.array(inv_divs, dtype=object).reshape(-1, c - 1)
+    classes_q = exact_product(inv_divs, phi)
+    dual_q = _dual(classes_q, g2, den)
+    clcc_q = FinAbGroup(elementary_divisors(dual_q))
 
     # (Cl^cc)^G in divisor coordinates: D B = 0 mod den, where B has one
     # column block per generator sigma (cusp permutation s), the classes of
     # (sigma - 1) d_i = d_s[i] - d_s[c-1] - d_i with d_(c-1) = 0
-    phi = proj.phi + [[0] * g2]
+    phi = phi + [[0] * g2]
     block = [
         [x - y - z for s in perms for x, y, z in zip(phi[s[i]], phi[s[c - 1]], phi[i])]
         for i in range(c - 1)
     ]
-    lam_div = Lattice(c - 1, kernel_mod(block, proj.den))
-    l_inv_div = (
-        Lattice.from_rows(inv_divs, ambient=c - 1).sum(l_prin)
-        if inv_divs
-        else l_prin
-    )
-    surjective = lam_div == l_inv_div
-
-    return CuspidalClassGroup(
-        space.spec, clcc, clcc_q, surjective, l_cc, l_ccq, lam_div
-    )
+    # (Cl^cc)^G, the classes of ker B (which holds the principal divisors),
+    # contains Cl^cc_Q
+    if (exact_product(inv_divs, block) % den).any():
+        raise ArithmeticError(f"{space.spec.label()}: a Galois-invariant divisor class "
+                              "lies outside (Cl^cc)^G")
+    surjective = clcc.order() == _det(kernel_mod(block, den)) * clcc_q.order()
+    return CuspidalClassGroup(space.spec, clcc, clcc_q, surjective, classes_q, dual_q, block)
 
 
 def _orbit_partition(perms, n):
@@ -831,44 +856,60 @@ def _pipeline(space, primes):
     """(Hecke bound, verdict, k, stage) for one choice of auxiliary primes,
     memoised on the space under `_primes_key`.
 
-    Write M = M_H, Cl = Cl^cc and C = Cl^cc_Q as lattices over the cuspidal
-    basis, and M' = M cap Cl.  ArithmeticError unless C lies in M: rational
-    cuspidal torsion lies in every bound on rational torsion.  Then
-    Z^(2g) <= C <= M' <= M, and each stage is arithmetic on M/C and M'/C:
-    - (i) if M lies in Cl, then M' = M, and the verdict is "equal" when
+    Write M = M_H, Cl = Cl^cc and C = Cl^cc_Q, and M' = M cap Cl, all as
+    groups modulo Z^(2g), each held by one kernel: M = (1/m) K and M' as
+    the divisor kernel of `_cut_index`.  ArithmeticError unless C lies in
+    M, one product mod den: rational cuspidal torsion lies in every bound
+    on rational torsion.  Then Z^(2g) <= C <= M' <= M, k = #M / #M' =
+    [M : M'], and:
+    - (i) if k = 1, M lies in Cl, and the verdict is "equal" when
       (Div^0cc)^G -> (Cl^cc)^G is surjective;
-    - (ii) (M'/C)[p] lies in (M/C)[p], so the two are equal exactly when
-      M'/C and M/C have the same p-rank; "equal" when that holds for every
-      p and the map above is surjective;
-    - (iii) otherwise k = #(M/C) / #(M'/C) = [M : M'], which is
-      [M + Cl : Cl] by the second isomorphism theorem.
+    - (ii) (M'/C)[p] lies in (M/C)[p].  For p not dividing k the two are
+      equal, as (M/C)[p] maps into M/M' of order k; for p | k they are
+      equal exactly when M cap p^-1 C and M' cap p^-1 C have the same
+      order (`p_torsion_agrees`).  "equal" when that holds for every p | k
+      and the map above is surjective;
+    - (iii) otherwise k = [M : M'], which is [M + Cl : Cl] by the second
+      isomorphism theorem.
     The Hecke bound is M cap (Cl^cc)^G when M lies in Cl (rational torsion
     then lies in M and is Galois-fixed inside Cl^cc, so the cut is sound),
-    and M otherwise, as a group modulo Z^(2g).  If the map above is
-    surjective as well, (Cl^cc)^G = C lies in M and the bound is C itself,
-    with no intersection built.
+    and M otherwise.  If the map above is surjective as well, (Cl^cc)^G =
+    C lies in M and the bound is C itself, with no cut built.
     """
 
     def build():
-        lat, _ = hecke_kernel_lattice(space, primes)
-        if lat.ambient == 0:
+        aux = auxiliary_primes(space, primes)
+        if not aux.kernel:
             return FinAbGroup([]), "equal", 1, "trivial"
         cc = cuspidal_class_group(space)
-        if not lat.contains_lattice(cc.lattice_ccq):
+        proj = _projector(space)
+        g2, den = len(aux.kernel), proj.den
+        if (exact_product(cc.classes_q, aux.block) % den).any():
             raise ArithmeticError(f"{space.spec.label()}: Cl^cc_Q is not inside M_H")
-        sandwich = cc.lattice_cc.contains_lattice(lat)
-        if sandwich and cc.surjective:
+        k, phib = _cut_index(space, aux)
+        if k == 1 and cc.surjective:
             return cc.clcc_q, "equal", 1, "sandwich"
-        if sandwich:
-            mprime, cut = lat, lat.intersect(clcc_invariant_class_lattice(space))
+        if k == 1:
+            # the divisors whose class lies in M and is Galois-invariant
+            cut = kernel_mod(np.hstack([phib, np.array(cc.galois_block, dtype=object)]), den)
+            bound = FinAbGroup(elementary_divisors(_dual(exact_product(cut, proj.phi), g2, den)))
         else:
-            mprime, cut = lat.intersect(cc.lattice_cc), lat
-        bound = lattice_torsion_quotient(Lattice.standard(lat.ambient), cut)
-        m_c = lattice_torsion_quotient(cc.lattice_ccq, lat)
-        mprime_c = lattice_torsion_quotient(cc.lattice_ccq, mprime)
-        if cc.surjective and m_c.p_ranks() == mprime_c.p_ranks():
+            snf = smith_normal_form(aux.kernel, transform=False)
+            bound = FinAbGroup([aux.m // snf[i][i] for i in range(g2)])
+        dual_t = transpose(cc.dual_q)  # C = {x : x dual_t integral}
+
+        def p_torsion_agrees(p):
+            # sup = M cap p^-1 C: the v / (p den) with v B = 0 and p v dual_t
+            # = 0 mod p den; sub = M' cap p^-1 C: the D phi / den with D phi B
+            # = 0 and p D phi dual_t = 0 mod den.  Over C both are p-groups,
+            # so only the p-parts q of p den and q / p of den are solved
+            q = p * gcd(den, p**den.bit_length())
+            sup = kernel_mod([r + [p * y for y in ys] for r, ys in zip(aux.block, dual_t)], q)
+            sub = kernel_mod(np.hstack([phib, exact_product(proj.phi, dual_t) % den * p]), q // p)
+            return q**g2 * _det(sub) == _det(sup) * gcd(cc.clcc.order(), (q // p) ** g2)
+
+        if cc.surjective and all(p_torsion_agrees(p) for p in factorint(k)):
             return bound, "equal", 1, "maximal-ideal"
-        k = m_c.order() // mprime_c.order()
         return bound, f"index-divides-{k}", k, "index"
 
     return space.memo(("pipeline", _primes_key(primes)), build)
@@ -908,7 +949,7 @@ def torsion_report(space, primes=None):
     An explicit `primes` list is used exactly as given; primes=None takes
     the default choice of `auxiliary_primes`.  The local orders, the
     torsion multiple, the Hecke bound and the pipeline all use the same
-    primes, and the kernel lattice, class group and pipeline they share
+    primes, and the kernel of M_H, class group and pipeline they share
     are built once, in the space memo.
     """
     cc = cuspidal_class_group(space)

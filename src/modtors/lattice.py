@@ -2,9 +2,10 @@
 
 A Lattice is stored as an integer basis matrix over a positive denominator,
 normalized to row Hermite form, so equal lattices compare equal.  The pivot
-column of each basis row is found once, when the lattice is built.  These are
-the workhorses behind torsion quotients, Hecke-kernel bounds and cuspidal
-class groups.
+column of each basis row is found once, when the lattice is built.  The
+torsion layer's finite groups are kernels mod m instead (see `jacobian`):
+`intersect`, `sum`, `contains_lattice`, `preimage` and
+`lattice_torsion_quotient` are read only by the benchmark and the tests.
 """
 
 from math import gcd, lcm
@@ -103,11 +104,6 @@ class Lattice:
             coeff = k[: len(a)]
             rows.append(vec_mat(coeff, a))
         return Lattice(self.ambient, rows, d)
-
-    def scale(self, num, den=1):
-        """The lattice (num/den) * L."""
-        rows = [[x * num for x in r] for r in self.basis]
-        return Lattice(self.ambient, rows, self.den * den)
 
     def preimage(self, op, target):
         """{v in self : v @ op in target} for an integer matrix op (row action).

@@ -43,7 +43,7 @@ def kernel_lattice_fold(space, primes):
     for i, row in enumerate(star):
         row[i] -= 1
     std = Lattice.standard(space.cuspidal.rank)
-    lat = std.scale(1, gcd(*map(det_bareiss, ops)))
+    lat = Lattice(std.ambient, std.basis, gcd(*map(det_bareiss, ops)))
     for a in ops + [star]:
         lat = lat.preimage(a, std)
     return lat

@@ -397,3 +397,18 @@ assert "sympy" not in sys.modules, "sympy imported by a command"
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_serial_sweep_imports_no_process_pool():
+    """A serial sweep in a fresh interpreter leaves the process pool's
+    modules unimported: they cost start-up time and only --jobs uses them."""
+    script = """
+import contextlib, io, sys
+import modtors.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert modtors.cli.main(["torsion", "gamma1", "13"]) == 0
+pool = [m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules]
+assert not pool, pool
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

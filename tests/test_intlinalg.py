@@ -14,6 +14,7 @@ from modtors.intlinalg import (
     ModPEchelon,
     check_int64_sum,
     charpoly,
+    exact_product,
     det_bareiss,
     hnf,
     identity,
@@ -26,7 +27,6 @@ from modtors.intlinalg import (
     minpoly,
     poly_eval_matrix,
     rank_mod_p,
-    rank_rational,
     rational_reconstruct,
     smith_normal_form,
     solve_dixon,
@@ -125,8 +125,9 @@ def test_kernel_basis_saturated(seed):
     ker = kernel_basis(m)
     for k in ker:
         assert all(x == 0 for x in mat_vec(m, k))
-    # saturation: kernel rank + column rank = ncols and primitive rows
-    assert len(ker) == len(m[0]) - rank_rational(m)
+    # saturation: kernel rank + column rank = ncols and primitive rows; the
+    # rank over Q is the Hermite row count
+    assert len(ker) == len(m[0]) - len(hnf(m)) == len(m[0]) - SymMatrix(m).rank()
     if ker:
         # saturated: the HNF of ker has unimodular pivot structure: any
         # rational kernel vector with integer entries must lie in the span
@@ -461,3 +462,17 @@ def test_dixon_refuses_a_singular_matrix(monkeypatch):
     # singular mod MODP only: the next prime solves it
     assert solve_dixon([[MODP, 0], [0, 1]], [1, 1]) == [Fraction(1, MODP), 1]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("a_bits,b_bits", [(3, 3), (40, 10), (64, 10), (300, 40), (70, 62)])
+def test_exact_product_matches_python_ints(a_bits, b_bits):
+    # small entries stay in int64; a large a against a small b goes by
+    # int64 products of its digits; a large b is multiplied in Python ints
+    rng = random.Random(a_bits + b_bits)
+    a = [[rng.randint(-(2**a_bits), 2**a_bits) for _ in range(7)] for _ in range(5)]
+    a[0][0] = -(2**a_bits)  # a negative top digit
+    b = [[rng.randint(-(2**b_bits), 2**b_bits) for _ in range(4)] for _ in range(7)]
+    want = np.array(a, dtype=object) @ np.array(b, dtype=object)
+    got = exact_product(a, b)
+    assert (got == want).all()
+    assert (got.dtype == np.int64) == (a_bits + b_bits <= 50)

@@ -11,7 +11,6 @@ from modtors import jacobian
 from modtors.abgroup import FinAbGroup
 from modtors.jacobian import (
     auxiliary_primes,
-    clcc_invariant_class_lattice,
     cuspidal_class_group,
     good_primes,
     hecke_bound_group,
@@ -25,7 +24,7 @@ from modtors.jacobian import (
     torsion_report,
     winding_sweep,
 )
-from modtors.intlinalg import MODP, kernel_mod, rank_rational, vec_mat
+from modtors.intlinalg import MODP, hnf, kernel_mod, vec_mat
 from modtors.lattice import Lattice, lattice_torsion_quotient
 from modtors.modsym import GroupSpec, build_space, merel_family
 
@@ -262,7 +261,7 @@ def test_plus_spanning_rows_lie_in_and_span_plus_part(spec):
     plus = sp.plus_cuspidal()
     for row in w.tolist():
         assert plus.solve(row) is not None
-    assert rank_rational(w.tolist()) == sp.genus() == plus.rank
+    assert len(hnf(w.tolist())) == sp.genus() == plus.rank
 
 
 @pytest.mark.parametrize("spec", POSITIVE_RANK_SPECS, ids=lambda s: s.label())
@@ -303,15 +302,29 @@ def test_edge_list_boundary_of_kept_winding_vectors(spec):
 
 
 def test_class_group_cross_check_raises(monkeypatch):
-    # a wrong class lattice breaks Div^0 / principal = Cl^cc, and the check
-    # raises ArithmeticError rather than a bare assert python -O would strip
+    # a wrong dual of Cl^cc (the classes halved) breaks Div^0 / principal =
+    # Cl^cc, and the check raises ArithmeticError rather than a bare assert
+    # python -O would strip
     from modtors.modsym.space import ModSymSpace
 
-    class_lattice = jacobian._class_lattice
-    monkeypatch.setattr(jacobian, "_class_lattice",
-                        lambda space, divs: class_lattice(space, divs).scale(1, 2))
-    with pytest.raises(ArithmeticError, match="Cl\\^cc"):
+    dual = jacobian._dual
+    monkeypatch.setattr(jacobian, "_dual", lambda rows, n, den: dual(rows, n, 2 * den))
+    with pytest.raises(ArithmeticError, match="Div\\^0 / principal does not reproduce Cl\\^cc"):
         cuspidal_class_group(ModSymSpace(GroupSpec.gamma1(13)))
+
+
+def test_class_group_refuses_invariant_classes_outside_the_invariants(monkeypatch):
+    # every cusp its own orbit: the degree-0 divisors taken as invariant then
+    # include some whose class is not Galois-invariant, as Cl^cc_Q is not
+    # Cl^cc at Gamma1(21)
+    from modtors.modsym.space import ModSymSpace
+
+    sp = ModSymSpace(GroupSpec.gamma1(21))
+    assert cuspidal_class_group(sp).clcc != cuspidal_class_group(sp).clcc_q
+    monkeypatch.setattr(jacobian, "_orbit_partition", lambda perms, n: list(range(n)))
+    with pytest.raises(ArithmeticError,
+                       match=r"Gamma1\(21\): a Galois-invariant divisor class lies outside"):
+        cuspidal_class_group(ModSymSpace(GroupSpec.gamma1(21)))
 
 
 def _cuspidal_span_rank_zero(sp, kept, g):
@@ -319,14 +332,14 @@ def _cuspidal_span_rank_zero(sp, kept, g):
     basis of span V cap ker d, whose rank is checked mod three primes and
     then over Q."""
     from modtors.immersion import cuspidal_span
-    from modtors.intlinalg import MODP, rank_mod_p, rank_rational
+    from modtors.intlinalg import MODP, rank_mod_p
 
     w = cuspidal_span(sp, kept)
     if not w:
         return False
     if any(rank_mod_p(w, q) >= g for q in (MODP, 2147483629, 999999937)):
         return True
-    return rank_rational(w) >= g
+    return len(hnf(w)) >= g
 
 
 @pytest.mark.parametrize(
@@ -346,7 +359,7 @@ def _cuspidal_span_rank_zero(sp, kept, g):
 )
 def test_rank_zero_certificate_counts_boundary_rank(spec):
     from modtors.immersion import cuspidal_span
-    from modtors.intlinalg import MODP, rank_rational, vec_mat
+    from modtors.intlinalg import MODP, vec_mat
 
     sp = build_space(spec)
     g = sp.genus()
@@ -356,7 +369,7 @@ def test_rank_zero_certificate_counts_boundary_rank(spec):
     assert _cuspidal_span_rank_zero(sp, kept, g)
     # the sweep stops at the vector that raised the cuspidal dimension to g
     fewer = kept[:-1]
-    assert rank_rational(cuspidal_span(sp, fewer)) == g - 1
+    assert len(hnf(cuspidal_span(sp, fewer))) == g - 1
     assert not jacobian._certify_rank_zero(sp, fewer, g)
     assert not _cuspidal_span_rank_zero(sp, fewer, g)
 
@@ -583,23 +596,15 @@ def test_kernel_lattices_match_preimage_folds(spec, monkeypatch):
     monkeypatch.setattr(intlinalg, "_local_kernel", spy)
     sp = build_space(spec)
     aux = auxiliary_primes(sp)
-    assert aux.lattice == kernel_lattice_fold(sp, aux.primes)
+    assert Lattice(len(aux.kernel), aux.kernel, aux.m) == kernel_lattice_fold(sp, aux.primes)
     l_prin, lam_div = class_lattice_folds(sp)
     proj = jacobian._projector(sp)
     assert Lattice(len(proj.phi), kernel_mod(proj.phi, proj.den)) == l_prin
-    assert cuspidal_class_group(sp).lattice_inv == lam_div
+    cc = cuspidal_class_group(sp)
+    assert Lattice(len(proj.phi), kernel_mod(cc.galois_block, proj.den)) == lam_div
     if sp.level == 55:
         assert (5, 13, np.int64) in calls
         assert all(dtype is np.int64 for _, _, dtype in calls)
-
-
-def test_torsion_layer_needs_no_preimage(monkeypatch):
-    def refuse(self, op, target):
-        raise AssertionError("Lattice.preimage in the torsion layer")
-
-    monkeypatch.setattr(Lattice, "preimage", refuse)
-    rep = torsion_report(build_space(GroupSpec.gamma1(24)))
-    assert rep.primes == [5, 7, 11] and rep.verdict == "equal"
 
 
 def test_torsion_layer_needs_no_rational_inverse(monkeypatch):
@@ -632,7 +637,7 @@ def test_hecke_bound_contains_clccq():
         sp = build_space(spec)
         cc = cuspidal_class_group(sp)
         lat, _ = hecke_kernel_lattice(sp)
-        assert lat.contains_lattice(cc.lattice_ccq)
+        assert lat.contains_lattice(_former_class_group(sp).lattice_ccq)
         mh = hecke_bound_group(sp)
         assert cc.clcc_q.embeds_in(mh)
 
@@ -810,9 +815,10 @@ def test_manin_drinfeld_lift_independent():
         x1, jacobian.ManinDrinfeldProjector(sp).class_of_divisor(div)))
 
 
-def _one_solve_per_divisor(sp, cc):
+def _one_solve_per_divisor(sp):
     """Cl^cc, Cl^cc_Q and (Cl^cc)^G lattices with every class solved on its
-    own through the Horner projector (the reference route)."""
+    own through the Horner projector (the reference route); the divisors
+    with Galois-invariant class come from the preimage folds."""
     from modtors.intlinalg import kernel_basis
     from modtors.jacobian import galois_cusp_permutation, unit_group_gens
 
@@ -848,7 +854,7 @@ def _one_solve_per_divisor(sp, cc):
     invariant = []
     for a in kernel_basis([[sum(o) for o in orbits]]):
         invariant.append([sum(aj * o[i] for aj, o in zip(a, orbits)) for i in range(c)])
-    inv_rows = [list(r) + [-sum(r)] for r in cc.lattice_inv.basis]
+    inv_rows = [list(r) + [-sum(r)] for r in class_lattice_folds(sp)[1].basis]
     return lattice_of(basis), lattice_of(invariant), lattice_of(inv_rows), proj, invariant
 
 
@@ -868,13 +874,26 @@ def _one_solve_per_divisor(sp, cc):
     ids=lambda s: s.label(),
 )
 def test_class_lattices_match_one_solve_per_divisor(spec):
+    from modtors.intlinalg import transpose
+
     sp = build_space(spec)
     cc = cuspidal_class_group(sp)
-    assert cc.lattice_inv.den == 1
-    l_cc, l_ccq, l_inv, proj, invariant = _one_solve_per_divisor(sp, cc)
-    assert cc.lattice_cc == l_cc
-    assert cc.lattice_ccq == l_ccq
-    assert clcc_invariant_class_lattice(sp) == l_inv
+    l_cc, l_ccq, l_inv, proj, invariant = _one_solve_per_divisor(sp)
+    former = _former_class_group(sp)
+    assert (former.lattice_cc, former.lattice_ccq, former.lattice_inv) == (l_cc, l_ccq, l_inv)
+    g2, den = sp.cuspidal.rank, jacobian._projector(sp).den
+    std = Lattice.standard(g2)
+    assert cc.clcc == lattice_torsion_quotient(std, l_cc)
+    assert cc.clcc_q == lattice_torsion_quotient(std, l_ccq)
+    # Cl^cc_Q is classes_q / den + Z^(2g), and dual_q is its dual: l_ccq
+    # pairs integrally with dual_q, and [Z^(2g) : dual_q] = #Cl^cc_Q
+    eye = [[den if i == j else 0 for j in range(g2)] for i in range(g2)]
+    assert Lattice(g2, cc.classes_q.tolist() + eye, den) == l_ccq
+    pairing = np.array(l_ccq.basis, dtype=object) @ np.array(transpose(cc.dual_q), dtype=object)
+    assert not (pairing % l_ccq.den).any()
+    assert jacobian._det(cc.dual_q) == cc.clcc_q.order()
+    # the divisors of (Cl^cc)^G are the kernel of the Galois block mod den
+    assert _class_lattice(sp, kernel_mod(cc.galois_block, den)) == l_inv
     for div in invariant:
         want = [x - (x.numerator // x.denominator) for x in proj.class_of_divisor(div)]
         assert manin_drinfeld_class(sp, div) == want
@@ -986,8 +1005,7 @@ def test_memo_keys_follow_inputs(monkeypatch):
     assert capped.primes == [5, 7] and capped.capped
     monkeypatch.undo()
     assert auxiliary_primes(sp) is default
-    lat, _ = hecke_kernel_lattice(sp, [5, 7])
-    assert hecke_kernel_lattice(sp, (5, 7))[0] is lat
+    assert auxiliary_primes(sp, (5, 7)) is auxiliary_primes(sp, [5, 7])
     for bad in ([5], [5, 3], [5, 4], [5, 5]):
         with pytest.raises(ValueError):
             hecke_kernel_lattice(sp, bad)
@@ -997,7 +1015,7 @@ def test_a_skipped_prime_costs_one_product(monkeypatch):
     from collections import Counter
 
     # Gamma1(33) keeps 5 and 7, then tries and skips 13, 17, 19, 23 and 29;
-    # the class group is built first, since its lattices are kernels too
+    # the class group is built first, since its groups are kernels too
     sp = build_space(GroupSpec.gamma1(33))
     cuspidal_class_group(sp)
     calls, tried = Counter(), set()
@@ -1014,10 +1032,14 @@ def test_a_skipped_prime_costs_one_product(monkeypatch):
     monkeypatch.setattr(jacobian, "kernel_mod", counting("kernel", jacobian.kernel_mod))
     monkeypatch.setattr(jacobian, "frobenius_kill_operator",
                         lambda space, q: tried.add(q) or kill(space, q))
+    assert auxiliary_primes(sp).primes == [5, 7]
+    assert tried == {5, 7, 13, 17, 19, 23, 29}
+    # the kernel of M_H and, for the open sandwich, the kernel mod den of
+    # the divisors with class in M_H; no kernel for a skipped prime
+    assert calls == {"det": 2, "kernel": 2}
     report = torsion_report(sp)
     assert report.primes == [5, 7] and report.verdict == "equal"
-    assert tried == {5, 7, 13, 17, 19, 23, 29}
-    assert calls == {"det": 2, "kernel": 1}
+    assert calls["det"] == 2
 
 
 def test_kill_operator_built_once_per_prime(monkeypatch):
@@ -1103,34 +1125,90 @@ def test_pipeline_verdicts():
     assert v == "equal" and stage == "maximal-ideal"
 
 
-def _pipeline_oracle(sp, primes):
-    """(Hecke bound, verdict, k, stage) by the former stage code: stage (ii)
-    compares (M cap (1/p) C) + C with (M' cap (1/p) C) + C for each p
-    dividing #(M_H / Z^(2g)), stage (iii) takes [M + Cl^cc : Cl^cc] through
-    the lattice sum, and the bound is cut by (Cl^cc)^G only when M_H lies
-    in Cl^cc."""
+def _class_lattice(sp, divisors):
+    """Z^(2g) plus the classes of the integral degree-0 divisors given as
+    rows over the d_i, as a lattice over the cuspidal basis."""
+    proj = jacobian._projector(sp)
+    g2 = sp.cuspidal.rank
+    rows = [vec_mat(d, proj.phi) for d in divisors]
+    rows += [[proj.den if i == j else 0 for j in range(g2)] for i in range(g2)]
+    return Lattice(g2, rows, proj.den)
+
+
+def _former_class_group(sp):
+    """The former class-group code on lattices: Cl^cc, Cl^cc_Q and (Cl^cc)^G
+    as lattices over the cuspidal basis (`lattice_cc`, `lattice_ccq`,
+    `lattice_inv`), the groups as torsion quotients, and surjectivity as the
+    equality of the divisor lattices of (Cl^cc)^G and of the invariant plus
+    the principal divisors."""
+    from types import SimpleNamespace
+
+    from modtors.intlinalg import identity, kernel_basis
+
+    c, g2 = sp.ncusps, sp.cuspidal.rank
+    std = Lattice.standard(g2)
+    if g2 == 0:
+        return SimpleNamespace(clcc=FinAbGroup([]), clcc_q=FinAbGroup([]), surjective=True,
+                               lattice_cc=std, lattice_ccq=std, lattice_inv=std)
+    proj = jacobian._projector(sp)
+    l_cc = _class_lattice(sp, identity(c - 1))
+    l_prin = Lattice(c - 1, kernel_mod(proj.phi, proj.den))
+    perms = [jacobian.galois_cusp_permutation(sp, s) for s in jacobian.unit_group_gens(sp.level)]
+    orbit_of = jacobian._orbit_partition(perms, c)
+    orbit_sums = [[int(o == k) for o in orbit_of] for k in range(max(orbit_of) + 1)]
+    combos = kernel_basis([[sum(row) for row in orbit_sums]])
+    inv_divs = [vec_mat(a, orbit_sums)[: c - 1] for a in combos]
+    l_ccq = _class_lattice(sp, inv_divs)
+    phi = proj.phi + [[0] * g2]
+    block = [
+        [x - y - z for s in perms for x, y, z in zip(phi[s[i]], phi[s[c - 1]], phi[i])]
+        for i in range(c - 1)
+    ]
+    lam_div = Lattice(c - 1, kernel_mod(block, proj.den))
+    l_inv_div = Lattice.from_rows(inv_divs, ambient=c - 1).sum(l_prin) if inv_divs else l_prin
+    return SimpleNamespace(
+        clcc=lattice_torsion_quotient(std, l_cc),
+        clcc_q=lattice_torsion_quotient(std, l_ccq),
+        surjective=lam_div == l_inv_div,
+        lattice_cc=l_cc,
+        lattice_ccq=l_ccq,
+        lattice_inv=_class_lattice(sp, lam_div.basis),
+    )
+
+
+def _pipeline_oracle(sp, primes, surjective=None):
+    """(Hecke bound, verdict, k, stage, Cl^cc, Cl^cc_Q, surjective) by the
+    former stage code on the lattices of `_former_class_group` (its
+    surjectivity unless `surjective` is given): stage (ii) compares
+    (M cap (1/p) C) + C with (M' cap (1/p) C) + C for each p dividing
+    #(M_H / Z^(2g)), stage (iii) takes [M + Cl^cc : Cl^cc] through the
+    lattice sum, and the bound is cut by (Cl^cc)^G only when M_H lies in
+    Cl^cc."""
     from sympy import factorint
 
-    cc = cuspidal_class_group(sp)
+    cc = _former_class_group(sp)
+    groups = (cc.clcc, cc.clcc_q, cc.surjective)
+    if surjective is None:
+        surjective = cc.surjective
     lat, _ = hecke_kernel_lattice(sp, primes)
     if lat.ambient == 0:
-        return FinAbGroup([]), "equal", 1, "trivial"
+        return FinAbGroup([]), "equal", 1, "trivial", *groups
     std = Lattice.standard(lat.ambient)
     inside = cc.lattice_cc.contains_lattice(lat)
-    cut = lat.intersect(clcc_invariant_class_lattice(sp)) if inside else lat
+    cut = lat.intersect(cc.lattice_inv) if inside else lat
     bound = lattice_torsion_quotient(std, cut)
-    if cc.surjective and inside:
-        return bound, "equal", 1, "sandwich"
+    if surjective and inside:
+        return bound, "equal", 1, "sandwich", *groups
     mprime = lat.intersect(cc.lattice_cc)
     c_lat = cc.lattice_ccq
-    if cc.surjective and all(
-        lat.intersect(c_lat.scale(1, p)).sum(c_lat)
-        == mprime.intersect(c_lat.scale(1, p)).sum(c_lat)
+    if surjective and all(
+        lat.intersect(Lattice(c_lat.ambient, c_lat.basis, p * c_lat.den)).sum(c_lat)
+        == mprime.intersect(Lattice(c_lat.ambient, c_lat.basis, p * c_lat.den)).sum(c_lat)
         for p in factorint(lattice_torsion_quotient(std, lat).order())
     ):
-        return bound, "equal", 1, "maximal-ideal"
+        return bound, "equal", 1, "maximal-ideal", *groups
     k = lattice_torsion_quotient(cc.lattice_cc, lat.sum(cc.lattice_cc)).order()
-    return bound, f"index-divides-{k}", k, "index"
+    return bound, f"index-divides-{k}", k, "index", *groups
 
 
 _EXPLICIT_PRIME_CASES = [
@@ -1161,8 +1239,8 @@ _EXPLICIT_PRIME_CASES = [
 def test_pipeline_matches_former_stage_code(cases):
     for spec, primes in cases:
         sp = build_space(spec)
-        verdict, k, _, stage = torsion_is_cuspidal(sp, primes)
-        got = (hecke_bound_group(sp, primes), verdict, k, stage)
+        verdict, k, cc, stage = torsion_is_cuspidal(sp, primes)
+        got = (hecke_bound_group(sp, primes), verdict, k, stage, cc.clcc, cc.clcc_q, cc.surjective)
         assert got == _pipeline_oracle(sp, primes), (spec.label(), primes)
 
 
@@ -1171,9 +1249,11 @@ def test_pipeline_refuses_clccq_outside_the_bound(monkeypatch):
 
     sp = build_space(GroupSpec.gamma1(13))
     cc = cuspidal_class_group(sp)
-    # M_H / Z^(2g) has order 19, so (1/7) Z^(2g) is not inside it
-    outside = Lattice.standard(sp.cuspidal.rank).scale(1, 7)
-    monkeypatch.setitem(sp._memo, "class group", replace(cc, lattice_ccq=outside))
+    # M_H / Z^(2g) has order 19, and the class e_1 / 19 is not inside it
+    assert jacobian._projector(sp).den == 19
+    outside = np.eye(1, sp.cuspidal.rank, dtype=np.int64)
+    assert not hecke_kernel_lattice(sp)[0].contains(outside[0].tolist(), 19)
+    monkeypatch.setitem(sp._memo, "class group", replace(cc, classes_q=outside))
     with pytest.raises(ArithmeticError, match=r"Gamma1\(13\): Cl\^cc_Q is not inside M_H"):
         torsion_is_cuspidal(sp)
 
@@ -1189,33 +1269,63 @@ def test_pipeline_without_surjective_invariants(monkeypatch):
     verdict, k, _, stage = torsion_is_cuspidal(sp)
     assert (verdict, k, stage) == ("index-divides-1", 1, "index")
     lat, _ = hecke_kernel_lattice(sp)
-    cut = lat.intersect(clcc_invariant_class_lattice(sp))
+    cut = lat.intersect(_former_class_group(sp).lattice_inv)
     bound = hecke_bound_group(sp)
     assert bound == lattice_torsion_quotient(Lattice.standard(lat.ambient), cut)
-    assert (bound, verdict, k, stage) == _pipeline_oracle(sp, None)
+    assert (bound, verdict, k, stage) == _pipeline_oracle(sp, None, surjective=False)[:4]
 
 
 def test_sandwich_bound_is_clccq_without_intersection(monkeypatch):
     # Gamma1(21): M_H lies in Cl^cc and the invariants are surjective, so
-    # the bound M_H cap (Cl^cc)^G is Cl^cc_Q and no intersection is built
+    # the bound M_H cap (Cl^cc)^G is Cl^cc_Q and no cut is built: once the
+    # class group and the primes are in the memo, with the index [M_H : M']
+    # the default rule found, the pipeline solves no kernel
     import json
     from pathlib import Path
 
-    calls = []
-    intersect = Lattice.intersect
-
-    def counted(self, other):
-        calls.append(other)
-        return intersect(self, other)
-
     sp = build_space(GroupSpec.gamma1(21))
-    monkeypatch.setattr(Lattice, "intersect", counted)
+    cuspidal_class_group(sp)
+    auxiliary_primes(sp)
+    calls = []
+    kernel = jacobian.kernel_mod
+    monkeypatch.setattr(jacobian, "kernel_mod", lambda a, m: calls.append(m) or kernel(a, m))
     rep = torsion_report(sp)
     assert calls == []
     monkeypatch.undo()
     snapshot = Path(__file__).resolve().parent / "snapshots" / "torsion_gamma1_21-30.json"
     assert {**rep.to_json(), "level": 21} == json.loads(snapshot.read_text())["results"][0]
     assert rep.hecke_bound == _pipeline_oracle(sp, None)[0]
+
+
+def test_torsion_layer_needs_no_lattice(monkeypatch):
+    # once the space is built and its rank certified (the rank-zero
+    # certificate reads a Hermite row count), a torsion report calls no
+    # Lattice method and no Hermite form: at Gamma1(21), decided at the
+    # sandwich, and at Gamma1(24), decided at stage (ii)
+    from modtors import intlinalg
+
+    spaces = {n: build_space(GroupSpec.gamma1(n)) for n in (21, 24)}
+    certs = {n: is_rank_zero(sp) for n, sp in spaces.items()}
+    monkeypatch.setattr(jacobian, "is_rank_zero", lambda space: certs[space.level])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Lattice or Hermite form in the torsion layer")
+
+    originals = (intlinalg.hnf, lattice_torsion_quotient)
+    for name, mod in list(sys.modules.items()):
+        if name == "modtors" or name.startswith("modtors."):
+            for key, value in list(vars(mod).items()):
+                if any(value is f for f in originals):
+                    monkeypatch.setattr(mod, key, refuse)
+    for attr, value in list(vars(Lattice).items()):
+        if callable(value) or isinstance(value, (classmethod, staticmethod)):
+            monkeypatch.setattr(Lattice, attr, refuse)
+    rep = torsion_report(spaces[21])
+    assert rep.hecke_bound == FinAbGroup([364]) and rep.verdict == "equal"
+    assert torsion_is_cuspidal(spaces[21])[3] == "sandwich"
+    rep = torsion_report(spaces[24])
+    assert rep.primes == [5, 7, 11] and rep.verdict == "equal"
+    assert torsion_is_cuspidal(spaces[24])[3] == "maximal-ideal"
 
 
 def test_j0_30_cuspidal_group():
