@@ -18,13 +18,12 @@ from .ecff import exists_point_of_order, hasse_excludes
 from .intlinalg import (
     MODP,
     charpoly,
+    exact_product,
     hnf,
     kernel_basis,
-    mat_mul,
     poly_eval_matrix,
     rank_mod_p,
     transpose,
-    vec_mat,
 )
 from .jacobian import check_good_prime, sturm_bound, winding_span_mod_p
 from .lattice import Lattice
@@ -84,7 +83,7 @@ def cuspidal_span(space, vecs):
     boundary map kills."""
     dv = [space.boundary_image(v) for v in vecs]
     ker = kernel_basis(transpose(dv)) if vecs else []  # {x : x @ dv = 0}
-    return [vec_mat(x, vecs) for x in ker]
+    return exact_product(ker, vecs).tolist() if ker else []
 
 
 def _winding_span_vectors(space):
@@ -127,8 +126,8 @@ def rank_zero_quotient(space):
                 for _ in range(mult):
                     coeffs = poly_mul(coeffs, fac)
                 mat = poly_eval_matrix(coeffs, tq_sub)
-                ker = kernel_basis(transpose(mat))  # left kernel rows
-                piece = [vec_mat(k, basis) for k in ker]
+                ker = kernel_basis(mat.T)  # left kernel rows
+                piece = exact_product(ker, basis).tolist() if ker else []
                 new_comps.append(piece)
                 new_labels.append(_fmt_factor(q, (fac, mult)))
         comps, labels = new_comps, new_labels
@@ -217,7 +216,7 @@ def joint_expansion_rows(space, basis, cusp_classes, count):
             )
         w = restrict_to_lattice(atkin_lehner(space, found), plus)
         per_cusp_mats[cusp] = [
-            restrict_to_lattice(mat_mul(w, tn_mats[n]), sublattice) for n in ns
+            restrict_to_lattice(exact_product(w, tn_mats[n]), sublattice) for n in ns
         ]
     order = list(per_cusp_mats)
     func_rows = []

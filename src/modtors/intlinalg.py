@@ -1,13 +1,20 @@
 """Exact dense linear algebra over Z and Q.
 
-Matrices are lists of row lists of Python ints (or Fractions where stated);
-everything here is exact, no floating point anywhere.  numpy is used only
-for word-sized modular arithmetic inside multimodular and p-adic routines,
-with results reconstructed and/or verified exactly.
+A matrix is a 2-d integer array (int64, or object for Python ints) or a
+list of row lists of Python ints; everything here is exact, no floating
+point anywhere.  `exact_product` is the one integer product: int64 where
+a bound proves it exact, Python ints otherwise, an int64 or object array
+either way.  The eliminations over Z (Hermite, Smith, Bareiss, kernels)
+take either format, convert it once on entry (`int_rows`) and return row
+lists.  numpy int64 carries the word-sized modular arithmetic of the
+multimodular and p-adic routines, whose results are reconstructed and/or
+verified exactly.
 """
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt, lcm
+from operator import index
 
 import numpy as np
 
@@ -29,49 +36,32 @@ def identity(n):
     return m
 
 
-def copy_mat(a):
-    return [row[:] for row in a]
+def int_rows(a):
+    """Fresh row lists of Python ints from a 2-d integer array or row lists
+    (TypeError on a non-integer entry, such as a Fraction)."""
+    rows = a.tolist() if isinstance(a, np.ndarray) else a
+    return [list(map(index, row)) for row in rows]
+
+
+def int_array(a):
+    """a, an integer array or row lists, as an int64 array if its entries
+    fit, else as an object array of Python ints."""
+    if isinstance(a, np.ndarray) and a.dtype == np.int64:
+        return a
+    try:
+        return np.asarray(a, dtype=np.int64)
+    except OverflowError:
+        return np.array(a, dtype=object)
 
 
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_mul(a, b):
-    return [vec_mat(row, b) for row in a]
-
-
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def vec_mat(v, a):
-    n = len(a[0]) if a else 0
-    out = [0] * n
-    for x, row in zip(v, a):
-        if x:
-            for j, y in enumerate(row):
-                if y:
-                    out[j] += x * y
-    return out
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
-
-
-def is_zero_mat(a):
-    return all(all(x == 0 for x in row) for row in a)
-
-
 def max_abs(a):
-    """max |entry| of a list of rows, or of an int64 array without a copy."""
+    """max |entry| of a list of rows, or of an array without a copy."""
     if isinstance(a, np.ndarray):
-        return int(max(a.max(initial=0), -a.min(initial=0)))
+        return max(int(a.max(initial=0)), -int(a.min(initial=0)))
     return max((abs(x) for row in a for x in row), default=0)
 
 
@@ -97,10 +87,10 @@ def vec_gcd(v):
 
 def det_bareiss(a):
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
+    m = int_rows(a)
+    n = len(m)
     if n == 0:
         return 1
-    m = copy_mat(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -140,14 +130,15 @@ def hnf(a, transform=False):
     pass an adaptive bit threshold (Kannan-Bachem style), so nasty inputs
     stay polynomial without slowing down the common sparse case.
     """
-    return _hermite(a, transform, 0)
+    return _hermite(int_rows(a), transform, 0)
 
 
 def _hermite(a, transform, reduced_from):
-    """hnf(a, transform), except that the final renormalization reduces
-    only the rows whose pivot column is at least `reduced_from`.  A row is
-    reduced only by rows with later pivots, so those rows come out as in
-    hnf; the rows before them are left as the growth control left them."""
+    """hnf(a, transform) for fresh row lists a of Python ints, except that
+    the final renormalization reduces only the rows whose pivot column is
+    at least `reduced_from`.  A row is reduced only by rows with later
+    pivots, so those rows come out as in hnf; the rows before them are left
+    as the growth control left them."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     u = identity(nrows) if transform else None
@@ -220,7 +211,7 @@ def _hermite(a, transform, reduced_from):
         return big
 
     for i, row in enumerate(a):
-        if reduce_in(row[:], u[i][:] if transform else None):
+        if reduce_in(row, u[i] if transform else None):
             renormalize()
 
     renormalize(reduced_from)
@@ -256,7 +247,7 @@ def kernel_basis(a):
     Only those rows are returned, so the final reduction skips the rows
     with a pivot in the left block.
     """
-    at = transpose(a)
+    at = transpose(int_rows(a))
     if not at:
         return []
     n = len(at)
@@ -336,7 +327,7 @@ def smith_normal_form(a, transform=True):
     divide the whole trailing submatrix before recursing, so the
     divisibility chain holds by construction.
     """
-    m = copy_mat(a)
+    m = int_rows(a)
     nr = len(m)
     nc = len(m[0]) if nr else 0
     u = identity(nr) if transform else None
@@ -440,35 +431,39 @@ def check_int64_sum(row_max, weight, what):
 
 
 def exact_product(a, b):
-    """a @ b for 2-d integer arrays or row lists, exact: in int64 where the
-    bound of check_int64_sum allows.  Else, if b is small, |a| is cut into
-    base-2^s digits, s as large as keeps each (sign a * digit) @ b in int64,
-    and those products are shifted together in Python ints; else the whole
-    product is taken in Python ints."""
-    a, b = np.array(a, dtype=object), np.array(b, dtype=object)
-    bmax = max(1, max_abs(b))
-    if bmax * max(1, int(np.abs(a).sum(axis=1).max(initial=0))) <= INT64_MAX:
-        return a.astype(np.int64) @ b.astype(np.int64)
-    s = (INT64_MAX // (bmax * a.shape[1])).bit_length() - 1
-    if s < 16:
+    """a @ b for integer arrays or row lists (a 1-d vector on either side
+    too), exact: an int64 array when max |b| times the largest row sum of
+    |a| fits int64 (the bound of check_int64_sum), taken directly from
+    int64 inputs.  Else, if b is small, |a| is cut into base-2^s digits, s
+    as large as keeps each (sign a * digit) @ b in int64, and those
+    products are shifted together in Python ints; else the whole product
+    is taken in Python ints.  Both give an object array."""
+    a, b = int_array(a), int_array(b)
+    amax, bmax, n = max_abs(a), max(1, max_abs(b)), a.shape[-1]
+    # the row sums of |a| are exact in int64 while amax * n fits
+    weight = np.abs(a if amax * n <= INT64_MAX else a.astype(object)).sum(axis=-1)
+    weight = max(1, int(np.max(weight, initial=0)))
+    if a.dtype == b.dtype == np.int64 and bmax * weight <= INT64_MAX:
         return a @ b
-    sign, mag, b = np.sign(a), np.abs(a), b.astype(np.int64)
+    s = (INT64_MAX // (bmax * n)).bit_length() - 1
+    if s < 16:
+        return a.astype(object) @ b.astype(object)
+    sign, mag, b = np.sign(a), np.abs(a.astype(object)), b.astype(np.int64)
     return sum(((sign * (mag >> t & (1 << s) - 1)).astype(np.int64) @ b).astype(object) << t
-               for t in range(0, max_abs(a).bit_length(), s))
+               for t in range(0, amax.bit_length(), s))
 
 
 def _as_modp(a, p=MODP):
-    m = np.array([[x % p for x in row] for row in a], dtype=np.int64)
-    return m
+    """a mod p as an int64 array."""
+    return (int_array(a) % p).astype(np.int64, copy=False)
 
 
 def rank_mod_p(a, p):
     """Rank of an integer matrix modulo a prime p (exact)."""
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
-    if not a or not a[0]:
-        return 0
-    return ModPEchelon.from_rows([[x % p for x in row] for row in a], p).rank
+    a = _as_modp(a, p)
+    return ModPEchelon.from_rows(a, p).rank if a.size else 0
 
 
 class ModPEchelon:
@@ -739,13 +734,13 @@ def charpoly(a):
 
 
 def poly_eval_matrix(coeffs, a):
-    """Evaluate a polynomial (coeff list, low degree first) at a matrix."""
-    n = len(a)
-    out = mat_scale(identity(n), coeffs[-1])
+    """Evaluate a polynomial (coeff list, low degree first) at a square
+    integer matrix, as an array: Horner steps out <- out a + c I, each the
+    one exact product [out | I] [a; c I]."""
+    eye = np.eye(len(a), dtype=object)  # c * eye is exact for any int c
+    out = coeffs[-1] * eye
     for c in reversed(coeffs[:-1]):
-        out = mat_mul(out, a)
-        for i in range(n):
-            out[i][i] += c
+        out = exact_product(np.hstack([out, eye]), np.vstack([a, c * eye]))
     return out
 
 
@@ -778,7 +773,7 @@ def minpoly(a):
             break
     half = p // 2
     cand = [c - p if c > half else c for c in mp]
-    if is_zero_mat(poly_eval_matrix(cand, a)):
+    if not poly_eval_matrix(cand, a).any():
         return cand
     return charpoly(a)
 
@@ -843,6 +838,7 @@ def solve_dixon(a, b, p=MODP):
     singular mod p, its rank over Q (`hnf`) decides: ZeroDivisionError if A is
     singular, else the next prime is tried.
     """
+    a = int_array(a)
     n = len(a)
     if n == 0:
         return []
@@ -854,31 +850,19 @@ def solve_dixon(a, b, p=MODP):
         p = nextprime(p)
         a_np = _as_modp(a, p)
         ainv = inverse_mod_p(a_np, p)
-    x_digits = []
-    r = list(b)
-    pk = 1
-    k = 0
-    while True:
-        rp = np.array([t % p for t in r], dtype=np.int64)
-        y = ainv.dot(rp) % p
-        y_list = [int(t) for t in y]
-        x_digits.append(y_list)
-        ay = mat_vec(a, y_list)
-        r = [(ri - ayi) // p for ri, ayi in zip(r, ay)]
+    b = np.array(b, dtype=object)
+    r, x_mod, pk = b, 0, 1
+    for k in count(1):
+        # A x_mod = b - pk r throughout, and A y = r mod p
+        y = ainv.dot(_as_modp(r, p)) % p
+        x_mod = x_mod + pk * y.astype(object)
+        r = (r - exact_product(a, y)) // p
         pk *= p
-        k += 1
-        if k % 8 == 0 or not any(r):
-            # try reconstruction
-            x_mod = [0] * n
-            mult = 1
-            for dig in x_digits:
-                for i in range(n):
-                    x_mod[i] += mult * dig[i]
-                mult *= p
-            cand = [rational_reconstruct(t, pk) for t in x_mod]
-            if all(c is not None for c in cand):
+        if k % 8 == 0 or not r.any():
+            cand = [rational_reconstruct(int(t), pk) for t in x_mod]
+            if None not in cand:
                 (xs,), den = integer_rows([cand])
-                if mat_vec(a, xs) == [den * t for t in b]:
+                if (exact_product(a, xs) == den * b).all():
                     return cand
             if k > 4 * n * 64 + 64:
                 raise ArithmeticError("dixon lifting failed to converge")
@@ -894,11 +878,12 @@ def invert_rational(a):
     (bench/spans.py) looks it up by name, so it goes at the next change to
     the benchmark.
     """
-    n = len(a)
+    rows = a.tolist() if isinstance(a, np.ndarray) else a  # Python ints, not int64
+    n = len(rows)
     m = [
         [Fraction(x) for x in row]
         + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-        for i, row in enumerate(a)
+        for i, row in enumerate(rows)
     ]
     for c in range(n):
         piv = None

@@ -29,6 +29,7 @@ import numpy as np
 from .abgroup import FinAbGroup
 from .arith import factorint, isprime, nextprime, primitive_root
 from .intlinalg import (
+    INT64_MAX,
     MODP,
     ModPEchelon,
     _as_modp,
@@ -39,19 +40,15 @@ from .intlinalg import (
     elementary_divisors,
     exact_product,
     hnf,
+    int_array,
     integer_rows,
     inverse_mod_p,
     kernel_basis,
     kernel_mod,
-    mat_mul,
-    mat_scale,
-    mat_sub,
     max_abs,
     rational_reconstruct,
     smith_normal_form,
     solve_dixon,
-    transpose,
-    vec_mat,
 )
 from .lattice import Lattice
 from .modsym import diamond_operator, hecke_operator
@@ -286,15 +283,10 @@ def _certify_rank_zero(space, kept_vecs, g):
 
 
 def _plus_spanning_rows(space):
-    """W = B_S (I + star) as an exact int64 array, B_S the cycle basis of
-    S: 2g rows in S+ that span S+ over Q (see _certify_positive)."""
-    bs = np.array(space.cuspidal.basis, dtype=np.int64)
-    star = np.array(space.star_matrix(), dtype=np.int64)
-    # W = B_S (I + star): rows of I + star, entries at most 1 + max |star|,
-    # with coefficients of total absolute value at most the row sum of |B_S|
-    check_int64_sum(1 + max_abs(star), int(np.abs(bs).sum(axis=1).max(initial=0)),
-                    "B_S (I + star)")
-    return bs + bs @ star
+    """W = B_S (I + star), B_S the cycle basis of S: 2g rows in S+ that span
+    S+ over Q (see _certify_positive).  The entries of star are entries of
+    `proj`, all in {-1, 0, 1}, so adding I to it is exact."""
+    return exact_product(space.cycles(), space.star_matrix() + np.eye(space.dim, dtype=np.int64))
 
 
 def _certify_positive(space, kept_vecs, echelon, swept):
@@ -313,13 +305,14 @@ def _certify_positive(space, kept_vecs, echelon, swept):
     ech, piv = echelon.mat, echelon.piv
     w = _plus_spanning_rows(space)
     k = len(kept_vecs)
+    kept = np.array(kept_vecs, dtype=np.int64).reshape(k, dim)
     pivset = set(piv)
     nonpiv = [j for j in range(dim) if j not in pivset]
-    sub = [[row[j] for j in piv] for row in kept_vecs]
+    sub = kept[:, piv]
     # screen candidate kernel directions by their S+ pairing mod p: the
     # kernel vector for a non-pivot column j0 is e_j0 minus the echelon
     # column at j0 spread over the pivot columns
-    w_p = w % p
+    w_p = _as_modp(w, p)
     pairing = w_p[:, nonpiv]
     if piv:
         check_int64_sum(p - 1, len(piv) * (p - 1), "S+ pairing mod p")
@@ -330,7 +323,7 @@ def _certify_positive(space, kept_vecs, echelon, swept):
         tried += 1
         if tried > 24:
             break
-        rhs = [-row[j0] for row in kept_vecs]
+        rhs = -kept[:, j0]
         if k:
             try:
                 y = solve_dixon(sub, rhs)
@@ -360,13 +353,15 @@ def _certify_positive(space, kept_vecs, echelon, swept):
 
 def frobenius_kill_operator(space, q):
     """K_q = T_q|_S - q <q>|_S - 1, the operator annihilating rational
-    torsion prime to q on the cuspidal lattice S, built once per space."""
+    torsion prime to q on the cuspidal lattice S, built once per space: an
+    int64 array, or an object array where an entry could leave int64."""
 
     def build():
         t = space.restrict_to_cuspidal(hecke_operator(space, q))
         d = space.restrict_to_cuspidal(diamond_operator(space, q))
-        return [[a - q * b - (i == j) for j, (a, b) in enumerate(zip(trow, drow))]
-                for i, (trow, drow) in enumerate(zip(t, d))]
+        if max_abs(t) + q * max_abs(d) >= INT64_MAX:  # the sum may leave int64
+            t, d = t.astype(object), d.astype(object)
+        return t - q * d - np.eye(len(t), dtype=np.int64)
 
     return space.memo(("kill", q), build)
 
@@ -431,7 +426,7 @@ class AuxiliaryPrimes:
     the sandwich was still open."""
 
     primes: list
-    block: list
+    block: object
     kernel: list
     m: int
     capped: bool = False
@@ -477,7 +472,7 @@ def auxiliary_primes(space, primes=None):
                     break  # q shrinks M_H
             else:
                 break  # cap primes in a row left M_H as it is
-            block = [r + s for r, s in zip(aux.block, a)]
+            block = np.hstack([aux.block, a])
             aux = AuxiliaryPrimes(aux.primes + [q], block, *_hecke_kernel(block, aux.m))
         return aux
 
@@ -515,11 +510,10 @@ def _kill_block(space, primes):
     m = gcd(*(jacobian_order_mod_p(space, q) for q in primes)) ** 2
     if m == 0:
         raise ArithmeticError("all Hecke kill operators singular; add primes")
+    # |star| <= 2^63 - 1 on S (see exact_product), so star - I is exact
     star = space.restrict_to_cuspidal(space.star_matrix())
-    for i, row in enumerate(star):
-        row[i] -= 1
-    ops = (frobenius_kill_operator(space, q) for q in primes)
-    return [sum(rows, []) for rows in zip(*ops, star)], m
+    eye = np.eye(len(star), dtype=np.int64)
+    return np.hstack([*(frobenius_kill_operator(space, q) for q in primes), star - eye]), m
 
 
 def _hecke_kernel(block, m):
@@ -585,11 +579,14 @@ class ManinDrinfeldProjector:
         c = space.ncusps
         self.q = next(q for q in filter(isprime, count(7)) if space.level % q)
         t = hecke_operator(space, self.q)
-        gammas = boundary_lifts(space)
-        images = [vec_mat(gm, t) for gm in gammas]
-        r = [space.boundary_image(w)[: c - 1] for w in images]
-        z = space.cuspidal_coordinates([[a - b for a, b in zip(w, vec_mat(row, gammas))]
-                                        for w, row in zip(images, r)])
+        gammas = int_array(boundary_lifts(space)).reshape(c - 1, space.dim)
+        images = exact_product(gammas, t)
+        r = int_array([space.boundary_image(w)[: c - 1] for w in images.tolist()])
+        r = r.reshape(c - 1, c - 1)
+        # Z = Gamma T - R Gamma = [I | -R] [Gamma T; Gamma]
+        eye = np.eye(c - 1, dtype=np.int64)
+        z = space.cuspidal_coordinates(exact_product(np.hstack([eye, -r]),
+                                                     np.vstack([images, gammas])))
         self.phi, self.den = _solve_sylvester(space.restrict_to_cuspidal(t), r, z)
 
     def class_of_divisor(self, divisor):
@@ -598,7 +595,7 @@ class ManinDrinfeldProjector:
         Z^(2g)."""
         if len(divisor) != len(self.phi) + 1 or sum(divisor) != 0:
             raise ValueError(f"need a degree-0 divisor on the {len(self.phi) + 1} cusps")
-        return [Fraction(x, self.den) for x in vec_mat(divisor[:-1], self.phi)]
+        return [Fraction(x, self.den) for x in exact_product(divisor[:-1], self.phi).tolist()]
 
 
 def boundary_lifts(space):
@@ -653,7 +650,9 @@ def _solve_sylvester(ts, r, z):
                 break
         else:
             num, den = integer_rows(cand)
-            if mat_sub(mat_mul(num, ts), mat_mul(r, num)) == mat_scale(z, den):
+            ynum = int_array(num)  # num ts - r num = [num | -r] [ts; num]
+            lhs = exact_product(np.hstack([ynum, -r]), np.vstack([ts, ynum]))
+            if (lhs == den * z.astype(object)).all():
                 return num, den
 
 
@@ -772,8 +771,8 @@ def _class_group(space):
     degs = [sum(row) for row in orbit_sums]
     combos = kernel_basis([degs])  # {a : sum a_j deg_j = 0}
     # degree-0 G-invariant divisors, divisor-basis coords (tail entry implied)
-    inv_divs = [vec_mat(a, orbit_sums)[: c - 1] for a in combos]
-    inv_divs = np.array(inv_divs, dtype=object).reshape(-1, c - 1)
+    inv_divs = int_array(combos).reshape(-1, norbits)
+    inv_divs = exact_product(inv_divs, orbit_sums)[:, : c - 1]
     classes_q = exact_product(inv_divs, phi)
     dual_q = _dual(classes_q, g2, den)
     clcc_q = FinAbGroup(elementary_divisors(dual_q))
@@ -896,7 +895,7 @@ def _pipeline(space, primes):
         else:
             snf = smith_normal_form(aux.kernel, transform=False)
             bound = FinAbGroup([aux.m // snf[i][i] for i in range(g2)])
-        dual_t = transpose(cc.dual_q)  # C = {x : x dual_t integral}
+        dual_t = np.array(cc.dual_q, dtype=object).T  # C = {x : x dual_t integral}
 
         def p_torsion_agrees(p):
             # sup = M cap p^-1 C: the v / (p den) with v B = 0 and p v dual_t
@@ -904,7 +903,7 @@ def _pipeline(space, primes):
             # = 0 and p D phi dual_t = 0 mod den.  Over C both are p-groups,
             # so only the p-parts q of p den and q / p of den are solved
             q = p * gcd(den, p**den.bit_length())
-            sup = kernel_mod([r + [p * y for y in ys] for r, ys in zip(aux.block, dual_t)], q)
+            sup = kernel_mod(np.hstack([aux.block, dual_t * p]), q)
             sub = kernel_mod(np.hstack([phib, exact_product(proj.phi, dual_t) % den * p]), q // p)
             return q**g2 * _det(sub) == _det(sup) * gcd(cc.clcc.order(), (q // p) ** g2)
 

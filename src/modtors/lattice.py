@@ -12,17 +12,21 @@ from math import gcd, lcm
 
 from .abgroup import FinAbGroup
 from .intlinalg import (
+    _hermite,
     elementary_divisors,
-    hnf,
+    exact_product,
+    identity,
+    int_rows,
     kernel_basis,
     transpose,
     vec_gcd,
-    vec_mat,
 )
 
 
 class Lattice:
-    """Subgroup of Q^n spanned by basis rows / den, in Hermite normal form."""
+    """Subgroup of Q^n spanned by basis rows / den, in Hermite normal form.
+    The rows (an integer array or row lists) are read once into row lists
+    of Python ints."""
 
     __slots__ = ("ambient", "basis", "den", "pivots")
 
@@ -30,9 +34,10 @@ class Lattice:
         if den <= 0:
             raise ValueError("denominator must be positive")
         self.ambient = ambient
+        rows = int_rows(rows)
         if normalize:
             rows = [r for r in rows if any(r)]
-            h = hnf(rows) if rows else []
+            h = _hermite(rows, False, 0) if rows else []
             g = den
             for r in h:
                 g = gcd(g, vec_gcd(r))
@@ -47,16 +52,10 @@ class Lattice:
         self.pivots = [next((k for k, x in enumerate(r) if x), None) for r in h]
 
     @classmethod
-    def standard(cls, n):
-        from .intlinalg import identity
-
-        return cls(n, identity(n), 1, normalize=False)
-
-    @classmethod
     def from_rows(cls, rows, ambient=None, den=1):
         if ambient is None:
             ambient = len(rows[0]) if rows else 0
-        return cls(ambient, [list(r) for r in rows], den)
+        return cls(ambient, rows, den)
 
     @property
     def rank(self):
@@ -99,10 +98,7 @@ class Lattice:
         # x a = y b ; kernel of [a; -b] stacked gives coefficient pairs
         stacked = a + [[-x for x in r] for r in b]
         ker = kernel_basis(transpose(stacked))
-        rows = []
-        for k in ker:
-            coeff = k[: len(a)]
-            rows.append(vec_mat(coeff, a))
+        rows = exact_product([k[: len(a)] for k in ker], a) if ker else []
         return Lattice(self.ambient, rows, d)
 
     def preimage(self, op, target):
@@ -113,14 +109,14 @@ class Lattice:
         """
         if not self.basis:
             return self
-        imgs = [vec_mat(r, op) for r in self.basis]  # each length m
+        imgs = exact_product(self.basis, op).tolist()
         tb, td = target.basis, target.den
         # condition: sum x_i imgs_i / self.den  in  span(tb)/td
         # i.e. td * sum x_i imgs_i = self.den * (y @ tb): integer solve
         stacked = [[x * td for x in img] for img in imgs]
         stacked += [[-x * self.den for x in r] for r in tb]
         ker = kernel_basis(transpose(stacked))
-        rows = [vec_mat(k[: len(imgs)], self.basis) for k in ker]
+        rows = exact_product([k[: len(imgs)] for k in ker], self.basis) if ker else []
         return Lattice(self.ambient, rows, self.den)
 
     def solve(self, vec, den=1):
@@ -154,16 +150,9 @@ class Lattice:
             return self
         ker = kernel_basis(self.basis)  # {x : basis @ x = 0}
         if not ker:
-            from .intlinalg import identity
-
             return Lattice(self.ambient, identity(self.ambient), 1)
         sat = kernel_basis(ker)  # {v : ker @ v = 0}, saturated by construction
         return Lattice(self.ambient, sat, 1)
-
-    def index_in(self, other):
-        """Index [other : self] when finite (same rank, self <= other)."""
-        q = self.torsion_quotient_in(other)
-        return q.order()
 
     def torsion_quotient_in(self, other):
         """Invariant factors of other/self as FinAbGroup.

@@ -1,10 +1,11 @@
 """Operators on modular symbol spaces: Hecke, diamond, star, Atkin-Lehner.
 
-Every operator is a plain integer matrix, a list of rows, acting on row
-vectors (v -> v @ M) in the coordinates of the space, whose basis is the
-free Manin symbols: row j is the image of free symbol j, an integer
-vector, since every operator below preserves the symbol lattice.  T_n,
-<u> and W_Q are memoised on their space; callers must not mutate them.
+Every operator is an int64 array acting on row vectors (v -> v @ M) in
+the coordinates of the space, whose basis is the free Manin symbols: row
+j is the image of free symbol j, an integer vector, since every operator
+below preserves the symbol lattice.  T_n, <u> and W_Q (and star, see
+`ModSymSpace.star_matrix`) are memoised on their space as read-only
+arrays: writing into one raises ValueError.
 Hecke operators use the Merel family X_n acting on Manin symbols by right
 multiplication.  T_n, <u> and star map the free symbols to Manin symbols
 and gather their rows of the space's projection, all free symbols at once.
@@ -15,7 +16,7 @@ from math import gcd
 
 import numpy as np
 
-from ..intlinalg import check_int64_sum, max_abs, vec_mat
+from ..intlinalg import check_int64_sum, exact_product, max_abs
 from .groups import sl2_lift
 
 
@@ -72,7 +73,7 @@ def hecke_operator(space, n):
             idx = space.symbol_indices(c * a + d * c1, c * b + d * d1)
             unit = idx >= 0
             out[unit] += proj[idx[unit]]
-        return out.tolist()
+        return out
 
     return space.memo(("T", n), build)
 
@@ -94,7 +95,7 @@ def star_matrix(space):
 def _scaled_symbols(space, a, b):
     """Rows of the symbol map (c : d) -> (a c : b d) on the free symbols."""
     c, d = _free_pairs(space)
-    return space.proj[space.symbol_indices(a * c, b * d)].tolist()
+    return space.proj[space.symbol_indices(a * c, b * d)]
 
 
 def atkin_lehner_matrix_2x2(N, Q):
@@ -121,7 +122,8 @@ def atkin_lehner(space, Q):
 
 
 def gl2q_action(space, g2):
-    """Action of an integer matrix g (det > 0) by pushforward of paths."""
+    """Action of an integer matrix g (det > 0) by pushforward of paths, as
+    an int64 array."""
     p, q, r, s = g2
     gd = space.group
     rows = []
@@ -132,7 +134,7 @@ def gl2q_action(space, g2):
         z0 = (p * b + q * d0, r * b + s * d0)
         z1 = (p * a + q * c0, r * a + s * c0)
         rows.append(space.path_vector(z0, z1))
-    return rows
+    return np.array(rows, dtype=np.int64).reshape(len(rows), space.dim)
 
 
 def atkin_lehner_cusp_action(space, Q):
@@ -152,12 +154,13 @@ def atkin_lehner_cusp_action(space, Q):
 def restrict_to_lattice(op_matrix, lattice):
     """Matrix of an operator restricted to an invariant saturated lattice.
 
-    Returns the integer matrix R with R @ basis = basis @ op (rows are
-    coordinates of the images of the lattice basis).
+    Returns the integer matrix R, as row lists, with R @ basis = basis @ op
+    (rows are coordinates of the images of the lattice basis).
     """
     rows = []
-    for v in lattice.basis:
-        coords = lattice.solve(vec_mat(v, op_matrix), lattice.den)
+    images = exact_product(lattice.basis, op_matrix).tolist() if lattice.basis else []
+    for v in images:
+        coords = lattice.solve(v, lattice.den)
         if coords is None:
             raise ValueError("lattice is not invariant under the operator")
         rows.append(coords)

@@ -25,7 +25,7 @@ star map restricted to S.
 
 import numpy as np
 
-from ..intlinalg import exact_product, kernel_basis, transpose, vec_mat
+from ..intlinalg import exact_product, int_array, kernel_basis
 from ..lattice import Lattice
 from .groups import GroupData, sl2_lift
 from .operators import star_matrix
@@ -87,10 +87,6 @@ class ModSymSpace:
         n = self.level
         return self._pair_table[np.asarray(c) % n * n + np.asarray(d) % n]
 
-    def winding_element(self):
-        """The class of the path {0, oo}: the Manin symbol of the identity."""
-        return self.proj[self.symbol_indices(0, 1)].tolist()
-
     def _symbol_edge(self, sym_idx):
         """Cusp indices (head, tail) of (gamma oo, gamma 0) for a Manin
         symbol gamma."""
@@ -111,7 +107,7 @@ class ModSymSpace:
     # -- paths --------------------------------------------------------------
 
     def path_vector(self, alpha, beta):
-        """Modular symbol {alpha, beta} as a coordinate vector.
+        """Modular symbol {alpha, beta} as a coordinate vector (int64).
 
         alpha, beta are cusps given as (numerator, denominator) pairs with
         denominator 0 meaning infinity.  {alpha, beta} = {oo, beta} -
@@ -125,7 +121,7 @@ class ModSymSpace:
                 num, den = -num, -den
             idx = self.path_symbols([num % den], [den])[0] if den else []
             ends.append(self.proj[idx].sum(axis=0))
-        return (ends[0] - ends[1]).tolist()
+        return ends[0] - ends[1]
 
     def path_symbols(self, residues, dens):
         """Symbol indices on the paths {oo, b/den}, one path per lane
@@ -168,10 +164,14 @@ class ModSymSpace:
         so they are computed once per space and freed with it: no memoised
         object refers back to the space, so dropping the space frees it
         by reference counting alone.  The key must name every input the
-        object depends on; callers must not mutate what they get back.
+        object depends on; callers must not mutate what they get back, and
+        an array is stored read-only, so writing into it raises ValueError.
         """
         if key not in self._memo:
-            self._memo[key] = build()
+            obj = build()
+            if isinstance(obj, np.ndarray):
+                obj.setflags(write=False)
+            self._memo[key] = obj
         return self._memo[key]
 
     def star_matrix(self):
@@ -183,17 +183,19 @@ class ModSymSpace:
                          .reshape(self.cuspidal.rank, self.dim))
 
     def cuspidal_coordinates(self, rows):
-        """Coordinates over B of rows in S, as row lists: their entries at the
-        chords (see `fundamental_cycles`), checked by one exact product.
-        ValueError if a row is not in S."""
-        x = np.array(rows, dtype=object).reshape(len(rows), self.dim)
+        """Coordinates over B of rows in S, an integer array (int64 where
+        the rows are): their entries at the chords (see
+        `fundamental_cycles`), checked by one exact product.  ValueError if
+        a row is not in S."""
+        x = int_array(rows).reshape(len(rows), self.dim)
         coords = x[:, self.cuspidal.pivots]
         if (exact_product(coords, self.cycles()) != x).any():
             raise ValueError("a row is not in the cuspidal lattice S")
-        return coords.tolist()
+        return coords
 
     def restrict_to_cuspidal(self, op):
-        """R with R B = B op; ValueError unless op keeps S."""
+        """R with R B = B op, as `exact_product` gives it; ValueError unless
+        op keeps S."""
         return self.cuspidal_coordinates(exact_product(self.cycles(), op))
 
     def plus_cuspidal(self):
@@ -205,12 +207,11 @@ class ModSymSpace:
         """
 
         def build():
-            sigma = self.restrict_to_cuspidal(self.star_matrix())
-            fixed = kernel_basis([
-                [x - (1 if i == j else 0) for i, x in enumerate(col)]
-                for j, col in enumerate(transpose(sigma))
-            ])  # {x : x @ (sigma - I) = 0}
-            return Lattice(self.dim, [vec_mat(x, self.cuspidal.basis) for x in fixed])
+            sigma_t = self.restrict_to_cuspidal(self.star_matrix()).T.tolist()
+            for i, row in enumerate(sigma_t):
+                row[i] -= 1
+            fixed = kernel_basis(sigma_t)  # {x : x @ (sigma - I) = 0}
+            return Lattice(self.dim, exact_product(fixed, self.cycles()) if fixed else [])
 
         return self.memo("plus", build)
 

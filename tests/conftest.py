@@ -34,7 +34,7 @@ def kernel_lattice_fold(space, primes):
     """M_H as (1/m) Z^(2g) pulled back to Z^(2g) under each A_q and under
     star - 1, m the gcd of the det A_q."""
     from modtors import jacobian
-    from modtors.intlinalg import det_bareiss
+    from modtors.intlinalg import det_bareiss, identity
     from modtors.lattice import Lattice
     from modtors.modsym import restrict_to_lattice
 
@@ -42,7 +42,7 @@ def kernel_lattice_fold(space, primes):
     star = restrict_to_lattice(space.star_matrix(), space.cuspidal)
     for i, row in enumerate(star):
         row[i] -= 1
-    std = Lattice.standard(space.cuspidal.rank)
+    std = Lattice(space.cuspidal.rank, identity(space.cuspidal.rank), normalize=False)
     lat = Lattice(std.ambient, std.basis, gcd(*map(det_bareiss, ops)))
     for a in ops + [star]:
         lat = lat.preimage(a, std)
@@ -53,13 +53,14 @@ def class_lattice_folds(space):
     """(principal divisors, divisors with Galois-invariant class) in the
     divisor coordinates of `cuspidal_class_group`."""
     from modtors import jacobian
+    from modtors.intlinalg import identity
     from modtors.lattice import Lattice
 
     proj = jacobian._projector(space)
     c, g2 = len(proj.phi) + 1, len(proj.phi[0])
     target = Lattice(g2, [[proj.den if i == j else 0 for j in range(g2)] for i in range(g2)])
-    l_prin = Lattice.standard(c - 1).preimage(proj.phi, target)
-    lam_div = Lattice.standard(c - 1)
+    l_prin = Lattice(c - 1, identity(c - 1), normalize=False).preimage(proj.phi, target)
+    lam_div = Lattice(c - 1, identity(c - 1), normalize=False)
     for s in jacobian.unit_group_gens(space.level):
         perm = jacobian.galois_cusp_permutation(space, s)
         lam_div = lam_div.preimage(_perm_minus_one_matrix(perm, c), l_prin)

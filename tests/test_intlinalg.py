@@ -16,14 +16,12 @@ from modtors.intlinalg import (
     charpoly,
     exact_product,
     det_bareiss,
+    elementary_divisors,
     hnf,
     identity,
     inverse_mod_p,
-    is_zero_mat,
     kernel_basis,
     kernel_mod,
-    mat_mul,
-    mat_vec,
     minpoly,
     poly_eval_matrix,
     rank_mod_p,
@@ -62,7 +60,7 @@ def solve_fraction_gauss(a, b):
 def test_snf_spec_examples():
     u, d, v = smith_normal_form([[2, 4], [6, 8]])
     assert [d[0][0], d[1][1]] == [2, 4]
-    assert mat_mul(mat_mul(u, [[2, 4], [6, 8]]), v) == d
+    assert exact_product(exact_product(u, [[2, 4], [6, 8]]), v).tolist() == d
     assert abs(det_bareiss(u)) == 1 and abs(det_bareiss(v)) == 1
 
     n = 4
@@ -70,7 +68,7 @@ def test_snf_spec_examples():
     assert d == identity(n)
 
     u, d, v = smith_normal_form([[0, 0], [0, 0]])
-    assert is_zero_mat(d)
+    assert not np.any(d)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -80,7 +78,7 @@ def test_snf_roundtrip_random(seed):
     c = rng.randint(1, 6)
     m = random_matrix(rng, r, c)
     u, d, v = smith_normal_form(m)
-    assert mat_mul(mat_mul(u, m), v) == d
+    assert exact_product(exact_product(u, m), v).tolist() == d
     assert abs(det_bareiss(u)) == 1
     assert abs(det_bareiss(v)) == 1
     diag = [d[i][i] for i in range(min(r, c))]
@@ -101,7 +99,7 @@ def test_hnf_properties(seed):
     m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
     h, u = hnf(m, transform=True)
     assert abs(det_bareiss(u)) == 1
-    full = mat_mul(u, m)
+    full = exact_product(u, m).tolist()
     assert full[: len(h)] == h
     for row in full[len(h):]:
         assert not any(row)
@@ -124,7 +122,7 @@ def test_kernel_basis_saturated(seed):
     m = random_matrix(rng, rng.randint(1, 5), rng.randint(2, 6))
     ker = kernel_basis(m)
     for k in ker:
-        assert all(x == 0 for x in mat_vec(m, k))
+        assert not exact_product(m, k).any()
     # saturation: kernel rank + column rank = ncols and primitive rows; the
     # rank over Q is the Hermite row count
     assert len(ker) == len(m[0]) - len(hnf(m)) == len(m[0]) - SymMatrix(m).rank()
@@ -161,7 +159,7 @@ def test_kernel_basis_matches_full_renormalization(seed):
     m = random_matrix(rng, r, c, -bound, bound)
     # rank-deficient: a product through a thin middle
     k = rng.randint(1, min(r, c))
-    thin = mat_mul(random_matrix(rng, r, k), random_matrix(rng, k, c))
+    thin = exact_product(random_matrix(rng, r, k), random_matrix(rng, k, c)).tolist()
     for a in (m, thin, transpose(thin)):
         assert kernel_basis(a) == _kernel_basis_oracle(a)
 
@@ -211,7 +209,7 @@ def test_kernel_spec_example():
 def _kernel_mod_fold(a, m, rng):
     """{x : x a = 0 mod m} as a fold of Lattice.preimage over column
     blocks of a, each pulled back to m Z^w."""
-    lat = Lattice.standard(len(a))
+    lat = Lattice(len(a), identity(len(a)), normalize=False)
     start = 0
     while start < len(a[0]):
         w = rng.randint(1, len(a[0]) - start)
@@ -235,7 +233,9 @@ def test_kernel_mod_matches_preimage_fold(seed):
     bound = rng.choice([1, 10, 10**30])
     a = random_matrix(rng, n, k, -bound, bound)
     r = rng.randint(0, min(n, k))  # singular: a product through r
-    thin = mat_mul(random_matrix(rng, n, r, -3, 3), random_matrix(rng, r, k, -3, 3))
+    left = np.array(random_matrix(rng, n, r, -3, 3), dtype=np.int64).reshape(n, r)
+    right = np.array(random_matrix(rng, r, k, -3, 3), dtype=np.int64).reshape(r, k)
+    thin = (left @ right).tolist()
     deep = [[x * rng.choice([2, 3]) ** 35 for x in row] for row in a]
     zero_col = [row[:-1] + [0] for row in a]
     for b in (a, thin, deep, zero_col):
@@ -300,7 +300,7 @@ def test_minpoly_divides_charpoly_and_annihilates(seed):
     m = random_matrix(rng, n, n, -5, 5)
     mp = minpoly(m)
     assert mp[-1] == 1
-    assert is_zero_mat(poly_eval_matrix(mp, m))
+    assert not poly_eval_matrix(mp, m).any()
     # projection-style double root check: minpoly of diag block matrix
     blk = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
@@ -464,10 +464,30 @@ def test_dixon_refuses_a_singular_matrix(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("a_bits,b_bits", [(3, 3), (40, 10), (64, 10), (300, 40), (70, 62)])
+def test_int64_arrays_are_read_as_python_ints():
+    # entries near 2^40: int64 Bareiss, Smith and Hermite steps would
+    # overflow, so every Python-int routine converts an array on entry
+    a = [[2**40 + 1, 3, 5], [7, 2**40 + 3, 11], [13, 17, 2**40 + 19]]
+    wide = [row + [row[0] + row[1]] for row in a]  # a kernel of rank 1
+    for m in (a, wide):
+        arr, n = np.array(m, dtype=np.int64), len(m[0])
+        assert elementary_divisors(arr) == elementary_divisors(m)
+        assert smith_normal_form(arr) == smith_normal_form(m)
+        assert hnf(arr, transform=True) == hnf(m, transform=True)
+        assert kernel_basis(arr) == kernel_basis(m)
+        assert Lattice(n, arr) == Lattice(n, m)
+        assert Lattice(n, arr, normalize=False) == Lattice(n, m, normalize=False)
+        assert all(type(x) is int for row in Lattice(n, arr).basis for x in row)
+    assert det_bareiss(np.array(a, dtype=np.int64)) == det_bareiss(a) != 0
+    assert len(kernel_basis(wide)) == 1
+
+
+@pytest.mark.parametrize("a_bits,b_bits",
+                         [(3, 3), (40, 10), (64, 10), (300, 40), (70, 62), (40, 30)])
 def test_exact_product_matches_python_ints(a_bits, b_bits):
     # small entries stay in int64; a large a against a small b goes by
-    # int64 products of its digits; a large b is multiplied in Python ints
+    # int64 products of its digits; a large b is multiplied in Python ints;
+    # int64 factors whose product could overflow go by digits too
     rng = random.Random(a_bits + b_bits)
     a = [[rng.randint(-(2**a_bits), 2**a_bits) for _ in range(7)] for _ in range(5)]
     a[0][0] = -(2**a_bits)  # a negative top digit
