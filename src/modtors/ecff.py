@@ -21,7 +21,6 @@ by double-and-add: N * P = O and (N / l) * P != O for every prime l | N.
 order distribution.
 """
 
-from dataclasses import dataclass
 from itertools import product
 from math import isqrt
 
@@ -327,22 +326,6 @@ def _exact_order_chunks(N, q, modulus=None):
 # single-curve structure
 
 
-@dataclass
-class CurveRecord:
-    field: tuple  # (p, k)
-    coefficients: tuple  # a1, a2, a3, a4, a6 as field elements (tuples)
-    group: FinAbGroup
-    j_invariant: tuple
-
-    def to_json(self):
-        return {
-            "field": list(self.field),
-            "coefficients": [list(c) for c in self.coefficients],
-            "group": self.group.to_json(),
-            "j": list(self.j_invariant),
-        }
-
-
 def curve_points(f, coeffs):
     """All affine points (x, y) of a long Weierstrass curve, as code arrays.
 
@@ -358,17 +341,6 @@ def curve_points(f, coeffs):
     )
     on = lhs == rhs
     return xs[on], ys[on]
-
-
-def j_invariant(f, coeffs):
-    """j = c4^3 / discriminant as a coefficient tuple; coeffs as in
-    `curve_points`."""
-    a1, a2, a3, a4, a6 = coded = [f.scalar(c) for c in coeffs]
-    b2 = f.add(f.mul(a1, a1), f.smul(4, a2))
-    b4 = f.add(f.smul(2, a4), f.mul(a1, a3))
-    c4 = f.sub(f.mul(b2, b2), f.smul(24, b4))
-    j = f.mul(f.mul(c4, f.mul(c4, c4)), f.inv(discriminant(f, coded)))
-    return f.coefficients(j)
 
 
 def group_structure(q, coeffs, modulus=None):
@@ -409,16 +381,6 @@ def _count_killed(f, coeffs, xs, ys, m):
     """Number of affine points P with m * P = infinity."""
     inf = np.zeros(len(xs), dtype=bool)
     return int(_multiple(f, coeffs, xs, ys, inf, m)[2].sum())
-
-
-def curve_record(q, coeffs, modulus=None):
-    f = finite_field(q, modulus)
-    return CurveRecord(
-        field=(f.p, f.k),
-        coefficients=tuple(f.coefficients(f.scalar(c)) for c in coeffs),
-        group=group_structure(q, coeffs, modulus),
-        j_invariant=j_invariant(f, coeffs),
-    )
 
 
 # ---------------------------------------------------------------------------

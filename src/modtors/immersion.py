@@ -236,18 +236,6 @@ def joint_expansion_rows(space, basis, cusp_classes, count):
     return ns, blocks
 
 
-def expansions_at_cusp(space, basis, cusp_class, count, p):
-    """Coefficient rows (mod p) of the quotient's forms at a rational cusp.
-
-    The cusp must be reachable from infinity by an Atkin-Lehner involution;
-    rows are reduced mod p, with unit scaling immaterial for rank tests.
-    """
-    check_good_prime(space, p)
-    inf_class = space.group.cusp_index_of_fraction(1, 0)
-    _, blocks = joint_expansion_rows(space, basis, [inf_class, cusp_class], count)
-    return [[x % p for x in row] for row in blocks[cusp_class]]
-
-
 def exact_divisors(n):
     return [q for q in range(1, n + 1) if n % q == 0 and gcd(q, n // q) == 1]
 

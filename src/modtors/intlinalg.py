@@ -543,36 +543,37 @@ def inverse_mod_p(a_np, p=MODP):
 
 
 # ---------------------------------------------------------------------------
-# kernels modulo m, one prime power at a time (Howell form)
+# spans and kernels modulo m, one prime power at a time (Smith, then Howell)
+
+
+def span_mod(a, m):
+    """Invariants of the span of the rows of a in (Z/m)^k, a n x k: one
+    cyclic order l^(e - v) for each prime power l^e of m and each pivot
+    valuation v of the local Smith phase (`_local_smith`).  The span is
+    Z^n / {x : x a = 0 mod m}, so their product is the index of
+    `kernel_mod(a, m)` in Z^n."""
+    a = _int_block(a, m)
+    return [l ** (e - v) for l, e in factorint(m).items() for v in _local_smith(a, l, e, False)[1]]
 
 
 def kernel_mod(a, m):
     """Row Hermite basis of K = {x in Z^n : x a = 0 mod m}, a n x k: the
     rows hnf gives, n of them since K contains m Z^n.
 
-    K is solved one prime power q = l^e of m at a time (`_local_kernel`), in
-    int64 if (q - 1)^2 + q fits.  A larger q is tried mod l^f, the largest
-    power that fits: if no row there is a unit mod l, no element has order
-    l^f, the l-part has exponent below l^f and the rows mod q are l^(e - f)
-    times those; else Python ints are used.  The diagonal entry of K at
-    column j is the product of the local ones; each row is glued from the
-    local rows by the Chinese remainder theorem, then reduced above the
-    pivots by the rows below it, in Python ints.
+    K is solved one prime power q = l^e of m at a time: the Smith phase
+    (`_local_smith`, which picks int64 or Python ints) gives rows that span
+    K mod q, and `_local_hermite` puts them in Howell form.  The diagonal
+    entry of K at column j is the product of the local ones; each row is
+    glued from the local rows by the Chinese remainder theorem, then
+    reduced above the pivots by the rows below it, in Python ints.
     """
+    a = _int_block(a, m)
     n = len(a)
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    big = np.array(a, dtype=object).reshape(n, len(a[0]) if n else 0)
     local, diag = [], [1] * n
     for l, e in factorint(m).items():
-        q, f = l**e, e
-        while f and (l**f - 1) ** 2 + l**f > INT64_MAX:
-            f -= 1
-        if f:
-            vals, h = _local_kernel(big, l, f, np.int64)
-        if f < e and (not f or (h % l).any()):
-            vals, h = _local_kernel(big, l, e, object)
-        elif f < e:
+        q, (f, _, pool) = l**e, _local_smith(a, l, e, True)
+        vals, h = _local_hermite(pool, l, f)
+        if f < e:  # every row pivoted mod l^f: K mod q is l^(e - f) times K mod l^f
             vals, h = [v + e - f for v in vals], h.astype(object) * l ** (e - f)
         diag = [d * l**v for d, v in zip(diag, vals)]
         local.append((l, e, vals, h, m // q * pow(m // q, -1, q)))  # 1 mod q, 0 mod m/q
@@ -594,33 +595,69 @@ def kernel_mod(a, m):
     return rows
 
 
-def _local_kernel(big, l, e, dtype):
-    """(vals, h): a triangular basis of {x : x a = 0 mod q}, q = l^e, mod q.
-    Row j of h is zero before column j and has l^vals[j] there (the zero row
-    q e_j if vals[j] = e).  The elimination takes each pivot of least
-    valuation a_t and tracks only the row transform p (column operations
-    keep the kernel), so the kernel is spanned by l^(e - a_t) p_t, the rows
-    of p never pivoted and q Z^n.  Those are put in Hermite form column by
-    column; the Howell step puts l^(e - v) times each pivot row back.
+def _int_block(a, m):
+    """The n x k matrix a as an int64 (or object) array, for a modulus m >= 1."""
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    n = len(a)
+    return int_array(a).reshape(n, len(a[0]) if n else 0)
+
+
+def _local_smith(a, l, e, track):
+    """(f, vals, pool): `_smith_phase` of a mod l^f, on the route that
+    suits q = l^e, chosen here alone.  In int64 with f = e when (q - 1)^2 + q
+    fits int64.  Else in int64 mod l^f, the largest power that fits, if
+    every row of a pivots there: the valuations of a over Z_l are then all
+    below f, so they are exact mod q, and the kernel mod q is l^(e - f)
+    times the kernel mod l^f.  Else in Python ints, with f = e."""
+    f = e
+    while f and (l**f - 1) ** 2 + l**f > INT64_MAX:
+        f -= 1
+    if f:
+        vals, pool = _smith_phase(a, l, f, np.int64, track)
+        if f == e or len(vals) == len(a):
+            return f, vals, pool
+    return e, *_smith_phase(a, l, e, object, track)
+
+
+def _smith_phase(a, l, e, dtype, track):
+    """(vals, pool): the pivot valuations of a mod q = l^e and, if track,
+    rows that span {x : x a = 0 mod q} with q Z^n.
+
+    Each step pivots on an entry of least valuation v and clears its
+    column by row operations; the column operations that would clear its
+    row change nothing else, so the row and the column are dropped.  The
+    span of the rows mod q is thus the sum of the Z/l^(e - v).  Only the
+    row transform p is tracked, as column operations keep the kernel: the
+    kernel is spanned by l^(e - v) p_t over the pivots t, the rows of p
+    never pivoted and q Z^n.
     """
     q = l**e
-    b = (big % q).astype(dtype)
-    n = b.shape[0]
-    p = np.eye(n, dtype=dtype)
-    pool = []
+    b = (a % q if q <= INT64_MAX else a.astype(object) % q).astype(dtype, copy=False)
+    p = np.eye(len(b), dtype=dtype)
+    vals, pool = [], []
     while (found := _least_valuation(b, l, e))[1] is not None:
         v, mask = found
         i, j = np.unravel_index(mask.argmax(), mask.shape)
-        f = b[:, j] // l**v * pow(int(b[i, j]) // l**v, -1, q) % q
-        prow = p[i]
-        b = (b - np.outer(f, b[i])) % q  # row i and column j are now zero
-        b = np.delete(np.delete(b, i, 0), j, 1)
-        p = np.delete((p - np.outer(f, prow)) % q, i, 0)
-        if v:
-            pool.append(prow * l ** (e - v) % q)
-    pool += list(p)
-    pool = np.array(pool, dtype=dtype).reshape(len(pool), n)
-    vals, h = [e] * n, np.zeros((n, n), dtype=dtype)
+        piv = b[i]
+        f = np.delete(b[:, j], i) // l**v * pow(int(piv[j]) // l**v, -1, q) % q
+        b = (np.delete(np.delete(b, i, 0), j, 1) - np.outer(f, np.delete(piv, j))) % q
+        vals.append(v)
+        if track:
+            if v:
+                pool.append(p[i] * l ** (e - v) % q)
+            p = (np.delete(p, i, 0) - np.outer(f, p[i])) % q
+    return vals, np.vstack([*pool, p]) if track else None
+
+
+def _local_hermite(pool, l, e):
+    """(vals, h): the Howell form mod q = l^e of the rows of pool with
+    q Z^n.  Row j of h is zero before column j and has l^vals[j] there (the
+    zero row q e_j if vals[j] = e).  The rows are put in Hermite form
+    column by column; the Howell step puts l^(e - v) times each pivot row
+    back."""
+    q, n = l**e, pool.shape[1]
+    vals, h = [e] * n, np.zeros((n, n), dtype=pool.dtype)
     for j in range(n):
         col = pool[:, j]
         v, mask = _least_valuation(col, l, e)

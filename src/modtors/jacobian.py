@@ -5,12 +5,17 @@ winding element, point counts #J(F_p) from the Eichler-Shimura operator,
 local torsion multiples, the Hecke kernel bound M_H on rational torsion,
 Manin-Drinfeld projections of cuspidal divisors, rational cuspidal class
 groups, and the three-stage equality pipeline comparing them.  Each
-group between Z^(2g) and M_H is one integer matrix from `kernel_mod`:
-M_H = (1/m) K, a group of classes by its divisor kernel mod den, or a
-span of classes by its dual (`_dual`).  The pipeline, computed once per
-level and prime list, reads orders, products of kernel diagonals: the
-sandwich and stage (iii) are an index, stage (ii) compares orders of
-p-torsion (see `_pipeline`).
+group between Z^(2g) and M_H is a span of integer rows mod m or den:
+M_H = (1/m) K is span(K mod m), Cl^cc and Cl^cc_Q are the spans of their
+classes phi / den, and a group of classes given by a divisor kernel mod
+den has order [Z^(c-1) : kernel], the order of a span too.  `span_mod`
+reads every invariant and order off the pivots of one local Smith
+elimination; `kernel_mod` gives rows only where rows are read: the
+kernel K of M_H, the divisors of the cut, the dual of Cl^cc_Q and, in
+the class group's cross-check, the principal divisors.  The pipeline,
+computed once per level and prime list, reads orders: the sandwich and
+stage (iii) are an index, stage (ii) compares orders of p-torsion (see
+`_pipeline`).
 
 Mod-p linear algebra is used for speed, but every reported verdict is
 backed by an exact integer certificate: rank-zero claims bound the
@@ -47,8 +52,8 @@ from .intlinalg import (
     kernel_mod,
     max_abs,
     rational_reconstruct,
-    smith_normal_form,
     solve_dixon,
+    span_mod,
 )
 from .lattice import Lattice
 from .modsym import diamond_operator, hecke_operator
@@ -525,32 +530,28 @@ def _hecke_kernel(block, m):
     return [[x // g for x in row] for row in kernel], m // g
 
 
-def _det(kernel):
-    """The index in Z^n of a `kernel_mod` result: its diagonal product."""
-    return prod(row[i] for i, row in enumerate(kernel))
-
-
 def _cut_index(space, aux):
-    """(k, phi B mod den), k = [M_H : M'] for M_H = (1/m) K = {x : x B
-    integral} of `aux` and M' = M_H cap Cl^cc.  A class D phi / den lies in
-    M_H when D phi B = 0 mod den: M' is the classes of K' = kernel_mod(phi B
-    mod den, den), of order #Cl^cc / det K' as K' holds the principal
-    divisors, and #M_H = m^(2g) / det K.  Memoised under the primes."""
+    """(k, phi B mod den, M_H), k = [M_H : M'] for M_H = (1/m) K = {x : x B
+    integral} of `aux` and M' = M_H cap Cl^cc.  M_H is span(K mod m), as a
+    FinAbGroup.  A class D phi / den lies in M_H when D phi B = 0 mod den,
+    so M' is the classes of the kernel K' of phi B mod den; K' holds the
+    principal divisors, and #M' = #Cl^cc / [Z^(c-1) : K'], where the index
+    is #span(phi B mod den).  Memoised under the primes."""
 
     def build():
         proj = _projector(space)
         phib = exact_product(proj.phi, aux.block) % proj.den
         order = cuspidal_class_group(space).clcc.order()
-        cut = _det(kernel_mod(phib, proj.den))
-        return aux.m ** len(aux.kernel) * cut // (_det(aux.kernel) * order), phib
+        mh = FinAbGroup(span_mod(aux.kernel, aux.m))
+        return mh.order() * prod(span_mod(phib, proj.den)) // order, phib, mh
 
     return space.memo(("cut index", tuple(aux.primes)), build)
 
 
 def _dual(rows, n, den):
-    """Y = {y in Z^n : rows y^T = 0 mod den} for integer rows of length n.
-    The span S = rows / den + Z^n is {x : x Y^T integral}, and S / Z^n is
-    dual to Z^n / Y: it has order det Y and the invariants of Y."""
+    """Y = {y in Z^n : rows y^T = 0 mod den} for integer rows of length n:
+    the span S = rows / den + Z^n is {x : x Y^T integral}, so Y tests
+    membership in S (stage (ii) reads C by it)."""
     return kernel_mod(np.array(rows, dtype=object).reshape(-1, n).T, den)
 
 
@@ -656,14 +657,6 @@ def _solve_sylvester(ts, r, z):
                 return num, den
 
 
-def manin_drinfeld_class(space, divisor):
-    """Class of a degree-0 cuspidal divisor in H1(Q)/H1(Z).
-
-    Returns Fraction coordinates over the cuspidal basis, reduced mod 1.
-    """
-    return [x % 1 for x in _projector(space).class_of_divisor(divisor)]
-
-
 def _projector(space):
     """The level's Manin-Drinfeld projector, built once per space.  The
     class of sum D_i d_i is sum D_i phi_i / den modulo Z^(2g), since a
@@ -753,11 +746,10 @@ def _class_group(space):
         return CuspidalClassGroup(space.spec, triv, triv, True, [], [], [])
     proj = _projector(space)  # phi: (c-1) x 2g
     phi, den = proj.phi, proj.den
-    clcc = FinAbGroup(elementary_divisors(_dual(phi, g2, den)))
+    clcc = FinAbGroup(span_mod(phi, den))
     # cross-check: Div^0 / principal must reproduce Cl^cc, the principal
     # divisors being the kernel of the class map on Div^0
-    prin = kernel_mod(phi, den)
-    if FinAbGroup(elementary_divisors(prin)) != clcc:
+    if FinAbGroup(elementary_divisors(kernel_mod(phi, den))) != clcc:
         raise ArithmeticError(f"{space.spec.label()}: Div^0 / principal does not reproduce Cl^cc")
 
     # Galois structure
@@ -775,7 +767,7 @@ def _class_group(space):
     inv_divs = exact_product(inv_divs, orbit_sums)[:, : c - 1]
     classes_q = exact_product(inv_divs, phi)
     dual_q = _dual(classes_q, g2, den)
-    clcc_q = FinAbGroup(elementary_divisors(dual_q))
+    clcc_q = FinAbGroup(span_mod(classes_q, den))
 
     # (Cl^cc)^G in divisor coordinates: D B = 0 mod den, where B has one
     # column block per generator sigma (cusp permutation s), the classes of
@@ -786,11 +778,11 @@ def _class_group(space):
         for i in range(c - 1)
     ]
     # (Cl^cc)^G, the classes of ker B (which holds the principal divisors),
-    # contains Cl^cc_Q
+    # contains Cl^cc_Q, and has order #Cl^cc / [Z^(c-1) : ker B]
     if (exact_product(inv_divs, block) % den).any():
         raise ArithmeticError(f"{space.spec.label()}: a Galois-invariant divisor class "
                               "lies outside (Cl^cc)^G")
-    surjective = clcc.order() == _det(kernel_mod(block, den)) * clcc_q.order()
+    surjective = clcc.order() == prod(span_mod(block, den)) * clcc_q.order()
     return CuspidalClassGroup(space.spec, clcc, clcc_q, surjective, classes_q, dual_q, block)
 
 
@@ -856,24 +848,27 @@ def _pipeline(space, primes):
     memoised on the space under `_primes_key`.
 
     Write M = M_H, Cl = Cl^cc and C = Cl^cc_Q, and M' = M cap Cl, all as
-    groups modulo Z^(2g), each held by one kernel: M = (1/m) K and M' as
-    the divisor kernel of `_cut_index`.  ArithmeticError unless C lies in
-    M, one product mod den: rational cuspidal torsion lies in every bound
-    on rational torsion.  Then Z^(2g) <= C <= M' <= M, k = #M / #M' =
+    groups modulo Z^(2g), each read as a span mod m or den (`span_mod`):
+    M = (1/m) K is span(K mod m), and #M' comes from `_cut_index`.  C is
+    held by its dual rows (`dual_q`), to test membership in p^-1 C.
+    ArithmeticError unless C lies in M, one product mod den: rational
+    cuspidal torsion lies in every bound on rational torsion.  Then Z^(2g) <= C <= M' <= M, k = #M / #M' =
     [M : M'], and:
     - (i) if k = 1, M lies in Cl, and the verdict is "equal" when
       (Div^0cc)^G -> (Cl^cc)^G is surjective;
     - (ii) (M'/C)[p] lies in (M/C)[p].  For p not dividing k the two are
       equal, as (M/C)[p] maps into M/M' of order k; for p | k they are
       equal exactly when M cap p^-1 C and M' cap p^-1 C have the same
-      order (`p_torsion_agrees`).  "equal" when that holds for every p | k
-      and the map above is surjective;
+      order (`p_torsion_agrees`, two spans).  "equal" when that holds for
+      every p | k and the map above is surjective;
     - (iii) otherwise k = [M : M'], which is [M + Cl : Cl] by the second
       isomorphism theorem.
     The Hecke bound is M cap (Cl^cc)^G when M lies in Cl (rational torsion
     then lies in M and is Galois-fixed inside Cl^cc, so the cut is sound),
-    and M otherwise.  If the map above is surjective as well, (Cl^cc)^G =
-    C lies in M and the bound is C itself, with no cut built.
+    and M otherwise; the cut is the span of the classes of the divisors in
+    the kernel of [phi B | B_G] mod den.  If the map above is surjective as
+    well, (Cl^cc)^G = C lies in M and the bound is C itself, with no cut
+    built.
     """
 
     def build():
@@ -885,27 +880,26 @@ def _pipeline(space, primes):
         g2, den = len(aux.kernel), proj.den
         if (exact_product(cc.classes_q, aux.block) % den).any():
             raise ArithmeticError(f"{space.spec.label()}: Cl^cc_Q is not inside M_H")
-        k, phib = _cut_index(space, aux)
+        k, phib, mh = _cut_index(space, aux)
         if k == 1 and cc.surjective:
             return cc.clcc_q, "equal", 1, "sandwich"
         if k == 1:
             # the divisors whose class lies in M and is Galois-invariant
             cut = kernel_mod(np.hstack([phib, np.array(cc.galois_block, dtype=object)]), den)
-            bound = FinAbGroup(elementary_divisors(_dual(exact_product(cut, proj.phi), g2, den)))
+            bound = FinAbGroup(span_mod(exact_product(cut, proj.phi), den))
         else:
-            snf = smith_normal_form(aux.kernel, transform=False)
-            bound = FinAbGroup([aux.m // snf[i][i] for i in range(g2)])
+            bound = mh
         dual_t = np.array(cc.dual_q, dtype=object).T  # C = {x : x dual_t integral}
 
         def p_torsion_agrees(p):
             # sup = M cap p^-1 C: the v / (p den) with v B = 0 and p v dual_t
             # = 0 mod p den; sub = M' cap p^-1 C: the D phi / den with D phi B
             # = 0 and p D phi dual_t = 0 mod den.  Over C both are p-groups,
-            # so only the p-parts q of p den and q / p of den are solved
+            # so only the p-parts q of p den and q / p of den are read
             q = p * gcd(den, p**den.bit_length())
-            sup = kernel_mod(np.hstack([aux.block, dual_t * p]), q)
-            sub = kernel_mod(np.hstack([phib, exact_product(proj.phi, dual_t) % den * p]), q // p)
-            return q**g2 * _det(sub) == _det(sup) * gcd(cc.clcc.order(), (q // p) ** g2)
+            sup = span_mod(np.hstack([aux.block, dual_t * p]), q)
+            sub = span_mod(np.hstack([phib, exact_product(proj.phi, dual_t) % den * p]), q // p)
+            return q**g2 * prod(sub) == prod(sup) * gcd(cc.clcc.order(), (q // p) ** g2)
 
         if cc.surjective and all(p_torsion_agrees(p) for p in factorint(k)):
             return bound, "equal", 1, "maximal-ideal"

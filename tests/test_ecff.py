@@ -8,7 +8,6 @@ from modtors.abgroup import FinAbGroup
 from modtors.ecff import (
     count_X1_points,
     count_points_of_exact_order,
-    curve_record,
     discriminant,
     exists_point_of_order,
     finite_field,
@@ -164,14 +163,6 @@ def test_group_structure_invariants(q):
         if len(g.invariants) == 2:
             a, b = g.invariants
             assert b % a == 0 and (q - 1) % a == 0
-
-
-def test_curve_record():
-    rec = curve_record(3, (0, -1, 1, -10, -20))
-    assert rec.group == FinAbGroup([5])
-    assert rec.field == (3, 1)
-    js = rec.to_json()
-    assert js["group"] == [5]
 
 
 def test_hasse_excludes():

@@ -4,7 +4,6 @@ import pytest
 
 from modtors.immersion import (
     exact_divisors,
-    expansions_at_cusp,
     immersion_certificate,
     immersion_matrix,
     joint_expansion_rows,
@@ -12,6 +11,7 @@ from modtors.immersion import (
     reduction_targets,
 )
 from modtors.intlinalg import rank_mod_p
+from modtors.jacobian import check_good_prime
 from modtors.modsym import GroupSpec, build_space
 
 
@@ -62,18 +62,19 @@ def test_coefficient_rows_eigenline_normalized():
 def test_expansions_at_infinity_identity():
     sp = build_space(GroupSpec.gamma0(11))
     inf = sp.group.cusp_index_of_fraction(1, 0)
-    rows = expansions_at_cusp(sp, [[1]], inf, 5, 3)
-    assert rows == [[x % 3 for x in (1, -2, -1, 2, 1)]]
+    ns, blocks = joint_expansion_rows(sp, [[1]], [inf], 5)
+    assert ns == [1, 2, 3, 4, 5] and blocks == {inf: [[1, -2, -1, 2, 1]]}
 
 
 def test_expansions_at_zero_via_fricke():
     sp = build_space(GroupSpec.gamma0(11))
+    inf = sp.group.cusp_index_of_fraction(1, 0)
     zero = sp.group.cusp_index_of_fraction(0, 1)
-    rows = expansions_at_cusp(sp, [[1]], zero, 5, 7)
+    _, blocks = joint_expansion_rows(sp, [[1]], [inf, zero], 5)
     # level-11 newform has Fricke eigenvalue -1: transported row = -row
-    assert rows == [[(-x) % 7 for x in (1, -2, -1, 2, 1)]]
+    assert blocks[zero] == [[-x for x in blocks[inf][0]]] == [[-1, 2, 1, -2, -1]]
     with pytest.raises(ValueError):
-        expansions_at_cusp(sp, [[1]], zero, 5, 11)
+        check_good_prime(sp, 11)
 
 
 def test_reduction_targets_121_5():

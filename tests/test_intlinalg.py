@@ -9,6 +9,7 @@ from sympy import Matrix as SymMatrix
 from sympy.polys.matrices import DomainMatrix
 
 from modtors import intlinalg
+from modtors.abgroup import FinAbGroup
 from modtors.intlinalg import (
     MODP,
     ModPEchelon,
@@ -29,6 +30,7 @@ from modtors.intlinalg import (
     smith_normal_form,
     solve_dixon,
     solve_integer,
+    span_mod,
     transpose,
 )
 from modtors.lattice import Lattice
@@ -255,26 +257,61 @@ def test_kernel_mod_of_trivial_inputs():
         kernel_mod(a, 0)
 
 
-def test_kernel_mod_past_int64(monkeypatch):
-    # mod 3^41 or 2^40, a wide matrix of full row rank has a small kernel:
-    # it has stabilised mod the largest power that fits int64 and stays
-    # there; a tall matrix has a kernel of order l^e and needs Python ints
+def _span_oracle(a, m):
+    """The span of the rows of a mod m, as Z^n / {x : x a = 0 mod m}."""
+    return FinAbGroup(elementary_divisors(kernel_mod(a, m)))
+
+
+# moduli whose local Smith phases take each route: int64 (97, 2^5 3^3 7,
+# 5^13), int64 mod the largest power that fits when every row pivots there
+# or else Python ints (3^41, 2^40 of 2^40 * 97, 641949283^2), and Python
+# ints alone (2^61 - 1, a prime whose square does not fit int64)
+SPAN_MODULI = [1, 97, 2**5 * 3**3 * 7, 5**13, 3**41, 2**40 * 97, 641949283**2 * 4, 2**61 - 1]
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_span_mod_matches_kernel_invariants(seed):
+    rng = random.Random(2700 + seed)
+    n, k = rng.randint(1, 7), rng.randint(1, 8)
+    m = SPAN_MODULI[seed % len(SPAN_MODULI)]
+    a = random_matrix(rng, n, k, -10**30, 10**30)
+    r = rng.randint(0, min(n, k))  # singular: a product through r
+    left = np.array(random_matrix(rng, n, r, -3, 3), dtype=np.int64).reshape(n, r)
+    right = np.array(random_matrix(rng, r, k, -3, 3), dtype=np.int64).reshape(r, k)
+    deep = [[x * rng.choice([2, 3]) ** rng.randint(0, 45) for x in row] for row in a]
+    for b in (a, left @ right, deep, random_matrix(rng, n, k)):
+        assert FinAbGroup(span_mod(b, m)) == _span_oracle(b, m)
+    assert span_mod([], m) == span_mod([[0, 0]] * 3, m) == []
+    with pytest.raises(ValueError):
+        span_mod(a, 0)
+
+
+def test_local_routes_past_int64(monkeypatch):
+    # mod 3^41 or 2^40, a wide matrix of full row rank pivots on every row
+    # mod the largest power that fits int64, where its kernel and span are
+    # read; a tall matrix leaves rows unpivoted and needs Python ints, and
+    # so does every matrix mod 2^61 - 1, whose square does not fit int64
     calls = []
-    local = intlinalg._local_kernel
+    phase = intlinalg._smith_phase
 
-    def spy(big, l, e, dtype):
+    def spy(a, l, e, dtype, track):
         calls.append((l, dtype))
-        return local(big, l, e, dtype)
+        return phase(a, l, e, dtype, track)
 
-    monkeypatch.setattr(intlinalg, "_local_kernel", spy)
+    monkeypatch.setattr(intlinalg, "_smith_phase", spy)
     rng = random.Random(18)
-    for m, l in [(3**41, 3), (2**40 * 97, 2)]:
-        for rows, cols, via_object in [(4, 6, False), (6, 4, True)]:
+    for m, l in [(3**41, 3), (2**40 * 97, 2), (2**61 - 1, 2**61 - 1), (97, 97)]:
+        for rows, cols, via_object in [(4, 6, l > 97), (6, 4, l != 97)]:
             a = random_matrix(rng, rows, cols)
-            calls.clear()
-            assert kernel_mod(a, m) == _kernel_mod_fold(a, m, rng)
-            assert ((l, object) in calls) == via_object
-            assert (l, np.int64) in calls
+            fold = _kernel_mod_fold(a, m, rng)
+            for fn, want in ((kernel_mod, fold), (span_mod, None)):
+                calls.clear()
+                got = fn(a, m)
+                if want is None:
+                    got, want = FinAbGroup(got), FinAbGroup(elementary_divisors(fold))
+                assert got == want
+                assert ((l, object) in calls) == via_object
+                assert ((l, np.int64) in calls) == (l < 2**61 - 1)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -18,14 +18,13 @@ from modtors.jacobian import (
     hecke_kernel_lattice,
     is_rank_zero,
     jacobian_order_mod_p,
-    manin_drinfeld_class,
     sturm_bound,
     torsion_is_cuspidal,
     torsion_multiple,
     torsion_report,
     winding_sweep,
 )
-from modtors.intlinalg import MODP, exact_product, hnf, identity, kernel_mod
+from modtors.intlinalg import MODP, det_bareiss, exact_product, hnf, identity, kernel_mod
 from modtors.lattice import Lattice, lattice_torsion_quotient
 from modtors.modsym import GroupSpec, build_space, merel_family
 
@@ -297,13 +296,13 @@ def test_edge_list_boundary_of_kept_winding_vectors(spec):
 
 
 def test_class_group_cross_check_raises(monkeypatch):
-    # a wrong dual of Cl^cc (the classes halved) breaks Div^0 / principal =
+    # a wrong span of Cl^cc (the classes halved) breaks Div^0 / principal =
     # Cl^cc, and the check raises ArithmeticError rather than a bare assert
     # python -O would strip
     from modtors.modsym.space import ModSymSpace
 
-    dual = jacobian._dual
-    monkeypatch.setattr(jacobian, "_dual", lambda rows, n, den: dual(rows, n, 2 * den))
+    span = jacobian.span_mod
+    monkeypatch.setattr(jacobian, "span_mod", lambda a, m: span(a, 2 * m))
     with pytest.raises(ArithmeticError, match="Div\\^0 / principal does not reproduce Cl\\^cc"):
         cuspidal_class_group(ModSymSpace(GroupSpec.gamma1(13)))
 
@@ -622,13 +621,13 @@ def test_kernel_lattices_match_preimage_folds(spec, monkeypatch):
     from modtors import intlinalg
 
     calls = []
-    local = intlinalg._local_kernel
+    phase = intlinalg._smith_phase
 
-    def spy(big, l, e, dtype):
+    def spy(a, l, e, dtype, track):
         calls.append((l, e, dtype))
-        return local(big, l, e, dtype)
+        return phase(a, l, e, dtype, track)
 
-    monkeypatch.setattr(intlinalg, "_local_kernel", spy)
+    monkeypatch.setattr(intlinalg, "_smith_phase", spy)
     sp = build_space(spec)
     aux = auxiliary_primes(sp)
     assert Lattice(len(aux.kernel), aux.kernel, aux.m) == kernel_lattice_fold(sp, aux.primes)
@@ -679,18 +678,19 @@ def test_hecke_bound_contains_clccq():
 
 def test_manin_drinfeld_classes():
     sp = build_space(GroupSpec.gamma0(11))
+    proj = jacobian._projector(sp)
     # zero divisor -> zero class
-    cls = manin_drinfeld_class(sp, [0, 0])
+    cls = proj.class_of_divisor([0, 0])
     assert all(x == 0 for x in cls)
     # (0) - (infinity) has order 5 in J0(11)
     div = [0, 0]
     div[sp.group.cusp_index_of_fraction(0, 1)] += 1
     div[sp.group.cusp_index_of_fraction(1, 0)] -= 1
-    cls = manin_drinfeld_class(sp, div)
+    cls = [x % 1 for x in proj.class_of_divisor(div)]
     orders = {Fraction(x).denominator for x in cls}
-    assert max(orders) == 5
+    assert max(orders) == 5 and all(0 <= x < 1 for x in cls)
     with pytest.raises(ValueError):
-        manin_drinfeld_class(sp, [1, 0])  # degree not zero
+        proj.class_of_divisor([1, 0])  # degree not zero
 
 
 def _eisenstein_annihilator(space):
@@ -924,12 +924,12 @@ def test_class_lattices_match_one_solve_per_divisor(spec):
     assert Lattice(g2, cc.classes_q.tolist() + eye, den) == l_ccq
     pairing = np.array(l_ccq.basis, dtype=object) @ np.array(transpose(cc.dual_q), dtype=object)
     assert not (pairing % l_ccq.den).any()
-    assert jacobian._det(cc.dual_q) == cc.clcc_q.order()
+    assert abs(det_bareiss(cc.dual_q)) == cc.clcc_q.order()
     # the divisors of (Cl^cc)^G are the kernel of the Galois block mod den
     assert _class_lattice(sp, kernel_mod(cc.galois_block, den)) == l_inv
     for div in invariant:
         want = [x - (x.numerator // x.denominator) for x in proj.class_of_divisor(div)]
-        assert manin_drinfeld_class(sp, div) == want
+        assert [x % 1 for x in jacobian._projector(sp).class_of_divisor(div)] == want
 
 
 def test_torsion_report_solves_each_cusp_class_once(monkeypatch):
@@ -955,7 +955,7 @@ def test_torsion_report_solves_each_cusp_class_once(monkeypatch):
     assert calls == {"build": 1, "class_of_divisor": 0}
     # the memo serves every later request of the level
     hecke_bound_group(sp)
-    manin_drinfeld_class(sp, [1] + [0] * (sp.ncusps - 2) + [-1])
+    jacobian._projector(sp).class_of_divisor([1] + [0] * (sp.ncusps - 2) + [-1])
     assert calls == {"build": 1, "class_of_divisor": 1}
 
 
@@ -1046,7 +1046,7 @@ def test_a_skipped_prime_costs_one_product(monkeypatch):
     from collections import Counter
 
     # Gamma1(33) keeps 5 and 7, then tries and skips 13, 17, 19, 23 and 29;
-    # the class group is built first, since its groups are kernels too
+    # the class group is built first, since its groups are spans too
     sp = build_space(GroupSpec.gamma1(33))
     cuspidal_class_group(sp)
     calls, tried = Counter(), set()
@@ -1061,13 +1061,14 @@ def test_a_skipped_prime_costs_one_product(monkeypatch):
     kill = jacobian.frobenius_kill_operator
     monkeypatch.setattr(jacobian, "det_bareiss", counting("det", jacobian.det_bareiss))
     monkeypatch.setattr(jacobian, "kernel_mod", counting("kernel", jacobian.kernel_mod))
+    monkeypatch.setattr(jacobian, "span_mod", counting("span", jacobian.span_mod))
     monkeypatch.setattr(jacobian, "frobenius_kill_operator",
                         lambda space, q: tried.add(q) or kill(space, q))
     assert auxiliary_primes(sp).primes == [5, 7]
     assert tried == {5, 7, 13, 17, 19, 23, 29}
-    # the kernel of M_H and, for the open sandwich, the kernel mod den of
-    # the divisors with class in M_H; no kernel for a skipped prime
-    assert calls == {"det": 2, "kernel": 2}
+    # the kernel of M_H and, for the open sandwich, the spans of M_H and of
+    # phi B mod den; no kernel and no span for a skipped prime
+    assert calls == {"det": 2, "kernel": 1, "span": 2}
     report = torsion_report(sp)
     assert report.primes == [5, 7] and report.verdict == "equal"
     assert calls["det"] == 2
@@ -1333,7 +1334,8 @@ def test_torsion_layer_needs_no_lattice(monkeypatch):
     # once the space is built and its rank certified (the rank-zero
     # certificate reads a Hermite row count), a torsion report calls no
     # Lattice method and no Hermite form: at Gamma1(21), decided at the
-    # sandwich, and at Gamma1(24), decided at stage (ii)
+    # sandwich, and at Gamma1(24), decided at stage (ii).  It takes one
+    # Smith form per level, in the class group's cross-check of Div^0 / P
     from modtors import intlinalg
 
     spaces = {n: build_space(GroupSpec.gamma1(n)) for n in (21, 24)}
@@ -1343,21 +1345,30 @@ def test_torsion_layer_needs_no_lattice(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Lattice or Hermite form in the torsion layer")
 
-    originals = (intlinalg.hnf, lattice_torsion_quotient)
+    smith, smith_calls = intlinalg.smith_normal_form, []
+
+    def counted_smith(*args, **kwargs):
+        smith_calls.append(args)
+        return smith(*args, **kwargs)
+
+    patches = {intlinalg.hnf: refuse, lattice_torsion_quotient: refuse, smith: counted_smith}
     for name, mod in list(sys.modules.items()):
         if name == "modtors" or name.startswith("modtors."):
             for key, value in list(vars(mod).items()):
-                if any(value is f for f in originals):
-                    monkeypatch.setattr(mod, key, refuse)
+                for original, patch in patches.items():
+                    if value is original:
+                        monkeypatch.setattr(mod, key, patch)
     for attr, value in list(vars(Lattice).items()):
         if callable(value) or isinstance(value, (classmethod, staticmethod)):
             monkeypatch.setattr(Lattice, attr, refuse)
     rep = torsion_report(spaces[21])
     assert rep.hecke_bound == FinAbGroup([364]) and rep.verdict == "equal"
     assert torsion_is_cuspidal(spaces[21])[3] == "sandwich"
+    assert len(smith_calls) == 1
     rep = torsion_report(spaces[24])
     assert rep.primes == [5, 7, 11] and rep.verdict == "equal"
     assert torsion_is_cuspidal(spaces[24])[3] == "maximal-ideal"
+    assert len(smith_calls) == 2
 
 
 def test_j0_30_cuspidal_group():
