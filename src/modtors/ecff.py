@@ -3,13 +3,16 @@
 Field elements are integer codes: c_0 + c_1 x + ... + c_{k-1} x^(k-1) in
 F_q = F_p[x]/(f), q = p^k, is coded as a = c_0 + c_1 p + ... + c_{k-1}
 p^(k-1), so 0 <= a < q, the codes 0 and 1 are zero and one, and F_p is
-0..p-1.  Each `FiniteField` builds exact tables once, from the log/antilog
-tables of a primitive element (Zech's approach, Lidl and Niederreiter,
-*Finite Fields*): q x q sum and product tables, and negation and inverse
-tables with inv[0] = 0.  Every operation on arrays of codes is then one
-array gather; the arithmetic stays exact integer arithmetic.  Fields
-above MAX_TABLE_Q are refused with ResourceWarning before any table is
-built.
+0..p-1.  Codes are carried as int16 arrays: q <= MAX_TABLE_Q < 2^15.
+Each `FiniteField` builds exact tables once, from the log/antilog tables
+of a primitive element (Zech's approach, Lidl and Niederreiter, *Finite
+Fields*): flat int16 sum and product tables of q * q entries, read at
+a * q + b, and negation and inverse tables with inv[0] = 0.  Every
+operation on arrays of codes is then one gather (`sub` two, through
+`neg`), with the index a * q + b computed in intp (a * q overflows int16,
+silently for arrays); the arithmetic stays exact integer arithmetic.
+Fields above MAX_TABLE_Q are refused with ResourceWarning before any
+table is built.
 
 Pairs (E, P) with P of exact order N >= 4 are enumerated through the Tate
 normal form y^2 + (1-c) xy - b y = x^3 - b x^2 with P = (0, 0): nonsingular
@@ -30,7 +33,8 @@ from .abgroup import FinAbGroup
 from .arith import factorint, is_irreducible_mod_p, isprime, mobius, poly_mulmod
 from .cusps import degree1_count_over_extension
 
-# Largest field whose q x q tables are built: two 38 MB tables at 3^7.
+# Largest field whose q x q tables are built: int16 codes, two flat
+# tables of about 9.6 MB each at 3^7.
 # Larger fields are refused with ResourceWarning before any allocation.
 MAX_TABLE_Q = 3**7
 # Tate pairs (b, c) per vectorized chunk of a scan; bounds its memory.
@@ -47,10 +51,10 @@ def _check_table_size(q):
 class FiniteField:
     """F_q with q = p^k; elements are integer codes 0 <= a < q.
 
-    The vectorized operations take codes or integer arrays of codes and
-    broadcast like numpy; `scalar` and `coefficients` convert between
-    codes and coefficient tuples (constant term first) in the basis of
-    powers of a root of x^k + modulus.
+    The vectorized operations take codes or integer arrays of codes,
+    broadcast like numpy and return int16 codes; `scalar` and
+    `coefficients` convert between codes and coefficient tuples (constant
+    term first) in the basis of powers of a root of x^k + modulus.
     """
 
     def __init__(self, p, k=1, modulus=None):
@@ -83,7 +87,8 @@ class FiniteField:
 
         antilog[i] is the code of g^i (0 <= i < q - 1) and log inverts it
         on the nonzero codes; a * b = antilog[(log a + log b) mod (q - 1)].
-        Each q x q table is built with at most one q x q temporary.
+        Every table is int16, and so is the one q x q temporary, the sums
+        of two extended logs (at most 4(q - 1)) behind the product table.
         """
         p, k, q = self.p, self.k, self.q
         place = [p**i for i in range(k)]
@@ -98,28 +103,29 @@ class FiniteField:
                     break
             if len(powers) == q - 1:
                 break
-        self.antilog = np.array(powers, dtype=np.intp)
-        self.log = np.zeros(q, dtype=np.intp)
+        self.antilog = np.array(powers, dtype=np.int16)
+        self.log = np.zeros(q, dtype=np.int16)
         self.log[self.antilog] = np.arange(q - 1)
         # zero gets log 2(q - 1): a sum of two logs reaches the zero tail of
         # the twice-repeated antilog exactly when a factor is zero
         ext_log = self.log.copy()
         ext_log[0] = 2 * (q - 1)
-        ext_antilog = np.zeros(4 * q - 3, dtype=np.intp)
+        ext_antilog = np.zeros(4 * q - 3, dtype=np.int16)
         ext_antilog[: 2 * (q - 1)] = np.tile(self.antilog, 2)
-        self._mul = ext_antilog[np.add.outer(ext_log, ext_log)]
+        self._mul = ext_antilog[np.add.outer(ext_log, ext_log).ravel()]
         self._inv = ext_antilog[q - 1 - self.log]
         self._inv[0] = 0
         # a code is its constant term plus p times the code of the rest, so
         # the tables for p^(i+1) come from those for p^i digit by digit
-        digit = np.arange(p)
+        digit = np.arange(p, dtype=np.int16)
         step = ((digit[:, None] + digit) % p)[None, :, None, :]
-        self._add = np.zeros((1, 1), dtype=np.intp)
-        self._neg = np.zeros(1, dtype=np.intp)
+        add = np.zeros((1, 1), dtype=np.int16)
+        self._neg = np.zeros(1, dtype=np.int16)
         for _ in range(k):
             n = len(self._neg)
-            self._add = (p * self._add[:, None, :, None] + step).reshape(n * p, n * p)
+            add = (p * add[:, None, :, None] + step).reshape(n * p, n * p)
             self._neg = (p * self._neg[:, None] + -digit % p).reshape(n * p)
+        self._add = add.ravel()
 
     # -- conversions ---------------------------------------------------------
 
@@ -140,29 +146,33 @@ class FiniteField:
 
     def elements(self):
         """All field elements: the codes 0, ..., q - 1."""
-        return np.arange(self.q, dtype=np.intp)
+        return np.arange(self.q, dtype=np.int16)
 
     # -- vectorized arithmetic on codes --------------------------------------
 
+    def _pair(self, a, b):
+        """Flat table index a * q + b, in intp: a * q overflows int16."""
+        return np.multiply(a, self.q, dtype=np.intp) + b
+
     def add(self, a, b):
-        return self._add[a, b]
+        return self._add.take(self._pair(a, b))
 
     def sub(self, a, b):
-        return self._add[a, self._neg[b]]
+        return self._add.take(self._pair(a, self._neg.take(b)))
 
     def neg(self, a):
-        return self._neg[a]
+        return self._neg.take(a)
 
     def mul(self, a, b):
-        return self._mul[a, b]
+        return self._mul.take(self._pair(a, b))
 
     def smul(self, c, a):
         """The integer c times a."""
-        return self._mul[c % self.p, a]
+        return self._mul.take(self._pair(c % self.p, a))
 
     def inv(self, a):
         """Elementwise inverse; zero maps to zero."""
-        return self._inv[a]
+        return self._inv.take(a)
 
     def __repr__(self):
         return f"FiniteField({self.p}^{self.k})"
@@ -269,7 +279,7 @@ def _tate_curves(f):
 
 
 def _origin(lanes):
-    zero = np.zeros(len(lanes[0]), dtype=np.intp)
+    zero = np.zeros(len(lanes[0]), dtype=np.int16)
     return zero, zero, np.zeros(len(zero), dtype=bool)
 
 

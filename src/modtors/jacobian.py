@@ -689,16 +689,15 @@ def unit_group_gens(n):
 @dataclass
 class CuspidalClassGroup:
     """Cl^cc and Cl^cc_Q, with, over the projector's den: the classes of the
-    degree-0 Galois-invariant divisors as rows / den (`classes_q`), their
-    dual (`dual_q`, see `_dual`), and B_G (`galois_block`): D B_G = 0 mod
-    den exactly when the divisor D has a Galois-invariant class."""
+    degree-0 Galois-invariant divisors as rows / den (`classes_q`) and B_G
+    (`galois_block`): D B_G = 0 mod den exactly when the divisor D has a
+    Galois-invariant class."""
 
     spec: object
     clcc: FinAbGroup
     clcc_q: FinAbGroup
     surjective: bool  # (Div^0cc)^G -> (Cl^cc)^G surjective
     classes_q: object
-    dual_q: list
     galois_block: list
 
     def to_json(self):
@@ -743,7 +742,7 @@ def _class_group(space):
     c = space.ncusps
     if g2 == 0:
         triv = FinAbGroup([])
-        return CuspidalClassGroup(space.spec, triv, triv, True, [], [], [])
+        return CuspidalClassGroup(space.spec, triv, triv, True, [], [])
     proj = _projector(space)  # phi: (c-1) x 2g
     phi, den = proj.phi, proj.den
     clcc = FinAbGroup(span_mod(phi, den))
@@ -766,7 +765,6 @@ def _class_group(space):
     inv_divs = int_array(combos).reshape(-1, norbits)
     inv_divs = exact_product(inv_divs, orbit_sums)[:, : c - 1]
     classes_q = exact_product(inv_divs, phi)
-    dual_q = _dual(classes_q, g2, den)
     clcc_q = FinAbGroup(span_mod(classes_q, den))
 
     # (Cl^cc)^G in divisor coordinates: D B = 0 mod den, where B has one
@@ -783,7 +781,7 @@ def _class_group(space):
         raise ArithmeticError(f"{space.spec.label()}: a Galois-invariant divisor class "
                               "lies outside (Cl^cc)^G")
     surjective = clcc.order() == prod(span_mod(block, den)) * clcc_q.order()
-    return CuspidalClassGroup(space.spec, clcc, clcc_q, surjective, classes_q, dual_q, block)
+    return CuspidalClassGroup(space.spec, clcc, clcc_q, surjective, classes_q, block)
 
 
 def _orbit_partition(perms, n):
@@ -849,8 +847,9 @@ def _pipeline(space, primes):
 
     Write M = M_H, Cl = Cl^cc and C = Cl^cc_Q, and M' = M cap Cl, all as
     groups modulo Z^(2g), each read as a span mod m or den (`span_mod`):
-    M = (1/m) K is span(K mod m), and #M' comes from `_cut_index`.  C is
-    held by its dual rows (`dual_q`), to test membership in p^-1 C.
+    M = (1/m) K is span(K mod m), and #M' comes from `_cut_index`.  Stage
+    (ii) reads C by its dual rows (`_dual`, memoised on the space), to test
+    membership in p^-1 C; no other stage builds them.
     ArithmeticError unless C lies in M, one product mod den: rational
     cuspidal torsion lies in every bound on rational torsion.  Then Z^(2g) <= C <= M' <= M, k = #M / #M' =
     [M : M'], and:
@@ -889,13 +888,14 @@ def _pipeline(space, primes):
             bound = FinAbGroup(span_mod(exact_product(cut, proj.phi), den))
         else:
             bound = mh
-        dual_t = np.array(cc.dual_q, dtype=object).T  # C = {x : x dual_t integral}
 
         def p_torsion_agrees(p):
             # sup = M cap p^-1 C: the v / (p den) with v B = 0 and p v dual_t
             # = 0 mod p den; sub = M' cap p^-1 C: the D phi / den with D phi B
             # = 0 and p D phi dual_t = 0 mod den.  Over C both are p-groups,
             # so only the p-parts q of p den and q / p of den are read
+            dual = space.memo("class dual", lambda: _dual(cc.classes_q, g2, den))
+            dual_t = np.array(dual, dtype=object).T  # C = {x : x dual_t integral}
             q = p * gcd(den, p**den.bit_length())
             sup = span_mod(np.hstack([aux.block, dual_t * p]), q)
             sub = span_mod(np.hstack([phib, exact_product(proj.phi, dual_t) % den * p]), q // p)

@@ -19,7 +19,9 @@ from modtors.ecff import (
 )
 
 
-FIELD_SIZES = [4, 8, 9, 16, 25, 27, 49, 81, 121, 125, 243, 343, 729]
+# 727 is the prime field of `ecscan 11 727` and 2187 is MAX_TABLE_Q; from
+# q = 182 on, (q - 1) * q, the flat table index of a row, does not fit int16.
+FIELD_SIZES = [4, 8, 9, 16, 25, 27, 49, 81, 121, 125, 243, 343, 727, 729, 2048, 2187]
 
 
 @pytest.mark.parametrize("q", FIELD_SIZES)
@@ -74,12 +76,22 @@ def test_field_tables_match_polynomial_arithmetic(q):
     else:
         rng = random.Random(q)
         pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
-    a, b = (np.array(x) for x in zip(*pairs))
+        # codes near q - 1, where a * q overflows int16 from q = 182 on
+        pairs += [(q - 1 - i, q - 1 - j) for i in range(8) for j in range(8)]
+    a, b = (np.array(x, dtype=np.int16) for x in zip(*pairs))
     assert f.mul(a, b).tolist() == [mul(x, y) for x, y in pairs]
     assert f.add(a, b).tolist() == [add(x, y) for x, y in pairs]
+    assert f.mul(q - 1, b).tolist() == [mul(q - 1, y) for y in b.tolist()]
+    assert f.add(a, q - 1).tolist() == [add(x, q - 1) for x in a.tolist()]
     assert (f.add(a, f.neg(a)) == 0).all()
     assert (f.add(f.sub(a, b), b) == a).all()
     assert (f.smul(5, a) == f.add(f.add(f.add(a, a), f.add(a, a)), a)).all()
+    assert (f.smul(-1, a) == f.neg(a)).all()
+    for table in (f._add, f._mul, f._neg, f._inv):
+        assert table.dtype == np.int16
+    for codes in (f.elements(), f.add(a, b), f.sub(a, b), f.mul(a, b), f.neg(a),
+                  f.inv(a), f.smul(q - 1, a)):
+        assert codes.dtype == np.int16
 
 
 @pytest.mark.parametrize("q", FIELD_SIZES)

@@ -918,13 +918,14 @@ def test_class_lattices_match_one_solve_per_divisor(spec):
     std = Lattice(g2, identity(g2), normalize=False)
     assert cc.clcc == lattice_torsion_quotient(std, l_cc)
     assert cc.clcc_q == lattice_torsion_quotient(std, l_ccq)
-    # Cl^cc_Q is classes_q / den + Z^(2g), and dual_q is its dual: l_ccq
-    # pairs integrally with dual_q, and [Z^(2g) : dual_q] = #Cl^cc_Q
+    # Cl^cc_Q is classes_q / den + Z^(2g), and `_dual` of it is its dual:
+    # l_ccq pairs integrally with the dual, and [Z^(2g) : dual] = #Cl^cc_Q
     eye = [[den if i == j else 0 for j in range(g2)] for i in range(g2)]
     assert Lattice(g2, cc.classes_q.tolist() + eye, den) == l_ccq
-    pairing = np.array(l_ccq.basis, dtype=object) @ np.array(transpose(cc.dual_q), dtype=object)
+    dual = jacobian._dual(cc.classes_q, g2, den)
+    pairing = np.array(l_ccq.basis, dtype=object) @ np.array(transpose(dual), dtype=object)
     assert not (pairing % l_ccq.den).any()
-    assert abs(det_bareiss(cc.dual_q)) == cc.clcc_q.order()
+    assert abs(det_bareiss(dual)) == cc.clcc_q.order()
     # the divisors of (Cl^cc)^G are the kernel of the Galois block mod den
     assert _class_lattice(sp, kernel_mod(cc.galois_block, den)) == l_inv
     for div in invariant:
@@ -1306,6 +1307,19 @@ def test_pipeline_without_surjective_invariants(monkeypatch):
     std = Lattice(lat.ambient, identity(lat.ambient), normalize=False)
     assert bound == lattice_torsion_quotient(std, cut)
     assert (bound, verdict, k, stage) == _pipeline_oracle(sp, None, surjective=False)[:4]
+
+
+def test_class_dual_is_built_only_by_stage_ii(monkeypatch):
+    # the dual rows of Cl^cc_Q are read only by the p-torsion comparison of
+    # stage (ii): once per level there, never at a sandwich level
+    calls = []
+    dual = jacobian._dual
+    monkeypatch.setattr(jacobian, "_dual", lambda *args: calls.append(args) or dual(*args))
+    for n, stage in ((21, "sandwich"), (24, "maximal-ideal")):
+        calls.clear()
+        sp = build_space(GroupSpec.gamma1(n))
+        assert torsion_is_cuspidal(sp)[3] == stage
+        assert len(calls) == (stage == "maximal-ideal")
 
 
 def test_sandwich_bound_is_clccq_without_intersection(monkeypatch):
