@@ -173,6 +173,24 @@ def primitive_root(n):
                 if g % p and all(pow(g, phi // q, n) != 1 for q in qs))
 
 
+def orbits(points, moves):
+    """The orbits of points under the group that moves generate, each move
+    a permutation of a finite set holding them: one list per orbit, from
+    its first point on, in the order of points."""
+    seen, out = set(), []
+    for start in points:
+        if start not in seen:
+            seen.add(start)
+            orbit = [start]
+            for x in orbit:  # the walk reads the list it appends to
+                for move in moves:
+                    if (y := move(x)) not in seen:
+                        seen.add(y)
+                        orbit.append(y)
+            out.append(orbit)
+    return out
+
+
 def _trim(f, p=None):
     f = [c % p for c in f] if p else list(f)
     while f and not f[-1]:

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import isprime, totient
+from .arith import isprime, orbits, totient
 
 
 def divisors(n):
@@ -84,30 +84,6 @@ def x1_component_points(N, d):
     return sorted(pts)
 
 
-def _x1_orbit_sizes(N, d, generators):
-    """Sizes of the orbits of the folded d-component points under the
-    group generated by the given unit exponents, which act on the
-    mu-coordinate only."""
-    m = N // d
-    seen = set()
-    sizes = []
-    for p0 in x1_component_points(N, d):
-        if p0 in seen:
-            continue
-        orbit = {p0}
-        frontier = [p0]
-        while frontier:
-            i, b = frontier.pop()
-            for s in generators:
-                nxt = _fold(((s * i) % m if m > 1 else i, b), m, d)
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        seen |= orbit
-        sizes.append(len(orbit))
-    return sizes
-
-
 def cusp_orbits(N, kind, p=None):
     """Closed cusp points of X1(N) or X0(N) (kind "X1" or "X0") over Q
     (p None) or over F_p (p prime, not dividing 2N), bundled as CuspOrbit
@@ -129,8 +105,11 @@ def cusp_orbits(N, kind, p=None):
     out = []
     for d in divisors(N):
         if kind == "X1":
-            gens = units(N // d) if p is None else [p]
-            sizes = Counter(_x1_orbit_sizes(N, d, gens))
+            # the unit exponents act on the mu-coordinate only
+            m = N // d
+            moves = [lambda pt, s=s: _fold((s * pt[0] % m, pt[1]), m, d)
+                     for s in (units(m) if p is None else [p])]
+            sizes = Counter(map(len, orbits(x1_component_points(N, d), moves)))
             out.extend(
                 CuspOrbit(d, count, size, x1_width(N, d))
                 for size, count in sorted(sizes.items())

@@ -80,7 +80,7 @@ class FiniteField:
         for tail in product(range(self.p), repeat=self.k):
             if is_irreducible_mod_p([*tail, 1], self.p):
                 return tail
-        raise AssertionError("no irreducible polynomial found")
+        raise ArithmeticError("no irreducible polynomial found")
 
     def _build_tables(self):
         """Exact add/mul/neg/inv tables from a primitive element g.
@@ -367,7 +367,7 @@ def group_structure(q, coeffs, modulus=None):
     xs, ys = curve_points(f, coeffs)
     n = len(xs) + 1
     if not (q + 1 - isqrt(4 * q) <= n <= q + 1 + isqrt(4 * q)):
-        raise AssertionError("point count outside Hasse interval")
+        raise ArithmeticError("point count outside Hasse interval")
     a_part, b_part = 1, 1
     for ell, v_n in factorint(n).items():
         # E[l^j] has l^(min(j, alpha) + min(j, beta)) points with
@@ -382,8 +382,8 @@ def group_structure(q, coeffs, modulus=None):
                 break
         a_part *= ell**alpha
         b_part *= ell ** (v_n - alpha)
-    assert a_part * b_part == n
-    assert (q - 1) % a_part == 0, "first invariant must divide q - 1"
+    if (q - 1) % a_part:
+        raise ArithmeticError("first invariant must divide q - 1")
     return FinAbGroup([x for x in (a_part, b_part) if x > 1])
 
 
@@ -453,7 +453,8 @@ def places_of_degree(N, p, d):
         if d % e:
             continue
         total += mobius(d // e) * count_X1_points(N, p**e)
-    assert total % d == 0
+    if total % d:
+        raise ArithmeticError(f"X1({N}) over F_{p}: {total} points do not make degree-{d} places")
     return total // d
 
 

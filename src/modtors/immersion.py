@@ -18,6 +18,7 @@ from .ecff import exists_point_of_order, hasse_excludes
 from .intlinalg import (
     MODP,
     charpoly,
+    coordinates,
     exact_product,
     hnf,
     kernel_basis,
@@ -141,8 +142,10 @@ def rank_zero_quotient(space):
                 raise ArithmeticError("decomposition incomplete")
 
     winding = _winding_span_vectors(space)
-    wcoords = [plus.solve(w, 1) for w in winding]
-    assert all(c is not None for c in wcoords)
+    wcoords = coordinates(winding, plus.basis, plus.pivots)
+    if wcoords is None:
+        raise ArithmeticError(f"{space.spec.label()}: a winding vector lies outside S+")
+    wcoords = wcoords.tolist()
     components = []
     for basis, label in zip(comps, labels):
         stacked = wcoords + basis
@@ -385,7 +388,8 @@ def immersion_certificate(N, p, count=5, refine="auto", rows_mode="full"):
                 # old component: one form per visible row, with the shadow
                 # direction folded in through the degeneracy 1-form scaling
                 scale = _degeneracy_scale(N)
-                assert len(visible) == len(shadows) == 1, "unhandled old block"
+                if not len(visible) == len(shadows) == 1:
+                    raise NotImplementedError("unhandled old block")
                 for c in cusps_needed:
                     combined = [
                         a + scale * b

@@ -6,8 +6,11 @@ point anywhere.  `exact_product` is the one integer product: int64 where
 a bound proves it exact, Python ints otherwise, an int64 or object array
 either way.  The eliminations over Z (Hermite, Smith, Bareiss, kernels)
 take either format, convert it once on entry (`int_rows`) and return row
-lists.  numpy int64 carries the word-sized modular arithmetic of the
-multimodular and p-adic routines, whose results are reconstructed and/or
+lists.  `coordinates` is the one solve over a triangular basis (S and its
+sublattices): forward substitution on the pivot columns, checked by one
+exact product.  `charpoly` works mod one prime above its coefficient bound,
+in Python ints.  numpy int64 carries the word-sized modular arithmetic of
+the mod-p and p-adic routines, whose results are reconstructed and/or
 verified exactly.
 """
 
@@ -265,26 +268,16 @@ def kernel_basis(a):
 def solve_integer(a, b):
     """One integer solution x of x @ a = b (row convention), or None.
 
-    a is m x n, b length n; solves over Z exactly via HNF transform.
+    a is m x n, b length n; solves over Z exactly: `coordinates` over the
+    Hermite form H = U a, then x = y U.
     Nothing in the package calls it; the tests do, and the traced benchmark
     (bench/spans.py) looks it up by name.
     """
     h, u = hnf(a, transform=True)
-    x = [0] * len(a)
-    r = list(b)
-    for row, urow in zip(h, u):
-        j = next((k for k, t in enumerate(row) if t), None)
-        if j is None:
-            continue
-        q, rem = divmod(r[j], row[j])
-        if rem != 0:
-            return None
-        if q:
-            r = [t - q * s for t, s in zip(r, row)]
-            x = [t + q * s for t, s in zip(x, urow)]
-    if any(r):
+    y = coordinates([b], h, [next(k for k, t in enumerate(row) if t) for row in h])
+    if y is None:
         return None
-    return x
+    return exact_product(y, u[: len(h)])[0].tolist() if h else [0] * len(a)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +444,32 @@ def exact_product(a, b):
     sign, mag, b = np.sign(a), np.abs(a.astype(object)), b.astype(np.int64)
     return sum(((sign * (mag >> t & (1 << s) - 1)).astype(np.int64) @ b).astype(object) << t
                for t in range(0, amax.bit_length(), s))
+
+
+def coordinates(rows, basis, pivots):
+    """x with x @ basis = rows, or None if some row is not an integer
+    combination of the basis rows: an integer array, int64 where it fits.
+
+    basis is triangular (row Hermite form): row i is zero before its pivot
+    column pivots[i], and the pivots ascend.  On the pivot columns the
+    system is triangular and is solved by forward substitution, where only
+    a column with a pivot other than 1 or an entry above it needs a step:
+    over a basis of unit pivots alone (the chords of S) x is a gather.
+    Either way x is checked by one exact product.
+    """
+    t = int_array(rows)
+    if not len(basis):
+        return None if t.any() else np.zeros((len(t), 0), dtype=np.int64)
+    b = int_array(basis)
+    t = t.reshape(len(t), b.shape[1])
+    tri, x = b[:, pivots], t[:, pivots]
+    steps = np.flatnonzero((np.count_nonzero(tri, axis=0) > 1) | (tri.diagonal() != 1))
+    if len(steps):
+        x, tri = x.astype(object), tri.astype(object)
+        for j in steps:  # an inexact quotient fails the product check
+            x[:, j] = (x[:, j] - x[:, :j] @ tri[:j, j]) // tri[j, j]
+        x = int_array(x)
+    return x if (exact_product(x, b) == t).all() else None
 
 
 def _as_modp(a, p=MODP):
@@ -684,15 +703,15 @@ def _least_valuation(a, l, e):
 # characteristic / minimal polynomials (multimodular)
 
 
-def _charpoly_mod_p(a_np, p):
-    """Characteristic polynomial mod p via Hessenberg reduction.
+def _charpoly_mod_p(a, p):
+    """Characteristic polynomial mod p via Hessenberg reduction, in Python
+    ints, of an integer array or row lists a.
 
     Returns coefficient list [c0, ..., cn] with cn = 1 (monic), of
     det(x*I - A) mod p.
     """
-    n = a_np.shape[0]
-    h = (a_np % p).astype(object)  # python ints avoid overflow in p~2^26 ops
-    h = [[int(x) for x in row] for row in h]
+    h = [[x % p for x in row] for row in int_rows(a)]
+    n = len(h)
     for m in range(1, n):  # zero out column m-1 below row m
         piv = next((i for i in range(m, n) if h[i][m - 1]), None)
         if piv is None:
@@ -735,39 +754,26 @@ def _charpoly_mod_p(a_np, p):
 
 
 def _crt_pair(r1, m1, r2, m2):
-    g, s, _ = xgcd(m1, m2)
-    assert g == 1
+    """(r, m1 m2) with r = r1 mod m1 and r = r2 mod m2, for coprime m1, m2
+    (ValueError otherwise); r1 and r2 may be arrays."""
     m = m1 * m2
-    r = (r1 + (r2 - r1) * s % m2 * m1) % m
-    return r, m
+    return (r1 + (r2 - r1) * pow(m1, -1, m2) % m2 * m1) % m, m
 
 
 def charpoly(a):
     """Characteristic polynomial of an integer matrix, coefficients exact.
 
-    Returns [c0, c1, ..., cn] (cn = 1) for det(x*I - A), computed
-    multimodularly with a Hadamard-style coefficient bound.
+    Returns [c0, c1, ..., cn] (cn = 1) for det(x*I - A): its residues mod
+    one prime p above twice a Hadamard-style bound on the coefficients,
+    lifted to the symmetric range.
     """
     n = len(a)
     if n == 0:
         return [1]
     ma = max(1, max_abs(a))
     # |c_{n-k}| <= binom(n,k) k^{k/2} ma^k <= 2^n (sqrt(n) ma)^n
-    bound = 2 ** (n + 1) * (isqrt(n) + 1) ** n * ma**n
-    residues = None
-    modulus = 1
-    p = MODP
-    while modulus <= 2 * bound:
-        a_np = _as_modp(a, p)
-        cp = _charpoly_mod_p(a_np, p)
-        if residues is None:
-            residues, modulus = cp, p
-        else:
-            residues = [_crt_pair(r1, modulus, r2, p)[0] for r1, r2 in zip(residues, cp)]
-            modulus *= p
-        p = nextprime(p)
-    half = modulus // 2
-    return [c - modulus if c > half else c for c in residues]
+    p = nextprime(2 ** (n + 2) * (isqrt(n) + 1) ** n * ma**n)
+    return [c - p if c > p // 2 else c for c in _charpoly_mod_p(a, p)]
 
 
 def poly_eval_matrix(coeffs, a):

@@ -32,7 +32,7 @@ from math import gcd, isqrt, prod
 import numpy as np
 
 from .abgroup import FinAbGroup
-from .arith import factorint, isprime, nextprime, primitive_root
+from .arith import factorint, isprime, nextprime, orbits, primitive_root
 from .intlinalg import (
     INT64_MAX,
     MODP,
@@ -754,15 +754,11 @@ def _class_group(space):
     # Galois structure
     gens = unit_group_gens(space.level)
     perms = [galois_cusp_permutation(space, s) for s in gens]
-    orbit_of = _orbit_partition(perms, c)
-    norbits = max(orbit_of) + 1
-    orbit_sums = [[0] * c for _ in range(norbits)]
-    for i, o in enumerate(orbit_of):
-        orbit_sums[o][i] = 1
-    degs = [sum(row) for row in orbit_sums]
-    combos = kernel_basis([degs])  # {a : sum a_j deg_j = 0}
+    orbs = orbits(range(c), [s.__getitem__ for s in perms])
+    orbit_sums = [[int(i in orbit) for i in range(c)] for orbit in map(set, orbs)]
+    combos = kernel_basis([list(map(len, orbs))])  # {a : sum a_j deg_j = 0}
     # degree-0 G-invariant divisors, divisor-basis coords (tail entry implied)
-    inv_divs = int_array(combos).reshape(-1, norbits)
+    inv_divs = int_array(combos).reshape(-1, len(orbs))
     inv_divs = exact_product(inv_divs, orbit_sums)[:, : c - 1]
     classes_q = exact_product(inv_divs, phi)
     clcc_q = FinAbGroup(span_mod(classes_q, den))
@@ -782,27 +778,6 @@ def _class_group(space):
                               "lies outside (Cl^cc)^G")
     surjective = clcc.order() == prod(span_mod(block, den)) * clcc_q.order()
     return CuspidalClassGroup(space.spec, clcc, clcc_q, surjective, classes_q, block)
-
-
-def _orbit_partition(perms, n):
-    label = [None] * n
-    nxt = 0
-    for start in range(n):
-        if label[start] is not None:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for p in perms:
-                y = p[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        for x in orbit:
-            label[x] = nxt
-        nxt += 1
-    return label
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from math import gcd, lcm
 from .abgroup import FinAbGroup
 from .intlinalg import (
     _hermite,
+    coordinates,
     elementary_divisors,
     exact_product,
     identity,
@@ -26,7 +27,8 @@ from .intlinalg import (
 class Lattice:
     """Subgroup of Q^n spanned by basis rows / den, in Hermite normal form.
     The rows (an integer array or row lists) are read once into row lists
-    of Python ints."""
+    of Python ints, zero rows dropped; with normalize=False the rest must
+    already be in Hermite form."""
 
     __slots__ = ("ambient", "basis", "den", "pivots")
 
@@ -34,9 +36,8 @@ class Lattice:
         if den <= 0:
             raise ValueError("denominator must be positive")
         self.ambient = ambient
-        rows = int_rows(rows)
+        rows = [r for r in int_rows(rows) if any(r)]
         if normalize:
-            rows = [r for r in rows if any(r)]
             h = _hermite(rows, False, 0) if rows else []
             g = den
             for r in h:
@@ -48,8 +49,8 @@ class Lattice:
             h = rows
         self.basis = h
         self.den = den
-        # first nonzero column of each row (None for a zero row)
-        self.pivots = [next((k for k, x in enumerate(r) if x), None) for r in h]
+        # first nonzero column of each row
+        self.pivots = [next(k for k, x in enumerate(r) if x) for r in h]
 
     @classmethod
     def from_rows(cls, rows, ambient=None, den=1):
@@ -120,29 +121,14 @@ class Lattice:
         return Lattice(self.ambient, rows, self.den)
 
     def solve(self, vec, den=1):
-        """Integer coordinates x with x @ basis = vec * self.den/den, or None.
-
-        Uses the stored Hermite form and its cached pivots (ascending), so
-        each call is a single back-substitution pass.  Each basis row is
-        zero before its pivot, so it is subtracted from the pivot on.
-        """
+        """Integer coordinates x with x @ basis = vec * self.den/den, as a
+        list, or None: `coordinates` over the stored Hermite form and its
+        pivots."""
         t = [x * self.den for x in vec]
         if any(x % den for x in t):
             return None
-        t = [x // den for x in t]
-        x = [0] * len(self.basis)
-        for i, (row, j) in enumerate(zip(self.basis, self.pivots)):
-            if j is None:
-                continue
-            q, r = divmod(t[j], row[j])
-            if r:
-                return None
-            if q:
-                x[i] = q
-                t[j:] = [a - q * b for a, b in zip(t[j:], row[j:])]
-        if any(t):
-            return None
-        return x
+        x = coordinates([[x // den for x in t]], self.basis, self.pivots)
+        return None if x is None else x[0].tolist()
 
     def saturation(self):
         """Smallest saturated lattice containing self (same Q-span)."""

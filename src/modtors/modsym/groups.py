@@ -9,6 +9,7 @@ widths, elliptic points, genus) is bookkeeping on those orbits.
 from dataclasses import dataclass
 from math import gcd
 
+from ..arith import orbits
 from ..intlinalg import xgcd
 
 
@@ -62,17 +63,7 @@ class GroupSpec:
             return sorted(a for a in range(1, n) if gcd(a, n) == 1) or [0]
         if self.kind == "gamma1":
             return [1 % n]
-        out = {1 % n}
-        frontier = [1 % n]
-        gens = [g % n for g in self.h_gens]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = x * g % n
-                if y not in out:
-                    out.add(y)
-                    frontier.append(y)
-        return sorted(out)
+        return sorted(orbits([1 % n], [lambda x, g=g: x * g % n for g in self.h_gens])[0])
 
     def hplus(self):
         """H together with -H (scaling stabilizer of weight-2 symbols)."""
@@ -184,12 +175,7 @@ class GroupData:
     def cusp_width(self, class_index):
         """Width of a cusp class: least h with the T^h-conjugate in +-Gamma_H."""
         n = self.level
-        c, d = self.cusp_classes[class_index]
-        # lift (c, d) to a coprime pair, then to [a, b; c0, d0] in SL2(Z)
-        c0, d0 = lift_to_coprime(c, d, n)
-        g, a, negb = xgcd(d0, c0)
-        assert g == 1
-        b = -negb
+        a, _, c0, _ = sl2_lift(*self.cusp_classes[class_index], n)
         # gamma T^h gamma^-1 = [1 - a c0 h, a^2 h; -c0^2 h, 1 + a c0 h]
         h0 = n // gcd(c0 * c0, n)
         hset = set(self.hplus_list)
@@ -198,7 +184,7 @@ class GroupData:
             if (1 - a * c0 * h) % n in hset:
                 return h
             h += h0
-        raise AssertionError("width search failed")
+        raise ArithmeticError("width search failed")
 
     def genus(self):
         """Genus via the standard area/elliptic-point formula."""
@@ -206,7 +192,8 @@ class GroupData:
         if self.level == 1:
             return 0
         twelve_g = 12 + mu - 3 * self.nu2 - 4 * self.nu3 - 6 * self.ncusps
-        assert twelve_g % 12 == 0, (mu, self.nu2, self.nu3, self.ncusps)
+        if twelve_g % 12:
+            raise ArithmeticError(f"12 g = {twelve_g} is not a multiple of 12")
         return twelve_g // 12
 
 
@@ -232,5 +219,6 @@ def sl2_lift(c, d, n):
     """An SL2(Z) matrix [a, b; c0, d0] with (c0, d0) = (c, d) mod n."""
     c0, d0 = lift_to_coprime(c, d, n)
     g, a, negb = xgcd(d0, c0)
-    assert g == 1
+    if g != 1:
+        raise ArithmeticError(f"lift ({c0}, {d0}) of ({c}, {d}) mod {n} is not coprime")
     return a, -negb, c0, d0

@@ -16,7 +16,7 @@ from math import gcd
 
 import numpy as np
 
-from ..intlinalg import check_int64_sum, exact_product, max_abs
+from ..intlinalg import check_int64_sum, coordinates, exact_product, max_abs, xgcd
 from .groups import sl2_lift
 
 
@@ -105,10 +105,7 @@ def atkin_lehner_matrix_2x2(N, Q):
     R = N // Q
     if gcd(Q, R) != 1:
         raise ValueError(f"W_{Q}: Q = {Q} is not an exact divisor of {N}")
-    from ..intlinalg import xgcd
-
-    g, s, t = xgcd(Q, R)
-    assert g == 1
+    _, s, t = xgcd(Q, R)  # gcd(Q, R) = 1, checked above
     # Q*1*(s) - (N/Q)*(-t)*1 = sQ + tR = 1
     return (Q, -t, N, Q * s)
 
@@ -155,13 +152,11 @@ def restrict_to_lattice(op_matrix, lattice):
     """Matrix of an operator restricted to an invariant saturated lattice.
 
     Returns the integer matrix R, as row lists, with R @ basis = basis @ op
-    (rows are coordinates of the images of the lattice basis).
+    (rows are `coordinates` of the images of the lattice basis).
+    ValueError unless op keeps the lattice.
     """
-    rows = []
-    images = exact_product(lattice.basis, op_matrix).tolist() if lattice.basis else []
-    for v in images:
-        coords = lattice.solve(v, lattice.den)
-        if coords is None:
-            raise ValueError("lattice is not invariant under the operator")
-        rows.append(coords)
-    return rows
+    images = exact_product(lattice.basis, op_matrix) if lattice.basis else []
+    rows = coordinates(images, lattice.basis, lattice.pivots)
+    if rows is None:
+        raise ValueError("lattice is not invariant under the operator")
+    return rows.tolist()

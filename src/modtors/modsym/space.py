@@ -25,7 +25,7 @@ star map restricted to S.
 
 import numpy as np
 
-from ..intlinalg import exact_product, int_array, kernel_basis
+from ..intlinalg import coordinates, exact_product, kernel_basis
 from ..lattice import Lattice
 from .groups import GroupData, sl2_lift
 from .operators import star_matrix
@@ -184,14 +184,13 @@ class ModSymSpace:
 
     def cuspidal_coordinates(self, rows):
         """Coordinates over B of rows in S, an integer array (int64 where
-        the rows are): their entries at the chords (see
-        `fundamental_cycles`), checked by one exact product.  ValueError if
-        a row is not in S."""
-        x = int_array(rows).reshape(len(rows), self.dim)
-        coords = x[:, self.cuspidal.pivots]
-        if (exact_product(coords, self.cycles()) != x).any():
+        it fits): `coordinates` over the cycle basis, whose unit pivots at
+        the chords (see `fundamental_cycles`) make it a gather and one
+        exact product.  ValueError if a row is not in S."""
+        x = coordinates(rows, self.cycles(), self.cuspidal.pivots)
+        if x is None:
             raise ValueError("a row is not in the cuspidal lattice S")
-        return coords
+        return x
 
     def restrict_to_cuspidal(self, op):
         """R with R B = B op, as `exact_product` gives it; ValueError unless

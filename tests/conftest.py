@@ -26,6 +26,30 @@ def cusp_count_X0(N):
     return sum(int(totient(gcd(d, N // d))) for d in divisors(N))
 
 
+def orbit_partition(perms, n):
+    """The orbit label of each of 0..n-1 under the permutations perms, by
+    a breadth-first walk per orbit, orbits numbered by their least point:
+    the former walk of `jacobian`, kept as an oracle of `arith.orbits`."""
+    label = [None] * n
+    nxt = 0
+    for start in range(n):
+        if label[start] is not None:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            x = frontier.pop()
+            for p in perms:
+                y = p[x]
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        for x in orbit:
+            label[x] = nxt
+        nxt += 1
+    return label
+
+
 # The former folds of Lattice.preimage behind the Hecke bound M_H and the
 # cuspidal class lattices, kept as the oracles of intlinalg.kernel_mod.
 

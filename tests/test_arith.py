@@ -1,9 +1,12 @@
 """The in-house integer and polynomial arithmetic against sympy."""
 
 import random
+from collections import Counter
+from math import gcd
 
 import pytest
 import sympy
+from conftest import orbit_partition
 from sympy import GF, ZZ, Poly, Symbol, factor_list
 from sympy.polys.galoistools import gf_irreducible_p
 
@@ -152,3 +155,79 @@ def test_poly_str_matches_as_expr():
         f = [rng.randrange(-3, 4) for _ in range(rng.randrange(0, 7))] + [rng.randrange(1, 4)]
         assert arith.poly_str(f) == str(Poly(f[::-1], x).as_expr())
     assert arith.poly_str([]) == "0"
+
+
+def _h_subgroup_walk(n, gens):
+    """The former walk of GroupSpec.h_subgroup: H generated by gens mod n."""
+    out = {1 % n}
+    frontier = [1 % n]
+    gens = [g % n for g in gens]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = x * g % n
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
+    return sorted(out)
+
+
+def _x1_orbit_sizes_walk(N, d, generators):
+    """The former walk of the cusp orbits of X1(N): orbit sizes of the
+    folded d-component points under the unit exponents."""
+    from modtors.cusps import _fold, x1_component_points
+
+    m = N // d
+    seen = set()
+    sizes = []
+    for p0 in x1_component_points(N, d):
+        if p0 in seen:
+            continue
+        orbit = {p0}
+        frontier = [p0]
+        while frontier:
+            i, b = frontier.pop()
+            for s in generators:
+                nxt = _fold(((s * i) % m if m > 1 else i, b), m, d)
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    frontier.append(nxt)
+        seen |= orbit
+        sizes.append(len(orbit))
+    return sizes
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_orbits_match_the_former_walks(seed):
+    from modtors.cusps import cusp_orbits, divisors, units
+    from modtors.modsym import GroupSpec
+
+    rng = random.Random(900 + seed)
+    # subgroups of (Z/n)^*
+    for n in range(2 + 20 * seed, 22 + 20 * seed):
+        gens = rng.sample([a for a in range(1, n) if gcd(a, n) == 1], k=min(2, n - 1))
+        assert GroupSpec.gammaH(n, gens).h_subgroup() == _h_subgroup_walk(n, gens)
+        orbit, = arith.orbits([1], [lambda x, g=g: x * g % n for g in gens])
+        assert orbit[0] == 1 and sorted(orbit) == _h_subgroup_walk(n, gens)
+    # cusp orbits of X1(N) over Q and over F_p
+    for N in range(5 + 7 * seed, 12 + 7 * seed):
+        p = next(q for q in (3, 5, 7, 11, 13) if (2 * N) % q)
+        for frob in (None, p):
+            want = Counter()
+            for d in divisors(N):
+                gens = units(N // d) if frob is None else [frob]
+                want.update((d, size) for size in _x1_orbit_sizes_walk(N, d, gens))
+            got = Counter({(o.component, o.degree): o.count for o in cusp_orbits(N, "X1", frob)})
+            assert got == want
+    # orbit labels under random permutations, orbits numbered by least point
+    n = rng.randint(1, 30)
+    perms = []
+    for _ in range(rng.randint(0, 3)):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        perms.append(perm)
+    label = [None] * n
+    for k, orbit in enumerate(arith.orbits(range(n), [s.__getitem__ for s in perms])):
+        for x in orbit:
+            label[x] = k
+    assert label == orbit_partition(perms, n)

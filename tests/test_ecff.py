@@ -200,20 +200,33 @@ def test_exists_point_of_order():
 
 
 def test_small_order_existence_via_scan():
-    """Cross-check the N <= 3 shortcut by scanning small general models."""
+    """Cross-check the N <= 3 shortcut by scanning small general models.
+
+    Every coefficient tuple over F_q is a lane: the singular ones are masked
+    by the discriminant, and #E(F_q) is counted with one table pass per
+    affine (x, y).  A few curves are checked against group_structure."""
+    rng = np.random.default_rng(5)
     for q in (3, 5, 7):
         f = finite_field(q)
-        orders = set()
-        import itertools
-
-        for coeffs in itertools.product(range(q), repeat=5):
-            try:
-                g = group_structure(q, coeffs)
-            except (ValueError, AssertionError):
-                continue
-            orders.add(g.order())
-        assert any(n % 2 == 0 for n in orders)
-        assert any(n % 3 == 0 for n in orders)
+        lanes = np.indices((q,) * 5).reshape(5, -1)  # (a1, a2, a3, a4, a6) codes
+        smooth = discriminant(f, tuple(lanes)) != 0
+        a1, a2, a3, a4, a6 = lanes[:, smooth]
+        orders = np.ones(len(a1), dtype=np.int64)  # the point at infinity
+        for x in range(q):
+            for y in range(q):
+                lhs = f.add(f.mul(y, y), f.add(f.mul(a1, f.mul(x, y)), f.mul(a3, y)))
+                rhs = f.add(f.mul(x, f.mul(x, x)), f.add(f.mul(a2, f.mul(x, x)),
+                                                         f.add(f.mul(a4, x), a6)))
+                orders += lhs == rhs
+        assert ((orders - q - 1) ** 2 <= 4 * q).all()  # Hasse
+        assert (orders % 2 == 0).any()
+        assert (orders % 3 == 0).any()
+        for k in rng.choice(len(orders), 4, replace=False):
+            coeffs = [int(a[k]) for a in (a1, a2, a3, a4, a6)]
+            assert group_structure(q, coeffs).order() == orders[k]
+        singular = lanes[:, ~smooth][:, 0].tolist()
+        with pytest.raises(ValueError, match="singular"):
+            group_structure(q, singular)
 
 
 def test_count_X1_points_trivia():

@@ -15,6 +15,7 @@ from modtors.intlinalg import (
     ModPEchelon,
     check_int64_sum,
     charpoly,
+    coordinates,
     exact_product,
     det_bareiss,
     elementary_divisors,
@@ -23,6 +24,7 @@ from modtors.intlinalg import (
     inverse_mod_p,
     kernel_basis,
     kernel_mod,
+    max_abs,
     minpoly,
     poly_eval_matrix,
     rank_mod_p,
@@ -34,6 +36,7 @@ from modtors.intlinalg import (
     transpose,
 )
 from modtors.lattice import Lattice
+from modtors.modsym import GroupSpec, build_space
 
 
 def random_matrix(rng, r, c, lo=-10, hi=10):
@@ -322,6 +325,98 @@ def test_charpoly_matches_sympy(seed):
     ours = charpoly(m)
     theirs = SymMatrix(m).charpoly().all_coeffs()  # high degree first
     assert ours == [int(c) for c in reversed(theirs)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 12])
+def test_charpoly_past_int64_matches_sympy(n):
+    # the coefficient bound runs far past int64, so the one prime does too
+    rng = random.Random(310 + n)
+    m = random_matrix(rng, n, n, -(2**70), 2**70)
+    theirs = SymMatrix(m).charpoly().all_coeffs()
+    assert charpoly(m) == charpoly(np.array(m, dtype=object)) == [int(c) for c in reversed(theirs)]
+
+
+def back_substitution(basis, pivots, vec):
+    """The former Lattice.solve, one vector at a time in Python ints: x with
+    x @ basis = vec, or None.  The oracle of `coordinates`."""
+    t = list(vec)
+    x = [0] * len(basis)
+    for i, (row, j) in enumerate(zip(basis, pivots)):
+        q, r = divmod(t[j], row[j])
+        if r:
+            return None
+        if q:
+            x[i] = q
+            t[j:] = [a - q * b for a, b in zip(t[j:], row[j:])]
+    return None if any(t) else x
+
+
+def check_coordinates(rows, basis, pivots):
+    """coordinates(rows, ...) against the oracle row by row; the rows are
+    solved together, so one row outside the span gives None."""
+    want = [back_substitution(basis, pivots, v) for v in rows]
+    got = coordinates(rows, basis, pivots)
+    if None in want:
+        assert got is None
+    else:
+        assert got.tolist() == want
+        assert (got.dtype == np.int64) == (max_abs(want) < 2**63)
+    return want
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_coordinates_match_back_substitution(seed):
+    rng = random.Random(700 + seed)
+    n = rng.randint(1, 7)
+    basis = hnf(random_matrix(rng, rng.randint(1, n), n, -6, 6))
+    if not basis:
+        basis = [[0] * (n - 1) + [3]]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    for big in (1, 2**70):  # coordinates, then rows, past int64
+        for b in (basis, [[big * x for x in row] for row in basis]):
+            coeffs = random_matrix(rng, 5, len(b), -big, big)
+            members = exact_product(coeffs, b).tolist()
+            assert check_coordinates(members, b, pivots) == coeffs
+            for _ in range(4):  # mostly outside the lattice
+                outside = [[x + rng.randint(-1, 1) for x in row] for row in members]
+                check_coordinates(outside, b, pivots)
+            check_coordinates(np.array(members[:2], dtype=object), b, pivots)
+    # a pivot above 1 with a row outside the lattice on its column alone
+    assert coordinates([[1, 0]], [[2, 0], [0, 1]], [0, 1]) is None
+    assert coordinates([[2, 3]], [[2, 1], [0, 1]], [0, 1]).tolist() == [[1, 2]]
+
+
+def test_coordinates_over_an_empty_basis():
+    assert coordinates([[0, 0, 0]], [], []).shape == (1, 0)
+    assert coordinates([], [], []).shape == (0, 0)
+    assert coordinates([[0, 1, 0]], [], []) is None
+    assert coordinates(np.zeros((2, 4), dtype=np.int64), np.zeros((0, 4), dtype=np.int64),
+                       []).shape == (2, 0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GroupSpec.gamma1(13), GroupSpec.gamma1(18), GroupSpec.gamma0(65), GroupSpec.x1_2_2n(9)],
+    ids=lambda spec: spec.label(),
+)
+def test_coordinates_on_s_and_s_plus(spec):
+    # S's cycle basis (unit pivots at the chords) and S+, a Hermite form
+    # with pivots and entries above them of its own
+    sp = build_space(spec)
+    rng = random.Random(spec.level)
+    for lat in (sp.cuspidal, sp.plus_cuspidal()):
+        coeffs = random_matrix(rng, 6, lat.rank, -50, 50)
+        members = exact_product(coeffs, lat.basis).tolist()
+        assert check_coordinates(members, lat.basis, lat.pivots) == coeffs
+        # a vector of the lattice is fixed by its pivot entries, so one
+        # more off a pivot column leaves it
+        edge = next(j for j in range(sp.dim) if j not in lat.pivots)
+        members[2][edge] += 1
+        assert check_coordinates(members, lat.basis, lat.pivots)[2] is None
+        huge = [[x << 70 for x in row] for row in members[:2]]
+        assert check_coordinates(huge, lat.basis, lat.pivots) == [[x << 70 for x in row]
+                                                                  for row in coeffs[:2]]
+    assert (sp.cuspidal_coordinates(sp.cycles()) == np.eye(sp.cuspidal.rank)).all()
 
 
 def test_charpoly_rank_mod_p_trivia():

@@ -121,6 +121,8 @@ def test_solve_coordinates():
     got = [sum(xi * r[j] for xi, r in zip(x, rows)) for j in range(2)]
     assert got == [4, 12]
     assert l.solve([1, 0]) is None
+    # a zero row is dropped, also from a basis taken as is
+    assert Lattice(2, [[1, 0], [0, 0]], normalize=False).solve([3, 0]) == [3]
 
 
 def _rescanning_solve(lat, vec, den=1):
