@@ -57,7 +57,7 @@ class FiniteField:
     term first) in the basis of powers of a root of x^k + modulus.
     """
 
-    def __init__(self, p, k=1, modulus=None):
+    def __init__(self, p, k=1):
         if not isprime(p):
             raise ValueError(f"{p} is not prime")
         if k < 1:
@@ -66,14 +66,7 @@ class FiniteField:
         self.k = int(k)
         self.q = self.p**self.k
         _check_table_size(self.q)
-        if k == 1:
-            self.modulus = (0,)
-        elif modulus is not None:
-            self.modulus = tuple(int(x) % p for x in modulus)
-            if len(self.modulus) != k or not is_irreducible_mod_p([*self.modulus, 1], self.p):
-                raise ValueError("modulus must be irreducible of degree k")
-        else:
-            self.modulus = self._find_irreducible()
+        self.modulus = (0,) if k == 1 else self._find_irreducible()
         self._build_tables()
 
     def _find_irreducible(self):
@@ -187,8 +180,8 @@ def prime_power(q):
     return p, k
 
 
-def finite_field(q, modulus=None):
-    return FiniteField(*prime_power(q), modulus)
+def finite_field(q):
+    return FiniteField(*prime_power(q))
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +276,14 @@ def _origin(lanes):
     return zero, zero, np.zeros(len(zero), dtype=bool)
 
 
-def tate_order_counts(q, max_order, modulus=None):
+def tate_order_counts(q, max_order):
     """Distribution of orders of (0,0) on nonsingular Tate curves over F_q.
 
     Returns an array counts[m] = number of (b, c) pairs where (0, 0) has
     exact order m, for 2 <= m <= max_order; pairs of larger order are
     counted in counts[0].  Adds P to itself up to max_order - 1 times.
     """
-    f = finite_field(q, modulus)
+    f = finite_field(q)
     counts = np.zeros(max_order + 1, dtype=np.int64)
     for lanes in _tate_curves(f):
         coeffs = (*lanes, 0, 0)
@@ -308,22 +301,22 @@ def tate_order_counts(q, max_order, modulus=None):
     return counts
 
 
-def count_points_of_exact_order(N, q, modulus=None):
+def count_points_of_exact_order(N, q):
     """Number of non-cuspidal F_q-points of X1(N): Tate pairs of order N.
 
     A pair counts when N * P = O and (N / l) * P != O for each prime
     l | N, with each multiple computed by double-and-add; a lane is
     dropped at the first test it fails.
     """
-    return sum(_exact_order_chunks(N, q, modulus))
+    return sum(_exact_order_chunks(N, q))
 
 
-def _exact_order_chunks(N, q, modulus=None):
+def _exact_order_chunks(N, q):
     """Number of Tate pairs of exact order N in each chunk of the scan, one
     chunk at a time, so that a caller may stop at the first hit."""
     if N < 4:
         raise ValueError("Tate normal form needs order >= 4")
-    f = finite_field(q, modulus)
+    f = finite_field(q)
     tests = [(N, True)] + [(N // ell, False) for ell in factorint(N)]
     for lanes in _tate_curves(f):
         for m, killed in tests:
@@ -353,14 +346,14 @@ def curve_points(f, coeffs):
     return xs[on], ys[on]
 
 
-def group_structure(q, coeffs, modulus=None):
+def group_structure(q, coeffs):
     """Group invariants of E(F_q) by exhaustive enumeration.
 
     coeffs are the long Weierstrass coefficients (a1, a2, a3, a4, a6), each
     an integer or coefficient tuple.  Exact: points are enumerated and the
     l-torsion counted for each prime l dividing the order.
     """
-    f = finite_field(q, modulus)
+    f = finite_field(q)
     coded = tuple(f.scalar(c) for c in coeffs)
     if discriminant(f, coded) == 0:
         raise ValueError("singular curve")

@@ -21,13 +21,13 @@ from .intlinalg import (
     coordinates,
     exact_product,
     hnf,
+    identity,
     kernel_basis,
     poly_eval_matrix,
     rank_mod_p,
     transpose,
 )
 from .jacobian import check_good_prime, sturm_bound, winding_span_mod_p
-from .lattice import Lattice
 from .modsym import (
     GroupSpec,
     atkin_lehner,
@@ -42,7 +42,7 @@ SPLIT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 @dataclass
 class IsotypicComponent:
-    basis: list  # rows over the plus-part lattice coordinates
+    basis: list  # rows over the basis `plus_cuspidal()` of S+
     charpoly_label: str
     rank_zero: bool
 
@@ -93,29 +93,36 @@ def _winding_span_vectors(space):
     return cuspidal_span(space, kept)
 
 
+def _restrict_to_plus(space, op):
+    """An operator on the space restricted to S+, over its basis
+    `plus_cuspidal()`: first to S, then to S+ in S's coordinates."""
+    return restrict_to_lattice(space.restrict_to_cuspidal(op), space.plus_cuspidal())
+
+
 def rank_zero_quotient(space):
     """Hecke-isotypic decomposition of the cuspidal plus part of a Gamma0
     space with winding flags; the flagged components assemble the
-    analytic-rank-zero quotient.
+    analytic-rank-zero quotient.  A component is a basis of rows over the
+    basis of S+; a restriction to it runs over its Hermite form.
     """
     if space.spec.kind != "gamma0":
         raise ValueError("quotient decompositions are built on Gamma0 spaces")
     plus = space.plus_cuspidal()
-    g = plus.rank
+    g = len(plus)
     if g == 0:
         return RankZeroQuotient(space.spec, [], 0)
     n = space.level
 
-    comps = [[[1 if j == i else 0 for j in range(g)] for i in range(g)]]
+    comps = [identity(g)]
     labels = [""]
     # T_q on S+, once per q: the splitting and the isotypy check share it
-    t_plus = {q: restrict_to_lattice(hecke_operator(space, q), plus)
+    t_plus = {q: _restrict_to_plus(space, hecke_operator(space, q))
               for q in SPLIT_PRIMES if n % q}
     for q, tq in t_plus.items():
         new_comps = []
         new_labels = []
         for basis, label in zip(comps, labels):
-            sub = Lattice.from_rows(basis, ambient=g)
+            sub = hnf(basis)
             tq_sub = restrict_to_lattice(tq, sub)
             factors = factor_monic(charpoly(tq_sub))
             if len(factors) == 1:
@@ -127,8 +134,8 @@ def rank_zero_quotient(space):
                 for _ in range(mult):
                     coeffs = poly_mul(coeffs, fac)
                 mat = poly_eval_matrix(coeffs, tq_sub)
-                ker = kernel_basis(mat.T)  # left kernel rows
-                piece = exact_product(ker, basis).tolist() if ker else []
+                ker = kernel_basis(mat.T)  # left kernel rows, over sub
+                piece = exact_product(ker, sub).tolist() if ker else []
                 new_comps.append(piece)
                 new_labels.append(_fmt_factor(q, (fac, mult)))
         comps, labels = new_comps, new_labels
@@ -136,13 +143,13 @@ def rank_zero_quotient(space):
         raise ArithmeticError("decomposition incomplete")
     # each surviving block must be isotypic for every operator used
     for basis in comps:
-        sub = Lattice.from_rows(basis, ambient=g)
+        sub = hnf(basis)
         for tq in t_plus.values():
             if len(factor_monic(charpoly(restrict_to_lattice(tq, sub)))) > 1:
                 raise ArithmeticError("decomposition incomplete")
 
-    winding = _winding_span_vectors(space)
-    wcoords = coordinates(winding, plus.basis, plus.pivots)
+    winding = space.cuspidal_coordinates(_winding_span_vectors(space))
+    wcoords = coordinates(winding, plus)
     if wcoords is None:
         raise ArithmeticError(f"{space.spec.label()}: a winding vector lies outside S+")
     wcoords = wcoords.tolist()
@@ -190,19 +197,16 @@ def joint_expansion_rows(space, basis, cusp_classes, count):
     infinity there; the combined rows are saturated jointly, so unimodular
     changes of basis act on all cusps together and ranks are well defined.
     """
-    plus = space.plus_cuspidal()
-    sublattice = Lattice.from_rows(basis, ambient=plus.rank)
-    d = sublattice.rank
+    sub = hnf(basis)
+    d = len(sub)
     ns = _coprime_range(space.level, count)
     inf_class = space.group.cusp_index_of_fraction(1, 0)
-    tn_mats = {
-        n: restrict_to_lattice(hecke_operator(space, n), plus) for n in ns
-    }
+    tn_mats = {n: _restrict_to_plus(space, hecke_operator(space, n)) for n in ns}
     per_cusp_mats = {}
     for cusp in cusp_classes:
         if cusp == inf_class:
             per_cusp_mats[cusp] = [
-                restrict_to_lattice(tn_mats[n], sublattice) for n in ns
+                restrict_to_lattice(tn_mats[n], sub) for n in ns
             ]
             continue
         found = None
@@ -217,9 +221,9 @@ def joint_expansion_rows(space, basis, cusp_classes, count):
             raise ValueError(
                 f"cusp class {cusp} is not in the Atkin-Lehner orbit of oo"
             )
-        w = restrict_to_lattice(atkin_lehner(space, found), plus)
+        w = _restrict_to_plus(space, atkin_lehner(space, found))
         per_cusp_mats[cusp] = [
-            restrict_to_lattice(exact_product(w, tn_mats[n]), sublattice) for n in ns
+            restrict_to_lattice(exact_product(w, tn_mats[n]), sub) for n in ns
         ]
     order = list(per_cusp_mats)
     func_rows = []
@@ -229,8 +233,11 @@ def joint_expansion_rows(space, basis, cusp_classes, count):
             for cusp in order:
                 row.extend(m[i][j] for m in per_cusp_mats[cusp])
             func_rows.append(row)
-    lat = Lattice.from_rows(func_rows, ambient=len(ns) * len(order))
-    sat = lat.saturation().basis
+    # the saturation of the rows, {v : ker @ v = 0} for their kernel ker
+    # {x : rows @ x = 0}: all of Z^width with no rows, none at full rank
+    width = len(ns) * len(order)
+    ker = kernel_basis(func_rows) if func_rows else identity(width)
+    sat = kernel_basis(ker) if ker else identity(width)
     if not sat:
         raise ValueError("non-integral system: empty coefficient space")
     blocks = {}

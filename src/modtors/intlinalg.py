@@ -274,7 +274,7 @@ def solve_integer(a, b):
     (bench/spans.py) looks it up by name.
     """
     h, u = hnf(a, transform=True)
-    y = coordinates([b], h, [next(k for k, t in enumerate(row) if t) for row in h])
+    y = coordinates([b], h)
     if y is None:
         return None
     return exact_product(y, u[: len(h)])[0].tolist() if h else [0] * len(a)
@@ -446,22 +446,23 @@ def exact_product(a, b):
                for t in range(0, amax.bit_length(), s))
 
 
-def coordinates(rows, basis, pivots):
+def coordinates(rows, basis):
     """x with x @ basis = rows, or None if some row is not an integer
     combination of the basis rows: an integer array, int64 where it fits.
 
-    basis is triangular (row Hermite form): row i is zero before its pivot
-    column pivots[i], and the pivots ascend.  On the pivot columns the
-    system is triangular and is solved by forward substitution, where only
-    a column with a pivot other than 1 or an entry above it needs a step:
-    over a basis of unit pivots alone (the chords of S) x is a gather.
-    Either way x is checked by one exact product.
+    basis is triangular (row Hermite form): the pivot of row i, its first
+    nonzero column, lies right of the pivot of row i - 1.  On the pivot
+    columns the system is triangular and is solved by forward
+    substitution, where only a column with a pivot other than 1 or an entry
+    above it needs a step: over a basis of unit pivots alone (the chords
+    of S) x is a gather.  Either way x is checked by one exact product.
     """
     t = int_array(rows)
     if not len(basis):
         return None if t.any() else np.zeros((len(t), 0), dtype=np.int64)
     b = int_array(basis)
     t = t.reshape(len(t), b.shape[1])
+    pivots = (b != 0).argmax(axis=1)
     tri, x = b[:, pivots], t[:, pivots]
     steps = np.flatnonzero((np.count_nonzero(tri, axis=0) > 1) | (tri.diagonal() != 1))
     if len(steps):

@@ -60,9 +60,9 @@ from .modsym import diamond_operator, hecke_operator
 from .modsym.presentation import forest_cycles
 
 
-def sturm_bound(spec, weight=2):
-    """Generation bound for the Hecke algebra: ceil(weight/12 * index)."""
-    return -(-weight * spec.sl2_index() // 12)
+def sturm_bound(spec):
+    """Generation bound for the weight-2 Hecke algebra: ceil(index / 6)."""
+    return -(-spec.sl2_index() // 6)
 
 
 @dataclass
@@ -291,7 +291,7 @@ def _plus_spanning_rows(space):
     """W = B_S (I + star), B_S the cycle basis of S: 2g rows in S+ that span
     S+ over Q (see _certify_positive).  The entries of star are entries of
     `proj`, all in {-1, 0, 1}, so adding I to it is exact."""
-    return exact_product(space.cycles(), space.star_matrix() + np.eye(space.dim, dtype=np.int64))
+    return exact_product(space.cuspidal, space.star_matrix() + np.eye(space.dim, dtype=np.int64))
 
 
 def _certify_positive(space, kept_vecs, echelon, swept):
@@ -462,7 +462,7 @@ def auxiliary_primes(space, primes=None):
 
     def build():
         chosen = good_primes(space.level, 2) if primes is None else list(primes)
-        if space.cuspidal.rank == 0:
+        if len(space.cuspidal) == 0:
             return AuxiliaryPrimes(chosen, [], [], 1)
         block, m = _kill_block(space, chosen)
         aux = AuxiliaryPrimes(chosen, block, *_hecke_kernel(block, m))
@@ -738,7 +738,7 @@ def cuspidal_class_group(space):
 
 
 def _class_group(space):
-    g2 = space.cuspidal.rank
+    g2 = len(space.cuspidal)
     c = space.ncusps
     if g2 == 0:
         triv = FinAbGroup([])

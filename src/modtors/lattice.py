@@ -1,23 +1,23 @@
 """Lattices in Q^n: finitely generated subgroups of Q^n of full or partial rank.
 
 A Lattice is stored as an integer basis matrix over a positive denominator,
-normalized to row Hermite form, so equal lattices compare equal.  The pivot
-column of each basis row is found once, when the lattice is built.  The
-torsion layer's finite groups are kernels mod m instead (see `jacobian`):
-`intersect`, `sum`, `contains_lattice`, `preimage` and
-`lattice_torsion_quotient` are read only by the benchmark and the tests.
+normalized to row Hermite form, so equal lattices compare equal.  The
+program holds its lattices as bare Hermite bases instead (S and S+ in
+`modsym`, the sublattices of `immersion`), and the torsion layer's finite
+groups are kernels mod m (see `jacobian`): a Lattice is built only for
+the return value of `hecke_kernel_lattice`, and `intersect`, `sum`,
+`contains_lattice`, `preimage` and `lattice_torsion_quotient` are read
+only by the benchmark and the tests.
 """
 
 from math import gcd, lcm
 
 from .abgroup import FinAbGroup
 from .intlinalg import (
-    _hermite,
     coordinates,
     elementary_divisors,
     exact_product,
-    identity,
-    int_rows,
+    hnf,
     kernel_basis,
     transpose,
     vec_gcd,
@@ -27,36 +27,18 @@ from .intlinalg import (
 class Lattice:
     """Subgroup of Q^n spanned by basis rows / den, in Hermite normal form.
     The rows (an integer array or row lists) are read once into row lists
-    of Python ints, zero rows dropped; with normalize=False the rest must
-    already be in Hermite form."""
+    of Python ints: their `hnf`, over den cut by the gcd of its entries."""
 
-    __slots__ = ("ambient", "basis", "den", "pivots")
+    __slots__ = ("ambient", "basis", "den")
 
-    def __init__(self, ambient, rows, den=1, normalize=True):
+    def __init__(self, ambient, rows, den=1):
         if den <= 0:
             raise ValueError("denominator must be positive")
         self.ambient = ambient
-        rows = [r for r in int_rows(rows) if any(r)]
-        if normalize:
-            h = _hermite(rows, False, 0) if rows else []
-            g = den
-            for r in h:
-                g = gcd(g, vec_gcd(r))
-            if g > 1:
-                h = [[x // g for x in r] for r in h]
-                den //= g
-        else:
-            h = rows
-        self.basis = h
-        self.den = den
-        # first nonzero column of each row
-        self.pivots = [next(k for k, x in enumerate(r) if x) for r in h]
-
-    @classmethod
-    def from_rows(cls, rows, ambient=None, den=1):
-        if ambient is None:
-            ambient = len(rows[0]) if rows else 0
-        return cls(ambient, rows, den)
+        h = hnf(rows)
+        g = gcd(den, *map(vec_gcd, h))
+        self.basis = [[x // g for x in r] for r in h] if g > 1 else h
+        self.den = den // g
 
     @property
     def rank(self):
@@ -122,23 +104,12 @@ class Lattice:
 
     def solve(self, vec, den=1):
         """Integer coordinates x with x @ basis = vec * self.den/den, as a
-        list, or None: `coordinates` over the stored Hermite form and its
-        pivots."""
+        list, or None: `coordinates` over the stored Hermite form."""
         t = [x * self.den for x in vec]
         if any(x % den for x in t):
             return None
-        x = coordinates([[x // den for x in t]], self.basis, self.pivots)
+        x = coordinates([[x // den for x in t]], self.basis)
         return None if x is None else x[0].tolist()
-
-    def saturation(self):
-        """Smallest saturated lattice containing self (same Q-span)."""
-        if not self.basis:
-            return self
-        ker = kernel_basis(self.basis)  # {x : basis @ x = 0}
-        if not ker:
-            return Lattice(self.ambient, identity(self.ambient), 1)
-        sat = kernel_basis(ker)  # {v : ker @ v = 0}, saturated by construction
-        return Lattice(self.ambient, sat, 1)
 
     def torsion_quotient_in(self, other):
         """Invariant factors of other/self as FinAbGroup.

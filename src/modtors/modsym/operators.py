@@ -148,15 +148,16 @@ def atkin_lehner_cusp_action(space, Q):
     return perm
 
 
-def restrict_to_lattice(op_matrix, lattice):
-    """Matrix of an operator restricted to an invariant saturated lattice.
+def restrict_to_lattice(op_matrix, basis):
+    """Matrix of an operator restricted to an invariant lattice, given by
+    its basis in row Hermite form (an integer array or row lists).
 
-    Returns the integer matrix R, as row lists, with R @ basis = basis @ op
-    (rows are `coordinates` of the images of the lattice basis).
+    Returns the integer array R (int64 where it fits) with R @ basis =
+    basis @ op: the `coordinates` of the images of the basis rows.
     ValueError unless op keeps the lattice.
     """
-    images = exact_product(lattice.basis, op_matrix) if lattice.basis else []
-    rows = coordinates(images, lattice.basis, lattice.pivots)
+    images = exact_product(basis, op_matrix) if len(basis) else []
+    rows = coordinates(images, basis)
     if rows is None:
         raise ValueError("lattice is not invariant under the operator")
-    return rows.tolist()
+    return rows

@@ -7,11 +7,12 @@ integer array `proj`, row i the coordinates of symbol i, and the lattice
 is exactly Z^dim.
 Every operator built from symbols is a gather of rows of `proj`.  On that
 basis the space holds the boundary map to the cusp divisor space, whose
-rows are the boundaries of the free symbols, the cuspidal sublattice S =
-ker(boundary), which is the integral homology H1(X, Z), and the star-plus
-sublattice.  All operator matrices produced
-from it are integer matrices acting on row vectors: their rows are the
-images of the free symbols.
+rows are the boundaries of the free symbols, and the cuspidal sublattice S
+= ker(boundary), which is the integral homology H1(X, Z).  All operator
+matrices produced from it are integer matrices acting on row vectors:
+their rows are the images of the free symbols.  A lattice is its basis in
+row Hermite form, one integer array: S is `cuspidal`, 2g x dim, and S+ is
+`plus_cuspidal()`, g x 2g in S's coordinates.
 
 The boundary of a Manin symbol is (head cusp) - (tail cusp), or 0 when the
 two cusps agree, so the boundary map is the incidence matrix of a directed
@@ -20,13 +21,13 @@ lattice: `fundamental_cycles` reads a Z-basis of it, already in row
 Hermite form, off a spanning forest, with no integer elimination; the
 presentation's `forest_cycles` grows that forest for both graphs.  S+ is
 the saturated kernel of Sigma - I on S's own 2g coordinates, Sigma the
-star map restricted to S.
+star map restricted to S, and an operator reaches S+ through S
+(`restrict_to_cuspidal`, then `restrict_to_lattice`).
 """
 
 import numpy as np
 
-from ..intlinalg import coordinates, exact_product, kernel_basis
-from ..lattice import Lattice
+from ..intlinalg import coordinates, exact_product, int_array, kernel_basis
 from .groups import GroupData, sl2_lift
 from .operators import star_matrix
 from .presentation import forest_cycles, solve_presentation
@@ -66,9 +67,11 @@ class ModSymSpace:
         # dim x ncusps, integer: the boundaries of the free symbols
         self.boundary = [[(k == head) - (k == tail) for k in range(self.ncusps)]
                          for head, tail in self.edges]
-        # S = {v : v @ boundary = 0}; the cycle rows are its Hermite form
-        self.cuspidal = Lattice(self.dim, fundamental_cycles(self.edges, self.ncusps),
-                                normalize=False)
+        # S = {v : v @ boundary = 0}: the cycle basis B, its Hermite form,
+        # 2g x dim, int64 and read-only
+        cycles = fundamental_cycles(self.edges, self.ncusps)
+        self.cuspidal = np.array(cycles, dtype=np.int64).reshape(len(cycles), self.dim)
+        self.cuspidal.setflags(write=False)
 
         self._memo = {}  # derived objects, see memo()
 
@@ -177,17 +180,12 @@ class ModSymSpace:
     def star_matrix(self):
         return self.memo("star", lambda: star_matrix(self))
 
-    def cycles(self):
-        """The cycle basis B of S as an int64 array."""
-        return self.memo("cycles", lambda: np.array(self.cuspidal.basis, dtype=np.int64)
-                         .reshape(self.cuspidal.rank, self.dim))
-
     def cuspidal_coordinates(self, rows):
         """Coordinates over B of rows in S, an integer array (int64 where
         it fits): `coordinates` over the cycle basis, whose unit pivots at
         the chords (see `fundamental_cycles`) make it a gather and one
         exact product.  ValueError if a row is not in S."""
-        x = coordinates(rows, self.cycles(), self.cuspidal.pivots)
+        x = coordinates(rows, self.cuspidal)
         if x is None:
             raise ValueError("a row is not in the cuspidal lattice S")
         return x
@@ -195,14 +193,17 @@ class ModSymSpace:
     def restrict_to_cuspidal(self, op):
         """R with R B = B op, as `exact_product` gives it; ValueError unless
         op keeps S."""
-        return self.cuspidal_coordinates(exact_product(self.cycles(), op))
+        return self.cuspidal_coordinates(exact_product(self.cuspidal, op))
 
     def plus_cuspidal(self):
-        """Saturated lattice S+ = cuspidal vectors fixed by the star map.
+        """The saturated lattice S+ of cuspidal vectors fixed by the star
+        map, in S's coordinates: a g x 2g integer array P in row Hermite
+        form, so that S+ = {x P B : x integer}.
 
-        With Sigma the 2g x 2g matrix of star on S's basis B, S+ is
-        {x B : x (Sigma - I) = 0}; x runs over a saturated kernel and B is a
-        Z-basis of the saturated S, so S+ is saturated too.
+        With Sigma the 2g x 2g matrix of star on S's basis B, P is the
+        `kernel_basis` of (Sigma - I)^T, {x : x (Sigma - I) = 0}, which is
+        saturated and already Hermite; B is a Z-basis of the saturated S,
+        so S+ is saturated too.
         """
 
         def build():
@@ -210,7 +211,7 @@ class ModSymSpace:
             for i, row in enumerate(sigma_t):
                 row[i] -= 1
             fixed = kernel_basis(sigma_t)  # {x : x @ (sigma - I) = 0}
-            return Lattice(self.dim, exact_product(fixed, self.cycles()) if fixed else [])
+            return int_array(fixed).reshape(len(fixed), len(self.cuspidal))
 
         return self.memo("plus", build)
 
@@ -251,6 +252,6 @@ def build_space(spec):
     if space.dim != 2 * g + space.ncusps - 1:
         raise ArithmeticError(f"{spec.label()}: dim {space.dim} != 2 g + c - 1 "
                               f"with g = {g}, c = {space.ncusps}")
-    if space.cuspidal.rank != 2 * g:
-        raise ArithmeticError(f"{spec.label()}: cuspidal rank {space.cuspidal.rank} != 2 g = {2 * g}")
+    if len(space.cuspidal) != 2 * g:
+        raise ArithmeticError(f"{spec.label()}: cuspidal rank {len(space.cuspidal)} != 2 g = {2 * g}")
     return space

@@ -66,7 +66,7 @@ def kernel_lattice_fold(space, primes):
     star = restrict_to_lattice(space.star_matrix(), space.cuspidal)
     for i, row in enumerate(star):
         row[i] -= 1
-    std = Lattice(space.cuspidal.rank, identity(space.cuspidal.rank), normalize=False)
+    std = Lattice(len(space.cuspidal), identity(len(space.cuspidal)))
     lat = Lattice(std.ambient, std.basis, gcd(*map(det_bareiss, ops)))
     for a in ops + [star]:
         lat = lat.preimage(a, std)
@@ -83,8 +83,8 @@ def class_lattice_folds(space):
     proj = jacobian._projector(space)
     c, g2 = len(proj.phi) + 1, len(proj.phi[0])
     target = Lattice(g2, [[proj.den if i == j else 0 for j in range(g2)] for i in range(g2)])
-    l_prin = Lattice(c - 1, identity(c - 1), normalize=False).preimage(proj.phi, target)
-    lam_div = Lattice(c - 1, identity(c - 1), normalize=False)
+    l_prin = Lattice(c - 1, identity(c - 1)).preimage(proj.phi, target)
+    lam_div = Lattice(c - 1, identity(c - 1))
     for s in jacobian.unit_group_gens(space.level):
         perm = jacobian.galois_cusp_permutation(space, s)
         lam_div = lam_div.preimage(_perm_minus_one_matrix(perm, c), l_prin)

@@ -214,7 +214,7 @@ def test_kernel_spec_example():
 def _kernel_mod_fold(a, m, rng):
     """{x : x a = 0 mod m} as a fold of Lattice.preimage over column
     blocks of a, each pulled back to m Z^w."""
-    lat = Lattice(len(a), identity(len(a)), normalize=False)
+    lat = Lattice(len(a), identity(len(a)))
     start = 0
     while start < len(a[0]):
         w = rng.randint(1, len(a[0]) - start)
@@ -336,12 +336,13 @@ def test_charpoly_past_int64_matches_sympy(n):
     assert charpoly(m) == charpoly(np.array(m, dtype=object)) == [int(c) for c in reversed(theirs)]
 
 
-def back_substitution(basis, pivots, vec):
+def back_substitution(basis, vec):
     """The former Lattice.solve, one vector at a time in Python ints: x with
     x @ basis = vec, or None.  The oracle of `coordinates`."""
     t = list(vec)
     x = [0] * len(basis)
-    for i, (row, j) in enumerate(zip(basis, pivots)):
+    for i, row in enumerate(basis):
+        j = next(k for k, b in enumerate(row) if b)
         q, r = divmod(t[j], row[j])
         if r:
             return None
@@ -351,11 +352,11 @@ def back_substitution(basis, pivots, vec):
     return None if any(t) else x
 
 
-def check_coordinates(rows, basis, pivots):
-    """coordinates(rows, ...) against the oracle row by row; the rows are
+def check_coordinates(rows, basis):
+    """coordinates(rows, basis) against the oracle row by row; the rows are
     solved together, so one row outside the span gives None."""
-    want = [back_substitution(basis, pivots, v) for v in rows]
-    got = coordinates(rows, basis, pivots)
+    want = [back_substitution(basis, v) for v in rows]
+    got = coordinates(rows, basis)
     if None in want:
         assert got is None
     else:
@@ -371,27 +372,30 @@ def test_coordinates_match_back_substitution(seed):
     basis = hnf(random_matrix(rng, rng.randint(1, n), n, -6, 6))
     if not basis:
         basis = [[0] * (n - 1) + [3]]
-    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
     for big in (1, 2**70):  # coordinates, then rows, past int64
         for b in (basis, [[big * x for x in row] for row in basis]):
             coeffs = random_matrix(rng, 5, len(b), -big, big)
             members = exact_product(coeffs, b).tolist()
-            assert check_coordinates(members, b, pivots) == coeffs
+            assert check_coordinates(members, b) == coeffs
             for _ in range(4):  # mostly outside the lattice
                 outside = [[x + rng.randint(-1, 1) for x in row] for row in members]
-                check_coordinates(outside, b, pivots)
-            check_coordinates(np.array(members[:2], dtype=object), b, pivots)
+                check_coordinates(outside, b)
+            check_coordinates(np.array(members[:2], dtype=object), b)
+            check_coordinates(members, np.array(b, dtype=object))
     # a pivot above 1 with a row outside the lattice on its column alone
-    assert coordinates([[1, 0]], [[2, 0], [0, 1]], [0, 1]) is None
-    assert coordinates([[2, 3]], [[2, 1], [0, 1]], [0, 1]).tolist() == [[1, 2]]
+    assert coordinates([[1, 0]], [[2, 0], [0, 1]]) is None
+    assert coordinates([[2, 3]], [[2, 1], [0, 1]]).tolist() == [[1, 2]]
+    # pivots found past leading zero columns, and on a 2^70 entry
+    assert coordinates([[0, 0, 4, 2 + 2**70]], [[0, 0, 2, 1], [0, 0, 0, 2**70]]).tolist() == [
+        [2, 1]]
 
 
 def test_coordinates_over_an_empty_basis():
-    assert coordinates([[0, 0, 0]], [], []).shape == (1, 0)
-    assert coordinates([], [], []).shape == (0, 0)
-    assert coordinates([[0, 1, 0]], [], []) is None
-    assert coordinates(np.zeros((2, 4), dtype=np.int64), np.zeros((0, 4), dtype=np.int64),
-                       []).shape == (2, 0)
+    assert coordinates([[0, 0, 0]], []).shape == (1, 0)
+    assert coordinates([], []).shape == (0, 0)
+    assert coordinates([[0, 1, 0]], []) is None
+    assert coordinates(np.zeros((2, 4), dtype=np.int64),
+                       np.zeros((0, 4), dtype=np.int64)).shape == (2, 0)
 
 
 @pytest.mark.parametrize(
@@ -400,23 +404,23 @@ def test_coordinates_over_an_empty_basis():
     ids=lambda spec: spec.label(),
 )
 def test_coordinates_on_s_and_s_plus(spec):
-    # S's cycle basis (unit pivots at the chords) and S+, a Hermite form
-    # with pivots and entries above them of its own
+    # S's cycle basis (unit pivots at the chords) and S+ over it, a Hermite
+    # form with pivots and entries above them of its own
     sp = build_space(spec)
     rng = random.Random(spec.level)
-    for lat in (sp.cuspidal, sp.plus_cuspidal()):
-        coeffs = random_matrix(rng, 6, lat.rank, -50, 50)
-        members = exact_product(coeffs, lat.basis).tolist()
-        assert check_coordinates(members, lat.basis, lat.pivots) == coeffs
+    for basis in (sp.cuspidal.tolist(), sp.plus_cuspidal().tolist()):
+        coeffs = random_matrix(rng, 6, len(basis), -50, 50)
+        members = exact_product(coeffs, basis).tolist()
+        assert check_coordinates(members, basis) == coeffs
         # a vector of the lattice is fixed by its pivot entries, so one
         # more off a pivot column leaves it
-        edge = next(j for j in range(sp.dim) if j not in lat.pivots)
+        pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+        edge = next(j for j in range(len(basis[0])) if j not in pivots)
         members[2][edge] += 1
-        assert check_coordinates(members, lat.basis, lat.pivots)[2] is None
+        assert check_coordinates(members, basis)[2] is None
         huge = [[x << 70 for x in row] for row in members[:2]]
-        assert check_coordinates(huge, lat.basis, lat.pivots) == [[x << 70 for x in row]
-                                                                  for row in coeffs[:2]]
-    assert (sp.cuspidal_coordinates(sp.cycles()) == np.eye(sp.cuspidal.rank)).all()
+        assert check_coordinates(huge, basis) == [[x << 70 for x in row] for row in coeffs[:2]]
+    assert (sp.cuspidal_coordinates(sp.cuspidal) == np.eye(len(sp.cuspidal))).all()
 
 
 def test_charpoly_rank_mod_p_trivia():
@@ -608,7 +612,6 @@ def test_int64_arrays_are_read_as_python_ints():
         assert hnf(arr, transform=True) == hnf(m, transform=True)
         assert kernel_basis(arr) == kernel_basis(m)
         assert Lattice(n, arr) == Lattice(n, m)
-        assert Lattice(n, arr, normalize=False) == Lattice(n, m, normalize=False)
         assert all(type(x) is int for row in Lattice(n, arr).basis for x in row)
     assert det_bareiss(np.array(a, dtype=np.int64)) == det_bareiss(a) != 0
     assert len(kernel_basis(wide)) == 1

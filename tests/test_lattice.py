@@ -14,21 +14,21 @@ from modtors.lattice import Lattice, lattice_torsion_quotient
 
 
 def test_torsion_quotient_trivia():
-    z2 = Lattice(2, identity(2), normalize=False)
-    two_z2 = Lattice.from_rows([[2, 0], [0, 2]])
+    z2 = Lattice(2, identity(2))
+    two_z2 = Lattice(2, [[2, 0], [0, 2]])
     assert lattice_torsion_quotient(two_z2, z2) == FinAbGroup([2, 2])
     assert lattice_torsion_quotient(z2, z2) == FinAbGroup([])
-    sub = Lattice.from_rows([[1, 1], [0, 3]])
+    sub = Lattice(2, [[1, 1], [0, 3]])
     assert lattice_torsion_quotient(sub, z2) == FinAbGroup([3])
 
 
 def test_torsion_quotient_rejects_incommensurable():
-    a = Lattice.from_rows([[1, 0]], ambient=2)
-    b = Lattice(2, identity(2), normalize=False)
+    a = Lattice(2, [[1, 0]])
+    b = Lattice(2, identity(2))
     with pytest.raises(ValueError):
         lattice_torsion_quotient(a, b)
-    c = Lattice.from_rows([[1, 0], [0, 2]])
-    d = Lattice.from_rows([[3, 0], [0, 1]])
+    c = Lattice(2, [[1, 0], [0, 2]])
+    d = Lattice(2, [[3, 0], [0, 1]])
     with pytest.raises(ValueError):
         lattice_torsion_quotient(d, c)  # d not inside c
 
@@ -48,15 +48,15 @@ def test_quotient_order_is_det_ratio(seed):
         [sum(mult[i][k] * over[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
-    lover = Lattice.from_rows(over)
-    lsub = Lattice.from_rows(sub_rows)
+    lover = Lattice(n, over)
+    lsub = Lattice(n, sub_rows)
     q = lattice_torsion_quotient(lsub, lover)
     assert q.order() == abs(det_bareiss(mult))
 
 
 def test_lattice_canonical_equality():
-    a = Lattice.from_rows([[1, 1], [0, 3]])
-    b = Lattice.from_rows([[1, 4], [2, 5]])
+    a = Lattice(2, [[1, 1], [0, 3]])
+    b = Lattice(2, [[1, 4], [2, 5]])
     assert a == b  # same row span over Z
     assert a.contains([1, 4])
     assert not a.contains([0, 1])
@@ -64,20 +64,20 @@ def test_lattice_canonical_equality():
 
 
 def test_sum_and_intersection():
-    a = Lattice.from_rows([[2, 0], [0, 3]])
-    b = Lattice.from_rows([[3, 0], [0, 2]])
+    a = Lattice(2, [[2, 0], [0, 3]])
+    b = Lattice(2, [[3, 0], [0, 2]])
     s = a.sum(b)
     i = a.intersect(b)
-    assert s == Lattice(2, identity(2), normalize=False)
-    assert i == Lattice.from_rows([[6, 0], [0, 6]])
+    assert s == Lattice(2, identity(2))
+    assert i == Lattice(2, [[6, 0], [0, 6]])
     # index multiplicativity: [s : a][a : i] = [s : b][b : i]
     index = lambda sub, over: sub.torsion_quotient_in(over).order()  # noqa: E731
     assert index(a, s) * index(i, a) == index(b, s) * index(i, b)
 
 
 def test_rational_lattices():
-    half = Lattice.from_rows([[1, 0], [0, 1]], den=2)
-    z2 = Lattice(2, identity(2), normalize=False)
+    half = Lattice(2, [[1, 0], [0, 1]], 2)
+    z2 = Lattice(2, identity(2))
     assert z2.torsion_quotient_in(half) == FinAbGroup([2, 2])
     assert half.contains([1, 1], den=2)
     assert not z2.contains([1, 1], den=2)
@@ -88,16 +88,16 @@ def test_rational_lattices():
 def test_preimage_nonsingular():
     # {v in Z^2 : v @ A in Z^2} for A = diag(2, 3) scaled into 6 Z^2
     a = [[2, 0], [0, 3]]
-    target = Lattice.from_rows([[6, 0], [0, 6]])
-    pre = Lattice(2, identity(2), normalize=False).preimage(a, target)
-    assert pre == Lattice.from_rows([[3, 0], [0, 2]])
+    target = Lattice(2, [[6, 0], [0, 6]])
+    pre = Lattice(2, identity(2)).preimage(a, target)
+    assert pre == Lattice(2, [[3, 0], [0, 2]])
 
 
 def test_preimage_singular_operator():
     # operator with kernel: v @ A with A = [[1, 1], [1, 1]]
     a = [[1, 1], [1, 1]]
-    target = Lattice.from_rows([[2, 0], [0, 2]])
-    pre = Lattice(2, identity(2), normalize=False).preimage(a, target)
+    target = Lattice(2, [[2, 0], [0, 2]])
+    pre = Lattice(2, identity(2)).preimage(a, target)
     # v @ A = (v1+v2, v1+v2): condition v1+v2 even
     assert pre.contains([1, 1])
     assert pre.contains([2, 0])
@@ -105,8 +105,9 @@ def test_preimage_singular_operator():
 
 
 def test_saturation():
-    l = Lattice.from_rows([[2, 2, 0], [0, 0, 3]])
-    s = l.saturation()
+    # the saturation of a row span as `joint_expansion_rows` takes it:
+    # {v : ker @ v = 0} for the kernel ker = {x : rows @ x = 0}
+    s = Lattice(3, kernel_basis(kernel_basis([[2, 2, 0], [0, 0, 3]])))
     assert s.contains([1, 1, 0])
     assert s.contains([0, 0, 1])
     assert not s.contains([1, 0, 0])
@@ -114,15 +115,15 @@ def test_saturation():
 
 
 def test_solve_coordinates():
-    l = Lattice.from_rows([[2, 1], [0, 5]])
+    l = Lattice(2, [[2, 1], [0, 5]])
     x = l.solve([4, 12])
     assert x is not None
     rows, den = l.basis, l.den
     got = [sum(xi * r[j] for xi, r in zip(x, rows)) for j in range(2)]
     assert got == [4, 12]
     assert l.solve([1, 0]) is None
-    # a zero row is dropped, also from a basis taken as is
-    assert Lattice(2, [[1, 0], [0, 0]], normalize=False).solve([3, 0]) == [3]
+    # a zero row is dropped
+    assert Lattice(2, [[1, 0], [0, 0]]).solve([3, 0]) == [3]
 
 
 def _rescanning_solve(lat, vec, den=1):
@@ -164,8 +165,8 @@ def _pivot_cache_cases(seed):
     n = rng.randint(1, 6)
     rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(1, n + 2))]
     yield Lattice(n, rows, rng.randint(1, 4))  # random, normalized to HNF
-    yield Lattice(n, hnf(rows), normalize=False)  # hnf output taken as is
-    yield Lattice(n, identity(n), normalize=False)
+    yield Lattice(n, hnf(rows))  # hnf output, normalized again
+    yield Lattice(n, identity(n))
     yield Lattice(n, [])  # rank 0
 
 

@@ -1,9 +1,9 @@
 """Default JSON output of the CLI, frozen byte for byte.
 
-Each file under snapshots/ is the stdout of one command with default
-options.  A refactor that changes no number must leave every byte of
-them as it is; a change that means to alter a number updates the file
-in the same commit.
+Each file under snapshots/ is the stdout of one command, with default
+options unless the command gives others.  A refactor that changes no
+number must leave every byte of them as it is; a change that means to
+alter a number updates the file in the same commit.
 """
 
 from pathlib import Path
@@ -28,6 +28,9 @@ COMMANDS = {
     "places_29_7": ["places", "29", "7"],
     "ecscan_11_727": ["ecscan", "11", "727"],
     "immersion_121_5": ["immersion", "121", "5"],
+    # the degeneracy rows and the coarse (unrefined) targets
+    "immersion_121_3_degeneracy_no-refine": ["immersion", "121", "3", "--rows-mode",
+                                             "degeneracy", "--no-refine"],
 }
 
 
