@@ -10,14 +10,12 @@ lattices, never floats.
 
 __version__ = "0.1.0"
 
-from .abgroup import FinAbGroup, abgroup_gcd, cokernel_invariants
+from .abgroup import FinAbGroup
 from .intlinalg import charpoly, smith_normal_form
 from .lattice import Lattice, lattice_torsion_quotient
 
 __all__ = [
     "FinAbGroup",
-    "abgroup_gcd",
-    "cokernel_invariants",
     "charpoly",
     "smith_normal_form",
     "Lattice",

@@ -52,9 +52,6 @@ class CuspOrbit:
     degree: int
     width: int
 
-    def geometric_points(self):
-        return self.count * self.degree
-
 
 def x1_width(N, d):
     """Width of the X1(N) cusps in the d-component (denominators N/d)."""

@@ -1,4 +1,4 @@
-"""Elliptic curves over small finite fields: group structures and moduli counts.
+"""Elliptic curves over small finite fields: moduli counts by Tate scans.
 
 Field elements are integer codes: c_0 + c_1 x + ... + c_{k-1} x^(k-1) in
 F_q = F_p[x]/(f), q = p^k, is coded as a = c_0 + c_1 p + ... + c_{k-1}
@@ -25,11 +25,9 @@ order distribution.
 """
 
 from itertools import product
-from math import isqrt
 
 import numpy as np
 
-from .abgroup import FinAbGroup
 from .arith import factorint, is_irreducible_mod_p, isprime, mobius, poly_mulmod
 from .cusps import degree1_count_over_extension
 
@@ -52,9 +50,9 @@ class FiniteField:
     """F_q with q = p^k; elements are integer codes 0 <= a < q.
 
     The vectorized operations take codes or integer arrays of codes,
-    broadcast like numpy and return int16 codes; `scalar` and
-    `coefficients` convert between codes and coefficient tuples (constant
-    term first) in the basis of powers of a root of x^k + modulus.
+    broadcast like numpy and return int16 codes; `coefficients` gives the
+    coefficient tuple of a code (constant term first) in the basis of
+    powers of a root of x^k + modulus.
     """
 
     def __init__(self, p, k=1):
@@ -122,24 +120,10 @@ class FiniteField:
 
     # -- conversions ---------------------------------------------------------
 
-    def scalar(self, value):
-        """Code of an integer (taken mod p) or of a coefficient sequence
-        c_0, c_1, ... of length at most k (constant term first)."""
-        if isinstance(value, (int, np.integer)):
-            return int(value) % self.p
-        value = [int(v) % self.p for v in value]
-        if len(value) > self.k:
-            raise ValueError(f"more than {self.k} coefficients")
-        return sum(c * self.p**i for i, c in enumerate(value))
-
     def coefficients(self, a):
         """Coefficient tuple (c_0, ..., c_{k-1}) of the code a."""
         a = int(a)
         return tuple(a // self.p**i % self.p for i in range(self.k))
-
-    def elements(self):
-        """All field elements: the codes 0, ..., q - 1."""
-        return np.arange(self.q, dtype=np.int16)
 
     # -- vectorized arithmetic on codes --------------------------------------
 
@@ -323,67 +307,6 @@ def _exact_order_chunks(N, q):
             inf = _multiple(f, (*lanes, 0, 0), *_origin(lanes), m)[2]
             lanes = tuple(a[inf == killed] for a in lanes)
         yield len(lanes[0])
-
-
-# ---------------------------------------------------------------------------
-# single-curve structure
-
-
-def curve_points(f, coeffs):
-    """All affine points (x, y) of a long Weierstrass curve, as code arrays.
-
-    coeffs are (a1, a2, a3, a4, a6), each an integer or coefficient tuple.
-    """
-    a1, a2, a3, a4, a6 = (f.scalar(c) for c in coeffs)
-    xs = np.repeat(f.elements(), f.q)
-    ys = np.tile(f.elements(), f.q)
-    lhs = f.add(f.mul(ys, ys), f.add(f.mul(a1, f.mul(xs, ys)), f.mul(a3, ys)))
-    rhs = f.add(
-        f.mul(xs, f.mul(xs, xs)),
-        f.add(f.mul(a2, f.mul(xs, xs)), f.add(f.mul(a4, xs), a6)),
-    )
-    on = lhs == rhs
-    return xs[on], ys[on]
-
-
-def group_structure(q, coeffs):
-    """Group invariants of E(F_q) by exhaustive enumeration.
-
-    coeffs are the long Weierstrass coefficients (a1, a2, a3, a4, a6), each
-    an integer or coefficient tuple.  Exact: points are enumerated and the
-    l-torsion counted for each prime l dividing the order.
-    """
-    f = finite_field(q)
-    coded = tuple(f.scalar(c) for c in coeffs)
-    if discriminant(f, coded) == 0:
-        raise ValueError("singular curve")
-    xs, ys = curve_points(f, coeffs)
-    n = len(xs) + 1
-    if not (q + 1 - isqrt(4 * q) <= n <= q + 1 + isqrt(4 * q)):
-        raise ArithmeticError("point count outside Hasse interval")
-    a_part, b_part = 1, 1
-    for ell, v_n in factorint(n).items():
-        # E[l^j] has l^(min(j, alpha) + min(j, beta)) points with
-        # alpha <= beta the l-valuations of the invariants; alpha is the
-        # largest j with a full l^(2j) of l^j-torsion
-        alpha = 0
-        for j in range(1, v_n // 2 + 1):
-            cnt = _count_killed(f, coded, xs, ys, ell**j) + 1
-            if cnt == ell ** (2 * j):
-                alpha = j
-            else:
-                break
-        a_part *= ell**alpha
-        b_part *= ell ** (v_n - alpha)
-    if (q - 1) % a_part:
-        raise ArithmeticError("first invariant must divide q - 1")
-    return FinAbGroup([x for x in (a_part, b_part) if x > 1])
-
-
-def _count_killed(f, coeffs, xs, ys, m):
-    """Number of affine points P with m * P = infinity."""
-    inf = np.zeros(len(xs), dtype=bool)
-    return int(_multiple(f, coeffs, xs, ys, inf, m)[2].sum())
 
 
 # ---------------------------------------------------------------------------

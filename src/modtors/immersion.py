@@ -99,6 +99,13 @@ def _restrict_to_plus(space, op):
     return restrict_to_lattice(space.restrict_to_cuspidal(op), space.plus_cuspidal())
 
 
+def _plus_operator(space, kind, n):
+    """T_n (kind "T") or W_n (kind "W") on S+, restricted once per space and
+    memoised beside the operator itself, under ("plus", kind, n)."""
+    build = hecke_operator if kind == "T" else atkin_lehner
+    return space.memo(("plus", kind, n), lambda: _restrict_to_plus(space, build(space, n)))
+
+
 def rank_zero_quotient(space):
     """Hecke-isotypic decomposition of the cuspidal plus part of a Gamma0
     space with winding flags; the flagged components assemble the
@@ -116,8 +123,7 @@ def rank_zero_quotient(space):
     comps = [identity(g)]
     labels = [""]
     # T_q on S+, once per q: the splitting and the isotypy check share it
-    t_plus = {q: _restrict_to_plus(space, hecke_operator(space, q))
-              for q in SPLIT_PRIMES if n % q}
+    t_plus = {q: _plus_operator(space, "T", q) for q in SPLIT_PRIMES if n % q}
     for q, tq in t_plus.items():
         new_comps = []
         new_labels = []
@@ -201,7 +207,7 @@ def joint_expansion_rows(space, basis, cusp_classes, count):
     d = len(sub)
     ns = _coprime_range(space.level, count)
     inf_class = space.group.cusp_index_of_fraction(1, 0)
-    tn_mats = {n: _restrict_to_plus(space, hecke_operator(space, n)) for n in ns}
+    tn_mats = {n: _plus_operator(space, "T", n) for n in ns}
     per_cusp_mats = {}
     for cusp in cusp_classes:
         if cusp == inf_class:
@@ -221,7 +227,7 @@ def joint_expansion_rows(space, basis, cusp_classes, count):
             raise ValueError(
                 f"cusp class {cusp} is not in the Atkin-Lehner orbit of oo"
             )
-        w = _restrict_to_plus(space, atkin_lehner(space, found))
+        w = _plus_operator(space, "W", found)
         per_cusp_mats[cusp] = [
             restrict_to_lattice(exact_product(w, tn_mats[n]), sub) for n in ns
         ]

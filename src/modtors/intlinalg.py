@@ -311,20 +311,18 @@ def _rdiv(x, y):
     return q
 
 
-def smith_normal_form(a, transform=True):
-    """Smith normal form: returns (U, D, V) with U*a*V = D.
+def smith_normal_form(a):
+    """Smith normal form D of the integer matrix a: D is diagonal with
+    d1 | d2 | ..., all >= 0, and U a V = D for some unimodular U and V.
 
-    D is diagonal with d1 | d2 | ..., all >= 0; U, V unimodular.  Pivoting
-    always picks a least-magnitude entry and reduces with nearest-integer
-    quotients, which controls coefficient growth; the pivot is forced to
-    divide the whole trailing submatrix before recursing, so the
-    divisibility chain holds by construction.
+    Pivoting always picks a least-magnitude entry and reduces with
+    nearest-integer quotients, which controls coefficient growth; the
+    pivot is forced to divide the whole trailing submatrix before
+    recursing, so the divisibility chain holds by construction.
     """
     m = int_rows(a)
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    u = identity(nr) if transform else None
-    v = identity(nc) if transform else None
     for s in range(min(nr, nc)):
         pos = _min_pivot(m, s)
         if pos is None:
@@ -333,14 +331,9 @@ def smith_normal_form(a, transform=True):
             i, j = pos
             if i != s:
                 m[s], m[i] = m[i], m[s]
-                if transform:
-                    u[s], u[i] = u[i], u[s]
             if j != s:
                 for row in m:
                     row[s], row[j] = row[j], row[s]
-                if transform:
-                    for row in v:
-                        row[s], row[j] = row[j], row[s]
             piv = m[s][s]
             cleared = True
             for i in range(s + 1, nr):
@@ -349,8 +342,6 @@ def smith_normal_form(a, transform=True):
                     q = _rdiv(x, piv)
                     if q:
                         m[i] = [t - q * p for t, p in zip(m[i], m[s])]
-                        if transform:
-                            u[i] = [t - q * p for t, p in zip(u[i], u[s])]
                     if m[i][s]:
                         cleared = False
             for j in range(s + 1, nc):
@@ -360,9 +351,6 @@ def smith_normal_form(a, transform=True):
                     if q:
                         for row in m:
                             row[j] -= q * row[s]
-                        if transform:
-                            for row in v:
-                                row[j] -= q * row[s]
                     if m[s][j]:
                         cleared = False
             if not cleared:
@@ -382,24 +370,16 @@ def smith_normal_form(a, transform=True):
             if bad is None:
                 break
             m[s] = [t + p for t, p in zip(m[s], m[bad])]
-            if transform:
-                u[s] = [t + p for t, p in zip(u[s], u[bad])]
             pos = (s, s)
-        if m[s][s] < 0:
-            m[s] = [-t for t in m[s]]
-            if transform:
-                u[s] = [-t for t in u[s]]
     d = zeros(nr, nc)
     for i in range(min(nr, nc)):
         d[i][i] = abs(m[i][i])
-    if not transform:
-        return d
-    return u, d, v
+    return d
 
 
 def elementary_divisors(a):
     """Nontrivial invariant factors (> 1) of the integer matrix a, ascending."""
-    d = smith_normal_form(a, transform=False)
+    d = smith_normal_form(a)
     divs = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
     return sorted(x for x in divs if x > 1)
 

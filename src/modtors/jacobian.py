@@ -405,16 +405,6 @@ def good_primes(level, count, start=3):
     return out
 
 
-def torsion_multiple(space, primes=None):
-    """gcd of #J(F_p) over the given good primes (by default the two
-    smallest, good_primes(N, 2))."""
-    if primes is None:
-        primes = good_primes(space.level, 2)
-    if not primes:
-        raise ValueError("empty prime list")
-    return gcd(*(jacobian_order_mod_p(space, p) for p in primes))
-
-
 # Most primes the default rule keeps for one level, and skips in a row.
 MAX_AUXILIARY_PRIMES = 5
 # Names the rule of `auxiliary_primes` where results are stored (sweep

@@ -7,9 +7,9 @@ widths, elliptic points, genus) is bookkeeping on those orbits.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
-from ..arith import orbits
+from ..arith import factorint, orbits
 from ..intlinalg import xgcd
 
 
@@ -79,18 +79,7 @@ class GroupSpec:
 
 def num_unit_pairs(n):
     """#{(c, d) in (Z/n)^2 : gcd(c, d, n) = 1} = n^2 prod (1 - p^-2)."""
-    out = n * n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out = out // (p * p) * (p * p - 1)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out = out // (m * m) * (m * m - 1)
-    return out
+    return prod(p ** (2 * e - 2) * (p * p - 1) for p, e in factorint(n).items())
 
 
 class GroupData:

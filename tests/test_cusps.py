@@ -43,7 +43,7 @@ def test_X1_21_orbit_fields():
     quadratic = sum(o.count for o in orbits if o.degree == 2)
     assert rational == 6
     assert quadratic >= 2  # the quadratic cusps used for the degree-3 sweep
-    assert sum(o.geometric_points() for o in orbits) == cusp_count_X1(21)
+    assert sum(o.count * o.degree for o in orbits) == cusp_count_X1(21)
 
 
 def test_X1_22_ten_rational():
@@ -102,24 +102,24 @@ def test_mod_p_rejects_bad_primes():
 @pytest.mark.parametrize("N", range(5, 66))
 def test_total_counts_match_formulas(N):
     o1 = cusp_orbits(N, "X1")
-    assert sum(o.geometric_points() for o in o1) == cusp_count_X1(N)
+    assert sum(o.count * o.degree for o in o1) == cusp_count_X1(N)
     o0 = cusp_orbits(N, "X0")
-    assert sum(o.geometric_points() for o in o0) == cusp_count_X0(N)
+    assert sum(o.count * o.degree for o in o0) == cusp_count_X0(N)
 
 
 @pytest.mark.parametrize("N,p", [(21, 5), (22, 3), (25, 3), (65, 3), (121, 3), (33, 7)])
 def test_reduction_preserves_degree_totals(N, p):
     q_orbits = cusp_orbits(N, "X1")
     p_orbits = cusp_orbits(N, "X1", p)
-    assert sum(o.geometric_points() for o in q_orbits) == sum(
-        o.geometric_points() for o in p_orbits
+    assert sum(o.count * o.degree for o in q_orbits) == sum(
+        o.count * o.degree for o in p_orbits
     )
     # rational cusps reduce to rational cusps
     assert rational_cusp_count(N, "X1", p=p) >= rational_cusp_count(N, "X1")
     # mod-p degrees refine Q-degrees componentwise
     for d in {o.component for o in q_orbits}:
-        qd = sum(o.geometric_points() for o in q_orbits if o.component == d)
-        pd = sum(o.geometric_points() for o in p_orbits if o.component == d)
+        qd = sum(o.count * o.degree for o in q_orbits if o.component == d)
+        pd = sum(o.count * o.degree for o in p_orbits if o.component == d)
         assert qd == pd
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from modtors import immersion
 from modtors.immersion import (
     exact_divisors,
     immersion_certificate,
@@ -118,6 +119,18 @@ def test_certificate_121_3_fails():
     assert not cert["all_pass"]
     failing = [t for t in cert["per_target"] if not t["formal_immersion"]]
     assert failing  # the failing set is reported, not asserted a priori
+
+
+def test_each_plus_restriction_is_built_once(monkeypatch):
+    # (121, 3) with degeneracy rows restricts T_q for the 7 split primes
+    # q != 11, T_1 and T_4 (the other rows) and W_121 (the cusp 0) to S+:
+    # 10 operators, shared by the decomposition and all 4 components' rows
+    calls = []
+    restrict = immersion._restrict_to_plus
+    monkeypatch.setattr(immersion, "_restrict_to_plus",
+                        lambda space, op: calls.append(op) or restrict(space, op))
+    immersion_certificate(121, 3, rows_mode="degeneracy", refine=False)
+    assert len(calls) == 10
 
 
 def test_rank_invariant_under_row_and_cusp_permutations():

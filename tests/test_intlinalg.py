@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -62,18 +64,41 @@ def solve_fraction_gauss(a, b):
     return [m[i][n] for i in range(n)]
 
 
+def check_smith_form(m, d):
+    """d is the Smith normal form of m: the r x c diagonal matrix whose
+    entries d1 | d2 | ... >= 0 (zeros last) have d1 ... dk equal to the gcd
+    of the k x k minors of m for every k.  The gcds of the minors are
+    invariant under unimodular row and column operations, so they
+    determine d completely."""
+    r, c = len(m), len(m[0])
+    assert len(d) == r and all(len(row) == c for row in d)
+    assert all(d[i][j] == 0 for i in range(r) for j in range(c) if i != j)
+    diag = [d[i][i] for i in range(min(r, c))]
+    assert all(x >= 0 for x in diag)
+    for x, y in zip(diag, diag[1:]):
+        if y:
+            assert x != 0 and y % x == 0
+    for k in range(1, min(r, c) + 1):
+        minors = [det_bareiss([[m[i][j] for j in cols] for i in rows])
+                  for rows in combinations(range(r), k)
+                  for cols in combinations(range(c), k)]
+        assert prod(diag[:k]) == gcd(*minors)
+
+
 def test_snf_spec_examples():
-    u, d, v = smith_normal_form([[2, 4], [6, 8]])
-    assert [d[0][0], d[1][1]] == [2, 4]
-    assert exact_product(exact_product(u, [[2, 4], [6, 8]]), v).tolist() == d
-    assert abs(det_bareiss(u)) == 1 and abs(det_bareiss(v)) == 1
-
-    n = 4
-    u, d, v = smith_normal_form(identity(n))
-    assert d == identity(n)
-
-    u, d, v = smith_normal_form([[0, 0], [0, 0]])
-    assert not np.any(d)
+    d = smith_normal_form([[2, 4], [6, 8]])
+    assert d == [[2, 0], [0, 4]]
+    check_smith_form([[2, 4], [6, 8]], d)
+    assert smith_normal_form(identity(4)) == identity(4)
+    assert smith_normal_form([[0, 0], [0, 0]]) == [[0, 0], [0, 0]]
+    assert smith_normal_form([[1, 2], [2, 4]]) == [[1, 0], [0, 0]]
+    assert smith_normal_form([[6, 4, 10]]) == [[2, 0, 0]]
+    # diagonal inputs out of chain: the pivot must be made to divide the
+    # trailing block
+    assert smith_normal_form([[2, 0], [0, 3]]) == [[1, 0], [0, 6]]
+    for diag in ([4, 6, 10], [12, 8, 0], [9, 6, 4]):
+        m = [[x if i == j else 0 for j, x in enumerate(diag)] for i in range(len(diag))]
+        check_smith_form(m, smith_normal_form(m))
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -82,20 +107,7 @@ def test_snf_roundtrip_random(seed):
     r = rng.randint(1, 6)
     c = rng.randint(1, 6)
     m = random_matrix(rng, r, c)
-    u, d, v = smith_normal_form(m)
-    assert exact_product(exact_product(u, m), v).tolist() == d
-    assert abs(det_bareiss(u)) == 1
-    assert abs(det_bareiss(v)) == 1
-    diag = [d[i][i] for i in range(min(r, c))]
-    # divisibility chain, off-diagonal zero
-    for i in range(min(r, c) - 1):
-        if diag[i + 1]:
-            assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-        assert diag[i] >= 0
-    for i in range(r):
-        for j in range(c):
-            if i != j:
-                assert d[i][j] == 0
+    check_smith_form(m, smith_normal_form(m))
 
 
 @pytest.mark.parametrize("seed", range(15))

@@ -4,7 +4,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from conftest import class_lattice_folds, kernel_lattice_fold, orbit_partition
+from conftest import class_lattice_folds, embeds_in, kernel_lattice_fold, orbit_partition
 from sympy import divisors
 
 from modtors import jacobian
@@ -20,7 +20,6 @@ from modtors.jacobian import (
     jacobian_order_mod_p,
     sturm_bound,
     torsion_is_cuspidal,
-    torsion_multiple,
     torsion_report,
     winding_sweep,
 )
@@ -372,7 +371,7 @@ def test_jacobian_orders_level21():
     sp = build_space(GroupSpec.gamma1(21))
     assert jacobian_order_mod_p(sp, 5) == 2184
     assert jacobian_order_mod_p(sp, 11) == 96824
-    assert torsion_multiple(sp, [5, 11]) == 728
+    assert gcd(*(jacobian_order_mod_p(sp, p) for p in (5, 11))) == 728
     with pytest.raises(ValueError):
         jacobian_order_mod_p(sp, 7)
     with pytest.raises(ValueError):
@@ -385,11 +384,6 @@ def test_jacobian_order_level11_point_counts():
     sp = build_space(GroupSpec.gamma0(11))
     for p in (3, 5, 7, 13, 17, 19):
         assert jacobian_order_mod_p(sp, p) == p + 1 - curve11_ap(p)
-
-
-def test_torsion_multiple_single_prime():
-    sp = build_space(GroupSpec.gamma0(11))
-    assert torsion_multiple(sp, [3]) == jacobian_order_mod_p(sp, 3)
 
 
 # the genus of X1(N) at the levels of the zeta-function oracle below
@@ -489,7 +483,7 @@ def test_hecke_bound_monotone_in_primes():
     sp = build_space(GroupSpec.gamma1(28))
     m1 = hecke_bound_group(sp, primes=[3, 5])
     m2 = hecke_bound_group(sp, primes=[3, 5, 11])
-    assert m2.embeds_in(m1)
+    assert embeds_in(m2, m1)
 
 
 @pytest.mark.parametrize(
@@ -674,7 +668,7 @@ def test_hecke_bound_contains_clccq():
         lat, _ = hecke_kernel_lattice(sp)
         assert lat.contains_lattice(_former_class_group(sp).lattice_ccq)
         mh = hecke_bound_group(sp)
-        assert cc.clcc_q.embeds_in(mh)
+        assert embeds_in(cc.clcc_q, mh)
 
 
 def test_manin_drinfeld_classes():
@@ -1392,7 +1386,7 @@ def test_j0_30_cuspidal_group():
     sp = build_space(GroupSpec.gamma0(30))
     assert jacobian_order_mod_p(sp, 7) == 2 * 2 * 4 * 48
     assert jacobian_order_mod_p(sp, 23) == 2 * 12 * 24 * 24
-    assert torsion_multiple(sp, [7, 23]) == 768
+    assert gcd(*(jacobian_order_mod_p(sp, p) for p in (7, 23))) == 768
 
 
 def test_torsion_report_shape():

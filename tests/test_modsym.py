@@ -27,7 +27,7 @@ from modtors.modsym import (
     merel_family,
     restrict_to_lattice,
 )
-from modtors.modsym.groups import GroupData, sl2_lift
+from modtors.modsym.groups import GroupData, num_unit_pairs, sl2_lift
 from modtors.modsym.operators import atkin_lehner_matrix_2x2
 from modtors.modsym.presentation import sigma_pairing, solve_presentation
 from modtors.modsym import space as space_module
@@ -72,6 +72,12 @@ def _symbol_boundary(sp, idx):
     """Boundary (gamma oo) - (gamma 0) of the Manin symbol idx, as divisor."""
     head, tail = sp._symbol_edge(idx)
     return [(k == head) - (k == tail) for k in range(sp.ncusps)]
+
+
+def test_num_unit_pairs_brute_count():
+    for n in range(1, 61):
+        assert num_unit_pairs(n) == sum(
+            gcd(c, d, n) == 1 for c in range(n) for d in range(n))
 
 
 def test_boundary_consistency():

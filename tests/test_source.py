@@ -4,6 +4,11 @@ import ast
 from pathlib import Path
 
 import modtors
+from test_bench_targets import _load_spans
+
+# Uncalled by the program, kept for the `cubic` certificate chain (ROADMAP
+# item 3), which is to call them or delete them.
+HELD_FOR_CUBIC_CHAIN = {"no_cubic_points_certificate", "rational_cusp_count"}
 
 
 def test_no_assert_statements():
@@ -37,3 +42,22 @@ def test_only_the_kernel_lattice_imports_lattice():
             if "modtors.lattice" in names:
                 found.append(str(path.relative_to(root)))
     assert sorted(set(found)) == ["__init__.py", "jacobian.py"]
+
+
+def test_every_def_has_a_caller_in_the_program():
+    # a def or class must be read somewhere in src/ (a loaded name or
+    # attribute; re-exports in __init__ and __all__ do not count), be wrapped
+    # by name in bench/spans.py, or be held above: what only the tests call
+    # belongs in tests/
+    root = Path(modtors.__file__).parent
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(root.rglob("*.py"))}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    wrapped = {attr.split(".")[-1] for _, _, attr in _load_spans().TARGETS}
+    found = [f"{path.relative_to(root)}:{node.lineno} {node.name}"
+             for path, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+             and not (node.name.startswith("__") and node.name.endswith("__"))
+             and node.name not in read | wrapped | HELD_FOR_CUBIC_CHAIN]
+    assert found == []
