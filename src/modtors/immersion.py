@@ -25,7 +25,6 @@ from .intlinalg import (
     kernel_basis,
     poly_eval_matrix,
     rank_mod_p,
-    transpose,
 )
 from .jacobian import check_good_prime, sturm_bound, winding_span_mod_p
 from .modsym import (
@@ -81,15 +80,14 @@ class RankZeroQuotient:
 
 def cuspidal_span(space, vecs):
     """Integer vectors spanning the integer combinations of vecs that the
-    boundary map kills."""
-    dv = [space.boundary_image(v) for v in vecs]
-    ker = kernel_basis(transpose(dv)) if vecs else []  # {x : x @ dv = 0}
+    boundary map kills: vecs, an integer array of rows."""
+    ker = kernel_basis(space.boundary_image(vecs).T)  # {x : x @ dv = 0}
     return exact_product(ker, vecs).tolist() if ker else []
 
 
 def _winding_span_vectors(space):
     """Exact integer vectors spanning (Hecke span of {0,oo}) cap cuspidal."""
-    _, kept, _, _, _ = winding_span_mod_p(space, sturm_bound(space.spec), MODP)
+    _, kept, _, _ = winding_span_mod_p(space, sturm_bound(space.spec), MODP)
     return cuspidal_span(space, kept)
 
 

@@ -121,33 +121,27 @@ def det_bareiss(a):
 # Hermite normal form
 
 
-def hnf(a, transform=False):
-    """Row Hermite normal form.
-
-    Returns H (and U with U*a == H when transform=True); H has pivots > 0,
-    entries above each pivot reduced into [0, pivot).  Zero rows are dropped
-    from H but kept in U's row count (U stays square unimodular), so
-    len(hnf(a)) is the rank of a over Q.
+def hnf(a):
+    """Row Hermite normal form H: pivots > 0, entries above each pivot
+    reduced into [0, pivot), zero rows dropped, so len(hnf(a)) is the rank
+    of a over Q.
 
     Entry growth is controlled by re-reducing the echelon whenever entries
     pass an adaptive bit threshold (Kannan-Bachem style), so nasty inputs
     stay polynomial without slowing down the common sparse case.
     """
-    return _hermite(int_rows(a), transform, 0)
+    return _hermite(int_rows(a), 0)
 
 
-def _hermite(a, transform, reduced_from):
-    """hnf(a, transform) for fresh row lists a of Python ints, except that
-    the final renormalization reduces only the rows whose pivot column is
-    at least `reduced_from`.  A row is reduced only by rows with later
-    pivots, so those rows come out as in hnf; the rows before them are left
-    as the growth control left them."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    u = identity(nrows) if transform else None
+def _hermite(a, reduced_from):
+    """hnf(a) for fresh row lists a of Python ints, except that the final
+    renormalization reduces only the rows whose pivot column is at least
+    `reduced_from`.  A row is reduced only by rows with later pivots, so
+    those rows come out as in hnf; the rows before them are left as the
+    growth control left them."""
+    ncols = len(a[0]) if a else 0
     pivots = {}  # col -> index into echelon list
-    echelon = []  # list of [row, urow, pivcol]
-    kernel_rows = []
+    echelon = []  # list of [row, pivcol]
     in_bits = max((abs(x) for row in a for x in row), default=1).bit_length()
     threshold = 1 << max(256, 8 * in_bits + 64)
 
@@ -155,20 +149,17 @@ def _hermite(a, transform, reduced_from):
         order = sorted(pivots)
         ech = [echelon[pivots[j]] for j in order]
         for i in range(len(ech) - 2, -1, -1):
-            rrow, rurow, pivcol = ech[i]
+            rrow, pivcol = ech[i]
             if pivcol < first:
                 break
             for k in range(i + 1, len(ech)):
-                row, urow, j = ech[k]
+                row, j = ech[k]
                 q = rrow[j] // row[j]
                 if q:
                     rrow = [t - q * s for t, s in zip(rrow, row)]
-                    if transform:
-                        rurow = [t - q * s for t, s in zip(rurow, urow)]
             ech[i][0] = rrow
-            ech[i][1] = rurow
 
-    def reduce_in(row, urow):
+    def reduce_in(row):
         j = 0
         big = False
         while j < ncols:
@@ -180,51 +171,30 @@ def _hermite(a, transform, reduced_from):
             if p is None:
                 if row[j] < 0:
                     row = [-t for t in row]
-                    if urow is not None:
-                        urow = [-t for t in urow]
                 pivots[j] = len(echelon)
-                echelon.append([row, urow, j])
+                echelon.append([row, j])
                 return big
-            prow, purow, _ = echelon[p]
+            prow = echelon[p][0]
             pv = prow[j]
             if x % pv == 0:
                 q = x // pv
                 row = [t - q * s for t, s in zip(row, prow)]
-                if urow is not None:
-                    urow = [t - q * s for t, s in zip(urow, purow)]
             else:
                 g, s, t = xgcd(pv, x)
                 nb, na = pv // g, x // g
                 newp = [s * e + t * f for e, f in zip(prow, row)]
-                newpu = (
-                    [s * e + t * f for e, f in zip(purow, urow)]
-                    if urow is not None
-                    else None
-                )
                 row = [nb * f - na * e for e, f in zip(prow, row)]
-                if urow is not None:
-                    urow = [nb * f - na * e for e, f in zip(purow, urow)]
                 echelon[p][0] = newp
-                echelon[p][1] = newpu
                 if any(abs(t) > threshold for t in newp):
                     big = True
-        # fully reduced to zero: remember urow as kernel row
-        if urow is not None:
-            kernel_rows.append(urow)
         return big
 
-    for i, row in enumerate(a):
-        if reduce_in(row, u[i] if transform else None):
+    for row in a:
+        if reduce_in(row):
             renormalize()
 
     renormalize(reduced_from)
-    order = sorted(pivots)
-    ech_sorted = [echelon[pivots[j]] for j in order]
-    h = [e[0] for e in ech_sorted]
-    if not transform:
-        return h
-    umat = [e[1] for e in ech_sorted] + kernel_rows
-    return h, umat
+    return [echelon[pivots[j]][0] for j in sorted(pivots)]
 
 
 def xgcd(a, b):
@@ -253,31 +223,35 @@ def kernel_basis(a):
     at = transpose(int_rows(a))
     if not at:
         return []
-    n = len(at)
-    m = len(at[0])
-    aug = [row + [1 if k == i else 0 for k in range(n)] for i, row in enumerate(at)]
-    h = _hermite(aug, False, m)
-    out = []
-    for row in h:
-        if any(row[:m]):
-            continue
-        out.append(row[m:])
-    return out
+    h, m = _hermite_beside_identity(at)
+    return [row[m:] for row in h if not any(row[:m])]
+
+
+def _hermite_beside_identity(rows):
+    """(H, width): H the Hermite form of the block [rows | I], for row lists
+    of Python ints of the given width, except that the final reduction
+    skips the rows with a pivot in the left block."""
+    width = len(rows[0]) if rows else 0
+    block = [row + [int(k == i) for k in range(len(rows))] for i, row in enumerate(rows)]
+    return _hermite(block, width), width
 
 
 def solve_integer(a, b):
     """One integer solution x of x @ a = b (row convention), or None.
 
-    a is m x n, b length n; solves over Z exactly: `coordinates` over the
-    Hermite form H = U a, then x = y U.
+    a is m x n, b length n; solves over Z exactly.  The Hermite form of the
+    block [a | I] is [U a | U] with U unimodular: its rows with a pivot in
+    the left block are [H | V] with H = V a in echelon form, and x is y V
+    for y the `coordinates` of b over H.
     Nothing in the package calls it; the tests do, and the traced benchmark
     (bench/spans.py) looks it up by name.
     """
-    h, u = hnf(a, transform=True)
-    y = coordinates([b], h)
+    aug, n = _hermite_beside_identity(int_rows(a))
+    left = [row for row in aug if any(row[:n])]  # the rows [H | V]
+    y = coordinates([b], [row[:n] for row in left])
     if y is None:
         return None
-    return exact_product(y, u[: len(h)])[0].tolist() if h else [0] * len(a)
+    return exact_product(y, [row[n:] for row in left])[0].tolist() if left else [0] * len(a)
 
 
 # ---------------------------------------------------------------------------

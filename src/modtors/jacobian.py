@@ -100,11 +100,11 @@ _LANES = 1 << 12
 
 
 def winding_sweep(space, bound):
-    """T_n {0, oo} for n = 1..bound, as (n, terms) pairs.
+    """T_n {0, oo} for n = 1..bound, as (n, counts) pairs.
 
-    `terms` is an integer array of rows (symbol index, count) with
-    T_n {0, oo} = sum of count * symbol, read off the upper-triangular
-    coset representatives of T_n:
+    `counts` is an int64 array over the Manin symbols with T_n {0, oo} =
+    sum of counts[i] * symbol i, read off the upper-triangular coset
+    representatives of T_n:
 
         T_n {0, oo} = sum over d | n with gcd(n/d, N) = 1 of <n/d> S_d,
         S_d = sum over 0 <= b < d of {b/d, oo},
@@ -151,8 +151,7 @@ def winding_sweep(space, bound):
                 if a not in scaled:
                     scaled[a] = space.symbol_indices(a * symbols[:, 0], a * symbols[:, 1])
                 total[scaled[a]] += s_d  # <a> permutes the symbols
-            idx = np.flatnonzero(total)
-            yield n, np.stack((idx, total[idx]), axis=1)
+            yield n, total
         first = last
 
 
@@ -184,18 +183,14 @@ def _proj_columns(proj):
     return colptr, rows.astype(np.int64, copy=False), proj[rows, cols]
 
 
-def _winding_vector(columns, nsym, proj_max, terms):
-    """sum of count * proj[symbol] over the terms of a T_n {0, oo}, as an
-    exact int64 vector: the symbol counts, one dense vector of length nsym,
-    dotted with each column of `proj` (columns in CSC form, see
-    _proj_columns; proj_max max |proj|).  ArithmeticError unless proj_max *
-    sum |count| fits int64, which bounds every column sum (see
-    check_int64_sum)."""
+def _winding_vector(columns, proj_max, counts):
+    """counts @ proj for the symbol counts of a T_n {0, oo}, as an exact
+    int64 vector: the counts dotted with each column of `proj` (columns in
+    CSC form, see _proj_columns; proj_max max |proj|).  ArithmeticError
+    unless proj_max * sum |counts| fits int64, which bounds every column
+    sum (see check_int64_sum)."""
     colptr, rows, data = columns
-    idx, cnt = terms.T
-    check_int64_sum(proj_max, int(np.abs(cnt).sum()), "winding vector")
-    counts = np.zeros(nsym, dtype=np.int64)
-    np.add.at(counts, idx, cnt)
+    check_int64_sum(proj_max, int(np.abs(counts).sum()), "winding vector")
     return np.add.reduceat(data * counts[rows], colptr[:-1])
 
 
@@ -204,33 +199,32 @@ def winding_span_mod_p(space, bound, p):
     boundary image of the span mod p; stop once the cuspidal part of the
     span has dimension genus.
 
-    Returns (swept, kept, echelon, s_dim, stopped_at): the terms of every
-    swept T_n {0, oo} (index n - 1), the exact vectors of the T_n {0, oo}
-    that increased the span, the ModPEchelon of those vectors mod p, the
-    dimension of its cuspidal part, and the last n swept.
+    Returns (swept, kept, echelon, s_dim): the exact vectors of the swept
+    T_n {0, oo}, row n - 1 for n = 1..len(swept), one int64 array; its rows
+    that increased the span; the ModPEchelon of those rows mod p; and the
+    dimension of its cuspidal part.
     """
     g = space.genus()
     proj_max = max_abs(space.proj)
     columns = _proj_columns(space.proj)
-    bnd_np = np.array(space.boundary, dtype=np.int64) % p
     full_ech = ModPEchelon(space.dim, p)
     bnd_ech = ModPEchelon(space.ncusps, p)
-    swept = []
+    # np.zeros maps a large array's pages lazily, so rows an early stop
+    # never writes cost no memory
+    swept = np.zeros((bound, space.dim), dtype=np.int64)
     kept = []
     s_dim = 0
-    stopped_at = bound
-    for n, terms in winding_sweep(space, bound):
-        swept.append(terms)
-        x = _winding_vector(columns, len(space.proj), proj_max, terms)
-        v = x % p
+    for n, counts in winding_sweep(space, bound):
+        swept[n - 1] = _winding_vector(columns, proj_max, counts)
+        v = swept[n - 1] % p
         if full_ech.add(v):
-            kept.append(x.tolist())
-            bnd_ech.add(v @ bnd_np % p)
+            kept.append(n - 1)
+            bnd_ech.add(space.boundary_image(v) % p)
             s_dim = full_ech.rank - bnd_ech.rank
             if s_dim >= g:
-                stopped_at = n
+                swept = swept[:n]
                 break
-    return swept, kept, full_ech, s_dim, stopped_at
+    return swept, swept[kept], full_ech, s_dim
 
 
 def is_rank_zero(space):
@@ -261,19 +255,19 @@ def is_rank_zero(space):
 
 def _try_rank_certificate(space, bound, p):
     g = space.genus()
-    swept, kept_vecs, echelon, s_dim, stopped_at = winding_span_mod_p(space, bound, p)
+    swept, kept, echelon, s_dim = winding_span_mod_p(space, bound, p)
     if s_dim >= g:
-        if not _certify_rank_zero(space, kept_vecs, g):
+        if not _certify_rank_zero(space, kept, g):
             return None
         return RankCertificate(space.spec, "rank_zero", bound, g, g,
-                               {"hecke_range_used": stopped_at})
-    cert = _certify_positive(space, kept_vecs, echelon, swept)
+                               {"hecke_range_used": len(swept)})
+    cert = _certify_positive(space, kept, echelon, swept)
     if cert is None:
         return None
     return RankCertificate(space.spec, "positive_rank", bound, s_dim, g, cert)
 
 
-def _certify_rank_zero(space, kept_vecs, g):
+def _certify_rank_zero(space, kept, g):
     """Exact certificate that span V cap ker d has dimension at least g,
     V the k kept winding vectors and d the boundary map.
 
@@ -283,8 +277,7 @@ def _certify_rank_zero(space, kept_vecs, g):
     it maps the kernel of x |-> x V d, of dimension k - rank_Q(V d), onto
     span V cap ker d.  V d is a small k x c integer matrix.
     """
-    dv = [space.boundary_image(v) for v in kept_vecs]
-    return len(kept_vecs) - len(hnf(dv)) >= g
+    return len(kept) - len(hnf(space.boundary_image(kept))) >= g
 
 
 def _plus_spanning_rows(space):
@@ -294,10 +287,11 @@ def _plus_spanning_rows(space):
     return exact_product(space.cuspidal, space.star_matrix() + np.eye(space.dim, dtype=np.int64))
 
 
-def _certify_positive(space, kept_vecs, echelon, swept):
+def _certify_positive(space, kept, echelon, swept):
     """Exact functional phi with phi(T_n e) = 0 for all n, phi|S+ != 0,
     from the sweep's ModPEchelon of the kept vectors mod p (their unique
-    reduced echelon form, rows in the order their pivots were found).
+    reduced echelon form, rows in the order their pivots were found); each
+    candidate column is solved once, the screened ones first.
 
     S+ is met through the 2g rows W = B_S (I + star), not through a basis
     of S+.  Star is an involution keeping S invariant, so W lies in S+,
@@ -309,8 +303,6 @@ def _certify_positive(space, kept_vecs, echelon, swept):
     dim, p = space.dim, echelon.p
     ech, piv = echelon.mat, echelon.piv
     w = _plus_spanning_rows(space)
-    k = len(kept_vecs)
-    kept = np.array(kept_vecs, dtype=np.int64).reshape(k, dim)
     pivset = set(piv)
     nonpiv = [j for j in range(dim) if j not in pivset]
     sub = kept[:, piv]
@@ -322,14 +314,11 @@ def _certify_positive(space, kept_vecs, echelon, swept):
     if piv:
         check_int64_sum(p - 1, len(piv) * (p - 1), "S+ pairing mod p")
         pairing = (pairing - w_p[:, piv] @ ech[:, nonpiv]) % p
-    good = [j0 for j0, col in zip(nonpiv, pairing.T) if col.any()]
-    tried = 0
-    for j0 in good + nonpiv:
-        tried += 1
-        if tried > 24:
-            break
+    # the columns that pass the screen first, every column once
+    order = np.argsort(~pairing.any(axis=0), kind="stable")
+    for j0 in [nonpiv[i] for i in order[:24]]:
         rhs = -kept[:, j0]
-        if k:
+        if len(kept):
             try:
                 y = solve_dixon(sub, rhs)
             except (ArithmeticError, ZeroDivisionError):
@@ -344,10 +333,8 @@ def _certify_positive(space, kept_vecs, echelon, swept):
         phi_s = np.array([phi[j] for j in support], dtype=object)
         if not (w[:, support].astype(object) @ phi_s).any():
             continue
-        # exact verification against every swept vector: phi on every
-        # symbol as one product in Python integers, then one dot per T_n
-        phiproj = space.proj[:, support].astype(object) @ phi_s
-        if not any(phiproj[idx].dot(cnt) for idx, cnt in (t.T for t in swept)):
+        # exact verification against every swept vector
+        if not exact_product(swept[:, support], phi_s).any():
             return {"functional_support": len(support)}
     return None
 
@@ -572,8 +559,7 @@ class ManinDrinfeldProjector:
         t = hecke_operator(space, self.q)
         gammas = int_array(boundary_lifts(space)).reshape(c - 1, space.dim)
         images = exact_product(gammas, t)
-        r = int_array([space.boundary_image(w)[: c - 1] for w in images.tolist()])
-        r = r.reshape(c - 1, c - 1)
+        r = space.boundary_image(images)[:, : c - 1]
         # Z = Gamma T - R Gamma = [I | -R] [Gamma T; Gamma]
         eye = np.eye(c - 1, dtype=np.int64)
         z = space.cuspidal_coordinates(exact_product(np.hstack([eye, -r]),
@@ -599,7 +585,7 @@ def boundary_lifts(space):
     e_i - e_(c-1).  ValueError if a virtual edge joins two trees.
     """
     c, dim = space.ncusps, space.dim
-    edges = space.edges + [(c - 1, i) for i in range(c - 1)]
+    edges = [*space.edges.tolist(), *((c - 1, i) for i in range(c - 1))]
     order = [*range(dim - 1, -1, -1), *range(dim, dim + c - 1)]
     paths = [dict(cycle[1:]) for chord, cycle in forest_cycles(edges, order, c) if chord >= dim]
     if len(paths) < c - 1:

@@ -6,9 +6,9 @@ the symbol lattice (see presentation.py), so the symbol projection is one
 integer array `proj`, row i the coordinates of symbol i, and the lattice
 is exactly Z^dim.
 Every operator built from symbols is a gather of rows of `proj`.  On that
-basis the space holds the boundary map to the cusp divisor space, whose
-rows are the boundaries of the free symbols, and the cuspidal sublattice S
-= ker(boundary), which is the integral homology H1(X, Z).  All operator
+basis the space holds the boundary map to the cusp divisor space, as the
+edge list below, and the cuspidal sublattice S = ker(boundary), which is
+the integral homology H1(X, Z).  All operator
 matrices produced from it are integer matrices acting on row vectors:
 their rows are the images of the free symbols.  A lattice is its basis in
 row Hermite form, one integer array: S is `cuspidal`, 2g x dim, and S+ is
@@ -16,8 +16,9 @@ row Hermite form, one integer array: S is `cuspidal`, 2g x dim, and S+ is
 
 The boundary of a Manin symbol is (head cusp) - (tail cusp), or 0 when the
 two cusps agree, so the boundary map is the incidence matrix of a directed
-graph on the cusps with one edge per free symbol.  S is that graph's cycle
-lattice: `fundamental_cycles` reads a Z-basis of it, already in row
+graph on the cusps with one edge per free symbol, `edges`, and
+`boundary_image` reads products with it off the edges.  S is that graph's
+cycle lattice: `fundamental_cycles` reads a Z-basis of it, already in row
 Hermite form, off a spanning forest, with no integer elimination; the
 presentation's `forest_cycles` grows that forest for both graphs.  S+ is
 the saturated kernel of Sigma - I on S's own 2g coordinates, Sigma the
@@ -27,7 +28,7 @@ star map restricted to S, and an operator reaches S+ through S
 
 import numpy as np
 
-from ..intlinalg import coordinates, exact_product, int_array, kernel_basis
+from ..intlinalg import INT64_MAX, coordinates, exact_product, int_array, kernel_basis, max_abs
 from .groups import GroupData, sl2_lift
 from .operators import star_matrix
 from .presentation import forest_cycles, solve_presentation
@@ -62,14 +63,14 @@ class ModSymSpace:
         self.cusp_classes = gd.cusp_classes
 
         # the boundary of free symbol i is edges[i] = (head, tail): the
-        # divisor (head) - (tail), zero for a loop head == tail
-        self.edges = [self._symbol_edge(i) for i in self.free_symbols]
-        # dim x ncusps, integer: the boundaries of the free symbols
-        self.boundary = [[(k == head) - (k == tail) for k in range(self.ncusps)]
-                         for head, tail in self.edges]
+        # divisor (head) - (tail), zero for a loop head == tail; dim x 2,
+        # int64 and read-only, the only stored form of the boundary map
+        edges = [self._symbol_edge(i) for i in self.free_symbols]
+        self.edges = np.array(edges, dtype=np.int64).reshape(self.dim, 2)
+        self.edges.setflags(write=False)
         # S = {v : v @ boundary = 0}: the cycle basis B, its Hermite form,
         # 2g x dim, int64 and read-only
-        cycles = fundamental_cycles(self.edges, self.ncusps)
+        cycles = fundamental_cycles(edges, self.ncusps)
         self.cuspidal = np.array(cycles, dtype=np.int64).reshape(len(cycles), self.dim)
         self.cuspidal.setflags(write=False)
 
@@ -98,14 +99,19 @@ class ModSymSpace:
         a, b, c0, d0 = sl2_lift(c, d, self.level)
         return gd.cusp_index_of_fraction(a, c0), gd.cusp_index_of_fraction(b, d0)
 
-    def boundary_image(self, v):
-        """v @ boundary, read off the edge list in O(dim)."""
-        out = [0] * self.ncusps
-        for x, (head, tail) in zip(v, self.edges):
-            if x:
-                out[head] += x
-                out[tail] -= x
-        return out
+    def boundary_image(self, rows):
+        """rows @ boundary, for one vector or a 2-d batch of rows, read off
+        the edge list: each x_e goes to its head cusp and leaves its tail.
+        Every partial sum at a cusp has at most two terms +-x_e per edge (a
+        loop gives both), so it is at most 2 dim max |x|: the result is an
+        int64 array while that fits, else an object array of Python ints."""
+        rows = int_array(rows)
+        if rows.dtype != object and 2 * self.dim * max_abs(rows) > INT64_MAX:
+            rows = rows.astype(object)
+        out = np.zeros((self.ncusps, *rows.shape[:-1]), dtype=rows.dtype)
+        np.add.at(out, self.edges[:, 0], rows.T)
+        np.subtract.at(out, self.edges[:, 1], rows.T)
+        return out.T
 
     # -- paths --------------------------------------------------------------
 

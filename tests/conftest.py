@@ -30,6 +30,17 @@ def cusp_count_X0(N):
     return sum(int(totient(gcd(d, N // d))) for d in divisors(N))
 
 
+def boundary_matrix(space):
+    """The boundary map of a space as its dense dim x c incidence matrix,
+    built from the edge list: row e is (head) - (tail) of edge e, zero for a
+    loop.  The oracle of `ModSymSpace.boundary_image`."""
+    out = np.zeros((space.dim, space.ncusps), dtype=np.int64)
+    for e, (head, tail) in enumerate(space.edges.tolist()):
+        out[e, head] += 1
+        out[e, tail] -= 1
+    return out
+
+
 def orbit_partition(perms, n):
     """The orbit label of each of 0..n-1 under the permutations perms, by
     a breadth-first walk per orbit, orbits numbered by their least point:

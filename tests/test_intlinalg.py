@@ -114,12 +114,14 @@ def test_snf_roundtrip_random(seed):
 def test_hnf_properties(seed):
     rng = random.Random(100 + seed)
     m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-    h, u = hnf(m, transform=True)
-    assert abs(det_bareiss(u)) == 1
-    full = exact_product(u, m).tolist()
-    assert full[: len(h)] == h
-    for row in full[len(h):]:
-        assert not any(row)
+    h = hnf(m)
+    assert len(h) == SymMatrix(m).rank()
+    # H and m span one lattice: each row of either is an integer
+    # combination of the rows of the other, by solve_integer
+    for rows, basis in ((h, m), (m, h)):
+        for row in rows:
+            x = solve_integer(basis, row)
+            assert x is not None and exact_product(x, basis).tolist() == row
     # pivots positive, increasing columns, entries above reduced
     lastcol = -1
     for row in h:
@@ -131,6 +133,18 @@ def test_hnf_properties(seed):
         j = next(k for k, x in enumerate(row) if x)
         for above in h[:idx]:
             assert 0 <= above[j] < row[j]
+
+
+def test_solve_integer_examples():
+    # in the integer span, with dependent and zero rows; in the rational
+    # span only; outside it
+    for a, b in (([[2, 4], [0, 6]], [2, 10]), ([[1, 2], [2, 4], [0, 0]], [3, 6]),
+                 ([[0, 0]], [0, 0]), ([[3, 1], [5, 2]], [1, 0])):
+        x = solve_integer(a, b)
+        assert len(x) == len(a) and exact_product(x, a).tolist() == b
+    assert solve_integer([[2, 0], [0, 2]], [1, 0]) is None
+    assert solve_integer([[1, 1]], [1, 0]) is None
+    assert solve_integer([[0, 0]], [0, 1]) is None
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -621,7 +635,9 @@ def test_int64_arrays_are_read_as_python_ints():
         arr, n = np.array(m, dtype=np.int64), len(m[0])
         assert elementary_divisors(arr) == elementary_divisors(m)
         assert smith_normal_form(arr) == smith_normal_form(m)
-        assert hnf(arr, transform=True) == hnf(m, transform=True)
+        assert hnf(arr) == hnf(m)
+        b = [x + y for x, y in zip(m[0], m[1])]
+        assert solve_integer(arr, b) == solve_integer(m, b) == [1, 1] + [0] * (len(m) - 2)
         assert kernel_basis(arr) == kernel_basis(m)
         assert Lattice(n, arr) == Lattice(n, m)
         assert all(type(x) is int for row in Lattice(n, arr).basis for x in row)

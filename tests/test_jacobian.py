@@ -4,7 +4,13 @@ from math import gcd
 
 import numpy as np
 import pytest
-from conftest import class_lattice_folds, embeds_in, kernel_lattice_fold, orbit_partition
+from conftest import (
+    boundary_matrix,
+    class_lattice_folds,
+    embeds_in,
+    kernel_lattice_fold,
+    orbit_partition,
+)
 from sympy import divisors
 
 from modtors import jacobian
@@ -99,20 +105,17 @@ def _per_n_winding_sweep(space, bound):
             if gcd(a, nlev) == 1:
                 total[space.symbol_indices(a * symbols[:, 0], a * symbols[:, 1])] += (
                     s_n if d == n else sums[d])
-        idx = np.flatnonzero(total)
-        yield n, np.stack((idx, total[idx]), axis=1)
+        yield n, total
 
 
-def _dense_winding_vector(proj, terms):
-    """cnt @ proj[idx], the dense gather of every row of the terms."""
-    idx, cnt = terms.T
-    return np.einsum("i,ij->j", cnt, proj[idx])
+def _dense_winding_vector(proj, counts):
+    """counts @ proj, the dense product over every symbol."""
+    return np.einsum("i,ij->j", counts, proj)
 
 
-def _winding_vector(space, terms):
+def _winding_vector(space, counts):
     proj_max = int(np.abs(space.proj).max())
-    return jacobian._winding_vector(jacobian._proj_columns(space.proj), len(space.proj),
-                                    proj_max, terms)
+    return jacobian._winding_vector(jacobian._proj_columns(space.proj), proj_max, counts)
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
@@ -121,12 +124,16 @@ def test_winding_sweep_matches_merel_oracle(spec):
     bound = sturm_bound(spec)
     swept = list(winding_sweep(space, bound))
     assert [n for n, _ in swept] == list(range(1, bound + 1))
-    for n, terms in swept:
-        want = _merel_winding_vector(space, n)
-        got = _winding_vector(space, terms)
+    wants = [_merel_winding_vector(space, n) for n in range(1, bound + 1)]
+    for (n, counts), want in zip(swept, wants):
+        got = _winding_vector(space, counts)
         assert got.dtype == np.int64
         assert got.tolist() == want, n
-        assert _dense_winding_vector(space.proj, terms).tolist() == want, n
+        assert _dense_winding_vector(space.proj, counts).tolist() == want, n
+    # the exact vectors the span sweep keeps, row n - 1 for each swept n
+    vectors, _, _, _ = jacobian.winding_span_mod_p(space, bound, MODP)
+    assert vectors.dtype == np.int64 and 1 <= len(vectors) <= bound
+    assert vectors.tolist() == wants[: len(vectors)]
 
 
 @pytest.mark.parametrize("lanes", [1, None, 2**40], ids=["one-lane", "default", "uncapped"])
@@ -141,9 +148,9 @@ def test_blocked_sweep_matches_per_n_sweep(spec, lanes, monkeypatch):
         got = list(winding_sweep(space, bound))
         want = list(_per_n_winding_sweep(space, bound))
         assert [n for n, _ in got] == [n for n, _ in want] == list(range(1, bound + 1))
-        for (n, terms), (_, oracle) in zip(got, want):
-            assert terms.dtype == np.int64
-            assert terms.tolist() == oracle.tolist(), (bound, n)
+        for (n, counts), (_, oracle) in zip(got, want):
+            assert counts.dtype == np.int64
+            assert counts.tolist() == oracle.tolist(), (bound, n)
 
 
 def test_sweep_walks_at_most_the_lane_cap(monkeypatch):
@@ -175,12 +182,11 @@ def test_winding_vector_refuses_int64_overflow(monkeypatch):
     # 2^62 fits int64, but twice it wraps to -2^63: the bound check raises
     # before the product is taken
     big = jacobian._proj_columns(np.array([[2**62, 0], [0, 1]], dtype=np.int64))
-    assert jacobian._winding_vector(big, 2, 2**62, np.array([[0, 1]])).tolist() == [2**62, 0]
-    assert jacobian._winding_vector(big, 2, 2**62, np.array([[1, -1]])).tolist() == [0, -1]
-    with pytest.raises(ArithmeticError):
-        jacobian._winding_vector(big, 2, 2**62, np.array([[0, 2]]))
-    with pytest.raises(ArithmeticError):
-        jacobian._winding_vector(big, 2, 2**62, np.array([[0, 1], [0, 1]]))
+    assert jacobian._winding_vector(big, 2**62, np.array([1, 0])).tolist() == [2**62, 0]
+    assert jacobian._winding_vector(big, 2**62, np.array([0, -1])).tolist() == [0, -1]
+    for counts in ([2, 0], [1, 1], [-1, 1]):
+        with pytest.raises(ArithmeticError):
+            jacobian._winding_vector(big, 2**62, np.array(counts))
     # through the sweep: symbol projections scaled by 2^61 overflow at the
     # first T_n {0, oo} with four or more symbols
     space = build_space(GroupSpec.gamma0(37))
@@ -199,9 +205,9 @@ def test_proj_columns_refuse_a_zero_column():
     proj[1, 1] = -1
     columns = jacobian._proj_columns(proj)
     assert [x.dtype for x in columns] == [np.int64] * 3
-    terms = np.array([[0, 1], [1, 1], [2, 1]])
-    assert jacobian._winding_vector(columns, 3, 1, terms).tolist() == [2, -1, 2]
-    assert _dense_winding_vector(proj, terms).tolist() == [2, -1, 2]
+    counts = np.array([1, 1, 1])
+    assert jacobian._winding_vector(columns, 1, counts).tolist() == [2, -1, 2]
+    assert _dense_winding_vector(proj, counts).tolist() == [2, -1, 2]
 
 
 def test_winding_sweep_diamond_orientation():
@@ -271,6 +277,35 @@ def test_positive_rank_certificate_builds_no_plus_lattice(spec, monkeypatch):
     assert "plus" in fresh._memo
 
 
+def test_positive_certificate_solves_each_column_once(monkeypatch):
+    # at Gamma0(83) the screen passes 4 of the 8 non-pivot columns; a
+    # failed solve moves on to the next column, and no column is solved
+    # twice, so each counts once toward the cap of 24 tries
+    sp = build_space(GroupSpec.gamma0(83))
+    swept, kept, echelon, _ = jacobian.winding_span_mod_p(sp, sturm_bound(sp.spec), MODP)
+    nonpiv = [j for j in range(sp.dim) if j not in echelon.piv]
+    column_of = {tuple((-kept[:, j]).tolist()): j for j in nonpiv}
+    assert len(column_of) == len(nonpiv) < 24  # each right-hand side names its column
+    assert jacobian._certify_positive(sp, kept, echelon, swept) is not None
+    solve = jacobian.solve_dixon
+    for failing in (1, len(nonpiv)):
+        solved = []
+
+        def spy(a, b):
+            solved.append(column_of[tuple(b.tolist())])
+            if len(solved) <= failing:
+                raise ArithmeticError("spy")
+            return solve(a, b)
+
+        monkeypatch.setattr(jacobian, "solve_dixon", spy)
+        got = jacobian._certify_positive(sp, kept, echelon, swept)
+        assert len(solved) == len(set(solved)), solved
+        if failing == 1:
+            assert len(solved) == 2 and got is not None
+        else:
+            assert sorted(solved) == nonpiv and got is None
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -283,15 +318,16 @@ def test_positive_rank_certificate_builds_no_plus_lattice(spec, monkeypatch):
     ids=lambda s: s.label(),
 )
 def test_edge_list_boundary_of_kept_winding_vectors(spec):
-    # the rank-zero levels of test_rank_certificates: V d from the edge list
-    # equals the dense product with the boundary matrix
-    from modtors.intlinalg import MODP
-
+    # the rank-zero levels of test_rank_certificates: V d from the edge list,
+    # as one batch and row by row, equals the dense product with the
+    # boundary matrix
     sp = build_space(spec)
-    _, kept, _, _, _ = jacobian.winding_span_mod_p(sp, sturm_bound(sp.spec), MODP)
-    assert kept
-    for v in kept:
-        assert sp.boundary_image(v) == exact_product(v, sp.boundary).tolist()
+    swept, kept, _, _ = jacobian.winding_span_mod_p(sp, sturm_bound(sp.spec), MODP)
+    assert len(kept)
+    want = exact_product(kept, boundary_matrix(sp)).tolist()
+    assert sp.boundary_image(kept).tolist() == want
+    assert [sp.boundary_image(v).tolist() for v in kept] == want
+    assert len(swept) == is_rank_zero(sp).certificate["hecke_range_used"]
 
 
 def test_class_group_cross_check_raises(monkeypatch):
@@ -356,8 +392,9 @@ def test_rank_zero_certificate_counts_boundary_rank(spec):
 
     sp = build_space(spec)
     g = sp.genus()
-    _, kept, _, s_dim, _ = jacobian.winding_span_mod_p(sp, sturm_bound(sp.spec), MODP)
+    swept, kept, _, s_dim = jacobian.winding_span_mod_p(sp, sturm_bound(sp.spec), MODP)
     assert s_dim == g > 0
+    assert len(swept) == is_rank_zero(sp).certificate["hecke_range_used"]
     assert jacobian._certify_rank_zero(sp, kept, g)
     assert _cuspidal_span_rank_zero(sp, kept, g)
     # the sweep stops at the vector that raised the cuspidal dimension to g
@@ -707,10 +744,11 @@ def _eisenstein_annihilator(space):
     while n % q == 0 or not isprime(q):
         q = int(nextprime(q))
     t = hecke_operator(space, q)
-    bnd = space.boundary
-    h, u = hnf(bnd, transform=True)
+    bnd = boundary_matrix(space)
+    h = hnf(bnd)
     r = []
-    for v in u[: len(h)]:  # u[i] @ bnd = h[i]
+    for row in h:
+        v = solve_integer(bnd, row)  # v @ bnd = row
         w = exact_product(exact_product(v, t), bnd).tolist()
         coords = solve_integer(h, w)
         assert coords is not None, "boundary image not Hecke stable"
@@ -784,7 +822,7 @@ class _HornerProjector:
 
         if sum(divisor) != 0:
             raise ValueError("divisor must have degree 0")
-        gamma = solve_integer(self.space.boundary, list(divisor))
+        gamma = solve_integer(boundary_matrix(self.space), list(divisor))
         if gamma is None:
             raise ValueError("divisor not in the boundary image lattice")
         return self.project(gamma)
@@ -811,15 +849,15 @@ def test_boundary_lifts_from_the_cusp_forest(spec):
     assert len(lifts) == c - 1
     for i, gamma in enumerate(lifts):
         assert len(gamma) == sp.dim
-        assert sp.boundary_image(gamma) == [(j == i) - (j == c - 1) for j in range(c)]
+        assert sp.boundary_image(gamma).tolist() == [(j == i) - (j == c - 1) for j in range(c)]
 
 
 def test_boundary_lifts_refuse_a_disconnected_cusp_graph(monkeypatch):
     # with every edge at the last cusp dropped, no path reaches it
     sp = build_space(GroupSpec.gamma1(13))
     c = sp.ncusps
-    cut = [(h, t) if c - 1 not in (h, t) else (0, 0) for h, t in sp.edges]
-    monkeypatch.setattr(sp, "edges", cut)
+    cut = [(h, t) if c - 1 not in (h, t) else (0, 0) for h, t in sp.edges.tolist()]
+    monkeypatch.setattr(sp, "edges", np.array(cut))
     with pytest.raises(ValueError, match="boundary image"):
         jacobian.boundary_lifts(sp)
 
@@ -832,7 +870,7 @@ def test_manin_drinfeld_lift_independent():
     div = [0] * sp.ncusps
     div[0] = 1
     div[-1] = -1
-    gamma = solve_integer(sp.boundary, div)
+    gamma = solve_integer(boundary_matrix(sp), div)
     # shift the lift by an integral cuspidal vector: class must not change
     shifted = [a + b for a, b in zip(gamma, sp.cuspidal[0].tolist())]
     x1 = proj.project(gamma)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from sympy import primefactors
 
-from conftest import curve11_ap, cusp_count_X0, cusp_count_X1
+from conftest import boundary_matrix, curve11_ap, cusp_count_X0, cusp_count_X1
 from modtors.intlinalg import (
     exact_product,
     hnf,
@@ -85,9 +85,36 @@ def test_boundary_consistency():
     # projection, for every Manin symbol
     for spec in (GroupSpec.gamma0(24), GroupSpec.gamma1(13)):
         sp = build_space(spec)
-        via = exact_product(sp.proj, sp.boundary).tolist()
+        via = exact_product(sp.proj, boundary_matrix(sp)).tolist()
         for idx in range(sp.group.nsym):
             assert _symbol_boundary(sp, idx) == via[idx]
+
+
+@pytest.mark.parametrize(
+    "spec", [GroupSpec.gamma0(24), GroupSpec.gamma1(13), GroupSpec.x1_2_2n(9)],
+    ids=lambda spec: spec.label(),
+)
+def test_boundary_image_matches_the_incidence_matrix(spec):
+    # one vector and a 2-d batch, int64 in and out, against the dense
+    # incidence matrix of the same edges
+    sp = build_space(spec)
+    bnd = boundary_matrix(sp)
+    rows = np.random.default_rng(5).integers(-1000, 1000, size=(7, sp.dim))
+    got = sp.boundary_image(rows)
+    assert got.dtype == np.int64 and got.shape == (7, sp.ncusps)
+    assert got.tolist() == exact_product(rows, bnd).tolist()
+    for row in rows:
+        one = sp.boundary_image(row)
+        assert one.dtype == np.int64
+        assert one.tolist() == exact_product(row, bnd).tolist()
+    # past int64: entries 2^62 fit, but two edges at one cusp would wrap,
+    # and entries 2^80 do not fit at all; both come back as Python ints
+    for big in (rows * 2**52, rows.astype(object) * 2**70):
+        got = sp.boundary_image(big)
+        want = big.astype(object) @ bnd.astype(object)
+        assert got.dtype == object and got.tolist() == want.tolist()
+        assert all(type(x) is int for x in got.ravel())
+        assert sp.boundary_image(big[0].tolist()).tolist() == want[0].tolist()
 
 
 def test_path_vector_boundary():
@@ -97,7 +124,7 @@ def test_path_vector_boundary():
         a, b = rng.randint(-30, 30), rng.randint(1, 30)
         c, d = rng.randint(-30, 30), rng.randint(1, 30)
         v = sp.path_vector((a, b), (c, d))
-        bnd = exact_product(v, sp.boundary).tolist()
+        bnd = exact_product(v, boundary_matrix(sp)).tolist()
         expect = [0] * sp.ncusps
         expect[sp.group.cusp_index_of_fraction(c, d)] += 1
         expect[sp.group.cusp_index_of_fraction(a, b)] -= 1
@@ -206,7 +233,7 @@ def test_operators_preserve_structure():
         # cuspidal lattice must also be preserved
         restrict_to_lattice(op, s)  # raises if not invariant
         # and the boundary of cuspidal images vanishes
-        assert not exact_product(exact_product(s, op), sp.boundary).any()
+        assert not exact_product(exact_product(s, op), boundary_matrix(sp)).any()
 
 
 @pytest.mark.parametrize(
@@ -666,7 +693,7 @@ def test_free_symbols_are_a_z_basis(spec):
 
 def _cuspidal_oracle(sp):
     """S = ker(boundary) by a general HNF kernel (the former route)."""
-    return Lattice(sp.dim, kernel_basis(transpose(sp.boundary)))
+    return Lattice(sp.dim, kernel_basis(boundary_matrix(sp).T))
 
 
 def _plus_cuspidal_oracle(sp):
@@ -674,7 +701,8 @@ def _plus_cuspidal_oracle(sp):
     [boundary | star - I] (the former route)."""
     stacked = [
         row_b + [x - (1 if i == j else 0) for j, x in enumerate(row_s)]
-        for i, (row_b, row_s) in enumerate(zip(sp.boundary, sp.star_matrix().tolist()))
+        for i, (row_b, row_s) in enumerate(zip(boundary_matrix(sp).tolist(),
+                                               sp.star_matrix().tolist()))
     ]
     return Lattice(sp.dim, kernel_basis(transpose(stacked)))
 
@@ -700,7 +728,7 @@ def test_cuspidal_lattices_match_kernel_oracle(spec):
     assert hnf(exact_product(plus, s)) == _plus_cuspidal_oracle(sp).basis
     assert plus.tolist() == hnf(plus)
     assert plus.shape == (sp.genus(), 2 * sp.genus())
-    assert sp.boundary == [_symbol_boundary(sp, i) for i in sp.free_symbols]
+    assert boundary_matrix(sp).tolist() == [_symbol_boundary(sp, i) for i in sp.free_symbols]
 
 
 @pytest.mark.parametrize("seed", range(8))

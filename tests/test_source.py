@@ -22,6 +22,13 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _from_module(package, node):
+    """The module an `ImportFrom` node imports from, for a file of the
+    package `package`, a list of names from "modtors" down."""
+    base = package[: len(package) - node.level + 1] if node.level else []
+    return ".".join(base + ([node.module] if node.module else []))
+
+
 def test_only_the_kernel_lattice_imports_lattice():
     # the program holds a lattice as its Hermite basis, an integer array:
     # in the package only `jacobian`, for the return value of
@@ -34,8 +41,7 @@ def test_only_the_kernel_lattice_imports_lattice():
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                base = package[: len(package) - node.level + 1] if node.level else []
-                module = ".".join(base + ([node.module] if node.module else []))
+                module = _from_module(package, node)
                 names = [module] + [f"{module}.{alias.name}" for alias in node.names]
             else:
                 continue
@@ -45,19 +51,54 @@ def test_only_the_kernel_lattice_imports_lattice():
 
 
 def test_every_def_has_a_caller_in_the_program():
-    # a def or class must be read somewhere in src/ (a loaded name or
-    # attribute; re-exports in __init__ and __all__ do not count), be wrapped
-    # by name in bench/spans.py, or be held above: what only the tests call
-    # belongs in tests/
+    # a def or class must be read in src/, be wrapped in bench/spans.py, or
+    # be held above: what only the tests call belongs in tests/.  A
+    # module-level def is read through its binding: a name loaded in its own
+    # module, or an import of it by another module (a package __init__'s
+    # re-export does not count, but is followed to the defining module); an
+    # attribute that shares its name does not count.  A method or a nested
+    # def is read by any loaded name or attribute of its name.
     root = Path(modtors.__file__).parent
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(root.rglob("*.py"))}
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
-    wrapped = {attr.split(".")[-1] for _, _, attr in _load_spans().TARGETS}
-    found = [f"{path.relative_to(root)}:{node.lineno} {node.name}"
-             for path, tree in trees.items() for node in ast.walk(tree)
-             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-             and not (node.name.startswith("__") and node.name.endswith("__"))
-             and node.name not in read | wrapped | HELD_FOR_CUBIC_CHAIN]
+    modules = {}  # module name -> (package, tree)
+    for path in sorted(root.rglob("*.py")):
+        package = ["modtors", *path.relative_to(root).parent.parts]
+        name = ".".join(package if path.stem == "__init__" else [*package, path.stem])
+        modules[name] = (package, ast.parse(path.read_text(), str(path)))
+    loaded, read, reexported, imported = {}, set(), {}, set()
+    for module, (package, tree) in modules.items():
+        loaded[module] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded[module].add(node.id)
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                source = _from_module(package, node)
+                for alias in node.names:
+                    if module == ".".join(package):  # an __init__
+                        reexported[module, alias.asname or alias.name] = (source, alias.name)
+                    else:
+                        imported.add((source, alias.name))
+    bound = set()
+    for binding in imported:
+        while binding in reexported:
+            binding = reexported[binding]
+        bound.add(binding)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    uncalled = []  # (module, qualified name)
+    for module, (_, tree) in modules.items():
+        for top in tree.body:
+            if not isinstance(top, defs):
+                continue
+            if top.name not in loaded[module] and (module, top.name) not in bound:
+                uncalled.append((module, top.name))
+            uncalled += [(module, f"{top.name}.{node.name}") for node in ast.walk(top)
+                         if node is not top and isinstance(node, defs)
+                         and not (node.name.startswith("__") and node.name.endswith("__"))
+                         and node.name not in read]
+    wrapped = {(module, attr) for _, module, attr in _load_spans().TARGETS}
+    found = [f"{module}.{name}" for module, name in uncalled
+             if (module, name) not in wrapped and name not in HELD_FOR_CUBIC_CHAIN]
     assert found == []
+    assert HELD_FOR_CUBIC_CHAIN <= {name for _, name in uncalled}
