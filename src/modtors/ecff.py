@@ -360,10 +360,13 @@ def count_X1_points(N, q):
 def places_of_degree(N, p, d):
     """Number of degree-d places of X1(N) over F_p, for small d.
 
-    Moebius inversion of the point counts over F_{p^e} for e | d.
+    Moebius inversion of the point counts over F_{p^e} for e | d; p must
+    be prime.
     """
     if d < 1:
         raise ValueError("degree must be positive")
+    if not isprime(p):
+        raise ValueError(f"{p} is not prime")
     total = 0
     for e in range(1, d + 1):
         if d % e:

@@ -4,13 +4,16 @@ A matrix is a 2-d integer array (int64, or object for Python ints) or a
 list of row lists of Python ints; everything here is exact, no floating
 point anywhere.  `exact_product` is the one integer product: int64 where
 a bound proves it exact, Python ints otherwise, an int64 or object array
-either way.  The eliminations over Z (Hermite, Smith, Bareiss, kernels)
-take either format, convert it once on entry (`int_rows`) and return row
-lists.  `coordinates` is the one solve over a triangular basis (S and its
-sublattices): forward substitution on the pivot columns, checked by one
-exact product.  `charpoly` works mod one prime above its coefficient bound,
-in Python ints.  numpy int64 carries the word-sized modular arithmetic of
-the mod-p and p-adic routines, whose results are reconstructed and/or
+either way.  The two eliminations over Z, Bareiss and the Hermite form
+`_hermite`, take either format, convert it once on entry (`int_rows`)
+and return row lists; `hnf`, `kernel_basis`, `solve_integer` and
+`smith_normal_form` run on `_hermite`, the Smith form on alternating
+Hermite forms of the rows and of their transpose.  `coordinates` is the
+one solve over a triangular basis (S and its sublattices): forward
+substitution on the pivot columns, checked by one exact product.
+`charpoly` works mod one prime above its coefficient bound, in Python
+ints.  numpy int64 carries the word-sized modular arithmetic of the
+mod-p and p-adic routines, whose results are reconstructed and/or
 verified exactly.
 """
 
@@ -258,96 +261,29 @@ def solve_integer(a, b):
 # Smith normal form
 
 
-def _min_pivot(m, s):
-    best = None
-    pos = None
-    for i in range(s, len(m)):
-        row = m[i]
-        for j in range(s, len(row)):
-            x = row[j]
-            if x and (best is None or abs(x) < best):
-                best = abs(x)
-                pos = (i, j)
-                if best == 1:
-                    return pos
-    return pos
-
-
-def _rdiv(x, y):
-    """Nearest-integer quotient: remainder magnitude at most |y|/2.
-
-    divmod's remainder has the sign of y, so shifting the quotient up by
-    one always flips it to the smaller symmetric representative.
-    """
-    q, r = divmod(x, y)
-    if 2 * abs(r) > abs(y):
-        q += 1
-    return q
-
-
 def smith_normal_form(a):
     """Smith normal form D of the integer matrix a: D is diagonal with
     d1 | d2 | ..., all >= 0, and U a V = D for some unimodular U and V.
 
-    Pivoting always picks a least-magnitude entry and reduces with
-    nearest-integer quotients, which controls coefficient growth; the
-    pivot is forced to divide the whole trailing submatrix before
-    recursing, so the divisibility chain holds by construction.
+    Kannan-Bachem: row Hermite forms of the rows and of their transpose in
+    turn, until every row has one nonzero entry.  Each pass keeps the
+    lattice of the rows or of the columns, and each new first pivot divides
+    the one before it; once it stops changing it divides its row and
+    column, which the next pass clears for good, so the loop ends.  The
+    pivots left are put in divisibility order by (x, y) -> (gcd, lcm).
     """
     m = int_rows(a)
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    for s in range(min(nr, nc)):
-        pos = _min_pivot(m, s)
-        if pos is None:
-            break
-        while True:
-            i, j = pos
-            if i != s:
-                m[s], m[i] = m[i], m[s]
-            if j != s:
-                for row in m:
-                    row[s], row[j] = row[j], row[s]
-            piv = m[s][s]
-            cleared = True
-            for i in range(s + 1, nr):
-                x = m[i][s]
-                if x:
-                    q = _rdiv(x, piv)
-                    if q:
-                        m[i] = [t - q * p for t, p in zip(m[i], m[s])]
-                    if m[i][s]:
-                        cleared = False
-            for j in range(s + 1, nc):
-                x = m[s][j]
-                if x:
-                    q = _rdiv(x, piv)
-                    if q:
-                        for row in m:
-                            row[j] -= q * row[s]
-                    if m[s][j]:
-                        cleared = False
-            if not cleared:
-                pos = _min_pivot(m, s)
-                continue
-            # pivot must divide the whole trailing block before recursing
-            piv = m[s][s]
-            bad = None
-            for i in range(s + 1, nr):
-                row = m[i]
-                for j in range(s + 1, nc):
-                    if row[j] % piv:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            m[s] = [t + p for t, p in zip(m[s], m[bad])]
-            pos = (s, s)
+    nr, nc = len(m), len(m[0]) if m else 0
+    h = _hermite(m, 0)
+    while any(len(row) - row.count(0) > 1 for row in h):
+        h = _hermite(transpose(h), 0)
+    diag = [next(filter(None, row)) for row in h]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
     d = zeros(nr, nc)
-    for i in range(min(nr, nc)):
-        d[i][i] = abs(m[i][i])
+    for i, x in enumerate(diag):
+        d[i][i] = x
     return d
 
 

@@ -102,6 +102,7 @@ def test_invalid_level_is_refused_before_the_sweep(command, tmp_path):
         (("immersion", "65", "3", "--count", "0"), "invalid --count 0"),
         (("immersion", "65", "3", "--count", "-2"), "invalid --count -2"),
         (("torsion", "gamma1", "13", "--primes", "3,3"), "repeated auxiliary primes"),
+        (("places", "22", "9"), "9 is not prime"),
     ],
 )
 def test_invalid_arguments_are_refused(argv, reason, tmp_path, capsys):

@@ -36,6 +36,7 @@ from modtors.intlinalg import (
     solve_integer,
     span_mod,
     transpose,
+    zeros,
 )
 from modtors.lattice import Lattice
 from modtors.modsym import GroupSpec, build_space
@@ -93,8 +94,12 @@ def test_snf_spec_examples():
     assert smith_normal_form([[0, 0], [0, 0]]) == [[0, 0], [0, 0]]
     assert smith_normal_form([[1, 2], [2, 4]]) == [[1, 0], [0, 0]]
     assert smith_normal_form([[6, 4, 10]]) == [[2, 0, 0]]
-    # diagonal inputs out of chain: the pivot must be made to divide the
-    # trailing block
+    assert smith_normal_form([[0], [-6], [4], [10]]) == [[2], [0], [0], [0]]
+    assert smith_normal_form([]) == [] and elementary_divisors([]) == []
+    assert smith_normal_form([[]]) == [[]] and elementary_divisors([[]]) == []
+    assert smith_normal_form(zeros(3, 4)) == zeros(3, 4) and elementary_divisors(zeros(5, 2)) == []
+    # diagonal inputs out of chain: the pivots are put in divisibility
+    # order by (x, y) -> (gcd, lcm)
     assert smith_normal_form([[2, 0], [0, 3]]) == [[1, 0], [0, 6]]
     for diag in ([4, 6, 10], [12, 8, 0], [9, 6, 4]):
         m = [[x if i == j else 0 for j, x in enumerate(diag)] for i in range(len(diag))]
@@ -108,6 +113,71 @@ def test_snf_roundtrip_random(seed):
     c = rng.randint(1, 6)
     m = random_matrix(rng, r, c)
     check_smith_form(m, smith_normal_form(m))
+
+
+def scrambled(rng, d, steps):
+    """U d V for random unimodular U and V: steps random elementary row and
+    column operations (a swap, a sign change, or a multiple of one row or
+    column added to another) applied to a copy of d."""
+    m = [list(row) for row in d]
+    r, c = len(m), len(m[0])
+    for _ in range(steps):
+        rows = rng.random() < 0.5
+        if rows:
+            m = transpose(m)
+        n = len(m[0])
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            op, q = rng.randrange(4), rng.choice([-3, -2, -1, 1, 2, 3])
+            for row in m:
+                if op == 0:
+                    row[i], row[j] = row[j], row[i]
+                elif op == 1:
+                    row[i] = -row[i]
+                else:
+                    row[i] += q * row[j]
+        if rows:
+            m = transpose(m)
+    assert (len(m), len(m[0])) == (r, c)
+    return m
+
+
+def divisibility_chain(rng, k, rank):
+    """k invariant factors, the first rank of them a divisibility chain with
+    units and repeated factors, the rest zeros."""
+    diag, x = [], 1
+    for _ in range(rank):
+        x *= rng.choice([1, 1, 2, 3, 5, 6, 7, 12])
+        diag.append(x)
+    return diag + [0] * (k - rank)
+
+
+SNF_SHAPES = [(20, 25), (25, 20), (1, 25), (20, 20), (25, 1), (12, 7), (16, 16), (7, 12)]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_snf_of_scrambled_diagonal(seed):
+    # a = U D V with D a divisibility chain and U, V products of elementary
+    # operations: D is the Smith form of a, far beyond the reach of the
+    # minor-gcd oracle of check_smith_form; odd seeds are rank-deficient,
+    # and a is given as row lists, an int64 array, or (times 2^70) an
+    # object array with entries past 2^63
+    rng = random.Random(7000 + seed)
+    r, c = SNF_SHAPES[seed % len(SNF_SHAPES)]
+    k = min(r, c)
+    rank = k if seed % 2 == 0 else rng.randint(0, k - 1)
+    diag = divisibility_chain(rng, k, rank)
+    a = scrambled(rng, [[diag[i] if i == j else 0 for j in range(c)] for i in range(r)],
+                  4 * (r + c))
+    if seed % 3 == 1:
+        a = np.array(a, dtype=np.int64)
+    elif seed % 3 == 2:
+        diag = [x << 70 for x in diag]
+        a = np.array([[x << 70 for x in row] for row in a], dtype=object)
+        assert rank == 0 or max_abs(a) > 2**63
+    assert smith_normal_form(a) == [[diag[i] if i == j else 0 for j in range(c)]
+                                    for i in range(r)]
+    assert elementary_divisors(a) == [x for x in diag if x > 1]
 
 
 @pytest.mark.parametrize("seed", range(15))

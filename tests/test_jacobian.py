@@ -1380,9 +1380,11 @@ def test_sandwich_bound_is_clccq_without_intersection(monkeypatch):
 def test_torsion_layer_needs_no_lattice(monkeypatch):
     # once the space is built and its rank certified (the rank-zero
     # certificate reads a Hermite row count), a torsion report calls no
-    # Lattice method and no Hermite form: at Gamma1(21), decided at the
-    # sandwich, and at Gamma1(24), decided at stage (ii).  It takes one
-    # Smith form per level, in the class group's cross-check of Div^0 / P
+    # Lattice method and no `hnf`: at Gamma1(21), decided at the sandwich,
+    # and at Gamma1(24), decided at stage (ii).  It takes one Smith form
+    # per level, in the class group's cross-check of Div^0 / P; that Smith
+    # form runs on alternating Hermite forms through `_hermite`, while
+    # every binding of `hnf` is still refused
     from modtors import intlinalg
 
     spaces = {n: build_space(GroupSpec.gamma1(n)) for n in (21, 24)}

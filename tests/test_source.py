@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 import modtors
-from test_bench_targets import _load_spans
+from test_bench_targets import BENCH, _load_spans
 
 # Uncalled by the program, kept for the `cubic` certificate chain (ROADMAP
 # item 3), which is to call them or delete them.
@@ -50,29 +50,46 @@ def test_only_the_kernel_lattice_imports_lattice():
     assert sorted(set(found)) == ["__init__.py", "jacobian.py"]
 
 
+def _inner_defs(scope, prefix):
+    """(qualified name, def node, whether its scope is a class) for every
+    def or class below the def or class `scope`, dunder methods left out."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, defs):
+            stack += ast.iter_child_nodes(node)
+            continue
+        name = f"{prefix}.{node.name}"
+        if not (node.name.startswith("__") and node.name.endswith("__")):
+            yield name, node, isinstance(scope, ast.ClassDef)
+        yield from _inner_defs(node, name)
+
+
 def test_every_def_has_a_caller_in_the_program():
     # a def or class must be read in src/, be wrapped in bench/spans.py, or
     # be held above: what only the tests call belongs in tests/.  A
     # module-level def is read through its binding: a name loaded in its own
     # module, or an import of it by another module (a package __init__'s
     # re-export does not count, but is followed to the defining module); an
-    # attribute that shares its name does not count.  A method or a nested
-    # def is read by any loaded name or attribute of its name.
+    # attribute that shares its name does not count.  A def inside a class
+    # is read only through an attribute load of its name, in src/ or in
+    # bench/spans.py; a def nested in a function only through a name load.
     root = Path(modtors.__file__).parent
     modules = {}  # module name -> (package, tree)
     for path in sorted(root.rglob("*.py")):
         package = ["modtors", *path.relative_to(root).parent.parts]
         name = ".".join(package if path.stem == "__init__" else [*package, path.stem])
         modules[name] = (package, ast.parse(path.read_text(), str(path)))
-    loaded, read, reexported, imported = {}, set(), {}, set()
+    loaded, names_read, attrs_read, reexported, imported = {}, set(), set(), {}, set()
     for module, (package, tree) in modules.items():
         loaded[module] = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded[module].add(node.id)
-                read.add(node.id)
+                names_read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+                attrs_read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 source = _from_module(package, node)
                 for alias in node.names:
@@ -80,6 +97,9 @@ def test_every_def_has_a_caller_in_the_program():
                         reexported[module, alias.asname or alias.name] = (source, alias.name)
                     else:
                         imported.add((source, alias.name))
+    spans_path = BENCH / "spans.py"
+    attrs_read |= {node.attr for node in ast.walk(ast.parse(spans_path.read_text(), str(spans_path)))
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     bound = set()
     for binding in imported:
         while binding in reexported:
@@ -93,10 +113,8 @@ def test_every_def_has_a_caller_in_the_program():
                 continue
             if top.name not in loaded[module] and (module, top.name) not in bound:
                 uncalled.append((module, top.name))
-            uncalled += [(module, f"{top.name}.{node.name}") for node in ast.walk(top)
-                         if node is not top and isinstance(node, defs)
-                         and not (node.name.startswith("__") and node.name.endswith("__"))
-                         and node.name not in read]
+            uncalled += [(module, name) for name, node, in_class in _inner_defs(top, top.name)
+                         if node.name not in (attrs_read if in_class else names_read)]
     wrapped = {(module, attr) for _, module, attr in _load_spans().TARGETS}
     found = [f"{module}.{name}" for module, name in uncalled
              if (module, name) not in wrapped and name not in HELD_FOR_CUBIC_CHAIN]
