@@ -382,15 +382,3 @@ def factor_monic(f):
         b, c, i = poly_divmod(b, a)[0], poly_divmod(d, a)[0], i + 1
     return sorted(out, key=lambda fm: (len(fm[0]), fm[1], fm[0][::-1]))
 
-
-def poly_str(f):
-    """A polynomial with a positive leading coefficient in the form the
-    report labels use, e.g. x**2 + 2*x - 1."""
-    out = ""
-    for i in reversed(range(len(f))):
-        if f[i]:
-            mono = "" if i == 0 else "x" if i == 1 else f"x**{i}"
-            mag = abs(f[i])
-            term = mono if mag == 1 and mono else f"{mag}*{mono}" if mono else str(mag)
-            out += (" - " if f[i] < 0 else " + ") + term
-    return out[3:] or "0"

@@ -25,6 +25,7 @@ from .arith import isprime
 from .jacobian import (
     AUXILIARY_PRIMES_RULE,
     MAX_AUXILIARY_PRIMES,
+    check_auxiliary_primes,
     is_rank_zero,
     torsion_report,
 )
@@ -82,10 +83,7 @@ def parse_primes(arg):
     """The explicit auxiliary primes of `--primes`: at least two distinct
     primes."""
     primes = [int(p) for p in arg.split(",")]
-    if len(primes) < 2:
-        raise ValueError("need at least two auxiliary primes")
-    if len(set(primes)) < len(primes):
-        raise ValueError(f"repeated auxiliary primes: {primes}")
+    check_auxiliary_primes(primes)
     bad = [p for p in primes if not isprime(p)]
     if bad:
         raise ValueError(f"not prime: {bad}")
@@ -222,7 +220,7 @@ def cmd_rank(args):
 
 def _torsion_one(task):
     spec, level, primes = task
-    return torsion_report(build_space(spec), primes=primes).to_json() | {"level": level}
+    return torsion_report(build_space(spec), primes=primes) | {"level": level}
 
 
 def cmd_torsion(args):

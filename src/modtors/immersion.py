@@ -8,11 +8,10 @@ transport expansions to other cusps through Atkin-Lehner involutions, and
 test the rank of the resulting matrices at degree-3 cuspidal divisors.
 """
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, isqrt
 
-from .arith import factor_monic, poly_mul, poly_str
+from .arith import factor_monic, poly_mul
 from .cusps import cusp_orbits
 from .ecff import exists_point_of_order, hasse_excludes
 from .intlinalg import (
@@ -26,7 +25,12 @@ from .intlinalg import (
     poly_eval_matrix,
     rank_mod_p,
 )
-from .jacobian import check_good_prime, sturm_bound, winding_span_mod_p
+from .jacobian import (
+    check_good_prime,
+    galois_cusp_permutation,
+    sturm_bound,
+    winding_span_mod_p,
+)
 from .modsym import (
     GroupSpec,
     atkin_lehner,
@@ -37,45 +41,6 @@ from .modsym import (
 )
 
 SPLIT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
-
-
-@dataclass
-class IsotypicComponent:
-    basis: list  # rows over the basis `plus_cuspidal()` of S+
-    charpoly_label: str
-    rank_zero: bool
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-
-@dataclass
-class RankZeroQuotient:
-    spec: object
-    components: list
-    winding_dim: int
-
-    @property
-    def rank_zero_dim(self):
-        return sum(c.dim for c in self.components if c.rank_zero)
-
-    def rank_zero_basis(self):
-        rows = []
-        for c in self.components:
-            if c.rank_zero:
-                rows.extend(c.basis)
-        return rows
-
-    def to_json(self):
-        return {
-            "group": self.spec.label(),
-            "components": [
-                {"dim": c.dim, "rank_zero": c.rank_zero, "charpoly": c.charpoly_label}
-                for c in self.components
-            ],
-            "rank_zero_dim": self.rank_zero_dim,
-        }
 
 
 def cuspidal_span(space, vecs):
@@ -106,32 +71,31 @@ def _plus_operator(space, kind, n):
 
 def rank_zero_quotient(space):
     """Hecke-isotypic decomposition of the cuspidal plus part of a Gamma0
-    space with winding flags; the flagged components assemble the
-    analytic-rank-zero quotient.  A component is a basis of rows over the
-    basis of S+; a restriction to it runs over its Hermite form.
+    space with winding flags: a list of (basis, rank_zero) pairs, one per
+    isotypic component.  A basis lists rows over the basis
+    `plus_cuspidal()` of S+, and a restriction to it runs over its Hermite
+    form; rank_zero is true when the winding span meets the component, and
+    the flagged components assemble the analytic-rank-zero quotient.
     """
     if space.spec.kind != "gamma0":
         raise ValueError("quotient decompositions are built on Gamma0 spaces")
     plus = space.plus_cuspidal()
     g = len(plus)
     if g == 0:
-        return RankZeroQuotient(space.spec, [], 0)
+        return []
     n = space.level
 
     comps = [identity(g)]
-    labels = [""]
     # T_q on S+, once per q: the splitting and the isotypy check share it
     t_plus = {q: _plus_operator(space, "T", q) for q in SPLIT_PRIMES if n % q}
-    for q, tq in t_plus.items():
+    for tq in t_plus.values():
         new_comps = []
-        new_labels = []
-        for basis, label in zip(comps, labels):
+        for basis in comps:
             sub = hnf(basis)
             tq_sub = restrict_to_lattice(tq, sub)
             factors = factor_monic(charpoly(tq_sub))
             if len(factors) == 1:
                 new_comps.append(basis)
-                new_labels.append(label or _fmt_factor(q, factors[0]))
                 continue
             for fac, mult in factors:
                 coeffs = [1]
@@ -141,8 +105,7 @@ def rank_zero_quotient(space):
                 ker = kernel_basis(mat.T)  # left kernel rows, over sub
                 piece = exact_product(ker, sub).tolist() if ker else []
                 new_comps.append(piece)
-                new_labels.append(_fmt_factor(q, (fac, mult)))
-        comps, labels = new_comps, new_labels
+        comps = new_comps
     if sum(len(c) for c in comps) != g:
         raise ArithmeticError("decomposition incomplete")
     # each surviving block must be isotypic for every operator used
@@ -157,20 +120,8 @@ def rank_zero_quotient(space):
     if wcoords is None:
         raise ArithmeticError(f"{space.spec.label()}: a winding vector lies outside S+")
     wcoords = wcoords.tolist()
-    components = []
-    for basis, label in zip(comps, labels):
-        stacked = wcoords + basis
-        meets = len(hnf(stacked)) < len(wcoords) + len(basis)
-        components.append(
-            IsotypicComponent(basis=basis, charpoly_label=label, rank_zero=meets)
-        )
-    return RankZeroQuotient(space.spec, components, len(wcoords))
-
-
-def _fmt_factor(q, fac_mult):
-    fac, mult = fac_mult
-    s = f"T{q}:{poly_str(fac)}"
-    return s + (f"^{mult}" if mult > 1 else "")
+    return [(basis, len(hnf(wcoords + basis)) < len(wcoords) + len(basis))
+            for basis in comps]
 
 
 def _coprime_range(n_level, count):
@@ -275,8 +226,6 @@ def _x0_rational_cusp_classes(space, p):
     bookkeeping, and widths must match per class (ambiguity is flagged
     rather than guessed away).
     """
-    from .jacobian import galois_cusp_permutation
-
     perm = galois_cusp_permutation(space, p % space.level)
     fixed = [i for i, j in enumerate(perm) if i == j]
     scheme = [o for o in cusp_orbits(space.level, "X0", p) if o.degree == 1]
@@ -323,8 +272,8 @@ def reduction_targets(space, p, refine="auto"):
     rational = _x0_rational_cusp_classes(space, p)
     if refine == "auto" and hasse_all and _x1_patterns_single_support(N, p):
         return [[(c, 3)] for c in rational]
-    # coarse mode: all degree-3 divisors supported on cusps of degree <= 3
-    low = list(rational)  # degrees 2,3 would enter here; see below
+    # coarse mode: every multiset of three rational cusps; a cusp place of
+    # degree 2 or 3 has no class matching, so any such place raises
     extra = [
         o
         for o in cusp_orbits(N, "X0", p)
@@ -336,7 +285,7 @@ def reduction_targets(space, p, refine="auto"):
             "only rational-support divisors are implemented"
         )
     targets = []
-    for combo in combinations_with_replacement(low, 3):
+    for combo in combinations_with_replacement(rational, 3):
         div = {}
         for c in combo:
             div[c] = div.get(c, 0) + 1
@@ -350,8 +299,6 @@ def _degeneracy_scale(N):
     The form f(Mz) d z on X0(M^2) is (1/M) of the pullback of f(z) dz, so
     the integral combination pairs the visible row with M times the shadow.
     """
-    from math import isqrt
-
     m = isqrt(N)
     if m * m != N:
         raise ValueError("degeneracy rows implemented for square levels only")
@@ -378,21 +325,20 @@ def immersion_certificate(N, p, count=5, refine="auto", rows_mode="full"):
     """
     space = build_space(GroupSpec.gamma0(N))
     targets = reduction_targets(space, p, refine=refine)
-    quotient = rank_zero_quotient(space)
+    pieces = rank_zero_quotient(space)
     cusps_needed = sorted({c for div in targets for c, _ in div})
     inf_class = space.group.cusp_index_of_fraction(1, 0)
     all_cusps = sorted(set(cusps_needed) | {inf_class})
     if rows_mode == "full":
-        _, blocks = joint_expansion_rows(
-            space, quotient.rank_zero_basis(), all_cusps, count
-        )
+        basis = [row for piece, rank_zero in pieces if rank_zero for row in piece]
+        _, blocks = joint_expansion_rows(space, basis, all_cusps, count)
         rows = {c: [[x % p for x in row] for row in blocks[c]] for c in cusps_needed}
     elif rows_mode == "degeneracy":
         rows = {c: [] for c in cusps_needed}
-        for comp in quotient.components:
-            if not comp.rank_zero:
+        for piece, rank_zero in pieces:
+            if not rank_zero:
                 continue
-            _, blocks = joint_expansion_rows(space, comp.basis, all_cusps, count)
+            _, blocks = joint_expansion_rows(space, piece, all_cusps, count)
             visible = [i for i in range(len(blocks[inf_class])) if any(blocks[inf_class][i])]
             shadows = [i for i in range(len(blocks[inf_class])) if i not in visible]
             if shadows:
@@ -425,8 +371,8 @@ def immersion_certificate(N, p, count=5, refine="auto", rows_mode="full"):
     return {
         "level": N,
         "prime": p,
-        "quotient_dims": [c.dim for c in quotient.components if c.rank_zero],
-        "rank_one_dims": [c.dim for c in quotient.components if not c.rank_zero],
+        "quotient_dims": [len(piece) for piece, rank_zero in pieces if rank_zero],
+        "rank_one_dims": [len(piece) for piece, rank_zero in pieces if not rank_zero],
         "targets": [[list(t) for t in div] for div in targets],
         "per_target": per_target,
         "verdict": "cubic points of X1({}) are cuspidal".format(N)

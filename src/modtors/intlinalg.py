@@ -363,7 +363,7 @@ def coordinates(rows, basis):
     return x if (exact_product(x, b) == t).all() else None
 
 
-def _as_modp(a, p=MODP):
+def _as_modp(a, p):
     """a mod p as an int64 array."""
     return (int_array(a) % p).astype(np.int64, copy=False)
 
@@ -389,9 +389,8 @@ class ModPEchelon:
     rank times (p - 1)^2 fits and in Python ints (dtype object) otherwise.
     """
 
-    def __init__(self, ncols, p=MODP, dtype=np.int64):
+    def __init__(self, ncols, p, dtype=np.int64):
         self.p = p
-        self.ncols = ncols
         self.dtype = dtype
         self.mat = np.zeros((0, ncols), dtype=dtype)
         self.piv = []
@@ -441,7 +440,7 @@ class ModPEchelon:
         return True
 
 
-def inverse_mod_p(a_np, p=MODP):
+def inverse_mod_p(a_np, p):
     """Inverse of a square matrix mod p, or None if singular: the reduced
     echelon of [A | I] is [I | A^-1]."""
     n = a_np.shape[0]
@@ -764,18 +763,20 @@ def rational_reconstruct(a, m):
     return Fraction(r1, t1)
 
 
-def solve_dixon(a, b, p=MODP):
+def solve_dixon(a, b):
     """Solve A x = b exactly for square nonsingular integer A (x rational).
 
-    p-adic lifting with adaptive rational reconstruction; the final candidate
-    is verified exactly, so the result is unconditionally correct.  If A is
-    singular mod p, its rank over Q (`hnf`) decides: ZeroDivisionError if A is
-    singular, else the next prime is tried.
+    p-adic lifting with adaptive rational reconstruction, starting at
+    p = MODP; the final candidate is verified exactly, so the result is
+    unconditionally correct.  If A is singular mod p, its rank over Q
+    (`hnf`) decides: ZeroDivisionError if A is singular, else the next prime
+    is tried.
     """
     a = int_array(a)
     n = len(a)
     if n == 0:
         return []
+    p = MODP
     a_np = _as_modp(a, p)
     ainv = inverse_mod_p(a_np, p)
     if ainv is None and len(hnf(a)) < n:

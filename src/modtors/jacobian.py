@@ -414,6 +414,15 @@ class AuxiliaryPrimes:
     capped: bool = False
 
 
+def check_auxiliary_primes(primes):
+    """ValueError unless the explicit auxiliary primes number at least two,
+    none repeated; `auxiliary_primes` and the CLI's `--primes` share it."""
+    if len(primes) < 2:
+        raise ValueError("need at least two auxiliary primes")
+    if len(set(primes)) < len(primes):
+        raise ValueError(f"repeated auxiliary primes: {list(primes)}")
+
+
 def auxiliary_primes(space, primes=None):
     """The auxiliary primes of the Hecke bound M_H for one level.
 
@@ -429,10 +438,7 @@ def auxiliary_primes(space, primes=None):
     product.  Memoised on the space under `_primes_key`.
     """
     if primes is not None:
-        if len(primes) < 2:
-            raise ValueError("need at least two auxiliary primes")
-        if len(set(primes)) < len(primes):
-            raise ValueError(f"repeated auxiliary primes: {list(primes)}")
+        check_auxiliary_primes(primes)
         for q in primes:
             check_good_prime(space, q)
     cap = MAX_AUXILIARY_PRIMES
@@ -669,20 +675,11 @@ class CuspidalClassGroup:
     (`galois_block`): D B_G = 0 mod den exactly when the divisor D has a
     Galois-invariant class."""
 
-    spec: object
     clcc: FinAbGroup
     clcc_q: FinAbGroup
     surjective: bool  # (Div^0cc)^G -> (Cl^cc)^G surjective
     classes_q: object
     galois_block: list
-
-    def to_json(self):
-        return {
-            "group": self.spec.label(),
-            "clcc": self.clcc.to_json(),
-            "clcc_Q": self.clcc_q.to_json(),
-            "invariants_surjective": self.surjective,
-        }
 
 
 def galois_cusp_permutation(space, s):
@@ -718,7 +715,7 @@ def _class_group(space):
     c = space.ncusps
     if g2 == 0:
         triv = FinAbGroup([])
-        return CuspidalClassGroup(space.spec, triv, triv, True, [], [])
+        return CuspidalClassGroup(triv, triv, True, [], [])
     proj = _projector(space)  # phi: (c-1) x 2g
     phi, den = proj.phi, proj.den
     clcc = FinAbGroup(span_mod(phi, den))
@@ -753,43 +750,11 @@ def _class_group(space):
         raise ArithmeticError(f"{space.spec.label()}: a Galois-invariant divisor class "
                               "lies outside (Cl^cc)^G")
     surjective = clcc.order() == prod(span_mod(block, den)) * clcc_q.order()
-    return CuspidalClassGroup(space.spec, clcc, clcc_q, surjective, classes_q, block)
+    return CuspidalClassGroup(clcc, clcc_q, surjective, classes_q, block)
 
 
 # ---------------------------------------------------------------------------
 # the equality pipeline (is all rational torsion cuspidal?)
-
-
-@dataclass
-class TorsionReport:
-    spec: object
-    rank: RankCertificate
-    local_orders: dict
-    torsion_multiple: int
-    hecke_bound: FinAbGroup
-    clcc: FinAbGroup
-    clcc_q: FinAbGroup
-    verdict: str
-    index_bound: int = 1
-    sturm: int = 0
-    primes: list = field(default_factory=list)
-    primes_capped: bool = False
-
-    def to_json(self):
-        return {
-            "group": self.spec.label(),
-            "rank_verdict": self.rank.verdict,
-            "sturm_bound": self.sturm,
-            "primes": self.primes,
-            "primes_capped": self.primes_capped,
-            "local_orders": {str(p): o for p, o in self.local_orders.items()},
-            "torsion_multiple": self.torsion_multiple,
-            "hecke_bound": self.hecke_bound.to_json(),
-            "clcc": self.clcc.to_json(),
-            "clcc_Q": self.clcc_q.to_json(),
-            "pipeline_verdict": self.verdict,
-            "index_bound": self.index_bound,
-        }
 
 
 def _pipeline(space, primes):
@@ -888,7 +853,8 @@ def torsion_is_cuspidal(space, primes=None):
 
 
 def torsion_report(space, primes=None):
-    """Full per-level report: rank, local orders, bounds, class groups.
+    """Full per-level report as its JSON dict: rank verdict, local orders,
+    bounds, class groups and the pipeline verdict.
 
     An explicit `primes` list is used exactly as given; primes=None takes
     the default choice of `auxiliary_primes`.  The local orders, the
@@ -901,18 +867,18 @@ def torsion_report(space, primes=None):
     rank = is_rank_zero(space)
     orders = {p: jacobian_order_mod_p(space, p) for p in aux.primes}
     mh = hecke_bound_group(space, primes)
-    verdict, k, _, _stage = torsion_is_cuspidal(space, primes)
-    return TorsionReport(
-        spec=space.spec,
-        rank=rank,
-        local_orders=orders,
-        torsion_multiple=gcd(*orders.values()),
-        hecke_bound=mh,
-        clcc=cc.clcc,
-        clcc_q=cc.clcc_q,
-        verdict=verdict,
-        index_bound=k,
-        sturm=sturm_bound(space.spec),
-        primes=aux.primes,
-        primes_capped=aux.capped,
-    )
+    verdict, k, _, _ = torsion_is_cuspidal(space, primes)
+    return {
+        "group": space.spec.label(),
+        "rank_verdict": rank.verdict,
+        "sturm_bound": sturm_bound(space.spec),
+        "primes": aux.primes,
+        "primes_capped": aux.capped,
+        "local_orders": {str(p): o for p, o in orders.items()},
+        "torsion_multiple": gcd(*orders.values()),
+        "hecke_bound": mh.to_json(),
+        "clcc": cc.clcc.to_json(),
+        "clcc_Q": cc.clcc_q.to_json(),
+        "pipeline_verdict": verdict,
+        "index_bound": k,
+    }

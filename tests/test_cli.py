@@ -268,6 +268,30 @@ def test_text_format():
     proc = run_cli("places", "22", "3", "--format", "text")
     assert proc.returncode == 0
     assert "places_by_degree" in proc.stdout
+    # a nested report: a dict per level, indented under its list, each
+    # closed by a "-" line; lists of numbers one entry a line
+    proc = run_cli("torsion", "gamma1", "13", "--format", "text")
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    start = lines.index("results:")
+    assert lines[start:lines.index("  -") + 1] == [
+        "results:",
+        "  clcc:", "    19", "    19",
+        "  clcc_Q:", "    19",
+        "  group: Gamma1(13)",
+        "  hecke_bound:", "    19",
+        "  index_bound: 1",
+        "  level: 13",
+        "  local_orders:", "    3: 19", "    5: 19",
+        "  pipeline_verdict: equal",
+        "  primes:", "    3", "    5",
+        "  primes_capped: False",
+        "  rank_verdict: rank_zero",
+        "  sturm_bound: 28",
+        "  torsion_multiple: 19",
+        "  -",
+    ]
+    assert lines[-1].startswith("tool: modtors ")
 
 
 def test_rank_checkpoint_of_another_version_not_reused(tmp_path, monkeypatch, capsys):

@@ -17,32 +17,29 @@ from modtors.modsym import GroupSpec, build_space
 
 
 def test_rank_zero_quotient_11():
-    q = rank_zero_quotient(build_space(GroupSpec.gamma0(11)))
-    assert len(q.components) == 1
-    assert q.components[0].rank_zero
-    assert q.rank_zero_dim == 1
+    pieces = rank_zero_quotient(build_space(GroupSpec.gamma0(11)))
+    assert [(len(basis), rank_zero) for basis, rank_zero in pieces] == [(1, True)]
 
 
 def test_rank_zero_quotient_65():
-    q = rank_zero_quotient(build_space(GroupSpec.gamma0(65)))
-    dims = sorted((c.dim, c.rank_zero) for c in q.components)
+    pieces = rank_zero_quotient(build_space(GroupSpec.gamma0(65)))
+    dims = sorted((len(basis), rank_zero) for basis, rank_zero in pieces)
+    # the winding quotient has dimension 4
     assert dims == [(1, False), (2, True), (2, True)]
-    assert q.rank_zero_dim == 4  # the winding quotient has dimension 4
 
 
 def test_rank_zero_quotient_121():
-    q = rank_zero_quotient(build_space(GroupSpec.gamma0(121)))
-    assert sum(c.dim for c in q.components) == 6
-    assert q.rank_zero_dim == 5
-    rank_one = [c for c in q.components if not c.rank_zero]
-    assert len(rank_one) == 1 and rank_one[0].dim == 1
+    pieces = rank_zero_quotient(build_space(GroupSpec.gamma0(121)))
+    assert sum(len(basis) for basis, _ in pieces) == 6
+    assert sum(len(basis) for basis, rank_zero in pieces if rank_zero) == 5
+    rank_one = [basis for basis, rank_zero in pieces if not rank_zero]
+    assert len(rank_one) == 1 and len(rank_one[0]) == 1
 
 
 def test_component_dims_sum_to_genus():
     for n in (11, 30, 65, 121):
         sp = build_space(GroupSpec.gamma0(n))
-        q = rank_zero_quotient(sp)
-        assert sum(c.dim for c in q.components) == sp.genus()
+        assert sum(len(basis) for basis, _ in rank_zero_quotient(sp)) == sp.genus()
 
 
 def test_coefficient_rows_level11():
@@ -135,8 +132,7 @@ def test_each_plus_restriction_is_built_once(monkeypatch):
 
 def test_rank_invariant_under_row_and_cusp_permutations():
     sp = build_space(GroupSpec.gamma0(121))
-    q = rank_zero_quotient(sp)
-    basis = q.rank_zero_basis()
+    basis = [row for piece, rank_zero in rank_zero_quotient(sp) if rank_zero for row in piece]
     inf = sp.group.cusp_index_of_fraction(1, 0)
     zero = sp.group.cusp_index_of_fraction(0, 1)
     _, blocks = joint_expansion_rows(sp, basis, [inf, zero], 5)

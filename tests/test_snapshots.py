@@ -25,6 +25,7 @@ COMMANDS = {
     "torsion_x1-2-2n_18": ["torsion", "x1-2-2n", "18"],
     "immersion_65_3": ["immersion", "65", "3"],
     "places_22_3": ["places", "22", "3"],
+    "places_25_3": ["places", "25", "3"],
     "places_29_7": ["places", "29", "7"],
     "ecscan_11_727": ["ecscan", "11", "727"],
     "immersion_121_5": ["immersion", "121", "5"],

@@ -120,3 +120,34 @@ def test_every_def_has_a_caller_in_the_program():
              if (module, name) not in wrapped and name not in HELD_FOR_CUBIC_CHAIN]
     assert found == []
     assert HELD_FOR_CUBIC_CHAIN <= {name for _, name in uncalled}
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_every_stored_attribute_is_read():
+    # an attribute assigned on `self`, or a dataclass field, must be loaded
+    # as an attribute of that name somewhere in src/ or in bench/spans.py:
+    # a value stored and never read is dead state
+    root = Path(modtors.__file__).parent
+    paths = [*sorted(root.rglob("*.py")), BENCH / "spans.py"]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    attrs_read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    stored = set()  # (module, class, attribute)
+    for path in paths[:-1]:
+        module = ".".join(["modtors", *path.relative_to(root).with_suffix("").parts])
+        for cls in ast.walk(trees[path]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if _is_dataclass(cls):
+                stored |= {(module, cls.name, node.target.id) for node in cls.body
+                           if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+            stored |= {(module, cls.name, node.attr) for node in ast.walk(cls)
+                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                       and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    found = sorted(f"{module}.{cls}.{attr}" for module, cls, attr in stored if attr not in attrs_read)
+    assert found == []
