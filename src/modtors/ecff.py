@@ -15,13 +15,21 @@ Fields above MAX_TABLE_Q are refused with ResourceWarning before any
 table is built.
 
 Pairs (E, P) with P of exact order N >= 4 are enumerated through the Tate
-normal form y^2 + (1-c) xy - b y = x^3 - b x^2 with P = (0, 0): nonsingular
-parameter pairs (b, c) biject with such pairs, so counting F_q-points of
-X1(N) away from the cusps is a scan over (b, c) in F_q^2, vectorized with
-numpy over chunks of pairs.  The number of pairs of exact order N is found
-by double-and-add: N * P = O and (N / l) * P != O for every prime l | N.
-`tate_order_counts` keeps the sequential scan P, 2P, 3P, ... for the whole
-order distribution.
+normal form E(b, c): y^2 + (1-c) xy - b y = x^3 - b x^2 with P = (0, 0)
+(Kubert, Proc. LMS 33, 1976): nonsingular parameter pairs (b, c) biject
+with such pairs, so counting F_q-points of X1(N) away from the cusps is a
+scan over (b, c) in F_q^2, vectorized with numpy over chunks of pairs.  A
+pair is nonsingular when b != 0 and 16b^2 + b(1 - 20c - 8c^2) - c(1 - c)^3
+!= 0, the discriminant being b^3 times that quartic over Z.  Multiples of
+P come from arithmetic on the Tate curve alone (a1 = 1 - c, a2 = a3 = -b,
+a4 = a6 = 0): a left-to-right ladder starts at 2P = (b, bc) or
+3P = (c, b - c) and goes on by doublings and additions of P.  Exact
+masks set the exceptional lanes: an input at O, a 2-torsion point on a
+doubling, Q = -P = (0, b) on an addition; Q = P needs none, as inv(0) = 0
+gives slope 0, the tangent slope at P.
+P has exact order N when N * P = O and (N / l) * P != O for every prime
+l < N dividing N.  `tate_order_counts` adds P step by step, P, 2P, 3P,
+..., for the whole order distribution.
 """
 
 from itertools import product
@@ -169,95 +177,86 @@ def finite_field(q):
 
 
 # ---------------------------------------------------------------------------
-# Weierstrass arithmetic, vectorized over codes
-
-
-def discriminant(f, coeffs):
-    """Discriminant of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
-
-    coeffs = (a1, a2, a3, a4, a6) are codes or arrays of codes; the result
-    broadcasts over them.
-    """
-    a1, a2, a3, a4, a6 = coeffs
-    b2 = f.add(f.mul(a1, a1), f.smul(4, a2))
-    b4 = f.add(f.smul(2, a4), f.mul(a1, a3))
-    b6 = f.add(f.mul(a3, a3), f.smul(4, a6))
-    b8 = f.add(
-        f.sub(
-            f.add(f.mul(f.mul(a1, a1), a6), f.smul(4, f.mul(a2, a6))),
-            f.mul(a1, f.mul(a3, a4)),
-        ),
-        f.sub(f.mul(a2, f.mul(a3, a3)), f.mul(a4, a4)),
-    )
-    d = f.neg(f.mul(f.mul(b2, b2), b8))
-    d = f.sub(d, f.smul(8, f.mul(b4, f.mul(b4, b4))))
-    d = f.sub(d, f.smul(27, f.mul(b6, b6)))
-    d = f.add(d, f.smul(9, f.mul(b2, f.mul(b4, b6))))
-    return d
-
-
-def _add_points(f, coeffs, x1, y1, i1, x2, y2, i2):
-    """P1 + P2, lane by lane, on the curve with coefficient codes coeffs.
-
-    Points are code arrays x, y with boolean infinity flags i; a point at
-    infinity has x = y = 0.  a6 does not enter the addition law.
-    """
-    a1, a2, a3, a4, _ = coeffs
-    neg_y2 = f.sub(f.neg(y2), f.add(f.mul(a1, x2), a3))
-    xeq = x1 == x2
-    is_inv = xeq & (y1 == neg_y2) & ~i1 & ~i2
-    dbl = xeq & ~is_inv & ~i1 & ~i2
-    # doubling slope: (3x^2 + 2 a2 x + a4 - a1 y) / (2y + a1 x + a3)
-    num_dbl = f.sub(
-        f.add(f.smul(3, f.mul(x1, x1)), f.add(f.smul(2, f.mul(a2, x1)), a4)),
-        f.mul(a1, y1),
-    )
-    den_dbl = f.add(f.smul(2, y1), f.add(f.mul(a1, x1), a3))
-    num = np.where(dbl, num_dbl, f.sub(y2, y1))
-    den = np.where(dbl, den_dbl, f.sub(x2, x1))
-    # den is zero only on lanes whose sum is replaced below; inv(0) = 0
-    lam = f.mul(num, f.inv(den))
-    x3 = f.sub(f.add(f.mul(lam, lam), f.mul(a1, lam)), f.add(a2, f.add(x1, x2)))
-    y3 = f.sub(f.mul(lam, f.sub(x1, x3)), f.add(y1, f.add(f.mul(a1, x3), a3)))
-    out_inf = (i1 & i2) | is_inv
-    ox = np.where(i1, x2, np.where(i2, x1, x3))
-    oy = np.where(i1, y2, np.where(i2, y1, y3))
-    return np.where(out_inf, 0, ox), np.where(out_inf, 0, oy), out_inf
-
-
-def _multiple(f, coeffs, x, y, inf, m):
-    """m * P for m >= 1, lane by lane, by double-and-add."""
-    acc = None
-    base = (x, y, inf)
-    while True:
-        if m & 1:
-            acc = base if acc is None else _add_points(f, coeffs, *acc, *base)
-        m >>= 1
-        if not m:
-            return acc
-        base = _add_points(f, coeffs, *base, *base)
-
-
-# ---------------------------------------------------------------------------
 # Tate-normal-form scans
 
 
 def _tate_curves(f):
-    """Coefficients (a1, a2, a3) of the nonsingular Tate curves
-    a1 = 1 - c, a2 = a3 = -b, one triple of code arrays per chunk of
-    _CHUNK (b, c) pairs."""
+    """The nonsingular Tate pairs (b, c), two code arrays per chunk of
+    _CHUNK pairs: over Z the discriminant of E(b, c) is b^3 times
+    16b^2 + b(1 - 20c - 8c^2) - c(1 - c)^3, so a pair is kept when b and
+    that quartic are nonzero in F_q."""
     q = f.q
     for start in range(0, q * q, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, q * q), dtype=np.intp)
-        a1 = f.sub(1, idx % q)
-        a2 = f.neg(idx // q)
-        alive = discriminant(f, (a1, a2, a2, 0, 0)) != 0
-        yield a1[alive], a2[alive], a2[alive]
+        b, c = np.divmod(np.arange(start, min(start + _CHUNK, q * q)), q)
+        b, c = b.astype(np.int16), c.astype(np.int16)
+        a1 = f.sub(1, c)
+        inner = f.sub(f.add(f.smul(16, b), 1), f.mul(c, f.add(f.smul(8, c), 20 % f.p)))
+        quartic = f.sub(f.mul(b, inner), f.mul(c, f.mul(a1, f.mul(a1, a1))))
+        alive = (b != 0) & (quartic != 0)
+        yield b[alive], c[alive]
 
 
-def _origin(lanes):
-    zero = np.zeros(len(lanes[0]), dtype=np.int16)
-    return zero, zero, np.zeros(len(zero), dtype=bool)
+def _tate_lanes(f, b, c):
+    """Per-lane constants (b, a1, a3, 2 a3) of E(b, c): a1 = 1 - c and
+    a2 = a3 = -b."""
+    a3 = f.neg(b)
+    return b, f.sub(1, c), a3, f.add(a3, a3)
+
+
+def _tate_double(f, t, x, y, inf):
+    """2Q, lane by lane, on the Tate curves t (see `_tate_lanes`).
+
+    Points are code arrays x, y with boolean infinity flags; a point at
+    infinity has x = y = 0.  2Q = O where Q = O or 2y + a1 x + a3 = 0.
+    """
+    b, a1, a3, two_a3 = t
+    # tangent slope (3x^2 + 2 a2 x - a1 y) / (2y + a1 x + a3), a2 = a3
+    num = f.sub(f.mul(x, f.add(f.smul(3, x), two_a3)), f.mul(a1, y))
+    den = f.add(f.add(y, y), f.add(f.mul(a1, x), a3))
+    out_inf = inf | (den == 0)
+    # inv(0) = 0: the lanes with den = 0 are replaced below
+    lam = f.mul(num, f.inv(den))
+    s = f.add(lam, a1)
+    x3 = f.sub(f.add(f.mul(lam, s), b), f.add(x, x))
+    # y3 = lam (x - x3) - y - a1 x3 - a3, and -a3 = b
+    y3 = f.sub(f.add(f.mul(lam, x), b), f.add(y, f.mul(s, x3)))
+    return np.where(out_inf, 0, x3), np.where(out_inf, 0, y3), out_inf
+
+
+def _tate_add(f, t, x, y, inf):
+    """Q + P, lane by lane, on the Tate curves t with P = (0, 0).
+
+    The chord through P has slope y / x and no constant term.  The only
+    affine points with x = 0 are P and -P = (0, b): there inv(0) = 0 gives
+    slope 0, the tangent slope at P, so Q = P comes out as 2P = (b, bc);
+    Q = -P gives O and Q = O gives P.
+    """
+    b, a1 = t[:2]
+    lam = f.mul(y, f.inv(x))
+    s = f.add(lam, a1)
+    x3 = f.sub(f.add(f.mul(lam, s), b), x)
+    y3 = f.sub(b, f.mul(s, x3))  # -((lam + a1) x3 + a3)
+    out_inf = (x == 0) & (y == b)
+    zeroed = inf | out_inf  # to P or to O, both stored as (0, 0)
+    return np.where(zeroed, 0, x3), np.where(zeroed, 0, y3), out_inf
+
+
+def _tate_multiple(f, b, c, m):
+    """m P for m >= 1 on the Tate curves E(b, c), lane by lane, left to
+    right: from 2P = (b, bc) or 3P = (c, b - c) by the top two bits of m,
+    then one doubling per further bit and one addition of P per set bit."""
+    inf = np.zeros(len(b), dtype=bool)
+    if m == 1:
+        zero = np.zeros(len(b), dtype=np.int16)
+        return zero, zero, inf
+    t = _tate_lanes(f, b, c)
+    bits = bin(m)[3:]
+    x, y = (c, f.sub(b, c)) if bits[0] == "1" else (b, f.mul(b, c))
+    for bit in bits[1:]:
+        x, y, inf = _tate_double(f, t, x, y, inf)
+        if bit == "1":
+            x, y, inf = _tate_add(f, t, x, y, inf)
+    return x, y, inf
 
 
 def tate_order_counts(q, max_order):
@@ -269,15 +268,14 @@ def tate_order_counts(q, max_order):
     """
     f = finite_field(q)
     counts = np.zeros(max_order + 1, dtype=np.int64)
-    for lanes in _tate_curves(f):
-        coeffs = (*lanes, 0, 0)
-        point = _origin(lanes)
-        qx, qy, qinf = point
-        undecided = np.ones(len(qx), dtype=bool)
+    for b, c in _tate_curves(f):
+        t = _tate_lanes(f, b, c)
+        qx, qy, qinf = _tate_multiple(f, b, c, 1)
+        undecided = np.ones(len(b), dtype=bool)
         for order in range(2, max_order + 1):
             if not undecided.any():
                 break
-            qx, qy, qinf = _add_points(f, coeffs, qx, qy, qinf, *point)
+            qx, qy, qinf = _tate_add(f, t, qx, qy, qinf)
             newly = undecided & qinf
             counts[order] += int(newly.sum())
             undecided &= ~newly
@@ -289,8 +287,8 @@ def count_points_of_exact_order(N, q):
     """Number of non-cuspidal F_q-points of X1(N): Tate pairs of order N.
 
     A pair counts when N * P = O and (N / l) * P != O for each prime
-    l | N, with each multiple computed by double-and-add; a lane is
-    dropped at the first test it fails.
+    l < N dividing N, each multiple by the ladder `_tate_multiple`; a lane
+    is dropped at the first test it fails.
     """
     return sum(_exact_order_chunks(N, q))
 
@@ -301,12 +299,13 @@ def _exact_order_chunks(N, q):
     if N < 4:
         raise ValueError("Tate normal form needs order >= 4")
     f = finite_field(q)
-    tests = [(N, True)] + [(N // ell, False) for ell in factorint(N)]
-    for lanes in _tate_curves(f):
+    # (N / N) P = P != O always holds, so a prime N has one test
+    tests = [(N, True)] + [(N // ell, False) for ell in factorint(N) if ell < N]
+    for b, c in _tate_curves(f):
         for m, killed in tests:
-            inf = _multiple(f, (*lanes, 0, 0), *_origin(lanes), m)[2]
-            lanes = tuple(a[inf == killed] for a in lanes)
-        yield len(lanes[0])
+            keep = _tate_multiple(f, b, c, m)[2] == killed
+            b, c = b[keep], c[keep]
+        yield len(b)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,77 @@ def _perm_minus_one_matrix(perm, c):
     return out
 
 
+# Long-Weierstrass arithmetic over F_q, vectorized over code arrays: the
+# generic chord-and-tangent law, once the route of the `ecff` Tate scans,
+# kept as the oracle of their Tate-curve ladder and closed-form discriminant.
+
+
+def discriminant(f, coeffs):
+    """Discriminant of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
+
+    coeffs = (a1, a2, a3, a4, a6) are codes or arrays of codes; the result
+    broadcasts over them.
+    """
+    a1, a2, a3, a4, a6 = coeffs
+    b2 = f.add(f.mul(a1, a1), f.smul(4, a2))
+    b4 = f.add(f.smul(2, a4), f.mul(a1, a3))
+    b6 = f.add(f.mul(a3, a3), f.smul(4, a6))
+    b8 = f.add(
+        f.sub(
+            f.add(f.mul(f.mul(a1, a1), a6), f.smul(4, f.mul(a2, a6))),
+            f.mul(a1, f.mul(a3, a4)),
+        ),
+        f.sub(f.mul(a2, f.mul(a3, a3)), f.mul(a4, a4)),
+    )
+    d = f.neg(f.mul(f.mul(b2, b2), b8))
+    d = f.sub(d, f.smul(8, f.mul(b4, f.mul(b4, b4))))
+    d = f.sub(d, f.smul(27, f.mul(b6, b6)))
+    d = f.add(d, f.smul(9, f.mul(b2, f.mul(b4, b6))))
+    return d
+
+
+def _add_points(f, coeffs, x1, y1, i1, x2, y2, i2):
+    """P1 + P2, lane by lane, on the curve with coefficient codes coeffs.
+
+    Points are code arrays x, y with boolean infinity flags i; a point at
+    infinity has x = y = 0.  a6 does not enter the addition law.
+    """
+    a1, a2, a3, a4, _ = coeffs
+    neg_y2 = f.sub(f.neg(y2), f.add(f.mul(a1, x2), a3))
+    xeq = x1 == x2
+    is_inv = xeq & (y1 == neg_y2) & ~i1 & ~i2
+    dbl = xeq & ~is_inv & ~i1 & ~i2
+    # doubling slope: (3x^2 + 2 a2 x + a4 - a1 y) / (2y + a1 x + a3)
+    num_dbl = f.sub(
+        f.add(f.smul(3, f.mul(x1, x1)), f.add(f.smul(2, f.mul(a2, x1)), a4)),
+        f.mul(a1, y1),
+    )
+    den_dbl = f.add(f.smul(2, y1), f.add(f.mul(a1, x1), a3))
+    num = np.where(dbl, num_dbl, f.sub(y2, y1))
+    den = np.where(dbl, den_dbl, f.sub(x2, x1))
+    # den is zero only on lanes whose sum is replaced below; inv(0) = 0
+    lam = f.mul(num, f.inv(den))
+    x3 = f.sub(f.add(f.mul(lam, lam), f.mul(a1, lam)), f.add(a2, f.add(x1, x2)))
+    y3 = f.sub(f.mul(lam, f.sub(x1, x3)), f.add(y1, f.add(f.mul(a1, x3), a3)))
+    out_inf = (i1 & i2) | is_inv
+    ox = np.where(i1, x2, np.where(i2, x1, x3))
+    oy = np.where(i1, y2, np.where(i2, y1, y3))
+    return np.where(out_inf, 0, ox), np.where(out_inf, 0, oy), out_inf
+
+
+def _multiple(f, coeffs, x, y, inf, m):
+    """m * P for m >= 1, lane by lane, by double-and-add."""
+    acc = None
+    base = (x, y, inf)
+    while True:
+        if m & 1:
+            acc = base if acc is None else _add_points(f, coeffs, *acc, *base)
+        m >>= 1
+        if not m:
+            return acc
+        base = _add_points(f, coeffs, *base, *base)
+
+
 # Single-curve group structures over F_q by enumeration, once
 # `ecff.group_structure`: the oracle of the Tate scans and of criterion 13.
 
@@ -155,7 +226,7 @@ def group_structure(q, coeffs):
     """Group invariants of E(F_q), E the long Weierstrass curve with coeffs
     (a1, a2, a3, a4, a6): its points are enumerated and the l-power torsion
     counted by double-and-add for each prime l dividing the order."""
-    from modtors.ecff import _multiple, discriminant, finite_field
+    from modtors.ecff import finite_field
 
     f = finite_field(q)
     coded = tuple(scalar(f, c) for c in coeffs)

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from sympy import isprime
 
-from conftest import curve11_ap, curve_points, group_structure, scalar
+from conftest import _multiple, curve11_ap, curve_points, discriminant, group_structure, scalar
 from modtors import ecff
 from modtors.abgroup import FinAbGroup
 from modtors.ecff import (
     count_X1_points,
     count_points_of_exact_order,
-    discriminant,
     exists_point_of_order,
     finite_field,
     hasse_excludes,
@@ -355,6 +354,60 @@ def test_exact_order_double_and_add_matches_sequential_scan(q):
     assert counts.sum() == (discriminant(f, (a1, a2, a2, 0, 0)) != 0).sum()
     for n in range(4, 41):
         assert count_points_of_exact_order(n, q) == counts[n], n
+
+
+def _tate_pairs(q):
+    """Every (b, c) over F_q in scan order, as code arrays, with the mask of
+    the nonsingular ones by the oracle discriminant of E(b, c)."""
+    f = finite_field(q)
+    b, c = (x.astype(np.int16) for x in np.divmod(np.arange(q * q), q))
+    return f, b, c, discriminant(f, (f.sub(1, c), f.neg(b), f.neg(b), 0, 0)) != 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
+def test_tate_curves_keep_exactly_the_nonsingular_pairs(q):
+    # the closed-form b^3 * quartic against the long-Weierstrass oracle,
+    # characteristics 2 and 3 included
+    f, b, c, smooth = _tate_pairs(q)
+    kept = [kb.astype(np.int64) * q + kc for kb, kc in ecff._tate_curves(f)]
+    assert np.concatenate(kept).tolist() == np.flatnonzero(smooth).tolist()
+
+
+@pytest.mark.parametrize(
+    "q,orders",
+    [(q, range(1, 41)) for q in (5, 7, 8, 9, 16, 25, 27, 49)] + [(125, [121])],
+)
+def test_tate_ladder_matches_generic_double_and_add(monkeypatch, q, orders):
+    f, b, c, smooth = _tate_pairs(q)
+    b, c = b[smooth], c[smooth]
+    coeffs = (f.sub(1, c), f.neg(b), f.neg(b), 0, 0)
+    origin = np.zeros(len(b), dtype=np.int16)
+    # which exceptional branches the ladder meets, read off its inputs
+    seen = set()
+    double, add = ecff._tate_double, ecff._tate_add
+
+    def spy_double(f, t, x, y, inf):
+        tb, a1, a3 = t[:3]
+        seen.update({"O doubled"} if inf.any() else ())
+        den = f.add(f.add(y, y), f.add(f.mul(a1, x), a3))
+        seen.update({"2Q = O"} if (~inf & (den == 0)).any() else ())
+        return double(f, t, x, y, inf)
+
+    def spy_add(f, t, x, y, inf):
+        tb = t[0]
+        seen.update({"O + P"} if inf.any() else ())
+        seen.update({"P + P"} if ((x == 0) & (y == 0) & ~inf).any() else ())
+        seen.update({"-P + P"} if ((x == 0) & (y == tb)).any() else ())
+        return add(f, t, x, y, inf)
+
+    monkeypatch.setattr(ecff, "_tate_double", spy_double)
+    monkeypatch.setattr(ecff, "_tate_add", spy_add)
+    for m in orders:
+        got = ecff._tate_multiple(f, b, c, m)
+        want = _multiple(f, coeffs, origin, origin, origin != 0, m)
+        for g, w in zip(got, want):
+            assert g.tolist() == w.tolist(), m
+    assert seen == {"O doubled", "2Q = O", "O + P", "P + P", "-P + P"}
 
 
 def test_exact_order_double_and_add_at_121_over_f125(monkeypatch):
